@@ -14,19 +14,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, KgPromptError, StageError
-from .pipeline import ExperimentConfig, run_experiment
-
-_COMMANDS = {
-    "ingest": "ingest",
-    "link": "link",
-    "extract": "extract",
-    "verbalize": "verbalize",
-    "build-prompts": "build-prompts",
-    "split": "split",
-    "predict": "predict",
-    "eval": "eval",
-    "run": "eval",
-}
+from .pipeline import STAGES, ExperimentConfig, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,7 +26,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
+    for command in (*STAGES, "run"):  # "run" runs every stage
         p = sub.add_parser(command, help=f"run the pipeline through the {command} stage")
         p.add_argument("--config", required=True, help="experiment configuration JSON file")
         p.add_argument("--seed", type=int, default=None, help="override every stage seed")
@@ -72,7 +60,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _apply_overrides(ExperimentConfig.from_json(args.config), args)
-        out = run_experiment(config, offline=args.offline, until=_COMMANDS[args.command])
+        until = STAGES[-1] if args.command == "run" else args.command
+        out = run_experiment(config, offline=args.offline, until=until)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

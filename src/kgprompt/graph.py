@@ -1,11 +1,11 @@
 """In-memory directed labeled knowledge graph with adjacency queries.
 
-The graph is immutable once constructed: loaders accumulate nodes and edges
-and build the graph in one shot, after which any number of workers may query
-it concurrently. Edges are directed, but the default adjacency policy treats
-them as undirected because relational evidence flows both ways for the
-extraction queries built on top of this module; directed policies are kept
-for experiments.
+A loader builds the graph once, node by node and edge by edge, and the graph
+is the single place that rejects duplicates; afterwards it is treated as
+immutable, so any number of workers may query it concurrently. Edges are
+directed, but the default adjacency policy treats them as undirected because
+relational evidence flows both ways for the extraction queries built on top
+of this module; directed policies are kept for experiments.
 
 All query results are deterministically ordered by the insertion order of
 the first contributing edge, so downstream verbalization and seeded subset
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Iterator, Literal
 
 from .errors import DuplicateEdgeError, UnknownNodeError
@@ -64,21 +63,27 @@ class KnowledgeGraph:
         self._adj: dict[str, list[tuple[int, str, str, Direction]]] = {}
         self._edge_keys: set[tuple[str, str, str]] = set()
         for node in nodes:
-            self._add_node(node)
+            if not self.add_node(node):
+                raise ValueError(f"duplicate node id: {node.id!r}")
         for edge in edges:
-            self._add_edge(edge)
+            if not self.add_edge(edge):
+                key = (edge.source, edge.target, edge.label)
+                raise DuplicateEdgeError(f"duplicate edge: {key!r}")
 
-    def _add_node(self, node: Node) -> None:
+    def add_node(self, node: Node) -> bool:
+        """Add a node while loading; False (and no change) if its id exists."""
+        if node.id in self._nodes:
+            return False
         if not node.id:
             raise ValueError("node id must be non-empty")
         if not node.name:
             raise ValueError(f"node {node.id!r}: name must be non-empty")
-        if node.id in self._nodes:
-            raise ValueError(f"duplicate node id: {node.id!r}")
         self._nodes[node.id] = node
         self._adj[node.id] = []
+        return True
 
-    def _add_edge(self, edge: Edge) -> None:
+    def add_edge(self, edge: Edge) -> bool:
+        """Add an edge while loading; False (and no change) for a duplicate triple."""
         for endpoint in (edge.source, edge.target):
             if endpoint not in self._nodes:
                 raise UnknownNodeError(endpoint)
@@ -86,13 +91,14 @@ class KnowledgeGraph:
             raise ValueError("edge label must be non-empty")
         key = (edge.source, edge.target, edge.label)
         if key in self._edge_keys:
-            raise DuplicateEdgeError(f"duplicate edge: {key!r}")
+            return False
         ordinal = len(self._edges)
         self._edges.append(edge)
         self._edge_keys.add(key)
         self._adj[edge.source].append((ordinal, edge.target, edge.label, OUT))
         if edge.target != edge.source:
             self._adj[edge.target].append((ordinal, edge.source, edge.label, IN))
+        return True
 
     # --- basic accessors ---
 
@@ -124,20 +130,6 @@ class KnowledgeGraph:
     @property
     def node_types(self) -> set[str]:
         return {n.node_type for n in self._nodes.values()}
-
-    @cached_property
-    def out_index(self) -> dict[str, list[tuple[str, str]]]:
-        index: dict[str, list[tuple[str, str]]] = {nid: [] for nid in self._nodes}
-        for edge in self._edges:
-            index[edge.source].append((edge.target, edge.label))
-        return index
-
-    @cached_property
-    def in_index(self) -> dict[str, list[tuple[str, str]]]:
-        index: dict[str, list[tuple[str, str]]] = {nid: [] for nid in self._nodes}
-        for edge in self._edges:
-            index[edge.target].append((edge.source, edge.label))
-        return index
 
     # --- adjacency queries ---
 

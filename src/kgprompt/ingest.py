@@ -76,26 +76,20 @@ def load_hetionet_json(path: str | Path) -> tuple[KnowledgeGraph, IngestReport]:
     _require(data, ("nodes", "edges"), "top-level document")
 
     report = IngestReport()
-    nodes: list[Node] = []
-    node_ids: set[str] = set()
+    graph = KnowledgeGraph()
     for i, record in enumerate(data["nodes"]):
         _require(record, ("kind", "identifier", "name"), f"node record {i}")
         kind = sys.intern(str(record["kind"]))
         node_id = sys.intern(hetionet_node_id(kind, record["identifier"]))
-        if node_id in node_ids:
+        if not graph.add_node(Node(id=node_id, name=str(record["name"]), node_type=kind)):
             report.warn(f"node record {i}: duplicate node id {node_id!r} skipped")
-            continue
-        node_ids.add(node_id)
-        nodes.append(Node(id=node_id, name=str(record["name"]), node_type=kind))
 
-    edges: list[Edge] = []
-    edge_keys: set[tuple[str, str, str]] = set()
     for i, record in enumerate(data["edges"]):
         _require(record, ("source_id", "target_id", "kind", "direction"), f"edge record {i}")
         source = sys.intern(hetionet_node_id(*_endpoint(record["source_id"], i, "source_id")))
         target = sys.intern(hetionet_node_id(*_endpoint(record["target_id"], i, "target_id")))
         for endpoint in (source, target):
-            if endpoint not in node_ids:
+            if not graph.has_node(endpoint):
                 raise SchemaError(f"edge record {i}: unknown node id {endpoint!r}")
         label = sys.intern(str(record["kind"]))
         direction = record["direction"]
@@ -108,18 +102,14 @@ def load_hetionet_json(path: str | Path) -> tuple[KnowledgeGraph, IngestReport]:
             oriented.append((target, source))
         added = 0
         for src, dst in oriented:
-            key = (src, dst, label)
-            if key in edge_keys:
+            if graph.add_edge(Edge(source=src, target=dst, label=label)):
+                added += 1
+            else:
                 report.duplicates_rejected += 1
-                report.warn(f"edge record {i}: duplicate edge {key!r} skipped")
-                continue
-            edge_keys.add(key)
-            edges.append(Edge(source=src, target=dst, label=label))
-            added += 1
+                report.warn(f"edge record {i}: duplicate edge {(src, dst, label)!r} skipped")
         if added:
             report.edges_loaded += 1
 
-    graph = KnowledgeGraph(nodes, edges)
     report.nodes_loaded = graph.node_count
     report.finish()
     return graph, report
@@ -142,10 +132,7 @@ def load_edge_list_jsonl(path: str | Path) -> tuple[KnowledgeGraph, IngestReport
     """
     path = Path(path)
     report = IngestReport()
-    nodes: list[Node] = []
-    node_ids: set[str] = set()
-    edges: list[Edge] = []
-    edge_keys: set[tuple[str, str, str]] = set()
+    graph = KnowledgeGraph()
 
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -169,36 +156,29 @@ def load_edge_list_jsonl(path: str | Path) -> tuple[KnowledgeGraph, IngestReport
                 body = record["node"]
                 _require(body, ("id", "name"), "node record", line=lineno)
                 node_id = sys.intern(str(body["id"]))
-                if node_id in node_ids:
-                    report.warn(f"line {lineno}: duplicate node id {node_id!r} skipped")
-                    continue
-                node_ids.add(node_id)
-                nodes.append(
-                    Node(
-                        id=node_id,
-                        name=str(body["name"]),
-                        node_type=sys.intern(str(body.get("type", "unknown"))),
-                    )
+                node = Node(
+                    id=node_id,
+                    name=str(body["name"]),
+                    node_type=sys.intern(str(body.get("type", "unknown"))),
                 )
+                if not graph.add_node(node):
+                    report.warn(f"line {lineno}: duplicate node id {node_id!r} skipped")
             else:
                 body = record["edge"]
                 _require(body, ("source", "target", "label"), "edge record", line=lineno)
                 source = sys.intern(str(body["source"]))
                 target = sys.intern(str(body["target"]))
                 for endpoint in (source, target):
-                    if endpoint not in node_ids:
+                    if not graph.has_node(endpoint):
                         raise SchemaError(f"edge references unknown node id {endpoint!r}", line=lineno)
                 label = sys.intern(str(body["label"]))
-                key = (source, target, label)
-                if key in edge_keys:
+                if graph.add_edge(Edge(source=source, target=target, label=label)):
+                    report.edges_loaded += 1
+                else:
                     report.duplicates_rejected += 1
+                    key = (source, target, label)
                     report.warn(f"line {lineno}: duplicate edge {key!r} skipped")
-                    continue
-                edge_keys.add(key)
-                edges.append(Edge(source=source, target=target, label=label))
-                report.edges_loaded += 1
 
-    graph = KnowledgeGraph(nodes, edges)
     report.nodes_loaded = graph.node_count
     report.finish()
     return graph, report

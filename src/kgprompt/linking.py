@@ -4,6 +4,10 @@ Resolution tries an exact name match first, then a case/punctuation
 normalized match, then a manual override table; whatever is left is an
 unresolved marker, never a failure, so downstream stages degrade to an
 empty graph context instead of dropping the instance.
+
+The first two steps ask a name lookup: a local graph's name tables, or a
+remote entity search (:func:`search_lookup`). Either way each distinct name
+is looked up once, in first-appearance order.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .dataset import Instance
-from .errors import OverrideConflictError
+from .errors import OverrideConflictError, ParseError
 from .graph import KnowledgeGraph
 
 EXACT = "exact"
@@ -49,10 +54,17 @@ class PairLinkage:
         }
 
 
+# A name lookup answers (node id, EXACT or NORMALIZED), or None for no match.
+NameLookup = Callable[[str], "tuple[str, str] | None"]
+
+
 def load_overrides(path: str | Path) -> dict[str, str]:
     """Read a manual override table: pair name -> node id."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise ParseError(f"override table {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in data.items()
     ):
@@ -60,39 +72,79 @@ def load_overrides(path: str | Path) -> dict[str, str]:
     return data
 
 
-def link_pairs(
-    instances: list[Instance],
-    kg: KnowledgeGraph,
-    overrides: dict[str, str] | None = None,
-) -> list[PairLinkage]:
-    """Resolve every instance's pair names against the graph's node names.
+def _graph_lookup(kg: KnowledgeGraph) -> NameLookup:
+    """Exact, then normalized match against the graph's node names.
 
     When several nodes share a name the first by node insertion order wins,
-    which keeps linking deterministic. An override naming a node id absent
-    from the graph is a conflict and fails loudly.
+    which keeps linking deterministic.
     """
-    overrides = overrides or {}
-    for name, node_id in overrides.items():
-        if not kg.has_node(node_id):
-            raise OverrideConflictError(
-                f"override for {name!r} points at unknown node id {node_id!r}"
-            )
-
     exact: dict[str, str] = {}
     normalized: dict[str, str] = {}
     for node in kg.nodes.values():
         exact.setdefault(node.name, node.id)
         normalized.setdefault(normalize_name(node.name), node.id)
 
-    def resolve(name: str) -> tuple[str | None, str]:
+    def lookup(name: str) -> tuple[str, str] | None:
         if name in exact:
             return exact[name], EXACT
         norm = normalize_name(name)
         if norm in normalized:
             return normalized[norm], NORMALIZED
-        if name in overrides:
-            return overrides[name], MANUAL_OVERRIDE
-        return None, UNRESOLVED
+        return None
+
+    return lookup
+
+
+def search_lookup(search: Callable[[str], list[tuple[str, str, str]]]) -> NameLookup:
+    """The first entity-search candidate (id, label, description) wins.
+
+    It counts as EXACT when its label equals the name case-insensitively,
+    NORMALIZED otherwise.
+    """
+
+    def lookup(name: str) -> tuple[str, str] | None:
+        candidates = search(name)
+        if not candidates:
+            return None
+        entity_id, label, _description = candidates[0]
+        return entity_id, EXACT if label.casefold() == name.casefold() else NORMALIZED
+
+    return lookup
+
+
+def link_pairs(
+    instances: list[Instance],
+    kg: KnowledgeGraph | NameLookup,
+    overrides: dict[str, str] | None = None,
+) -> list[PairLinkage]:
+    """Resolve every instance's pair names against a graph or a name lookup.
+
+    Against a graph, an override naming a node id absent from it is a
+    conflict and fails loudly.
+    """
+    overrides = overrides or {}
+    if isinstance(kg, KnowledgeGraph):
+        for name, node_id in overrides.items():
+            if not kg.has_node(node_id):
+                raise OverrideConflictError(
+                    f"override for {name!r} points at unknown node id {node_id!r}"
+                )
+        lookup = _graph_lookup(kg)
+    else:
+        lookup = kg
+
+    resolved: dict[str, tuple[str | None, str]] = {}
+
+    def resolve(name: str) -> tuple[str | None, str]:
+        if name not in resolved:
+            hit = lookup(name)
+            if hit is not None:
+                resolved[name] = hit
+            elif name in overrides:
+                resolved[name] = (overrides[name], MANUAL_OVERRIDE)
+            else:
+                resolved[name] = (None, UNRESOLVED)
+        return resolved[name]
 
     linkages = []
     for instance in instances:

@@ -10,9 +10,10 @@ the prediction artifacts too when the backend is the deterministic mock.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .backend import (
@@ -33,7 +34,7 @@ from .dataset import (
 from .errors import ConfigError, KgPromptError, SamePairError, StageError
 from .graph import KnowledgeGraph, Node
 from .ingest import IngestReport, load_edge_list_jsonl, load_hetionet_json
-from .linking import PairLinkage, link_pairs, load_overrides, EXACT, MANUAL_OVERRIDE, NORMALIZED, UNRESOLVED
+from .linking import NameLookup, PairLinkage, link_pairs, load_overrides, search_lookup
 from .metrics import (
     Metrics,
     aggregate_folds,
@@ -79,8 +80,6 @@ from .verbalize import (
     verbalize_neighbors_labeled,
 )
 
-STAGES = ("ingest", "link", "extract", "verbalize", "build-prompts", "split", "predict", "eval")
-
 LOCAL_KG_KINDS = ("hetionet_json", "jsonl")
 KG_KINDS = LOCAL_KG_KINDS + ("remote",)
 
@@ -120,9 +119,9 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         try:
             return cls._from_dict(data)
-        except (KeyError, TypeError, ValueError, KgPromptError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError, KgPromptError) as exc:
             raise ConfigError(f"invalid experiment configuration: {exc}") from exc
 
     @classmethod
@@ -136,15 +135,15 @@ class ExperimentConfig:
         if kg["kind"] not in KG_KINDS:
             raise ConfigError(f"unknown kg kind {kg['kind']!r}; expected one of {KG_KINDS}")
 
-        mapping_data = data.get("label_mapping", {"mode": "identity"})
+        mapping_data = _section(data, "label_mapping")
         if mapping_data.get("mode", "identity") == "identity":
             mapping = LabelMapping.identity()
         else:
             mapping = LabelMapping.custom(mapping_data["causal"], mapping_data["non_causal"])
 
-        folds = data.get("folds", {})
-        backend = data.get("backend")
-        backend_kind = backend.get("kind") if backend else None
+        folds = _section(data, "folds")
+        backend = _section(data, "backend")
+        backend_kind = backend.get("kind")
         if backend_kind not in (None, "mock", "http"):
             raise ConfigError(f"unknown backend kind {backend_kind!r}")
 
@@ -157,16 +156,16 @@ class ExperimentConfig:
             entity_api_url=kg.get("entity_api_url"),
             out_dir=str(data["out_dir"]),
             structure=StructureKind(data.get("structure", "NN")),
-            limits=ExtractionLimits(**data.get("limits", {})),
-            templates=TemplateSet(**data.get("templates", {})),
-            architecture=Architecture.parse(data.get("architecture", "MLM")),
+            limits=ExtractionLimits(**_section(data, "limits")),
+            templates=TemplateSet(**_section(data, "templates")),
+            architecture=Architecture.parse(str(data.get("architecture", "MLM"))),
             label_mapping=mapping,
-            few_shot=FewShotConfig(**data.get("few_shot", {})),
+            few_shot=FewShotConfig(**_section(data, "few_shot")),
             n_folds=int(folds.get("n_folds", 5)),
             fold_seed=int(folds.get("seed", 203)),
             fold_stratified=bool(folds.get("stratified", False)),
             selection_seed=int(data.get("selection_seed", 203)),
-            truncation=TruncationPolicy(**data.get("truncation", {})),
+            truncation=TruncationPolicy(**_section(data, "truncation")),
             mask_token=str(data.get("mask_token", DEFAULT_MASK_TOKEN)),
             nn_include_labels=bool(data.get("nn_include_labels", False)),
             backend_kind=backend_kind,
@@ -191,7 +190,7 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def to_canonical_dict(self) -> dict:
-        data = {
+        return {
             "dataset": self.dataset,
             "kg": {
                 "kind": self.kg_kind,
@@ -202,39 +201,19 @@ class ExperimentConfig:
             },
             "out_dir": self.out_dir,
             "structure": self.structure.value,
-            "limits": {
-                "max_neighbors": self.limits.max_neighbors,
-                "max_common_neighbors": self.limits.max_common_neighbors,
-                "max_metapaths": self.limits.max_metapaths,
-                "max_hops": self.limits.max_hops,
-                "max_paths_enumerated": self.limits.max_paths_enumerated,
-            },
-            "templates": {
-                "nn_connective": self.templates.nn_connective,
-                "nn_labeled_pre": self.templates.nn_labeled_pre,
-                "nn_labeled_post": self.templates.nn_labeled_post,
-                "cnn_prefix": self.templates.cnn_prefix,
-                "mp_connective": self.templates.mp_connective,
-                "mp_path_intro": self.templates.mp_path_intro,
-                "list_separator": self.templates.list_separator,
-                "final_conjunction": self.templates.final_conjunction,
-            },
+            "limits": asdict(self.limits),
+            "templates": asdict(self.templates),
             "architecture": self.architecture.value,
             "label_mapping": {"mode": self.label_mapping.mode, **self.label_mapping.label_words()},
-            "few_shot": {
-                "k": self.few_shot.k,
-                "seed": self.few_shot.seed,
-                "stratified": self.few_shot.stratified,
-            },
+            "few_shot": asdict(self.few_shot),
             "folds": {"n_folds": self.n_folds, "seed": self.fold_seed, "stratified": self.fold_stratified},
             "selection_seed": self.selection_seed,
-            "truncation": {"max_units": self.truncation.max_units, "unit": self.truncation.unit},
+            "truncation": asdict(self.truncation),
             "mask_token": self.mask_token,
             "nn_include_labels": self.nn_include_labels,
             "backend": self._backend_dict(),
             "overrides": self.overrides_path,
         }
-        return data
 
     def _backend_dict(self) -> dict | None:
         if self.backend_kind == "mock":
@@ -253,6 +232,16 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_canonical_dict(), sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _section(data: dict, name: str) -> dict:
+    """An optional object-valued config section; absent or null reads as {}."""
+    value = data.get(name)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, not {type(value).__name__}")
+    return value
 
 
 def validate_config(config: ExperimentConfig, check_paths: bool = True) -> None:
@@ -284,18 +273,20 @@ def validate_config(config: ExperimentConfig, check_paths: bool = True) -> None:
 # --- artifact helpers ---
 
 
-def _write_json(path: Path, data: object) -> None:
+def _write_json(path: Path, data: object) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True, ensure_ascii=False)
         fh.write("\n")
+    return path
 
 
-def _write_jsonl(path: Path, records: list[dict]) -> None:
+def _write_jsonl(path: Path, records: list[dict]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    return path
 
 
 def _sha256_file(path: Path) -> str:
@@ -348,6 +339,9 @@ class _LocalSource:
     def __init__(self, kg: KnowledgeGraph):
         self.kg = kg
 
+    def names(self) -> KnowledgeGraph:
+        return self.kg
+
     def node(self, node_id: str) -> Node:
         return self.kg.node(node_id)
 
@@ -396,6 +390,9 @@ class _RemoteSource:
             self._stars[entity_id] = star
         return star
 
+    def names(self) -> NameLookup:
+        return search_lookup(functools.partial(resolve_entity, self.endpoint, self.cache))
+
     def node(self, node_id: str) -> Node:
         return self._star(node_id).node(node_id)
 
@@ -437,44 +434,163 @@ def _verbalize_bundles(
     return verbalize_metapath(x, y, bundle, t)
 
 
-def _link_remote(
-    instances: list[Instance],
-    endpoint: RemoteEndpoint,
-    cache: QueryCache,
-    overrides: dict[str, str],
-) -> list[PairLinkage]:
-    resolved: dict[str, tuple[str | None, str]] = {}
-
-    def resolve(name: str) -> tuple[str | None, str]:
-        if name not in resolved:
-            candidates = resolve_entity(endpoint, cache, name)
-            if candidates:
-                entity_id, label, _description = candidates[0]
-                method = EXACT if label.casefold() == name.casefold() else NORMALIZED
-                resolved[name] = (entity_id, method)
-            elif name in overrides:
-                resolved[name] = (overrides[name], MANUAL_OVERRIDE)
-            else:
-                resolved[name] = (None, UNRESOLVED)
-        return resolved[name]
-
-    linkages = []
-    for instance in instances:
-        e1_node, e1_method = resolve(instance.e1)
-        e2_node, e2_method = resolve(instance.e2)
-        linkages.append(
-            PairLinkage(
-                instance_id=instance.instance_id,
-                e1_node=e1_node,
-                e2_node=e2_node,
-                e1_method=e1_method,
-                e2_method=e2_method,
-            )
-        )
-    return linkages
-
-
 # --- the run itself ---
+
+
+@dataclass
+class _Run:
+    """What one invocation's stages hand to each other."""
+
+    config: ExperimentConfig
+    offline: bool
+    out: Path
+    instances: list[Instance] = field(default_factory=list)
+    source: _LocalSource | _RemoteSource | None = None
+    linkages: list[PairLinkage] = field(default_factory=list)
+    bundles: dict[str, list[tuple[str, StructureBundle]]] = field(default_factory=dict)
+    contexts: dict[str, GraphContext] = field(default_factory=dict)
+    prompts: dict[str, PromptInstance] = field(default_factory=dict)
+    folds: list[tuple[list[str], list[str]]] = field(default_factory=list)
+
+    def fold_dir(self, i: int) -> Path:
+        return self.out / "folds" / f"fold_{i}"
+
+
+# Each stage reads and fills the run state and returns the files it wrote.
+
+
+def _ingest(run: _Run) -> list[Path]:
+    config = run.config
+    run.instances = load_dataset_jsonl(config.dataset)
+    if config.kg_kind == "remote":
+        urls = {"sparql_url": config.sparql_url, "entity_api_url": config.entity_api_url}
+        endpoint = RemoteEndpoint(**{k: v for k, v in urls.items() if v is not None})
+        policy = CachePolicy.READ_ONLY if run.offline else CachePolicy.READ_WRITE
+        cache = QueryCache(root_dir=Path(config.cache_dir), policy=policy)
+        run.source = _RemoteSource(endpoint, cache)
+        return []
+    loader = load_hetionet_json if config.kg_kind == "hetionet_json" else load_edge_list_jsonl
+    kg, report = loader(config.kg_path)
+    run.source = _LocalSource(kg)
+    return [_write_json(run.out / "ingest_report.json", _report_dict(report))]
+
+
+def _link(run: _Run) -> list[Path]:
+    overrides = load_overrides(run.config.overrides_path) if run.config.overrides_path else {}
+    run.linkages = link_pairs(run.instances, run.source.names(), overrides)
+    return [_write_jsonl(run.out / "linkage.jsonl", [l.to_dict() for l in run.linkages])]
+
+
+def _extract(run: _Run) -> list[Path]:
+    records = []
+    for linkage in run.linkages:
+        bundles = run.source.extract(linkage, run.config)
+        run.bundles[linkage.instance_id] = bundles
+        for side, bundle in bundles:
+            records.append(_bundle_record(linkage.instance_id, side, bundle))
+    return [_write_jsonl(run.out / "bundles.jsonl", records)]
+
+
+def _verbalize(run: _Run) -> list[Path]:
+    records = []
+    for linkage in run.linkages:
+        context = _verbalize_bundles(
+            run.source, linkage, run.bundles[linkage.instance_id], run.config
+        )
+        run.contexts[linkage.instance_id] = context
+        records.append(
+            {
+                "instance_id": linkage.instance_id,
+                "kind": context.kind.value,
+                "text": context.text,
+                "empty": context.empty,
+                "source_nodes": list(context.source_nodes),
+            }
+        )
+    return [_write_jsonl(run.out / "contexts.jsonl", records)]
+
+
+def _build_prompts(run: _Run) -> list[Path]:
+    config = run.config
+    for instance in run.instances:
+        prompt = build_prompt(
+            instance,
+            run.contexts[instance.instance_id],
+            (instance.e1, instance.e2),
+            config.architecture,
+            config.label_mapping,
+            mask_token=config.mask_token,
+        )
+        run.prompts[instance.instance_id] = truncate_prompt(prompt, config.truncation)
+    path = run.out / "prompts.jsonl"
+    export_prompts_jsonl([run.prompts[i.instance_id] for i in run.instances], path)
+    return [path]
+
+
+def _split(run: _Run) -> list[Path]:
+    config = run.config
+    plan = make_fold_plan(run.instances, config.n_folds, config.fold_seed, config.fold_stratified)
+    run.folds = kfold_split(run.instances, plan)
+    written = [_write_json(run.out / "fold_plan.json", plan.to_dict())]
+    for i, (train_ids, test_ids) in enumerate(run.folds):
+        fold_dir = run.fold_dir(i)
+        fold_dir.mkdir(parents=True, exist_ok=True)
+        sample = sample_few_shot(train_ids, run.instances, config.few_shot)
+        for name, ids in (("few_shot.jsonl", sample), ("test_prompts.jsonl", test_ids)):
+            export_prompts_jsonl([run.prompts[t] for t in ids], fold_dir / name)
+            written.append(fold_dir / name)
+    return written
+
+
+def _predict(run: _Run) -> list[Path]:
+    config = run.config
+    if config.backend_kind == "http":
+        endpoint = HttpEndpoint(
+            base_url=config.http_base_url,
+            timeout=config.http_timeout,
+            max_retries=config.http_max_retries,
+            backoff=config.http_backoff,
+            max_in_flight=config.http_max_in_flight,
+        )
+    written = []
+    for i, (_train_ids, test_ids) in enumerate(run.folds):
+        reqs = [request_for_prompt(run.prompts[t], config.label_mapping) for t in test_ids]
+        if config.backend_kind == "mock":
+            records = [predict_mock(r, config.label_mapping, config.mock_seed) for r in reqs]
+        else:
+            records = predict_http_batch(endpoint, reqs, config.label_mapping)
+        written.append(run.fold_dir(i) / "predictions.jsonl")
+        write_predictions_jsonl(records, written[-1])
+    return written
+
+
+def _eval(run: _Run) -> list[Path]:
+    golds = {inst.instance_id: inst.label for inst in run.instances}
+    written = []
+    fold_metrics: list[Metrics] = []
+    for i in range(len(run.folds)):
+        records = read_predictions_jsonl(run.fold_dir(i) / "predictions.jsonl")
+        metrics = compute_metrics(records, golds)
+        fold_metrics.append(metrics)
+        written.append(_write_json(run.fold_dir(i) / "metrics.json", metrics.to_dict()))
+    fold_report = aggregate_folds(fold_metrics)
+    written.append(_write_json(run.out / "report.json", fold_report.to_dict()))
+    (run.out / "report.txt").write_text(format_report(fold_report), encoding="utf-8")
+    written.append(run.out / "report.txt")
+    return written
+
+
+_STAGE_TABLE = (
+    ("ingest", _ingest),
+    ("link", _link),
+    ("extract", _extract),
+    ("verbalize", _verbalize),
+    ("build-prompts", _build_prompts),
+    ("split", _split),
+    ("predict", _predict),
+    ("eval", _eval),
+)
+STAGES = tuple(name for name, _stage in _STAGE_TABLE)
 
 
 def run_experiment(
@@ -482,179 +598,26 @@ def run_experiment(
 ) -> Path:
     """Execute the pipeline through ``until`` (a STAGES name) and write artifacts.
 
-    Returns the output directory. Stage failures are wrapped in StageError
-    with the failing stage's name.
+    Without a backend the run stops before ``predict``. Returns the output
+    directory. Stage failures are wrapped in StageError with the failing
+    stage's name.
     """
     if until not in STAGES:
         raise ConfigError(f"unknown stage {until!r}; expected one of {STAGES}")
     validate_config(config)
-    last = STAGES.index(until)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    def wants(stage: str) -> bool:
-        return STAGES.index(stage) <= last
-
-    # ingest
-    instances: list[Instance] = []
-    source: _LocalSource | _RemoteSource
-    try:
-        instances = load_dataset_jsonl(config.dataset)
-        if config.kg_kind in LOCAL_KG_KINDS:
-            loader = load_hetionet_json if config.kg_kind == "hetionet_json" else load_edge_list_jsonl
-            kg, report = loader(config.kg_path)
-            source = _LocalSource(kg)
-            _write_json(out / "ingest_report.json", _report_dict(report))
-        else:
-            endpoint = RemoteEndpoint(
-                **{
-                    k: v
-                    for k, v in {
-                        "sparql_url": config.sparql_url,
-                        "entity_api_url": config.entity_api_url,
-                    }.items()
-                    if v is not None
-                }
-            )
-            policy = CachePolicy.READ_ONLY if offline else CachePolicy.READ_WRITE
-            cache = QueryCache(root_dir=Path(config.cache_dir), policy=policy)
-            source = _RemoteSource(endpoint, cache)
-    except KgPromptError as exc:
-        raise StageError("ingest", str(exc)) from exc
-    if not wants("link"):
-        return _finish(out, config)
-
-    # link
-    try:
-        overrides = load_overrides(config.overrides_path) if config.overrides_path else {}
-        if isinstance(source, _LocalSource):
-            linkages = link_pairs(instances, source.kg, overrides)
-        else:
-            linkages = _link_remote(instances, source.endpoint, source.cache, overrides)
-        _write_jsonl(out / "linkage.jsonl", [l.to_dict() for l in linkages])
-    except KgPromptError as exc:
-        raise StageError("link", str(exc)) from exc
-    if not wants("extract"):
-        return _finish(out, config)
-
-    # extract
-    per_instance_bundles: dict[str, list[tuple[str, StructureBundle]]] = {}
-    try:
-        bundle_records = []
-        for linkage in linkages:
-            bundles = source.extract(linkage, config)
-            per_instance_bundles[linkage.instance_id] = bundles
-            for side, bundle in bundles:
-                bundle_records.append(_bundle_record(linkage.instance_id, side, bundle))
-        _write_jsonl(out / "bundles.jsonl", bundle_records)
-    except KgPromptError as exc:
-        raise StageError("extract", str(exc)) from exc
-    if not wants("verbalize"):
-        return _finish(out, config)
-
-    # verbalize
-    contexts: dict[str, GraphContext] = {}
-    try:
-        context_records = []
-        for linkage in linkages:
-            context = _verbalize_bundles(
-                source, linkage, per_instance_bundles[linkage.instance_id], config
-            )
-            contexts[linkage.instance_id] = context
-            context_records.append(
-                {
-                    "instance_id": linkage.instance_id,
-                    "kind": context.kind.value,
-                    "text": context.text,
-                    "empty": context.empty,
-                    "source_nodes": list(context.source_nodes),
-                }
-            )
-        _write_jsonl(out / "contexts.jsonl", context_records)
-    except KgPromptError as exc:
-        raise StageError("verbalize", str(exc)) from exc
-    if not wants("build-prompts"):
-        return _finish(out, config)
-
-    # build-prompts
-    prompts_by_id: dict[str, PromptInstance] = {}
-    try:
-        for instance in instances:
-            prompt = build_prompt(
-                instance,
-                contexts[instance.instance_id],
-                (instance.e1, instance.e2),
-                config.architecture,
-                config.label_mapping,
-                mask_token=config.mask_token,
-            )
-            prompts_by_id[instance.instance_id] = truncate_prompt(prompt, config.truncation)
-        export_prompts_jsonl([prompts_by_id[i.instance_id] for i in instances], out / "prompts.jsonl")
-    except KgPromptError as exc:
-        raise StageError("build-prompts", str(exc)) from exc
-    if not wants("split"):
-        return _finish(out, config)
-
-    # split
-    try:
-        plan = make_fold_plan(instances, config.n_folds, config.fold_seed, config.fold_stratified)
-        folds = kfold_split(instances, plan)
-        _write_json(out / "fold_plan.json", plan.to_dict())
-        for i, (train_ids, test_ids) in enumerate(folds):
-            fold_dir = out / "folds" / f"fold_{i}"
-            fold_dir.mkdir(parents=True, exist_ok=True)
-            sample = sample_few_shot(train_ids, instances, config.few_shot)
-            export_prompts_jsonl([prompts_by_id[s] for s in sample], fold_dir / "few_shot.jsonl")
-            export_prompts_jsonl([prompts_by_id[t] for t in test_ids], fold_dir / "test_prompts.jsonl")
-    except KgPromptError as exc:
-        raise StageError("split", str(exc)) from exc
-    if not wants("predict") or config.backend_kind is None:
-        return _finish(out, config)
-
-    # predict
-    try:
-        for i, (_train_ids, test_ids) in enumerate(folds):
-            fold_dir = out / "folds" / f"fold_{i}"
-            requests_for_fold = [
-                request_for_prompt(prompts_by_id[t], config.label_mapping) for t in test_ids
-            ]
-            if config.backend_kind == "mock":
-                records = [
-                    predict_mock(r, config.label_mapping, config.mock_seed)
-                    for r in requests_for_fold
-                ]
-            else:
-                endpoint = HttpEndpoint(
-                    base_url=config.http_base_url,
-                    timeout=config.http_timeout,
-                    max_retries=config.http_max_retries,
-                    backoff=config.http_backoff,
-                    max_in_flight=config.http_max_in_flight,
-                )
-                records = predict_http_batch(endpoint, requests_for_fold, config.label_mapping)
-            write_predictions_jsonl(records, fold_dir / "predictions.jsonl")
-    except KgPromptError as exc:
-        raise StageError("predict", str(exc)) from exc
-    if not wants("eval"):
-        return _finish(out, config)
-
-    # eval
-    try:
-        golds = {inst.instance_id: inst.label for inst in instances}
-        fold_metrics: list[Metrics] = []
-        for i in range(len(folds)):
-            fold_dir = out / "folds" / f"fold_{i}"
-            records = read_predictions_jsonl(fold_dir / "predictions.jsonl")
-            metrics = compute_metrics(records, golds)
-            fold_metrics.append(metrics)
-            _write_json(fold_dir / "metrics.json", metrics.to_dict())
-        fold_report = aggregate_folds(fold_metrics)
-        _write_json(out / "report.json", fold_report.to_dict())
-        (out / "report.txt").write_text(format_report(fold_report), encoding="utf-8")
-    except KgPromptError as exc:
-        raise StageError("eval", str(exc)) from exc
-
-    return _finish(out, config)
+    run = _Run(config=config, offline=offline, out=Path(config.out_dir))
+    run.out.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    for name, stage in _STAGE_TABLE:
+        if name == "predict" and config.backend_kind is None:
+            break
+        try:
+            written += stage(run)
+        except KgPromptError as exc:
+            raise StageError(name, str(exc)) from exc
+        if name == until:
+            break
+    return _finish(run.out, config, written)
 
 
 def _report_dict(report: IngestReport) -> dict:
@@ -666,11 +629,9 @@ def _report_dict(report: IngestReport) -> dict:
     }
 
 
-def _finish(out: Path, config: ExperimentConfig) -> Path:
-    artifacts = {}
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            artifacts[str(path.relative_to(out))] = _sha256_file(path)
+def _finish(out: Path, config: ExperimentConfig, written: list[Path]) -> Path:
+    """Write the manifest: config, seeds and a sha256 per file this run wrote."""
+    artifacts = {str(path.relative_to(out)): _sha256_file(path) for path in written}
     manifest = {
         "config_hash": config.config_hash(),
         "config": config.to_canonical_dict(),

@@ -78,8 +78,9 @@ class CachePolicy(Enum):
 class QueryCache:
     """Content-addressed response cache: root/<2 hash chars>/<hash>.json.
 
-    Entries are immutable once written; writers use write-then-rename so
-    concurrent clients can share a cache directory safely.
+    Writers use write-then-rename so concurrent clients can share a cache
+    directory safely. An unreadable entry is a miss that the refetch
+    replaces; under ``read_only`` it is a NetworkError instead.
     """
 
     root_dir: Path
@@ -96,13 +97,19 @@ class QueryCache:
         path = self._entry_path(key)
         if not path.exists():
             return None
-        with path.open("r", encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            with path.open("r", encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except ValueError:  # truncated or not UTF-8
+            entry = None
+        if isinstance(entry, dict) and "response" in entry:
+            return entry
+        if self.policy is CachePolicy.READ_ONLY:
+            raise NetworkError(f"corrupt cache entry {path} under read_only policy")
+        return None
 
     def store(self, key: str, canonical_query: str, response: object) -> None:
         path = self._entry_path(key)
-        if path.exists():  # entries are immutable; a retry never rewrites
-            return
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "query": canonical_query,
@@ -290,16 +297,13 @@ def fetch_neighbors_remote(
 def graph_from_remote_neighbors(
     x: Node, links: Iterable[tuple[Node, str, Direction]]
 ) -> KnowledgeGraph:
-    """Assemble a one-hop star graph around x from fetched neighbor links."""
-    nodes: dict[str, Node] = {x.id: x}
-    edges: list[Edge] = []
-    seen: set[tuple[str, str, str]] = set()
+    """Assemble a one-hop star graph around x from fetched neighbor links.
+
+    A neighbor or link seen twice is kept once, at its first appearance.
+    """
+    graph = KnowledgeGraph([x])
     for neighbor, label, direction in links:
-        nodes.setdefault(neighbor.id, neighbor)
+        graph.add_node(neighbor)
         source, target = (x.id, neighbor.id) if direction == "out" else (neighbor.id, x.id)
-        key = (source, target, label)
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append(Edge(source=source, target=target, label=label))
-    return KnowledgeGraph(nodes.values(), edges)
+        graph.add_edge(Edge(source=source, target=target, label=label))
+    return graph

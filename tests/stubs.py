@@ -12,6 +12,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
 
 _ENTITY = re.compile(r"wd:([QP]\d+)")
+# serve_forever checks for shutdown this often; the 0.5 s default made every
+# stop() wait up to half a second.
+POLL_INTERVAL = 0.01
 
 
 class _QuietHandler(BaseHTTPRequestHandler):
@@ -89,7 +92,9 @@ class StubWikiServer(ThreadingHTTPServer):
         self.labels: dict[str, str] = {}
         self.search: dict[str, list[tuple[str, str, str]]] = {}
         self.request_count = 0
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": POLL_INTERVAL}, daemon=True
+        )
 
     def start(self) -> "StubWikiServer":
         self._thread.start()
@@ -158,7 +163,9 @@ class StubPredictServer(ThreadingHTTPServer):
         self.script: list = []
         self.default: dict = {"status": 200, "body": score_response({})}
         self.requests: list[dict] = []
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": POLL_INTERVAL}, daemon=True
+        )
 
     def start(self) -> "StubPredictServer":
         self._thread.start()

@@ -97,3 +97,19 @@ def test_console_entry_point(tmp_path):
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_non_object_config_sections_exit_code_2(tmp_path, capsys):
+    for section, value in (("backend", "mock"), ("folds", "x")):
+        config = write_config(tmp_path, **{section: value})
+        assert main(["run", "--config", str(config)]) == 2, section
+        assert f"{section} must be an object" in capsys.readouterr().err
+
+
+def test_malformed_override_table_exit_code_3(tmp_path, capsys):
+    overrides = tmp_path / "overrides.json"
+    overrides.write_text('{"a": ', encoding="utf-8")
+    config = write_config(tmp_path, overrides=str(overrides))
+    assert main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'link'" in err and str(overrides) in err

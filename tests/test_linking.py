@@ -11,6 +11,7 @@ from kgprompt.linking import (
     UNRESOLVED,
     link_pairs,
     normalize_name,
+    search_lookup,
 )
 
 from fixtures_kg import make_graph
@@ -68,3 +69,29 @@ def test_normalize_name():
     assert normalize_name("Beta-Carotene") == "beta carotene"
     assert normalize_name("  FGF6 ") == "fgf6"
     assert normalize_name("breast   cancer!") == "breast cancer"
+
+
+def test_search_lookup_cascade_resolves_each_name_once_in_order():
+    answers = {
+        "FGF6": [("Q1", "fgf6", "gene"), ("Q9", "FGF6", "other")],
+        "Prostate cancer": [("Q2", "prostate carcinoma", "disease")],
+        "smoking": [("Q3", "smoking", "habit")],
+    }
+    searched: list[str] = []
+
+    def search(name: str) -> list[tuple[str, str, str]]:
+        searched.append(name)
+        return answers.get(name, [])
+
+    instances = [
+        instance_for("FGF6 drives Prostate cancer growth.", "FGF6", "Prostate cancer"),
+        instance_for("Tar in smoking harms FGF6 carriers.", "smoking", "FGF6"),
+        instance_for("Snuff may affect mystery tissue.", "Snuff", "mystery tissue"),
+    ]
+    linkages = link_pairs(instances, search_lookup(search), {"Snuff": "Q7", "FGF6": "Q8"})
+    assert [(l.e1_node, l.e1_method, l.e2_node, l.e2_method) for l in linkages] == [
+        ("Q1", EXACT, "Q2", NORMALIZED),  # a search hit wins over an override
+        ("Q3", EXACT, "Q1", EXACT),
+        ("Q7", MANUAL_OVERRIDE, None, UNRESOLVED),  # overrides are not checked remotely
+    ]
+    assert searched == ["FGF6", "Prostate cancer", "smoking", "Snuff", "mystery tissue"]

@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgprompt.errors import ConfigError, StageError
 from kgprompt.pipeline import ExperimentConfig, run_experiment, validate_config
@@ -252,3 +254,44 @@ def test_stage_slicing_writes_prefix_artifacts(tmp_path):
     out = run_experiment(config, until="link")
     names = {p.name for p in out.iterdir() if p.is_file()}
     assert names == {"ingest_report.json", "linkage.jsonl", "manifest.json"}
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+_section_keys = st.sampled_from(
+    ["kind", "path", "seed", "mode", "causal", "non_causal", "n_folds", "stratified", "k",
+     "max_hops", "max_neighbors", "max_units", "unit", "base_url", "timeout", "max_in_flight"]
+)
+_config_values = _json_values | st.dictionaries(_section_keys, _json_values, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    base=st.fixed_dictionaries(
+        {},
+        optional={
+            "dataset": st.just("data.jsonl") | _json_values,
+            "kg": st.just({"kind": "jsonl", "path": "kg.jsonl"}) | _config_values,
+            "out_dir": st.just("out") | _json_values,
+        },
+    ),
+    extra=st.dictionaries(
+        st.sampled_from(
+            ["structure", "limits", "templates", "architecture", "label_mapping", "few_shot",
+             "folds", "selection_seed", "truncation", "mask_token", "nn_include_labels",
+             "backend", "overrides"]
+        ),
+        _config_values,
+        max_size=4,
+    ),
+)
+def test_from_dict_lets_only_config_errors_escape(base, extra):
+    try:
+        ExperimentConfig.from_dict({**base, **extra})
+    except ConfigError:
+        pass
+

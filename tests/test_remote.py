@@ -140,6 +140,40 @@ def test_cache_entries_are_immutable(wiki_server, tmp_path):
     assert entries[0].parent.name == entries[0].stem[:2]
 
 
+def _truncate_cache_entries(cache_dir: Path) -> list[Path]:
+    entries = sorted(cache_dir.rglob("*.json"))
+    for path in entries:
+        path.write_bytes(path.read_bytes()[:20])
+    return entries
+
+
+def test_corrupt_cache_entry_is_refetched_and_replaced(wiki_server, tmp_path):
+    seed_prostate(wiki_server)
+    cache_dir = tmp_path / "cache"
+    cache = QueryCache(root_dir=cache_dir, policy=CachePolicy.READ_WRITE)
+    endpoint = endpoint_for(wiki_server)
+    first = resolve_entity(endpoint, cache, "prostate cancer")
+    (entry,) = _truncate_cache_entries(cache_dir)
+    requests_used = wiki_server.request_count
+
+    assert resolve_entity(endpoint, cache, "prostate cancer") == first
+    assert wiki_server.request_count == requests_used + 1
+    assert json.loads(entry.read_text(encoding="utf-8"))["response"]["search"][0]["id"] == "Q181257"
+    assert resolve_entity(endpoint, cache, "prostate cancer") == first  # replaced entry hits
+    assert wiki_server.request_count == requests_used + 1
+
+
+def test_corrupt_cache_entry_under_read_only_is_network_error(wiki_server, tmp_path):
+    seed_prostate(wiki_server)
+    cache_dir = tmp_path / "cache"
+    endpoint = endpoint_for(wiki_server)
+    resolve_entity(endpoint, QueryCache(root_dir=cache_dir), "prostate cancer")
+    _truncate_cache_entries(cache_dir)
+    replay = QueryCache(root_dir=cache_dir, policy=CachePolicy.READ_ONLY)
+    with pytest.raises(NetworkError, match="corrupt cache entry"):
+        resolve_entity(endpoint, replay, "prostate cancer")
+
+
 def test_rate_limited_surfaces_retry_after(wiki_server, tmp_path, monkeypatch):
     import requests as requests_module
 
