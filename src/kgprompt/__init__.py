@@ -28,7 +28,7 @@ from .dataset import (
     make_fold_plan,
     sample_few_shot,
 )
-from .graph import DirectionPolicy, Edge, KnowledgeGraph, Node
+from .graph import Edge, KnowledgeGraph, Node
 from .ingest import IngestReport, export_edge_list_jsonl, load_edge_list_jsonl, load_hetionet_json
 from .linking import PairLinkage, link_pairs
 from .metrics import (
@@ -39,7 +39,7 @@ from .metrics import (
     compute_metrics,
     read_predictions_jsonl,
 )
-from .pipeline import ExperimentConfig, run_experiment, validate_config
+from .pipeline import ExperimentConfig, FoldConfig, KgSource, MockBackend, run_experiment, validate_config
 from .prompts import (
     Architecture,
     LabelMapping,
@@ -78,11 +78,11 @@ __all__ = [
     "CAUSAL",
     "CachePolicy",
     "Confusion",
-    "DirectionPolicy",
     "Edge",
     "ExperimentConfig",
     "ExtractionLimits",
     "FewShotConfig",
+    "FoldConfig",
     "FoldPlan",
     "FoldReport",
     "GraphContext",
@@ -91,10 +91,12 @@ __all__ = [
     "InferenceResponse",
     "IngestReport",
     "Instance",
+    "KgSource",
     "KnowledgeGraph",
     "LabelMapping",
     "Metapath",
     "Metrics",
+    "MockBackend",
     "NON_CAUSAL",
     "Node",
     "PairLinkage",

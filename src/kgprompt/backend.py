@@ -35,8 +35,16 @@ class HttpEndpoint:
     max_in_flight: int = 1
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
+        if not isinstance(self.base_url, str) or not self.base_url.startswith(("http://", "https://")):
+            raise ValueError("base_url must be an http(s) URL")
+        for name, kind in (("timeout", float), ("max_retries", int), ("backoff", float), ("max_in_flight", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        if not self.timeout > 0:
             raise ValueError("timeout must be > 0")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if not self.backoff >= 0:
+            raise ValueError("backoff must be >= 0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
-from .errors import ConfigError, KgPromptError, StageError
-from .pipeline import STAGES, ExperimentConfig, run_experiment
+from .errors import ConfigError, KgPromptError
+from .pipeline import STAGES, ExperimentConfig, MockBackend, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,19 +42,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    import dataclasses
-
     updates: dict = {}
     if args.seed is not None:
-        updates["fold_seed"] = args.seed
+        updates["folds"] = replace(config.folds, seed=args.seed)
         updates["selection_seed"] = args.seed
-        updates["few_shot"] = dataclasses.replace(config.few_shot, seed=args.seed)
-        updates["mock_seed"] = args.seed
+        updates["few_shot"] = replace(config.few_shot, seed=args.seed)
+        if isinstance(config.backend, MockBackend):
+            updates["backend"] = replace(config.backend, seed=args.seed)
     if args.out is not None:
         updates["out_dir"] = args.out
     if args.cache is not None:
-        updates["cache_dir"] = args.cache
-    return dataclasses.replace(config, **updates) if updates else config
+        updates["kg"] = replace(config.kg, cache_dir=args.cache)
+    return replace(config, **updates) if updates else config
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -65,10 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except KgPromptError as exc:
+    except KgPromptError as exc:  # a StageError or another failure past the config
         print(f"error: {exc}", file=sys.stderr)
         return 3
     print(out)

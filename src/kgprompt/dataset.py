@@ -21,6 +21,8 @@ from .errors import (
     SchemaError,
     SpanError,
     TooFewInstancesError,
+    require_fields,
+    require_int,
 )
 
 CAUSAL = "causal"
@@ -97,16 +99,17 @@ class FoldPlan:
         )
 
 
-def _instance_from_record(record: dict, lineno: int) -> Instance:
-    for field in ("instance_id", "text", "e1", "e2", "label"):
-        if field not in record:
-            raise SchemaError(f"missing field {field!r}", line=lineno)
+def _instance_from_record(record: object, lineno: int) -> Instance:
+    require_fields(record, ("instance_id", "text", "e1", "e2", "label"), "record", lineno)
     spans = []
     for name in ("e1", "e2"):
-        body = record[name]
-        if not isinstance(body, dict) or "start" not in body or "end" not in body:
-            raise SchemaError(f"{name} must be an object with start/end", line=lineno)
-        spans.append(Span(start=int(body["start"]), end=int(body["end"])))
+        body = require_fields(record[name], ("start", "end"), name, lineno)
+        spans.append(
+            Span(
+                start=require_int(body["start"], f"{name}.start", lineno),
+                end=require_int(body["end"], f"{name}.end", lineno),
+            )
+        )
     return Instance(
         instance_id=str(record["instance_id"]),
         text=str(record["text"]),
@@ -152,7 +155,7 @@ def save_dataset_jsonl(instances: list[Instance], path: str | Path) -> int:
 
 
 def make_fold_plan(
-    instances: list[Instance], n_folds: int = 5, seed: int = 203, stratified: bool = False
+    instances: list[Instance], n_folds: int, seed: int, stratified: bool = False
 ) -> FoldPlan:
     """Seeded shuffle then round-robin fold assignment.
 

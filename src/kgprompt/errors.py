@@ -1,6 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the record checks
+every loader of line- or record-structured input applies."""
 
 from __future__ import annotations
+
+from typing import Iterable
 
 
 class KgPromptError(Exception):
@@ -37,6 +40,22 @@ class SchemaError(KgPromptError):
         where = f"line {line}: " if line is not None else ""
         super().__init__(f"{where}{message}")
         self.line = line
+
+
+def require_fields(record: object, fields: Iterable[str], what: str, line: int | None = None) -> dict:
+    """``record`` itself if it is a JSON object holding every one of ``fields``."""
+    if not isinstance(record, dict):
+        raise SchemaError(f"{what} must be a JSON object", line=line)
+    for name in fields:
+        if name not in record:
+            raise SchemaError(f"{what}: missing field {name!r}", line=line)
+    return record
+
+
+def require_int(value: object, what: str, line: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be an integer, not {type(value).__name__}", line=line)
+    return value
 
 
 # --- remote access ---

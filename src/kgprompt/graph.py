@@ -3,9 +3,9 @@
 A loader builds the graph once, node by node and edge by edge, and the graph
 is the single place that rejects duplicates; afterwards it is treated as
 immutable, so any number of workers may query it concurrently. Edges are
-directed, but the default adjacency policy treats them as undirected because
-relational evidence flows both ways for the extraction queries built on top
-of this module; directed policies are kept for experiments.
+directed, but adjacency queries treat them as undirected because relational
+evidence flows both ways for the extraction queries built on top of this
+module.
 
 All query results are deterministically ordered by the insertion order of
 the first contributing edge, so downstream verbalization and seeded subset
@@ -15,7 +15,6 @@ selection are reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator, Literal
 
 from .errors import DuplicateEdgeError, UnknownNodeError
@@ -23,14 +22,6 @@ from .errors import DuplicateEdgeError, UnknownNodeError
 Direction = Literal["out", "in"]
 OUT: Direction = "out"
 IN: Direction = "in"
-
-
-class DirectionPolicy(Enum):
-    """How adjacency queries treat edge direction."""
-
-    UNDIRECTED = "undirected"
-    OUT_ONLY = "out_only"
-    IN_ONLY = "in_only"
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,15 +118,9 @@ class KnowledgeGraph:
         except KeyError:
             raise UnknownNodeError(node_id) from None
 
-    @property
-    def node_types(self) -> set[str]:
-        return {n.node_type for n in self._nodes.values()}
-
     # --- adjacency queries ---
 
-    def adjacency(
-        self, x: str, policy: DirectionPolicy = DirectionPolicy.UNDIRECTED
-    ) -> Iterator[tuple[str, str, Direction]]:
+    def adjacency(self, x: str) -> Iterator[tuple[str, str, Direction]]:
         """Yield (other id, label, direction) links of x in insertion order.
 
         Self-loops are skipped: a node is never its own neighbor.
@@ -143,29 +128,20 @@ class KnowledgeGraph:
         if x not in self._nodes:
             raise UnknownNodeError(x)
         for _ordinal, other, label, direction in self._adj[x]:
-            if other == x:
-                continue
-            if policy is DirectionPolicy.OUT_ONLY and direction != OUT:
-                continue
-            if policy is DirectionPolicy.IN_ONLY and direction != IN:
-                continue
-            yield other, label, direction
+            if other != x:
+                yield other, label, direction
 
-    def neighbors(
-        self, x: str, policy: DirectionPolicy = DirectionPolicy.UNDIRECTED
-    ) -> list[Node]:
+    def neighbors(self, x: str) -> list[Node]:
         """Nodes sharing an edge with x, deduplicated, in first-edge order."""
         seen: set[str] = set()
         result: list[Node] = []
-        for other, _label, _direction in self.adjacency(x, policy):
+        for other, _label, _direction in self.adjacency(x):
             if other not in seen:
                 seen.add(other)
                 result.append(self._nodes[other])
         return result
 
-    def k_hop_neighbors(
-        self, x: str, k: int, policy: DirectionPolicy = DirectionPolicy.UNDIRECTED
-    ) -> list[list[Node]]:
+    def k_hop_neighbors(self, x: str, k: int) -> list[list[Node]]:
         """Per-hop node lists: hop h holds nodes at shortest distance exactly h.
 
         x itself never appears and hops are pairwise disjoint.
@@ -180,19 +156,13 @@ class KnowledgeGraph:
         for _hop in range(k):
             next_ids: list[str] = []
             for current in frontier:
-                for other, _label, _direction in self.adjacency(current, policy):
+                for other, _label, _direction in self.adjacency(current):
                     if other not in visited:
                         visited.add(other)
                         next_ids.append(other)
             hops.append([self._nodes[nid] for nid in next_ids])
             frontier = next_ids
         return hops
-
-    def has_direct_edge(self, x: str, y: str) -> bool:
-        """True iff an edge x->y or y->x exists (orientation ignored)."""
-        if y not in self._nodes:
-            raise UnknownNodeError(y)
-        return any(other == y for other, _l, _d in self.adjacency(x))
 
     def relation_labels_between(self, x: str, y: str) -> list[tuple[str, Direction]]:
         """All labels on edges between x and y with their original direction.

@@ -13,9 +13,8 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, require_fields
 from .graph import Edge, KnowledgeGraph, Node
 
 # Warnings kept verbatim in the report are capped; counts stay exact.
@@ -49,10 +48,12 @@ def hetionet_node_id(kind: str, identifier: object) -> str:
     return f"{kind}::{identifier}"
 
 
-def _require(record: dict, fields: Iterable[str], what: str, line: int | None = None) -> None:
-    for name in fields:
-        if name not in record:
-            raise SchemaError(f"{what}: missing field {name!r}", line=line)
+def _nonempty(record: dict, name: str, what: str, line: int | None = None) -> str:
+    """A field's value as a string; names and labels must not be empty."""
+    value = str(record[name])
+    if not value:
+        raise SchemaError(f"{what}: empty {name!r}", line=line)
+    return value
 
 
 def load_hetionet_json(path: str | Path) -> tuple[KnowledgeGraph, IngestReport]:
@@ -71,27 +72,29 @@ def load_hetionet_json(path: str | Path) -> tuple[KnowledgeGraph, IngestReport]:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at column {exc.colno}: {exc.msg}", line=exc.lineno) from exc
 
-    if not isinstance(data, dict):
-        raise SchemaError("top-level document must be a JSON object")
-    _require(data, ("nodes", "edges"), "top-level document")
+    require_fields(data, ("nodes", "edges"), "top-level document")
+    for key in ("nodes", "edges"):
+        if not isinstance(data[key], list):
+            raise SchemaError(f"top-level {key!r} must be an array")
 
     report = IngestReport()
     graph = KnowledgeGraph()
     for i, record in enumerate(data["nodes"]):
-        _require(record, ("kind", "identifier", "name"), f"node record {i}")
+        require_fields(record, ("kind", "identifier", "name"), f"node record {i}")
         kind = sys.intern(str(record["kind"]))
         node_id = sys.intern(hetionet_node_id(kind, record["identifier"]))
-        if not graph.add_node(Node(id=node_id, name=str(record["name"]), node_type=kind)):
+        name = _nonempty(record, "name", f"node record {i}")
+        if not graph.add_node(Node(id=node_id, name=name, node_type=kind)):
             report.warn(f"node record {i}: duplicate node id {node_id!r} skipped")
 
     for i, record in enumerate(data["edges"]):
-        _require(record, ("source_id", "target_id", "kind", "direction"), f"edge record {i}")
+        require_fields(record, ("source_id", "target_id", "kind", "direction"), f"edge record {i}")
         source = sys.intern(hetionet_node_id(*_endpoint(record["source_id"], i, "source_id")))
         target = sys.intern(hetionet_node_id(*_endpoint(record["target_id"], i, "target_id")))
         for endpoint in (source, target):
             if not graph.has_node(endpoint):
                 raise SchemaError(f"edge record {i}: unknown node id {endpoint!r}")
-        label = sys.intern(str(record["kind"]))
+        label = sys.intern(_nonempty(record, "kind", f"edge record {i}"))
         direction = record["direction"]
         if direction not in _HETIONET_DIRECTIONS:
             raise SchemaError(f"edge record {i}: unknown direction marker {direction!r}")
@@ -143,8 +146,7 @@ def load_edge_list_jsonl(path: str | Path) -> tuple[KnowledgeGraph, IngestReport
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if not isinstance(record, dict):
-                raise SchemaError("record must be a JSON object", line=lineno)
+            require_fields(record, (), "record", line=lineno)
             has_node = "node" in record
             has_edge = "edge" in record
             if has_node and has_edge:
@@ -153,25 +155,23 @@ def load_edge_list_jsonl(path: str | Path) -> tuple[KnowledgeGraph, IngestReport
                 raise SchemaError("record has neither 'node' nor 'edge' key", line=lineno)
 
             if has_node:
-                body = record["node"]
-                _require(body, ("id", "name"), "node record", line=lineno)
-                node_id = sys.intern(str(body["id"]))
+                body = require_fields(record["node"], ("id", "name"), "node record", line=lineno)
+                node_id = sys.intern(_nonempty(body, "id", "node record", lineno))
                 node = Node(
                     id=node_id,
-                    name=str(body["name"]),
+                    name=_nonempty(body, "name", "node record", lineno),
                     node_type=sys.intern(str(body.get("type", "unknown"))),
                 )
                 if not graph.add_node(node):
                     report.warn(f"line {lineno}: duplicate node id {node_id!r} skipped")
             else:
-                body = record["edge"]
-                _require(body, ("source", "target", "label"), "edge record", line=lineno)
+                body = require_fields(record["edge"], ("source", "target", "label"), "edge record", line=lineno)
                 source = sys.intern(str(body["source"]))
                 target = sys.intern(str(body["target"]))
                 for endpoint in (source, target):
                     if not graph.has_node(endpoint):
                         raise SchemaError(f"edge references unknown node id {endpoint!r}", line=lineno)
-                label = sys.intern(str(body["label"]))
+                label = sys.intern(_nonempty(body, "label", "edge record", lineno))
                 if graph.add_edge(Edge(source=source, target=target, label=label)):
                     report.edges_loaded += 1
                 else:

@@ -3,8 +3,7 @@
 Zero-denominator cases are defined as 0 and flagged instead of undefined,
 so degenerate few-shot runs still aggregate. The fold aggregate reports the
 arithmetic mean of each metric and the population standard deviation of the
-per-fold F1 scores (a sample-std switch exists); a pooled-counts mode is
-available as an alternative to the default mean-of-ratios.
+per-fold F1 scores.
 """
 
 from __future__ import annotations
@@ -37,14 +36,6 @@ class Confusion:
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
-
-    def __add__(self, other: "Confusion") -> "Confusion":
-        return Confusion(
-            tp=self.tp + other.tp,
-            fp=self.fp + other.fp,
-            fn=self.fn + other.fn,
-            tn=self.tn + other.tn,
-        )
 
 
 @dataclass(frozen=True)
@@ -118,12 +109,10 @@ def compute_metrics(preds: list[PredictionRecord], golds: dict[str, str]) -> Met
     return metrics_from_confusion(confusion_from_predictions(preds, golds))
 
 
-def aggregate_folds(reports: list[Metrics], population_std: bool = True) -> FoldReport:
-    """Arithmetic means across folds plus the standard deviation of F1.
+def aggregate_folds(reports: list[Metrics]) -> FoldReport:
+    """Arithmetic means across folds plus the population standard deviation of F1.
 
-    The default is the population standard deviation; set
-    ``population_std=False`` for the sample (n-1) variant. A single fold
-    yields std 0 either way.
+    A single fold yields std 0.
     """
     if not reports:
         raise ValueError("aggregate_folds needs at least one fold")
@@ -133,24 +122,7 @@ def aggregate_folds(reports: list[Metrics], population_std: bool = True) -> Fold
         f1=statistics.fmean(m.f1 for m in reports),
         degenerate_flags=frozenset().union(*(m.degenerate_flags for m in reports)),
     )
-    f1_scores = [m.f1 for m in reports]
-    if len(f1_scores) == 1:
-        f1_std = 0.0
-    elif population_std:
-        f1_std = statistics.pstdev(f1_scores)
-    else:
-        f1_std = statistics.stdev(f1_scores)
-    return FoldReport(per_fold=tuple(reports), mean=mean, f1_std=f1_std)
-
-
-def pooled_metrics(confusions: list[Confusion]) -> Metrics:
-    """Ratio-of-pooled-counts alternative to the fold-mean aggregate."""
-    if not confusions:
-        raise ValueError("pooled_metrics needs at least one confusion")
-    total = Confusion()
-    for c in confusions:
-        total = total + c
-    return metrics_from_confusion(total)
+    return FoldReport(per_fold=tuple(reports), mean=mean, f1_std=statistics.pstdev(m.f1 for m in reports))
 
 
 def read_predictions_jsonl(path: str | Path) -> list[PredictionRecord]:

@@ -15,6 +15,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .backend import (
     HttpEndpoint,
@@ -83,37 +84,90 @@ from .verbalize import (
 LOCAL_KG_KINDS = ("hetionet_json", "jsonl")
 KG_KINDS = LOCAL_KG_KINDS + ("remote",)
 
+T = TypeVar("T")
 
-@dataclass
-class ExperimentConfig:
-    dataset: str
-    kg_kind: str
-    out_dir: str
-    kg_path: str | None = None
+
+def _optional_string(name: str, value: object) -> None:
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, not {type(value).__name__}")
+
+
+@dataclass(frozen=True)
+class KgSource:
+    """The ``kg`` section: a local dump to ingest, or the remote 1-hop source."""
+
+    kind: str
+    path: str | None = None
     cache_dir: str | None = None
     sparql_url: str | None = None
     entity_api_url: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in KG_KINDS:
+            raise ValueError(f"unknown kind {self.kind!r}; expected one of {KG_KINDS}")
+        for name in ("path", "cache_dir", "sparql_url", "entity_api_url"):
+            _optional_string(name, getattr(self, name))
+        if self.kind == "remote":
+            self.endpoint()  # rejects a URL that is not http(s)
+
+    def endpoint(self) -> RemoteEndpoint:
+        urls = {"sparql_url": self.sparql_url, "entity_api_url": self.entity_api_url}
+        return RemoteEndpoint(**{k: v for k, v in urls.items() if v is not None})
+
+
+@dataclass(frozen=True)
+class FoldConfig:
+    """The ``folds`` section: the seeded k-fold split."""
+
+    n_folds: int = 5
+    seed: int = 203
+    stratified: bool = False
+
+    def __post_init__(self) -> None:
+        for name, kind in (("n_folds", int), ("seed", int), ("stratified", bool)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        if self.n_folds < 2:
+            raise ValueError("n_folds must be >= 2")
+
+
+@dataclass(frozen=True)
+class MockBackend:
+    """The ``backend`` section of kind ``mock``: seeded offline predictions."""
+
+    seed: int = 203
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", int(self.seed))
+
+
+_BACKENDS = {"mock": MockBackend, "http": HttpEndpoint}
+
+
+@dataclass
+class ExperimentConfig:
+    """One field per top-level key of the JSON configuration.
+
+    Each section parses into the object its stage uses, and that object's
+    constructor holds the section's rules; ``validate_config`` checks what
+    spans sections and the input paths.
+    """
+
+    dataset: str
+    kg: KgSource
+    out_dir: str
     structure: StructureKind = StructureKind.NN
     limits: ExtractionLimits = field(default_factory=ExtractionLimits)
     templates: TemplateSet = field(default_factory=TemplateSet)
     architecture: Architecture = Architecture.MLM
     label_mapping: LabelMapping = field(default_factory=LabelMapping.identity)
     few_shot: FewShotConfig = field(default_factory=FewShotConfig)
-    n_folds: int = 5
-    fold_seed: int = 203
-    fold_stratified: bool = False
+    folds: FoldConfig = field(default_factory=FoldConfig)
     selection_seed: int = 203
     truncation: TruncationPolicy = field(default_factory=TruncationPolicy)
     mask_token: str = DEFAULT_MASK_TOKEN
     nn_include_labels: bool = False
-    backend_kind: str | None = None
-    mock_seed: int = 203
-    http_base_url: str | None = None
-    http_timeout: float = 10.0
-    http_max_retries: int = 3
-    http_backoff: float = 0.5
-    http_max_in_flight: int = 1
-    overrides_path: str | None = None
+    backend: HttpEndpoint | MockBackend | None = None
+    overrides: str | None = None
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -129,53 +183,27 @@ class ExperimentConfig:
         for required in ("dataset", "kg", "out_dir"):
             if required not in data:
                 raise ConfigError(f"configuration misses required field {required!r}")
-        kg = data["kg"]
-        if not isinstance(kg, dict) or "kind" not in kg:
-            raise ConfigError("kg must be an object with a 'kind' field")
-        if kg["kind"] not in KG_KINDS:
-            raise ConfigError(f"unknown kg kind {kg['kind']!r}; expected one of {KG_KINDS}")
-
-        mapping_data = _section(data, "label_mapping")
-        if mapping_data.get("mode", "identity") == "identity":
-            mapping = LabelMapping.identity()
-        else:
-            mapping = LabelMapping.custom(mapping_data["causal"], mapping_data["non_causal"])
-
-        folds = _section(data, "folds")
-        backend = _section(data, "backend")
-        backend_kind = backend.get("kind")
-        if backend_kind not in (None, "mock", "http"):
-            raise ConfigError(f"unknown backend kind {backend_kind!r}")
-
+        _optional_string("overrides", data.get("overrides"))
+        mask_token = str(data.get("mask_token", DEFAULT_MASK_TOKEN))
+        if not mask_token:
+            raise ConfigError("mask_token must be non-empty")
         return cls(
             dataset=str(data["dataset"]),
-            kg_kind=kg["kind"],
-            kg_path=kg.get("path"),
-            cache_dir=kg.get("cache_dir"),
-            sparql_url=kg.get("sparql_url"),
-            entity_api_url=kg.get("entity_api_url"),
+            kg=_section(data, "kg", KgSource),
             out_dir=str(data["out_dir"]),
             structure=StructureKind(data.get("structure", "NN")),
-            limits=ExtractionLimits(**_section(data, "limits")),
-            templates=TemplateSet(**_section(data, "templates")),
+            limits=_section(data, "limits", ExtractionLimits),
+            templates=_section(data, "templates", TemplateSet),
             architecture=Architecture.parse(str(data.get("architecture", "MLM"))),
-            label_mapping=mapping,
-            few_shot=FewShotConfig(**_section(data, "few_shot")),
-            n_folds=int(folds.get("n_folds", 5)),
-            fold_seed=int(folds.get("seed", 203)),
-            fold_stratified=bool(folds.get("stratified", False)),
+            label_mapping=_section(data, "label_mapping", _label_mapping),
+            few_shot=_section(data, "few_shot", FewShotConfig),
+            folds=_section(data, "folds", FoldConfig),
             selection_seed=int(data.get("selection_seed", 203)),
-            truncation=TruncationPolicy(**_section(data, "truncation")),
-            mask_token=str(data.get("mask_token", DEFAULT_MASK_TOKEN)),
+            truncation=_section(data, "truncation", TruncationPolicy),
+            mask_token=mask_token,
             nn_include_labels=bool(data.get("nn_include_labels", False)),
-            backend_kind=backend_kind,
-            mock_seed=int(backend.get("seed", 203)) if backend_kind == "mock" else 203,
-            http_base_url=backend.get("base_url") if backend_kind == "http" else None,
-            http_timeout=float(backend.get("timeout", 10.0)) if backend_kind == "http" else 10.0,
-            http_max_retries=int(backend.get("max_retries", 3)) if backend_kind == "http" else 3,
-            http_backoff=float(backend.get("backoff", 0.5)) if backend_kind == "http" else 0.5,
-            http_max_in_flight=int(backend.get("max_in_flight", 1)) if backend_kind == "http" else 1,
-            overrides_path=data.get("overrides"),
+            backend=_section(data, "backend", _backend),
+            overrides=data.get("overrides"),
         )
 
     @classmethod
@@ -190,15 +218,13 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def to_canonical_dict(self) -> dict:
+        backend = None
+        if self.backend is not None:
+            kind = "mock" if isinstance(self.backend, MockBackend) else "http"
+            backend = {"kind": kind, **asdict(self.backend)}
         return {
             "dataset": self.dataset,
-            "kg": {
-                "kind": self.kg_kind,
-                "path": self.kg_path,
-                "cache_dir": self.cache_dir,
-                "sparql_url": self.sparql_url,
-                "entity_api_url": self.entity_api_url,
-            },
+            "kg": asdict(self.kg),
             "out_dir": self.out_dir,
             "structure": self.structure.value,
             "limits": asdict(self.limits),
@@ -206,55 +232,67 @@ class ExperimentConfig:
             "architecture": self.architecture.value,
             "label_mapping": {"mode": self.label_mapping.mode, **self.label_mapping.label_words()},
             "few_shot": asdict(self.few_shot),
-            "folds": {"n_folds": self.n_folds, "seed": self.fold_seed, "stratified": self.fold_stratified},
+            "folds": asdict(self.folds),
             "selection_seed": self.selection_seed,
             "truncation": asdict(self.truncation),
             "mask_token": self.mask_token,
             "nn_include_labels": self.nn_include_labels,
-            "backend": self._backend_dict(),
-            "overrides": self.overrides_path,
+            "backend": backend,
+            "overrides": self.overrides,
         }
-
-    def _backend_dict(self) -> dict | None:
-        if self.backend_kind == "mock":
-            return {"kind": "mock", "seed": self.mock_seed}
-        if self.backend_kind == "http":
-            return {
-                "kind": "http",
-                "base_url": self.http_base_url,
-                "timeout": self.http_timeout,
-                "max_retries": self.http_max_retries,
-                "backoff": self.http_backoff,
-                "max_in_flight": self.http_max_in_flight,
-            }
-        return None
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_canonical_dict(), sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _section(data: dict, name: str) -> dict:
-    """An optional object-valued config section; absent or null reads as {}."""
+def _section(data: dict, name: str, build: Callable[..., T]) -> T:
+    """Build an optional object-valued section from its keys; absent or null reads as {}.
+
+    ``build`` takes the keys as keyword arguments, so an unknown key is an error.
+    """
     value = data.get(name)
     if value is None:
-        return {}
+        value = {}
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be an object, not {type(value).__name__}")
-    return value
+    try:
+        return build(**value)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _label_mapping(
+    mode: str = "identity", causal: str | None = None, non_causal: str | None = None
+) -> LabelMapping:
+    if mode == "identity":
+        return LabelMapping.identity()
+    return LabelMapping.custom(causal, non_causal)
+
+
+def _backend(kind: str | None = None, **settings: object) -> HttpEndpoint | MockBackend | None:
+    if kind is None and not settings:
+        return None
+    if kind not in _BACKENDS:
+        raise ConfigError(f"unknown backend kind {kind!r}; expected one of {tuple(_BACKENDS)}")
+    return _BACKENDS[kind](**settings)
 
 
 def validate_config(config: ExperimentConfig, check_paths: bool = True) -> None:
-    """Raise ConfigError for any statically detectable misconfiguration."""
+    """Raise ConfigError for a rule that spans sections or a missing input file.
+
+    Single-section rules already held when the sections were built.
+    """
+    kg = config.kg
     if check_paths and not Path(config.dataset).exists():
         raise ConfigError(f"dataset file not found: {config.dataset}")
-    if config.kg_kind in LOCAL_KG_KINDS:
-        if not config.kg_path:
+    if kg.kind in LOCAL_KG_KINDS:
+        if not kg.path:
             raise ConfigError("local kg sources need kg.path")
-        if check_paths and not Path(config.kg_path).exists():
-            raise ConfigError(f"kg dump not found: {config.kg_path}")
+        if check_paths and not Path(kg.path).exists():
+            raise ConfigError(f"kg dump not found: {kg.path}")
     else:
-        if not config.cache_dir:
+        if not kg.cache_dir:
             raise ConfigError("remote kg sources need kg.cache_dir for reproducibility")
         if config.structure is not StructureKind.NN:
             raise ConfigError(
@@ -262,12 +300,8 @@ def validate_config(config: ExperimentConfig, check_paths: bool = True) -> None:
             )
     if config.structure is StructureKind.MP and config.limits.max_hops < 2:
         raise ConfigError("metapath extraction requires limits.max_hops >= 2")
-    if config.backend_kind == "http" and not config.http_base_url:
-        raise ConfigError("http backend needs base_url")
-    if config.overrides_path and check_paths and not Path(config.overrides_path).exists():
-        raise ConfigError(f"override table not found: {config.overrides_path}")
-    if config.n_folds < 2:
-        raise ConfigError("folds.n_folds must be >= 2")
+    if config.overrides and check_paths and not Path(config.overrides).exists():
+        raise ConfigError(f"override table not found: {config.overrides}")
 
 
 # --- artifact helpers ---
@@ -462,21 +496,19 @@ class _Run:
 def _ingest(run: _Run) -> list[Path]:
     config = run.config
     run.instances = load_dataset_jsonl(config.dataset)
-    if config.kg_kind == "remote":
-        urls = {"sparql_url": config.sparql_url, "entity_api_url": config.entity_api_url}
-        endpoint = RemoteEndpoint(**{k: v for k, v in urls.items() if v is not None})
+    if config.kg.kind == "remote":
         policy = CachePolicy.READ_ONLY if run.offline else CachePolicy.READ_WRITE
-        cache = QueryCache(root_dir=Path(config.cache_dir), policy=policy)
-        run.source = _RemoteSource(endpoint, cache)
+        cache = QueryCache(root_dir=Path(config.kg.cache_dir), policy=policy)
+        run.source = _RemoteSource(config.kg.endpoint(), cache)
         return []
-    loader = load_hetionet_json if config.kg_kind == "hetionet_json" else load_edge_list_jsonl
-    kg, report = loader(config.kg_path)
+    loader = load_hetionet_json if config.kg.kind == "hetionet_json" else load_edge_list_jsonl
+    kg, report = loader(config.kg.path)
     run.source = _LocalSource(kg)
     return [_write_json(run.out / "ingest_report.json", _report_dict(report))]
 
 
 def _link(run: _Run) -> list[Path]:
-    overrides = load_overrides(run.config.overrides_path) if run.config.overrides_path else {}
+    overrides = load_overrides(run.config.overrides) if run.config.overrides else {}
     run.linkages = link_pairs(run.instances, run.source.names(), overrides)
     return [_write_jsonl(run.out / "linkage.jsonl", [l.to_dict() for l in run.linkages])]
 
@@ -529,7 +561,8 @@ def _build_prompts(run: _Run) -> list[Path]:
 
 def _split(run: _Run) -> list[Path]:
     config = run.config
-    plan = make_fold_plan(run.instances, config.n_folds, config.fold_seed, config.fold_stratified)
+    folds = config.folds
+    plan = make_fold_plan(run.instances, folds.n_folds, folds.seed, folds.stratified)
     run.folds = kfold_split(run.instances, plan)
     written = [_write_json(run.out / "fold_plan.json", plan.to_dict())]
     for i, (train_ids, test_ids) in enumerate(run.folds):
@@ -544,21 +577,14 @@ def _split(run: _Run) -> list[Path]:
 
 def _predict(run: _Run) -> list[Path]:
     config = run.config
-    if config.backend_kind == "http":
-        endpoint = HttpEndpoint(
-            base_url=config.http_base_url,
-            timeout=config.http_timeout,
-            max_retries=config.http_max_retries,
-            backoff=config.http_backoff,
-            max_in_flight=config.http_max_in_flight,
-        )
+    backend = config.backend
     written = []
     for i, (_train_ids, test_ids) in enumerate(run.folds):
         reqs = [request_for_prompt(run.prompts[t], config.label_mapping) for t in test_ids]
-        if config.backend_kind == "mock":
-            records = [predict_mock(r, config.label_mapping, config.mock_seed) for r in reqs]
+        if isinstance(backend, MockBackend):
+            records = [predict_mock(r, config.label_mapping, backend.seed) for r in reqs]
         else:
-            records = predict_http_batch(endpoint, reqs, config.label_mapping)
+            records = predict_http_batch(backend, reqs, config.label_mapping)
         written.append(run.fold_dir(i) / "predictions.jsonl")
         write_predictions_jsonl(records, written[-1])
     return written
@@ -609,7 +635,7 @@ def run_experiment(
     run.out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for name, stage in _STAGE_TABLE:
-        if name == "predict" and config.backend_kind is None:
+        if name == "predict" and config.backend is None:
             break
         try:
             written += stage(run)
@@ -636,10 +662,10 @@ def _finish(out: Path, config: ExperimentConfig, written: list[Path]) -> Path:
         "config_hash": config.config_hash(),
         "config": config.to_canonical_dict(),
         "seeds": {
-            "fold_seed": config.fold_seed,
+            "fold_seed": config.folds.seed,
             "few_shot_seed": config.few_shot.seed,
             "selection_seed": config.selection_seed,
-            **({"mock_seed": config.mock_seed} if config.backend_kind == "mock" else {}),
+            **({"mock_seed": config.backend.seed} if isinstance(config.backend, MockBackend) else {}),
         },
         "artifacts": artifacts,
     }

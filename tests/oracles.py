@@ -26,12 +26,6 @@ def common_neighbor_ids(edges: list[tuple[str, str, str]], x: str, y: str) -> se
     return undirected_neighbor_ids(edges, x) & undirected_neighbor_ids(edges, y)
 
 
-def direct_edge_exists(edges: list[tuple[str, str, str]], x: str, y: str) -> bool:
-    return any(
-        (s == x and t == y) or (s == y and t == x) for s, t, _label in edges
-    )
-
-
 def bfs_hop_partition(
     edges: list[tuple[str, str, str]], x: str, k: int
 ) -> list[set[str]]:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from kgprompt.cli import main
 
 from conftest import DATA_DIR
@@ -113,3 +115,61 @@ def test_malformed_override_table_exit_code_3(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 3
     err = capsys.readouterr().err
     assert "stage 'link'" in err and str(overrides) in err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"kg": {"kind": "jsonl", "path": 5}}, "kg: path must be a string, not int"),
+        ({"overrides": 5}, "overrides must be a string, not int"),
+        (
+            {"backend": {"kind": "http", "base_url": "http://127.0.0.1:9", "timeout": 0}},
+            "backend: timeout must be > 0",
+        ),
+        (
+            {"kg": {"kind": "remote", "cache_dir": "cache", "sparql_url": "ftp://x"}},
+            "kg: sparql_url must be an http(s) URL",
+        ),
+    ],
+    ids=["kg-path-int", "overrides-int", "http-timeout-0", "remote-ftp-url"],
+)
+def test_bad_config_values_exit_code_2_before_any_artifact(tmp_path, capsys, overrides, message):
+    config = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+    out_dir = tmp_path / "run"
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def _with_bad_line(source: Path, target: Path, index: int, bad_line: str) -> Path:
+    lines = source.read_text(encoding="utf-8").splitlines()
+    lines.insert(index, bad_line)
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return target
+
+
+_SPAN_NOT_INT = json.dumps(
+    {"instance_id": "x1", "text": "a b", "e1": {"start": "x", "end": 1}, "e2": {"start": 2, "end": 3},
+     "label": "causal"}
+)
+
+
+@pytest.mark.parametrize(
+    "input_file, bad_line, message",
+    [
+        ("dataset", "5", "line 2: record must be a JSON object"),
+        ("dataset", _SPAN_NOT_INT, "line 2: e1.start must be an integer, not str"),
+        ("kg", '{"edge": 5}', "line 2: edge record must be a JSON object"),
+    ],
+    ids=["dataset-line-not-object", "dataset-span-not-int", "graph-edge-not-object"],
+)
+def test_bad_input_records_exit_code_3_naming_the_line(tmp_path, capsys, input_file, bad_line, message):
+    fixture = DATA_DIR / ("fixture_dataset.jsonl" if input_file == "dataset" else "fixture_kg.jsonl")
+    bad = _with_bad_line(fixture, tmp_path / fixture.name, 1, bad_line)
+    if input_file == "dataset":
+        config = write_config(tmp_path, dataset=str(bad))
+    else:
+        config = write_config(tmp_path, kg={"kind": "jsonl", "path": str(bad)})
+    assert main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'ingest'" in err and message in err

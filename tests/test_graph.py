@@ -5,12 +5,11 @@ from random import Random
 import pytest
 
 from kgprompt.errors import DuplicateEdgeError, UnknownNodeError
-from kgprompt.graph import DirectionPolicy, Edge, KnowledgeGraph, Node
+from kgprompt.graph import Edge, KnowledgeGraph, Node
 
 from fixtures_kg import gene_hop_graph, make_graph, prostate_star_graph
 from oracles import (
     bfs_hop_partition,
-    direct_edge_exists,
     random_graph,
     undirected_neighbor_ids,
 )
@@ -39,8 +38,6 @@ def test_neighbors_direction_policies():
         [("a", "b", "r"), ("c", "a", "s")],
     )
     assert {n.id for n in kg.neighbors("a")} == {"b", "c"}
-    assert [n.id for n in kg.neighbors("a", DirectionPolicy.OUT_ONLY)] == ["b"]
-    assert [n.id for n in kg.neighbors("a", DirectionPolicy.IN_ONLY)] == ["c"]
 
 
 def test_neighbors_dedup_keeps_first_edge_order():
@@ -89,30 +86,6 @@ def test_k_hop_matches_bfs_oracle_on_random_graphs():
         k = rng.randint(1, 4)
         got = [{n.id for n in hop} for hop in kg.k_hop_neighbors(x, k)]
         assert got == bfs_hop_partition(edges, x, k)
-
-
-def test_has_direct_edge_both_orientations():
-    kg = make_graph([("a", "A", "t"), ("b", "B", "t")], [("a", "b", "r")])
-    assert kg.has_direct_edge("a", "b")
-    assert kg.has_direct_edge("b", "a")
-
-
-def test_has_direct_edge_disconnected_pair():
-    kg = make_graph([("a", "A", "t"), ("b", "B", "t")], [])
-    assert not kg.has_direct_edge("a", "b")
-
-
-def test_has_direct_edge_matches_scan_oracle():
-    rng = Random(2203)
-    for _ in range(30):
-        nodes, edges = random_graph(rng, max_nodes=30, max_edges=100)
-        kg = make_graph(nodes, edges)
-        for _trial in range(10):
-            x = nodes[rng.randrange(len(nodes))][0]
-            y = nodes[rng.randrange(len(nodes))][0]
-            if x == y:
-                continue
-            assert kg.has_direct_edge(x, y) == direct_edge_exists(edges, x, y)
 
 
 def test_relation_labels_between_example():

@@ -44,7 +44,7 @@ def test_hetionet_small_fixture(tmp_path):
     assert report.warnings == []
     assert kg.node("Gene::5468").name == "PPARG"
     assert kg.node("Disease::DOID:9352").node_type == "Disease"
-    assert kg.has_direct_edge("Gene::5468", "Disease::DOID:9352")
+    assert kg.relation_labels_between("Gene::5468", "Disease::DOID:9352") == [("associates", "out")]
 
 
 def test_hetionet_both_direction_expands_to_two_edges(tmp_path):
@@ -108,6 +108,30 @@ def test_hetionet_unknown_direction_marker(tmp_path):
         edges=[het_edge(["Gene", 1], ["Gene", 2], "interacts", direction="sideways")],
     )
     with pytest.raises(SchemaError, match="sideways"):
+        load_hetionet_json(path)
+
+
+def test_hetionet_empty_name_or_kind_names_the_record(tmp_path):
+    for nodes, edges, where in (
+        ([het_node("Gene", 1, "A"), het_node("Gene", 2, "")], [], "node record 1: empty 'name'"),
+        (
+            [het_node("Gene", 1, "A"), het_node("Gene", 2, "B")],
+            [het_edge(["Gene", 1], ["Gene", 2], "")],
+            "edge record 0: empty 'kind'",
+        ),
+    ):
+        path = write_hetionet(tmp_path / "het.json", nodes=nodes, edges=edges)
+        with pytest.raises(SchemaError, match=where):
+            load_hetionet_json(path)
+
+
+def test_hetionet_records_must_be_objects_in_arrays(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"nodes": 5, "edges": []}', encoding="utf-8")
+    with pytest.raises(SchemaError, match="'nodes' must be an array"):
+        load_hetionet_json(path)
+    path = write_hetionet(tmp_path / "het.json", nodes=[het_node("Gene", 1, "A")], edges=[5])
+    with pytest.raises(SchemaError, match="edge record 0 must be a JSON object"):
         load_hetionet_json(path)
 
 
@@ -195,3 +219,26 @@ def test_full_hetionet_dump_counts():
     kg, report = load_hetionet_json(os.environ[HETIONET_ENV])
     assert report.nodes_loaded == 47_031
     assert report.edges_loaded == 2_250_197
+
+
+def test_jsonl_empty_name_or_label_names_the_line(tmp_path):
+    node_a = {"node": {"id": "a", "name": "A"}}
+    node_b = {"node": {"id": "b", "name": "B"}}
+    for lines, line, field in (
+        ([node_a, {"node": {"id": "b", "name": ""}}], 2, "name"),
+        ([{"node": {"id": "", "name": "X"}}], 1, "id"),
+        ([node_a, node_b, {"edge": {"source": "a", "target": "b", "label": ""}}], 3, "label"),
+    ):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(json.dumps(l) + "\n" for l in lines), encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"empty '{field}'") as err:
+            load_edge_list_jsonl(path)
+        assert err.value.line == line
+
+
+def test_jsonl_body_must_be_an_object(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"node": {"id": "a", "name": "A"}}\n{"edge": 5}\n', encoding="utf-8")
+    with pytest.raises(SchemaError, match="edge record must be a JSON object") as err:
+        load_edge_list_jsonl(path)
+    assert err.value.line == 2

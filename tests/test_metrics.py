@@ -18,7 +18,6 @@ from kgprompt.metrics import (
     confusion_from_predictions,
     format_report,
     metrics_from_confusion,
-    pooled_metrics,
     read_predictions_jsonl,
 )
 
@@ -156,11 +155,6 @@ def test_five_identical_folds_zero_std():
     assert report.f1_std == 0.0
 
 
-def test_sample_std_switch():
-    report = aggregate_folds([metric(f1=0.8), metric(f1=0.6)], population_std=False)
-    assert abs(report.f1_std - 0.1414213562373095) <= 1e-12
-
-
 def test_aggregate_matches_direct_recomputation():
     rng = Random(4)
     folds = [metric(f1=rng.random(), p=rng.random(), r=rng.random()) for _ in range(5)]
@@ -175,13 +169,6 @@ def test_aggregate_matches_direct_recomputation():
 def test_aggregate_empty_rejected():
     with pytest.raises(ValueError):
         aggregate_folds([])
-
-
-def test_pooled_mode():
-    confusions = [Confusion(tp=3, fp=1, fn=2, tn=4), Confusion(tp=1, fp=0, fn=0, tn=2)]
-    pooled = pooled_metrics(confusions)
-    assert abs(pooled.precision - 4 / 5) <= 1e-12
-    assert abs(pooled.recall - 4 / 6) <= 1e-12
 
 
 def test_f1_between_precision_and_recall():

@@ -264,7 +264,8 @@ _json_values = st.recursive(
 )
 _section_keys = st.sampled_from(
     ["kind", "path", "seed", "mode", "causal", "non_causal", "n_folds", "stratified", "k",
-     "max_hops", "max_neighbors", "max_units", "unit", "base_url", "timeout", "max_in_flight"]
+     "max_hops", "max_neighbors", "max_units", "unit", "base_url", "timeout", "max_in_flight",
+     "cache_dir", "sparql_url", "entity_api_url", "max_retries", "backoff"]
 )
 _config_values = _json_values | st.dictionaries(_section_keys, _json_values, max_size=4)
 
