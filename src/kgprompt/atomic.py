@@ -1,0 +1,29 @@
+"""Atomic file writes: write a temporary file beside the target, then rename
+it over the target, so a reader (or a resumed run) sees the old file or the
+whole new one, never a partial write."""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator, TextIO
+
+
+@contextmanager
+def write_atomic(path: str | Path) -> Iterator[TextIO]:
+    """Open a UTF-8 text file that replaces ``path`` when the block succeeds.
+
+    The temporary file lives in ``path``'s directory, so ``os.replace`` is a
+    rename within one file system. On an error it is removed and ``path``
+    keeps its old content. Missing parent directories are created.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with tmp.open("x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import requests
 
+from .atomic import write_atomic
 from .dataset import LABELS
 from .errors import NetworkError, ProtocolError, UnmappableOutputError
 from .prompts import Architecture, LabelMapping, PromptInstance, unmap_label
@@ -228,7 +229,7 @@ def predict_mock(req: InferenceRequest, mapping: LabelMapping, seed: int) -> Pre
 
 
 def write_predictions_jsonl(records: list[PredictionRecord], path: str | Path) -> int:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with write_atomic(path) as fh:
         for record in records:
             data: dict = {"instance_id": record.instance_id, "predicted": record.predicted}
             if record.score is not None:

@@ -110,6 +110,10 @@ class UnknownLabelWordError(KgPromptError):
     pass
 
 
+class MaskTokenError(KgPromptError, ValueError):
+    """A prompt does not hold the mask token exactly once, at its slot."""
+
+
 # --- datasets ---
 
 class SpanError(KgPromptError):
@@ -146,6 +150,10 @@ class MissingGoldError(KgPromptError):
 
 class DuplicatePredictionError(KgPromptError):
     pass
+
+
+class PredictionCoverageError(KgPromptError):
+    """Predictions do not cover exactly the ids they are scored against."""
 
 
 # --- pipeline / cli ---

@@ -131,15 +131,17 @@ class KnowledgeGraph:
             if other != x:
                 yield other, label, direction
 
+    def neighbor_ids(self, x: str) -> list[str]:
+        """Ids of the nodes sharing an edge with x, deduplicated, in first-edge order."""
+        if x not in self._nodes:
+            raise UnknownNodeError(x)
+        ids = dict.fromkeys([other for _ordinal, other, _label, _direction in self._adj[x]])
+        ids.pop(x, None)  # a self-loop does not make x its own neighbor
+        return list(ids)
+
     def neighbors(self, x: str) -> list[Node]:
         """Nodes sharing an edge with x, deduplicated, in first-edge order."""
-        seen: set[str] = set()
-        result: list[Node] = []
-        for other, _label, _direction in self.adjacency(x):
-            if other not in seen:
-                seen.add(other)
-                result.append(self._nodes[other])
-        return result
+        return [self._nodes[other] for other in self.neighbor_ids(x)]
 
     def k_hop_neighbors(self, x: str, k: int) -> list[list[Node]]:
         """Per-hop node lists: hop h holds nodes at shortest distance exactly h.

@@ -12,6 +12,7 @@ import json
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .backend import PredictionRecord
 from .dataset import CAUSAL, LABELS
@@ -19,6 +20,7 @@ from .errors import (
     DuplicatePredictionError,
     MissingGoldError,
     ParseError,
+    PredictionCoverageError,
     SchemaError,
 )
 
@@ -107,6 +109,23 @@ def metrics_from_confusion(c: Confusion) -> Metrics:
 def compute_metrics(preds: list[PredictionRecord], golds: dict[str, str]) -> Metrics:
     """P/R/F1 with causal as the positive class."""
     return metrics_from_confusion(confusion_from_predictions(preds, golds))
+
+
+def check_coverage(preds: list[PredictionRecord], expected_ids: Iterable[str], what: str) -> None:
+    """Raise PredictionCoverageError unless ``preds`` hold exactly ``expected_ids``.
+
+    ``compute_metrics`` scores whatever it is given; this is the check that
+    nothing was dropped or slipped in. ``what`` names the id set in the error.
+    """
+    predicted = {p.instance_id for p in preds}
+    expected = set(expected_ids)
+    problems = []
+    if expected - predicted:
+        problems.append(f"no prediction for {sorted(expected - predicted)}")
+    if predicted - expected:
+        problems.append(f"extra predictions for {sorted(predicted - expected)}")
+    if problems:
+        raise PredictionCoverageError(f"{what}: " + "; ".join(problems))
 
 
 def aggregate_folds(reports: list[Metrics]) -> FoldReport:

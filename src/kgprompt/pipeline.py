@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, TypeVar
 
+from .atomic import write_atomic
 from .backend import (
     HttpEndpoint,
     predict_http_batch,
@@ -39,6 +40,7 @@ from .linking import NameLookup, PairLinkage, link_pairs, load_overrides, search
 from .metrics import (
     Metrics,
     aggregate_folds,
+    check_coverage,
     compute_metrics,
     format_report,
     read_predictions_jsonl,
@@ -279,18 +281,18 @@ def _backend(kind: str | None = None, **settings: object) -> HttpEndpoint | Mock
 
 
 def validate_config(config: ExperimentConfig, check_paths: bool = True) -> None:
-    """Raise ConfigError for a rule that spans sections or a missing input file.
+    """Raise ConfigError for a rule that spans sections or an input that is not a file.
 
     Single-section rules already held when the sections were built.
     """
     kg = config.kg
-    if check_paths and not Path(config.dataset).exists():
-        raise ConfigError(f"dataset file not found: {config.dataset}")
+    if check_paths:
+        _require_file("dataset file", config.dataset)
     if kg.kind in LOCAL_KG_KINDS:
         if not kg.path:
             raise ConfigError("local kg sources need kg.path")
-        if check_paths and not Path(kg.path).exists():
-            raise ConfigError(f"kg dump not found: {kg.path}")
+        if check_paths:
+            _require_file("kg dump", kg.path)
     else:
         if not kg.cache_dir:
             raise ConfigError("remote kg sources need kg.cache_dir for reproducibility")
@@ -300,24 +302,28 @@ def validate_config(config: ExperimentConfig, check_paths: bool = True) -> None:
             )
     if config.structure is StructureKind.MP and config.limits.max_hops < 2:
         raise ConfigError("metapath extraction requires limits.max_hops >= 2")
-    if config.overrides and check_paths and not Path(config.overrides).exists():
-        raise ConfigError(f"override table not found: {config.overrides}")
+    if config.overrides and check_paths:
+        _require_file("override table", config.overrides)
+
+
+def _require_file(what: str, path: str) -> None:
+    if not Path(path).is_file():
+        problem = "is not a file" if Path(path).exists() else "not found"
+        raise ConfigError(f"{what} {problem}: {path}")
 
 
 # --- artifact helpers ---
 
 
 def _write_json(path: Path, data: object) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    with write_atomic(path) as fh:
         json.dump(data, fh, indent=2, sort_keys=True, ensure_ascii=False)
         fh.write("\n")
     return path
 
 
 def _write_jsonl(path: Path, records: list[dict]) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    with write_atomic(path) as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     return path
@@ -567,7 +573,6 @@ def _split(run: _Run) -> list[Path]:
     written = [_write_json(run.out / "fold_plan.json", plan.to_dict())]
     for i, (train_ids, test_ids) in enumerate(run.folds):
         fold_dir = run.fold_dir(i)
-        fold_dir.mkdir(parents=True, exist_ok=True)
         sample = sample_few_shot(train_ids, run.instances, config.few_shot)
         for name, ids in (("few_shot.jsonl", sample), ("test_prompts.jsonl", test_ids)):
             export_prompts_jsonl([run.prompts[t] for t in ids], fold_dir / name)
@@ -594,14 +599,16 @@ def _eval(run: _Run) -> list[Path]:
     golds = {inst.instance_id: inst.label for inst in run.instances}
     written = []
     fold_metrics: list[Metrics] = []
-    for i in range(len(run.folds)):
+    for i, (_train_ids, test_ids) in enumerate(run.folds):
         records = read_predictions_jsonl(run.fold_dir(i) / "predictions.jsonl")
+        check_coverage(records, test_ids, f"fold {i}")
         metrics = compute_metrics(records, golds)
         fold_metrics.append(metrics)
         written.append(_write_json(run.fold_dir(i) / "metrics.json", metrics.to_dict()))
     fold_report = aggregate_folds(fold_metrics)
     written.append(_write_json(run.out / "report.json", fold_report.to_dict()))
-    (run.out / "report.txt").write_text(format_report(fold_report), encoding="utf-8")
+    with write_atomic(run.out / "report.txt") as fh:
+        fh.write(format_report(fold_report))
     written.append(run.out / "report.txt")
     return written
 
@@ -632,7 +639,10 @@ def run_experiment(
         raise ConfigError(f"unknown stage {until!r}; expected one of {STAGES}")
     validate_config(config)
     run = _Run(config=config, offline=offline, out=Path(config.out_dir))
-    run.out.mkdir(parents=True, exist_ok=True)
+    try:
+        run.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. out_dir, or one of its parents, is a file
+        raise ConfigError(f"cannot create out_dir {config.out_dir}: {exc.strerror}") from exc
     written: list[Path] = []
     for name, stage in _STAGE_TABLE:
         if name == "predict" and config.backend is None:

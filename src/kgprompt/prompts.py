@@ -14,10 +14,12 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
+from .atomic import write_atomic
 from .dataset import CAUSAL, Instance, LABELS, NON_CAUSAL
 from .errors import (
     BudgetTooSmallError,
     EmptyPairError,
+    MaskTokenError,
     ParseError,
     SchemaError,
     UnknownArchitectureError,
@@ -148,16 +150,19 @@ def _assemble(
     return base.format(prefix=prefix, e1=e1, e2=e2, mask=mask_token)
 
 
-def _check_mask(prompt: str, architecture: Architecture, mask_token: str) -> None:
+def _check_mask(prompt: str, architecture: Architecture, mask_token: str, instance_id: str) -> None:
     occurrences = prompt.count(mask_token)
     if occurrences != 1:
-        raise ValueError(
-            f"prompt must contain the mask token exactly once, found {occurrences}"
+        raise MaskTokenError(
+            f"instance {instance_id!r}: prompt must contain the mask token "
+            f"{mask_token!r} exactly once, found {occurrences}"
         )
     if architecture.generative and not (
         prompt.endswith(mask_token) or prompt.endswith(f"{mask_token}.")
     ):
-        raise ValueError("generative prompts must end at the generation slot")
+        raise MaskTokenError(
+            f"instance {instance_id!r}: generative prompts must end at the generation slot"
+        )
 
 
 def build_prompt(
@@ -182,7 +187,7 @@ def build_prompt(
         raise EmptyPairError(f"instance {instance.instance_id!r}: pair names must be non-empty")
     context_text = "" if graph_context is None or graph_context.empty else graph_context.text
     prompt = _assemble(instance.text, context_text, e1, e2, architecture, mask_token, template)
-    _check_mask(prompt, architecture, mask_token)
+    _check_mask(prompt, architecture, mask_token, instance.instance_id)
     return PromptInstance(
         instance_id=instance.instance_id,
         architecture=architecture,
@@ -268,7 +273,7 @@ def prompt_to_record(p: PromptInstance) -> dict:
 
 
 def export_prompts_jsonl(instances: list[PromptInstance], path: str | Path) -> int:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with write_atomic(path) as fh:
         for p in instances:
             fh.write(json.dumps(prompt_to_record(p), ensure_ascii=False) + "\n")
     return len(instances)

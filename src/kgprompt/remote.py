@@ -16,7 +16,6 @@ import json
 import os
 import re
 import string
-import tempfile
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -27,6 +26,7 @@ from typing import Iterable
 
 import requests
 
+from .atomic import write_atomic
 from .errors import (
     MalformedResponseError,
     NetworkError,
@@ -109,21 +109,13 @@ class QueryCache:
         return None
 
     def store(self, key: str, canonical_query: str, response: object) -> None:
-        path = self._entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "query": canonical_query,
             "fetched_at": datetime.now(timezone.utc).isoformat(),
             "response": response,
         }
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, ensure_ascii=False)
-            os.replace(tmp_name, path)
-        finally:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
+        with write_atomic(self._entry_path(key)) as fh:
+            json.dump(entry, fh, ensure_ascii=False)
 
 
 def _canonical_request(kind: str, params: dict[str, str]) -> str:

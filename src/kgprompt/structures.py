@@ -5,6 +5,13 @@ Extraction is exhaustive first, then a seeded uniformly-random subset is
 kept, so structure content is never ranked or optimized. Every operation
 derives its generator from (seed, kind, pair), which makes per-pair
 extraction safe to parallelize without changing results.
+
+Metapath enumeration is a depth-first walk in adjacency order that skips
+every branch which can no longer reach y within ``max_hops`` (hop distances
+to y come from a breadth-first search that avoids x). Skipped branches hold
+no path, so the paths, their order and the truncation flag are those of a
+plain depth-first walk. When ``max_paths_enumerated`` is hit, the subset is
+drawn from the first paths in that order, not from all paths.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .errors import SamePairError, UnknownNodeError
 from .graph import Direction, KnowledgeGraph, Node
@@ -161,7 +168,7 @@ def extract_common_neighbors(
     """
     if x == y:
         raise SamePairError(f"common neighbors need two distinct nodes, got {x!r} twice")
-    y_neighbor_ids = {n.id for n in kg.neighbors(y)}
+    y_neighbor_ids = set(kg.neighbor_ids(y))
     common = [n for n in kg.neighbors(x) if n.id in y_neighbor_ids]
     chosen = select_subset(common, limits.max_common_neighbors, derive_seed(seed, "CNN", x, y))
     return StructureBundle(
@@ -215,46 +222,66 @@ def enumerate_metapaths(
 def _simple_path_sequences(
     kg: KnowledgeGraph, x: str, y: str, max_hops: int, ceiling: int
 ) -> tuple[list[tuple[str, ...]], bool]:
-    # Iterative-deepening-free DFS; adjacency order makes results deterministic.
+    # Depth-first in adjacency order, so results are deterministic. A branch
+    # is entered only while y is still in reach: a completion from v is a
+    # simple path avoiding x, so it is at least dist[v] hops long. Pruned
+    # branches hold no path, and the rest are walked in plain DFS order.
     neighbor_order: dict[str, list[str]] = {}
 
     def ordered_neighbors(u: str) -> list[str]:
         cached = neighbor_order.get(u)
         if cached is None:
-            cached = [n.id for n in kg.neighbors(u)]
-            neighbor_order[u] = cached
+            cached = neighbor_order[u] = kg.neighbor_ids(u)
         return cached
 
+    dist = _hops_to(y, x, max_hops - 1, ordered_neighbors)
+
     sequences: list[tuple[str, ...]] = []
-    truncated = False
     path = [x]
     on_path = {x}
 
-    def dfs(u: str) -> None:
-        nonlocal truncated
-        if truncated:
-            return
+    def dfs(u: str) -> bool:
+        """Extend the path from u; True once the ceiling is hit."""
         hops_so_far = len(path) - 1
+        budget = max_hops - hops_so_far - 1
         for v in ordered_neighbors(u):
-            if truncated:
-                return
-            if v == y:
-                if 2 <= hops_so_far + 1 <= max_hops:
-                    if len(sequences) >= ceiling:
-                        truncated = True
-                        return
-                    sequences.append(tuple(path) + (y,))
+            if dist.get(v, max_hops) > budget:  # an unreached v is out of every budget
                 continue
-            if hops_so_far + 1 >= max_hops or v in on_path:
+            if v == y:
+                if hops_so_far:  # the direct x-y path is never a metapath
+                    if len(sequences) >= ceiling:
+                        return True
+                    sequences.append((*path, y))
+                continue
+            if v in on_path:
                 continue
             path.append(v)
             on_path.add(v)
-            dfs(v)
+            if dfs(v):
+                return True
             path.pop()
             on_path.remove(v)
+        return False
 
-    dfs(x)
+    truncated = dfs(x)
     return sequences, truncated
+
+
+def _hops_to(
+    y: str, x: str, depth: int, neighbors: Callable[[str], list[str]]
+) -> dict[str, int]:
+    """Hop distance to y of every node within ``depth`` hops of it, avoiding x."""
+    dist = {y: 0}
+    frontier = [y]
+    for d in range(1, depth + 1):
+        next_frontier = []
+        for u in frontier:
+            for v in neighbors(u):
+                if v != x and v not in dist:
+                    dist[v] = d
+                    next_frontier.append(v)
+        frontier = next_frontier
+    return dist
 
 
 def _materialize_path(kg: KnowledgeGraph, sequence: tuple[str, ...]) -> Metapath:

@@ -2,13 +2,16 @@
 
 Everything here works on raw (source, target, label) edge triples and plain
 prediction/gold label pairs, never on the package's graph or metric types,
-so the two sides of each check stay independent.
+so the two sides of each check stay independent. The one exception is the
+frozen metapath enumerator, which pins the order the graph's adjacency gives.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from random import Random
+
+from kgprompt.graph import KnowledgeGraph
 
 
 def undirected_neighbor_ids(edges: list[tuple[str, str, str]], x: str) -> set[str]:
@@ -74,6 +77,56 @@ def dfs_simple_path_set(
 
     walk(x, (x,))
     return paths
+
+
+# Frozen copy of the metapath enumerator before distance pruning: a plain DFS
+# in adjacency order. The pruned enumerator must return the same sequences,
+# in the same order, with the same truncation flag. Unlike the oracles
+# above, it reads the package's graph, because the order it pins is the
+# graph's adjacency order.
+def frozen_simple_path_sequences(
+    kg: KnowledgeGraph, x: str, y: str, max_hops: int, ceiling: int
+) -> tuple[list[tuple[str, ...]], bool]:
+    # Iterative-deepening-free DFS; adjacency order makes results deterministic.
+    neighbor_order: dict[str, list[str]] = {}
+
+    def ordered_neighbors(u: str) -> list[str]:
+        cached = neighbor_order.get(u)
+        if cached is None:
+            cached = [n.id for n in kg.neighbors(u)]
+            neighbor_order[u] = cached
+        return cached
+
+    sequences: list[tuple[str, ...]] = []
+    truncated = False
+    path = [x]
+    on_path = {x}
+
+    def dfs(u: str) -> None:
+        nonlocal truncated
+        if truncated:
+            return
+        hops_so_far = len(path) - 1
+        for v in ordered_neighbors(u):
+            if truncated:
+                return
+            if v == y:
+                if 2 <= hops_so_far + 1 <= max_hops:
+                    if len(sequences) >= ceiling:
+                        truncated = True
+                        return
+                    sequences.append(tuple(path) + (y,))
+                continue
+            if hops_so_far + 1 >= max_hops or v in on_path:
+                continue
+            path.append(v)
+            on_path.add(v)
+            dfs(v)
+            path.pop()
+            on_path.remove(v)
+
+    dfs(x)
+    return sequences, truncated
 
 
 def brute_force_confusion(

@@ -173,3 +173,43 @@ def test_bad_input_records_exit_code_3_naming_the_line(tmp_path, capsys, input_f
     assert main(["run", "--config", str(config)]) == 3
     err = capsys.readouterr().err
     assert "stage 'ingest'" in err and message in err
+
+
+def test_mask_token_in_dataset_text_exit_code_3_naming_the_instance(tmp_path, capsys):
+    line = json.dumps(
+        {"instance_id": "masked", "text": "x [MASK] y", "e1": {"start": 0, "end": 1},
+         "e2": {"start": 9, "end": 10}, "label": "causal"}
+    )
+    dataset = _with_bad_line(DATA_DIR / "fixture_dataset.jsonl", tmp_path / "dataset.jsonl", 1, line)
+    config = write_config(tmp_path, dataset=str(dataset))
+    assert main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'build-prompts'" in err and "'masked'" in err and "exactly once" in err
+    assert not (tmp_path / "run" / "prompts.jsonl").exists()
+
+
+@pytest.mark.parametrize("field", ["dataset", "kg.path", "overrides"])
+def test_directory_as_input_file_exit_code_2_before_any_artifact(tmp_path, capsys, field):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    overrides = {
+        "dataset": {"dataset": str(folder)},
+        "kg.path": {"kg": {"kind": "jsonl", "path": str(folder)}},
+        "overrides": {"overrides": str(folder)},
+    }[field]
+    config = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(config)]) == 2
+    assert f"is not a file: {folder}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["out-dir-is-file", "parent-is-file"])
+def test_file_as_out_dir_exit_code_2_before_any_artifact(tmp_path, capsys, inside):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n", encoding="utf-8")
+    out_dir = blocker / "run" if inside else blocker
+    config = write_config(tmp_path, out_dir=str(out_dir))
+    assert main(["run", "--config", str(config)]) == 2
+    assert f"cannot create out_dir {out_dir}" in capsys.readouterr().err
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]

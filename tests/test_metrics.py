@@ -7,13 +7,19 @@ import pytest
 
 from kgprompt.backend import PredictionRecord, write_predictions_jsonl
 from kgprompt.dataset import CAUSAL, NON_CAUSAL
-from kgprompt.errors import DuplicatePredictionError, MissingGoldError, SchemaError
+from kgprompt.errors import (
+    DuplicatePredictionError,
+    MissingGoldError,
+    PredictionCoverageError,
+    SchemaError,
+)
 from kgprompt.metrics import (
     Confusion,
     Metrics,
     NO_POSITIVE_GOLDS,
     NO_POSITIVE_PREDICTIONS,
     aggregate_folds,
+    check_coverage,
     compute_metrics,
     confusion_from_predictions,
     format_report,
@@ -208,3 +214,18 @@ def test_report_formatting():
     assert lines[0].split() == ["fold", "P", "R", "F1"]
     assert "0.7000" in lines[-2]
     assert lines[-1].startswith("f1_std")
+
+
+def test_coverage_check_names_dropped_and_extra_predictions():
+    preds = [
+        PredictionRecord(instance_id=i, predicted=CAUSAL, backend="test") for i in ("a", "c", "z")
+    ]
+    check_coverage(preds, ["c", "z", "a"], "fold 0")  # order does not matter
+    with pytest.raises(PredictionCoverageError) as caught:
+        check_coverage(preds, ["a", "b", "c"], "fold 3")
+    message = str(caught.value)
+    assert message.startswith("fold 3: ")
+    assert "no prediction for ['b']" in message
+    assert "extra predictions for ['z']" in message
+    with pytest.raises(PredictionCoverageError, match=r"no prediction for \['b'\]$"):
+        check_coverage(preds[:2], ["a", "b", "c"], "fold 3")

@@ -249,6 +249,23 @@ def test_remote_nn_pipeline_with_stub(tmp_path, wiki_server):
     assert context2 == context
 
 
+def test_eval_fails_when_predictions_do_not_cover_the_fold(tmp_path, monkeypatch):
+    from kgprompt import pipeline
+
+    real_write = pipeline.write_predictions_jsonl
+
+    def drop_first(records, path):
+        return real_write(records[1:], path)
+
+    monkeypatch.setattr(pipeline, "write_predictions_jsonl", drop_first)
+    config = ExperimentConfig.from_dict(base_config_dict(tmp_path / "run"))
+    with pytest.raises(StageError) as caught:
+        run_experiment(config)
+    assert caught.value.stage == "eval"
+    assert "fold 0: no prediction for [" in str(caught.value)
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
 def test_stage_slicing_writes_prefix_artifacts(tmp_path):
     config = ExperimentConfig.from_dict(base_config_dict(tmp_path / "run"))
     out = run_experiment(config, until="link")

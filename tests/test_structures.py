@@ -20,7 +20,13 @@ from kgprompt.structures import (
 )
 
 from fixtures_kg import common_neighbor_graph, make_graph, metapath_graph, prostate_star_graph
-from oracles import common_neighbor_ids, dfs_simple_path_set, random_graph, undirected_neighbor_ids
+from oracles import (
+    common_neighbor_ids,
+    dfs_simple_path_set,
+    frozen_simple_path_sequences,
+    random_graph,
+    undirected_neighbor_ids,
+)
 
 
 # --- select_subset ---
@@ -252,6 +258,70 @@ def test_metapath_enumeration_ceiling_sets_truncated():
     assert bundle.truncated
     assert bundle.candidate_count == 10
     assert len(bundle.payload) == 3
+
+
+def _path_ids(bundle) -> list[tuple[str, ...]]:
+    return [tuple(n.id for n in p.nodes) for p in bundle.payload]
+
+
+def test_metapath_enumeration_keeps_plain_dfs_order_and_truncation():
+    # Distance pruning must not change which paths come out, their order, or
+    # where a ceiling cuts them off: compare with the frozen unpruned DFS.
+    rng = Random(4242)
+    truncating = 0
+    for _ in range(200):
+        nodes, edges = random_graph(rng, max_nodes=30, max_edges=100)
+        ids = [nid for nid, _name, _type in nodes]
+        # self-loops are skipped by adjacency; keep a few so both sides see them
+        edges += [(nid, nid, "self") for nid in rng.sample(ids, min(3, len(ids)))]
+        kg = make_graph(nodes, edges)
+        x, y = rng.sample(ids, 2)
+        max_hops = rng.randint(2, 5)
+        ceiling = rng.choice([0, 1, 5, 40, 10_000])
+        limits = ExtractionLimits(max_hops=max_hops, max_metapaths=10**9, max_paths_enumerated=ceiling)
+        bundle = enumerate_metapaths(kg, x, y, limits, seed=1)
+        sequences, truncated = frozen_simple_path_sequences(kg, x, y, max_hops, ceiling)
+        assert _path_ids(bundle) == sequences
+        assert bundle.candidate_count == len(sequences)
+        assert bundle.truncated is truncated
+        truncating += truncated
+    assert truncating >= 20  # the truncating cases are really exercised
+
+
+def test_metapath_enumeration_matches_networkx_on_larger_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = Random(2019)
+    n = 200
+    nodes = [(f"n{i}", f"node {i}", "t") for i in range(n)]
+    total = 0
+    for case in range(12):
+        edges = set()
+        while len(edges) < 700:
+            # the smaller of two draws skews degree toward low ids, making hubs
+            source = f"n{min(rng.randrange(n), rng.randrange(n))}"
+            target = f"n{rng.randrange(n)}"
+            if source != target:
+                edges.add((source, target, rng.choice(["binds", "treats"])))
+        kg = make_graph(nodes, sorted(edges))
+        graph = nx.Graph((s, t) for s, t, _label in edges)
+        x = f"n{rng.randrange(10 if case % 2 else n)}"  # every other x is a hub
+        y = f"n{rng.randrange(n)}"
+        if x == y or not (graph.has_node(x) and graph.has_node(y)):
+            continue
+        max_hops = rng.randint(2, 5)
+        limits = ExtractionLimits(max_hops=max_hops, max_metapaths=10**9, max_paths_enumerated=10**9)
+        bundle = enumerate_metapaths(kg, x, y, limits, seed=1)
+        expected = {
+            tuple(path)
+            for path in nx.all_simple_paths(graph, x, y, cutoff=max_hops)
+            if len(path) > 2  # the direct 2-node path is never a metapath
+        }
+        got = _path_ids(bundle)
+        assert len(got) == len(set(got))
+        assert set(got) == expected
+        assert not bundle.truncated
+        total += len(got)
+    assert total >= 100
 
 
 def test_metapath_type_invariants():
