@@ -17,8 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
 from .atomic import write_atomic
 from .dataset import LABELS
 from .errors import NetworkError, ProtocolError, UnmappableOutputError
@@ -177,6 +175,8 @@ def predict_http(
         "architecture": req.architecture.value,
         "request_id": req.request_id,
     }
+    import requests  # deferred: only the HTTP backend pays for the import
+
     last_error: Exception | None = None
     for attempt in range(endpoint.max_retries + 1):
         if attempt:

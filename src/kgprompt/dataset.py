@@ -17,10 +17,10 @@ from random import Random
 from .errors import (
     ClassExhaustedError,
     LabelError,
-    ParseError,
     SchemaError,
     SpanError,
     TooFewInstancesError,
+    jsonl_records,
     require_fields,
     require_int,
 )
@@ -123,20 +123,12 @@ def load_dataset_jsonl(path: str | Path) -> list[Instance]:
     """Load and validate instances; file order is preserved."""
     instances: list[Instance] = []
     seen_ids: set[str] = set()
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            instance = _instance_from_record(record, lineno)
-            if instance.instance_id in seen_ids:
-                raise SchemaError(f"duplicate instance_id {instance.instance_id!r}", line=lineno)
-            seen_ids.add(instance.instance_id)
-            instances.append(instance)
+    for lineno, record in jsonl_records(path):
+        instance = _instance_from_record(record, lineno)
+        if instance.instance_id in seen_ids:
+            raise SchemaError(f"duplicate instance_id {instance.instance_id!r}", line=lineno)
+        seen_ids.add(instance.instance_id)
+        instances.append(instance)
     return instances
 
 

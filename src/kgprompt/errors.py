@@ -1,9 +1,11 @@
-"""Exception hierarchy shared across the package, and the record checks
-every loader of line- or record-structured input applies."""
+"""Exception hierarchy shared across the package, and the reading and
+record checks every loader of line- or record-structured input applies."""
 
 from __future__ import annotations
 
-from typing import Iterable
+import json
+from pathlib import Path
+from typing import Iterable, Iterator
 
 
 class KgPromptError(Exception):
@@ -56,6 +58,41 @@ def require_int(value: object, what: str, line: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{what} must be an integer, not {type(value).__name__}", line=line)
     return value
+
+
+def jsonl_records(path: str | Path) -> Iterator[tuple[int, object]]:
+    """(line number, parsed value) for each non-blank line of a UTF-8 JSONL file."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+                yield lineno, record
+        except UnicodeDecodeError:
+            raise utf8_error(path) from None
+
+
+def utf8_error(path: Path) -> ParseError:
+    """The error for a file that does not decode as UTF-8.
+
+    It names the file, the offset of its first bad byte and the line holding
+    that byte, counting line breaks as text-mode reading does (``\\n``,
+    ``\\r\\n`` or ``\\r``).
+    """
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return ParseError(f"{path}: not valid UTF-8 at byte {exc.start} ({exc.reason})", line=line)
+    return ParseError(f"{path}: not valid UTF-8")
 
 
 # --- remote access ---

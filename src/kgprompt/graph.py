@@ -10,6 +10,12 @@ module.
 All query results are deterministically ordered by the insertion order of
 the first contributing edge, so downstream verbalization and seeded subset
 selection are reproducible run to run.
+
+Storage is kept lean for Hetionet-sized graphs: the edges live once, as
+(source, target, label) keys of one insertion-ordered dict that is both the
+edge list and the duplicate check, and each node's adjacency holds plain
+(other, label, direction) tuples. ``Edge`` objects are made only when
+``edges`` is read.
 """
 
 from __future__ import annotations
@@ -48,16 +54,17 @@ class KnowledgeGraph:
 
     def __init__(self, nodes: Iterable[Node] = (), edges: Iterable[Edge] = ()):
         self._nodes: dict[str, Node] = {}
-        self._edges: list[Edge] = []
+        # every edge once, as a (source, target, label) key in insertion
+        # order: this dict is both the edge list and the duplicate check
+        self._edges: dict[tuple[str, str, str], None] = {}
         # per-node adjacency in global edge-insertion order:
-        # (edge ordinal, other endpoint, label, direction as seen from the node)
-        self._adj: dict[str, list[tuple[int, str, str, Direction]]] = {}
-        self._edge_keys: set[tuple[str, str, str]] = set()
+        # (other endpoint, label, direction as seen from the node)
+        self._adj: dict[str, list[tuple[str, str, Direction]]] = {}
         for node in nodes:
             if not self.add_node(node):
                 raise ValueError(f"duplicate node id: {node.id!r}")
         for edge in edges:
-            if not self.add_edge(edge):
+            if not self.add_edge(edge.source, edge.target, edge.label):
                 key = (edge.source, edge.target, edge.label)
                 raise DuplicateEdgeError(f"duplicate edge: {key!r}")
 
@@ -73,22 +80,24 @@ class KnowledgeGraph:
         self._adj[node.id] = []
         return True
 
-    def add_edge(self, edge: Edge) -> bool:
-        """Add an edge while loading; False (and no change) for a duplicate triple."""
-        for endpoint in (edge.source, edge.target):
-            if endpoint not in self._nodes:
-                raise UnknownNodeError(endpoint)
-        if not edge.label:
+    def add_edge(self, source: str, target: str, label: str) -> bool:
+        """Add the edge source->target while loading; False (and no change)
+        for a duplicate triple."""
+        out_links = self._adj.get(source)
+        if out_links is None:
+            raise UnknownNodeError(source)
+        in_links = self._adj.get(target)
+        if in_links is None:
+            raise UnknownNodeError(target)
+        if not label:
             raise ValueError("edge label must be non-empty")
-        key = (edge.source, edge.target, edge.label)
-        if key in self._edge_keys:
+        key = (source, target, label)
+        if key in self._edges:
             return False
-        ordinal = len(self._edges)
-        self._edges.append(edge)
-        self._edge_keys.add(key)
-        self._adj[edge.source].append((ordinal, edge.target, edge.label, OUT))
-        if edge.target != edge.source:
-            self._adj[edge.target].append((ordinal, edge.source, edge.label, IN))
+        self._edges[key] = None
+        out_links.append((target, label, OUT))
+        if target != source:
+            in_links.append((source, label, IN))
         return True
 
     # --- basic accessors ---
@@ -99,7 +108,8 @@ class KnowledgeGraph:
 
     @property
     def edges(self) -> list[Edge]:
-        return self._edges
+        """Every edge once, in insertion order (a new list on each call)."""
+        return [Edge(source, target, label) for source, target, label in self._edges]
 
     @property
     def node_count(self) -> int:
@@ -127,7 +137,7 @@ class KnowledgeGraph:
         """
         if x not in self._nodes:
             raise UnknownNodeError(x)
-        for _ordinal, other, label, direction in self._adj[x]:
+        for other, label, direction in self._adj[x]:
             if other != x:
                 yield other, label, direction
 
@@ -135,7 +145,7 @@ class KnowledgeGraph:
         """Ids of the nodes sharing an edge with x, deduplicated, in first-edge order."""
         if x not in self._nodes:
             raise UnknownNodeError(x)
-        ids = dict.fromkeys([other for _ordinal, other, _label, _direction in self._adj[x]])
+        ids = dict.fromkeys([other for other, _label, _direction in self._adj[x]])
         ids.pop(x, None)  # a self-loop does not make x its own neighbor
         return list(ids)
 

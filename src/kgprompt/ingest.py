@@ -5,22 +5,33 @@ document with ``nodes`` and ``edges`` arrays) and a line-delimited JSON
 edge-list format used for fixtures and third-party graphs. Loading is
 single-threaded; the resulting graph inherits the immutability contract of
 :mod:`kgprompt.graph`.
+
+Both loaders run with the cyclic garbage collector paused and restore the
+caller's GC state afterwards, also when they raise: a load makes hundreds of
+thousands of containers and no cycles, so every collection it would trigger
+is wasted. The Hetionet loader drops each node and edge record of the parsed
+document as soon as it is read, so the document shrinks while the graph
+grows. Each edge endpoint is checked and mapped to the graph's own copy of
+its id in one dict lookup. A file that is not valid UTF-8 is a
+:class:`~kgprompt.errors.ParseError` naming the file and the line.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
-from .errors import ParseError, SchemaError, require_fields
-from .graph import Edge, KnowledgeGraph, Node
+from .atomic import write_atomic
+from .errors import ParseError, SchemaError, jsonl_records, require_fields, utf8_error
+from .graph import KnowledgeGraph, Node
 
 # Warnings kept verbatim in the report are capped; counts stay exact.
 _MAX_WARNINGS = 50
-
-_HETIONET_DIRECTIONS = ("forward", "backward", "both")
 
 
 @dataclass
@@ -66,52 +77,65 @@ def load_hetionet_json(path: str | Path) -> tuple[KnowledgeGraph, IngestReport]:
     are skipped with a warning, never a failure.
     """
     path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at column {exc.colno}: {exc.msg}", line=exc.lineno) from exc
+    with _gc_paused():
+        try:
+            with path.open("r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON at column {exc.colno}: {exc.msg}", line=exc.lineno) from exc
+        except UnicodeDecodeError:
+            raise utf8_error(path) from None
 
-    require_fields(data, ("nodes", "edges"), "top-level document")
-    for key in ("nodes", "edges"):
-        if not isinstance(data[key], list):
-            raise SchemaError(f"top-level {key!r} must be an array")
+        require_fields(data, ("nodes", "edges"), "top-level document")
+        for key in ("nodes", "edges"):
+            if not isinstance(data[key], list):
+                raise SchemaError(f"top-level {key!r} must be an array")
 
-    report = IngestReport()
-    graph = KnowledgeGraph()
-    for i, record in enumerate(data["nodes"]):
-        require_fields(record, ("kind", "identifier", "name"), f"node record {i}")
-        kind = sys.intern(str(record["kind"]))
-        node_id = sys.intern(hetionet_node_id(kind, record["identifier"]))
-        name = _nonempty(record, "name", f"node record {i}")
-        if not graph.add_node(Node(id=node_id, name=name, node_type=kind)):
-            report.warn(f"node record {i}: duplicate node id {node_id!r} skipped")
-
-    for i, record in enumerate(data["edges"]):
-        require_fields(record, ("source_id", "target_id", "kind", "direction"), f"edge record {i}")
-        source = sys.intern(hetionet_node_id(*_endpoint(record["source_id"], i, "source_id")))
-        target = sys.intern(hetionet_node_id(*_endpoint(record["target_id"], i, "target_id")))
-        for endpoint in (source, target):
-            if not graph.has_node(endpoint):
-                raise SchemaError(f"edge record {i}: unknown node id {endpoint!r}")
-        label = sys.intern(_nonempty(record, "kind", f"edge record {i}"))
-        direction = record["direction"]
-        if direction not in _HETIONET_DIRECTIONS:
-            raise SchemaError(f"edge record {i}: unknown direction marker {direction!r}")
-        oriented: list[tuple[str, str]] = []
-        if direction in ("forward", "both"):
-            oriented.append((source, target))
-        if direction in ("backward", "both"):
-            oriented.append((target, source))
-        added = 0
-        for src, dst in oriented:
-            if graph.add_edge(Edge(source=src, target=dst, label=label)):
-                added += 1
+        report = IngestReport()
+        graph = KnowledgeGraph()
+        ids: dict[str, str] = {}  # node id -> the one copy the graph keeps
+        records = data["nodes"]
+        for i, record in enumerate(records):
+            records[i] = None  # the document shrinks as the graph grows
+            require_fields(record, ("kind", "identifier", "name"), f"node record {i}")
+            kind = sys.intern(str(record["kind"]))
+            node_id = hetionet_node_id(kind, record["identifier"])
+            name = _nonempty(record, "name", f"node record {i}")
+            if graph.add_node(Node(id=node_id, name=name, node_type=kind)):
+                ids[node_id] = node_id
             else:
-                report.duplicates_rejected += 1
-                report.warn(f"edge record {i}: duplicate edge {(src, dst, label)!r} skipped")
-        if added:
-            report.edges_loaded += 1
+                report.warn(f"node record {i}: duplicate node id {node_id!r} skipped")
+
+        records = data["edges"]
+        for i, record in enumerate(records):
+            records[i] = None
+            require_fields(record, ("source_id", "target_id", "kind", "direction"), f"edge record {i}")
+            source_id = hetionet_node_id(*_endpoint(record["source_id"], i, "source_id"))
+            target_id = hetionet_node_id(*_endpoint(record["target_id"], i, "target_id"))
+            source = ids.get(source_id)
+            target = ids.get(target_id)
+            for endpoint, known in ((source_id, source), (target_id, target)):
+                if known is None:
+                    raise SchemaError(f"edge record {i}: unknown node id {endpoint!r}")
+            label = sys.intern(_nonempty(record, "kind", f"edge record {i}"))
+            direction = record["direction"]
+            if direction == "forward":
+                oriented = ((source, target),)
+            elif direction == "backward":
+                oriented = ((target, source),)
+            elif direction == "both":
+                oriented = ((source, target), (target, source))
+            else:
+                raise SchemaError(f"edge record {i}: unknown direction marker {direction!r}")
+            added = False
+            for src, dst in oriented:
+                if graph.add_edge(src, dst, label):
+                    added = True
+                else:
+                    report.duplicates_rejected += 1
+                    report.warn(f"edge record {i}: duplicate edge {(src, dst, label)!r} skipped")
+            if added:
+                report.edges_loaded += 1
 
     report.nodes_loaded = graph.node_count
     report.finish()
@@ -133,19 +157,12 @@ def load_edge_list_jsonl(path: str | Path) -> tuple[KnowledgeGraph, IngestReport
     ``{"edge": {"source", "target", "label"}}``; the graph is assembled in
     file order, so a node must appear before any edge referencing it.
     """
-    path = Path(path)
     report = IngestReport()
     graph = KnowledgeGraph()
+    ids: dict[str, str] = {}  # node id -> the one copy the graph keeps
 
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+    with _gc_paused():
+        for lineno, record in jsonl_records(path):
             require_fields(record, (), "record", line=lineno)
             has_node = "node" in record
             has_edge = "edge" in record
@@ -156,23 +173,27 @@ def load_edge_list_jsonl(path: str | Path) -> tuple[KnowledgeGraph, IngestReport
 
             if has_node:
                 body = require_fields(record["node"], ("id", "name"), "node record", line=lineno)
-                node_id = sys.intern(_nonempty(body, "id", "node record", lineno))
+                node_id = _nonempty(body, "id", "node record", lineno)
                 node = Node(
                     id=node_id,
                     name=_nonempty(body, "name", "node record", lineno),
                     node_type=sys.intern(str(body.get("type", "unknown"))),
                 )
-                if not graph.add_node(node):
+                if graph.add_node(node):
+                    ids[node_id] = node_id
+                else:
                     report.warn(f"line {lineno}: duplicate node id {node_id!r} skipped")
             else:
                 body = require_fields(record["edge"], ("source", "target", "label"), "edge record", line=lineno)
-                source = sys.intern(str(body["source"]))
-                target = sys.intern(str(body["target"]))
-                for endpoint in (source, target):
-                    if not graph.has_node(endpoint):
+                source_id = str(body["source"])
+                target_id = str(body["target"])
+                source = ids.get(source_id)
+                target = ids.get(target_id)
+                for endpoint, known in ((source_id, source), (target_id, target)):
+                    if known is None:
                         raise SchemaError(f"edge references unknown node id {endpoint!r}", line=lineno)
                 label = sys.intern(_nonempty(body, "label", "edge record", lineno))
-                if graph.add_edge(Edge(source=source, target=target, label=label)):
+                if graph.add_edge(source, target, label):
                     report.edges_loaded += 1
                 else:
                     report.duplicates_rejected += 1
@@ -184,15 +205,27 @@ def load_edge_list_jsonl(path: str | Path) -> tuple[KnowledgeGraph, IngestReport
     return graph, report
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for the block; the caller's GC
+    state comes back afterwards, also on an error."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def export_edge_list_jsonl(kg: KnowledgeGraph, path: str | Path) -> int:
     """Write a graph in the JSONL edge-list format; returns lines written.
 
     Nodes are written before edges so the file reloads in a single pass;
     reloading reproduces the graph exactly (node set, edge list, labels).
     """
-    path = Path(path)
     count = 0
-    with path.open("w", encoding="utf-8") as fh:
+    with write_atomic(path) as fh:
         for node in kg.nodes.values():
             record = {"node": {"id": node.id, "name": node.name, "type": node.node_type}}
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")

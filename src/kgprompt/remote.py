@@ -24,8 +24,6 @@ from importlib.resources import files as resource_files
 from pathlib import Path
 from typing import Iterable
 
-import requests
-
 from .atomic import write_atomic
 from .errors import (
     MalformedResponseError,
@@ -33,7 +31,7 @@ from .errors import (
     RateLimitedError,
     UnknownEntityError,
 )
-from .graph import Direction, Edge, KnowledgeGraph, Node
+from .graph import Direction, KnowledgeGraph, Node
 
 SPARQL_URL_ENV = "KGPROMPT_SPARQL_URL"
 ENTITY_API_URL_ENV = "KGPROMPT_ENTITY_API_URL"
@@ -141,6 +139,8 @@ def _fetch_json(
             return cached["response"]
     if cache.policy is CachePolicy.READ_ONLY:
         raise NetworkError(f"cache miss for {kind} request under read_only policy")
+
+    import requests  # deferred: only a remote fetch pays for the import
 
     last_error: Exception | None = None
     for attempt in range(endpoint.max_retries + 1):
@@ -297,5 +297,5 @@ def graph_from_remote_neighbors(
     for neighbor, label, direction in links:
         graph.add_node(neighbor)
         source, target = (x.id, neighbor.id) if direction == "out" else (neighbor.id, x.id)
-        graph.add_edge(Edge(source=source, target=target, label=label))
+        graph.add_edge(source, target, label)
     return graph

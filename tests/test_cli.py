@@ -213,3 +213,30 @@ def test_file_as_out_dir_exit_code_2_before_any_artifact(tmp_path, capsys, insid
     assert f"cannot create out_dir {out_dir}" in capsys.readouterr().err
     assert blocker.read_text(encoding="utf-8") == "keep\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+
+
+@pytest.mark.parametrize("input_file", ["dataset", "jsonl-graph", "hetionet-dump"])
+def test_non_utf8_input_exit_code_3_naming_the_file(tmp_path, capsys, input_file):
+    bad_byte_line = b'{"node": {"id": "x", "name": "caf\xe9"}}'
+    if input_file == "hetionet-dump":
+        bad = tmp_path / "dump.json"
+        bad.write_bytes(b'{"nodes": [{"kind": "Gene", "identifier": 1, "name": "caf\xe9"}], "edges": []}')
+        config = write_config(tmp_path, kg={"kind": "hetionet_json", "path": str(bad)})
+        where = f"line 1: {bad}: not valid UTF-8 at byte {bad.read_bytes().index(0xE9)}"
+    else:
+        fixture = DATA_DIR / ("fixture_dataset.jsonl" if input_file == "dataset" else "fixture_kg.jsonl")
+        bad = tmp_path / fixture.name
+        lines = fixture.read_bytes().splitlines(keepends=True)
+        bad.write_bytes(b"".join([lines[0], bad_byte_line + b"\n", *lines[1:]]))
+        field = {"dataset": str(bad)} if input_file == "dataset" else {"kg": {"kind": "jsonl", "path": str(bad)}}
+        config = write_config(tmp_path, **field)
+        where = f"line 2: {bad}: not valid UTF-8 at byte {bad.read_bytes().index(0xE9)}"
+    assert main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'ingest'" in err and where in err and "Traceback" not in err
+
+
+def test_importing_the_cli_leaves_requests_unloaded():
+    probe = "import sys, kgprompt.cli; print('requests' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -128,9 +128,9 @@ def test_loader_adds_report_duplicates_without_changing_the_graph():
     kg = KnowledgeGraph()
     assert kg.add_node(Node("a", "A")) and kg.add_node(Node("b", "B"))
     assert not kg.add_node(Node("a", "other name"))
-    assert kg.add_edge(Edge("a", "b", "r"))
-    assert not kg.add_edge(Edge("a", "b", "r"))
-    assert kg.add_edge(Edge("b", "a", "r"))
+    assert kg.add_edge("a", "b", "r")
+    assert not kg.add_edge("a", "b", "r")
+    assert kg.add_edge("b", "a", "r")
     assert kg.node("a").name == "A"
     assert kg.edges == [Edge("a", "b", "r"), Edge("b", "a", "r")]
     assert kg.relation_labels_between("a", "b") == [("r", "out"), ("r", "in")]

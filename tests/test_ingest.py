@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
+import re
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from kgprompt.errors import ParseError, SchemaError
 from kgprompt.ingest import export_edge_list_jsonl, load_edge_list_jsonl, load_hetionet_json
+
+from oracles import frozen_load_edge_list_jsonl, frozen_load_hetionet_json
 
 HETIONET_ENV = "KGPROMPT_HETIONET_JSON"
 
@@ -242,3 +247,262 @@ def test_jsonl_body_must_be_an_object(tmp_path):
     with pytest.raises(SchemaError, match="edge record must be a JSON object") as err:
         load_edge_list_jsonl(path)
     assert err.value.line == 2
+
+
+# --- the loaders against frozen copies of the earlier graph and loaders ---
+
+
+def _random_hetionet(rng: Random) -> dict:
+    """A small Hetionet-format document with duplicate nodes (the same
+    identifier as an int and as a string), exact duplicate edges, parallel
+    labels, self-loops and every direction marker."""
+    kinds = ("Gene", "Disease")
+    keys = [(rng.choice(kinds), rng.randrange(12)) for _ in range(rng.randint(1, 20))]
+    nodes = [het_node(kind, rng.choice((ident, str(ident))), f"{kind} {ident}") for kind, ident in keys]
+    edges = []
+    for _ in range(rng.randint(0, rng.choice((10, 80)))):
+        if edges and rng.random() < 0.15:
+            edges.append(dict(rng.choice(edges)))
+            continue
+        (skind, sident), (tkind, tident) = rng.choice(keys), rng.choice(keys)
+        if rng.random() < 0.1:
+            tkind, tident = skind, sident
+        edges.append(het_edge(
+            [skind, rng.choice((sident, str(sident)))],
+            [tkind, rng.choice((tident, str(tident)))],
+            rng.choice(("binds", "treats", "regulates")),
+            direction=rng.choice(("forward", "backward", "both")),
+        ))
+    return {"nodes": nodes, "edges": edges}
+
+
+def _random_edge_list(rng: Random) -> list[dict]:
+    """The same variety as ``_random_hetionet`` in JSONL edge-list records."""
+    ids = [rng.randrange(12) for _ in range(rng.randint(1, 20))]
+    records = []
+    for ident in ids:
+        body = {"id": rng.choice((ident, str(ident))), "name": f"node {ident}"}
+        if rng.random() < 0.7:
+            body["type"] = rng.choice(("gene", "disease"))
+        records.append({"node": body})
+    edges = []
+    for _ in range(rng.randint(0, rng.choice((10, 80)))):
+        if edges and rng.random() < 0.15:
+            edges.append({"edge": dict(rng.choice(edges)["edge"])})
+            continue
+        source = rng.choice(ids)
+        target = source if rng.random() < 0.1 else rng.choice(ids)
+        edges.append({"edge": {
+            "source": rng.choice((source, str(source))),
+            "target": rng.choice((target, str(target))),
+            "label": rng.choice(("binds", "treats", "regulates")),
+        }})
+    return records + edges
+
+
+def _corrupt_hetionet(rng: Random, doc: dict) -> None:
+    """One seeded defect: a missing field, an unknown node, an empty label
+    or name, a bad direction or a non-object record."""
+    key = "edges" if doc["edges"] and rng.random() < 0.7 else "nodes"
+    records = doc[key]
+    i = rng.randrange(len(records))
+    defect = rng.choice(("missing", "unknown", "empty", "direction", "non-object"))
+    if defect == "missing":
+        del records[i][rng.choice(list(records[i]))]
+    elif defect == "non-object":
+        records[i] = rng.choice((5, "x", [1, 2], None))
+    elif key == "nodes":
+        records[i]["name"] = ""
+    elif defect == "unknown":
+        records[i][rng.choice(("source_id", "target_id"))] = ["Gene", "ghost"]
+    elif defect == "empty":
+        records[i]["kind"] = ""
+    else:
+        records[i]["direction"] = rng.choice(("sideways", 1, None))
+
+
+def _corrupt_edge_list(rng: Random, records: list) -> None:
+    """One seeded defect: a missing field, an unknown node, an empty label
+    or id, or a non-object record or body."""
+    i = rng.randrange(len(records))
+    record = records[i]
+    body = record.get("edge") or record["node"]
+    defect = rng.choice(("missing", "unknown", "empty", "non-object"))
+    if defect == "missing":
+        del body[rng.choice(list(body))]
+    elif defect == "non-object":
+        if rng.random() < 0.5:
+            records[i] = rng.choice((5, "x", [1, 2], None))
+        else:
+            record[next(iter(record))] = 5
+    elif "edge" in record and defect == "unknown":
+        body["source"] = "ghost"
+    elif "edge" in record:
+        body["label"] = ""
+    else:
+        body["id"] = ""
+
+
+def _write_edge_list(path: Path, records: list) -> Path:
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+def _outcome(loader, path: Path):
+    """Everything a load shows: the report and every graph query, or the error."""
+    try:
+        kg, report = loader(path)
+    except Exception as exc:  # the error itself is what gets compared
+        return type(exc), str(exc)
+    ids = list(kg.nodes)
+    return (
+        report,
+        list(kg.nodes.items()),
+        kg.edges,
+        [kg.neighbor_ids(x) for x in ids],
+        [list(kg.adjacency(x)) for x in ids],
+        [kg.relation_labels_between(x, y) for x in ids for y in ids],
+    )
+
+
+def test_loaders_match_frozen_copies_on_random_dumps(tmp_path):
+    rng = Random(2024)
+    het, jsonl = tmp_path / "het.json", tmp_path / "graph.jsonl"
+    suppressed = 0
+    for _ in range(120):
+        path = write_hetionet(het, **_random_hetionet(rng))
+        got = _outcome(load_hetionet_json, path)
+        assert got == _outcome(frozen_load_hetionet_json, path)
+        suppressed += any("further warnings suppressed" in w for w in got[0].warnings)
+        path = _write_edge_list(jsonl, _random_edge_list(rng))
+        assert _outcome(load_edge_list_jsonl, path) == _outcome(frozen_load_edge_list_jsonl, path)
+    assert suppressed  # some dumps overflow the report's warning cap
+
+
+def test_loaders_raise_as_frozen_copies_on_corrupt_dumps(tmp_path):
+    rng = Random(4202)
+    het, jsonl = tmp_path / "het.json", tmp_path / "graph.jsonl"
+    messages = []
+    for _ in range(150):
+        doc = _random_hetionet(rng)
+        _corrupt_hetionet(rng, doc)
+        path = write_hetionet(het, **doc)
+        got = _outcome(load_hetionet_json, path)
+        assert got == _outcome(frozen_load_hetionet_json, path)
+        messages.append(got[1] if got[0] is SchemaError else "")
+        records = _random_edge_list(rng)
+        _corrupt_edge_list(rng, records)
+        path = _write_edge_list(jsonl, records)
+        got = _outcome(load_edge_list_jsonl, path)
+        assert got == _outcome(frozen_load_edge_list_jsonl, path)
+        messages.append(got[1] if got[0] is SchemaError else "")
+    # every kind of defect was hit and raised, in both formats
+    for pattern in (
+        r"^edge record \d+: missing field", r"^node record \d+: missing field",
+        r"^edge record \d+: unknown node id", r"^edge record \d+: empty 'kind'",
+        r"^node record \d+: empty 'name'", r"^edge record \d+: unknown direction marker",
+        r"^edge record \d+ must be a JSON object", r"^node record \d+ must be a JSON object",
+        r"^line \d+: edge record: missing field", r"^line \d+: node record: missing field",
+        r"^line \d+: edge references unknown node id", r"^line \d+: edge record: empty 'label'",
+        r"^line \d+: node record: empty 'id'", r"^line \d+: record must be a JSON object",
+        r"^line \d+: edge record must be a JSON object", r"^line \d+: node record must be a JSON object",
+    ):
+        assert any(re.search(pattern, message) for message in messages), pattern
+
+
+# --- the GC pause and the released records ---
+
+
+def _small_dump(tmp_path: Path, fmt: str, broken: bool) -> Path:
+    target = 99 if broken else 2
+    if fmt == "hetionet":
+        return write_hetionet(
+            tmp_path / "het.json",
+            nodes=[het_node("Gene", 1, "A"), het_node("Gene", 2, "B")],
+            edges=[het_edge(["Gene", 1], ["Gene", target], "interacts")],
+        )
+    return _write_edge_list(tmp_path / "graph.jsonl", [
+        {"node": {"id": "1", "name": "A"}},
+        {"node": {"id": "2", "name": "B"}},
+        {"edge": {"source": "1", "target": str(target), "label": "interacts"}},
+    ])
+
+
+_LOADERS = {"hetionet": load_hetionet_json, "jsonl": load_edge_list_jsonl}
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+@pytest.mark.parametrize("broken", [False, True], ids=["loads", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_loaders_leave_the_gc_state_as_they_found_it(tmp_path, fmt, broken, enabled):
+    path = _small_dump(tmp_path, fmt, broken)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if broken:
+            with pytest.raises(SchemaError, match="unknown node id"):
+                _LOADERS[fmt](path)
+        else:
+            _LOADERS[fmt](path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+def test_loaders_run_no_gc_pass(tmp_path, fmt):
+    nodes = [het_node("Gene", i, f"gene {i}") for i in range(3000)]
+    edges = [het_edge(["Gene", i], ["Gene", (i * 7 + 1) % 3000], "interacts") for i in range(3000)]
+    if fmt == "hetionet":
+        path = write_hetionet(tmp_path / "het.json", nodes, edges)
+    else:
+        path = _write_edge_list(tmp_path / "graph.jsonl", [
+            *({"node": {"id": str(n["identifier"]), "name": n["name"]}} for n in nodes),
+            *({"edge": {"source": str(e["source_id"][1]), "target": str(e["target_id"][1]),
+                        "label": e["kind"]}} for e in edges),
+        ])
+    passes = []
+    callback = lambda phase, info: passes.append(info["generation"]) if phase == "start" else None
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(callback)
+    try:
+        kg, _ = _LOADERS[fmt](path)
+    finally:
+        gc.callbacks.remove(callback)
+        (gc.enable if was_enabled else gc.disable)()
+    assert kg.edge_count == 3000
+    assert len(passes) <= 1  # the one pass due once the GC is back on
+
+
+def test_hetionet_loader_releases_each_record(tmp_path, monkeypatch):
+    path = write_hetionet(
+        tmp_path / "het.json",
+        nodes=[het_node("Gene", 1, "A"), het_node("Gene", 2, "B")],
+        edges=[het_edge(["Gene", 1], ["Gene", 2], "interacts", direction="both")],
+    )
+    documents = []
+    real_load = json.load
+    monkeypatch.setattr(json, "load", lambda fh: documents.append(real_load(fh)) or documents[-1])
+    kg, _ = load_hetionet_json(path)
+    assert kg.edge_count == 2
+    (doc,) = documents
+    assert doc["nodes"] == [None, None] and doc["edges"] == [None]
+
+
+def test_jsonl_non_utf8_line_counts_every_kind_of_line_break(tmp_path):
+    path = tmp_path / "graph.jsonl"
+    data = (
+        b'{"node": {"id": "a", "name": "A"}}\r\n'
+        b'{"node": {"id": "b", "name": "B"}}\r'
+        b' \n'
+        b'{"node": {"id": "c", "name": "\xff"}}\n'
+    )
+    path.write_bytes(data.replace(b"\xff", b"C"))
+    with path.open(encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 4  # text-mode reading sees four lines
+    path.write_bytes(data)
+    where = f"^line 4: {re.escape(str(path))}: not valid UTF-8 at byte {data.index(0xFF)} "
+    with pytest.raises(ParseError, match=where) as err:
+        load_edge_list_jsonl(path)
+    assert err.value.line == 4
