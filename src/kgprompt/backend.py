@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from .dataset import LABELS
 from .errors import NetworkError, ProtocolError, UnmappableOutputError
 from .prompts import Architecture, LabelMapping, PromptInstance, unmap_label
 
-_TRANSIENT_STATUSES = {429, 500, 502, 503, 504}
+_TRANSIENT_STATUSES = frozenset({429, 500, 502, 503, 504})
 
 
 @dataclass(frozen=True)
@@ -163,9 +162,10 @@ def predict_http(
 ) -> PredictionRecord:
     """POST the request to ``<base_url>/predict`` and resolve the label.
 
-    Transient failures (connection errors, 5xx, 429) are retried with
-    exponential backoff up to ``max_retries`` additional attempts; anything
-    else surfaces immediately as a protocol error.
+    Transient failures (connection errors, incomplete or malformed HTTP
+    responses, 5xx, 429) are retried with exponential backoff up to
+    ``max_retries`` additional attempts; anything else surfaces immediately
+    as a protocol error.
     """
     url = endpoint.base_url.rstrip("/") + "/predict"
     body = {
@@ -175,36 +175,32 @@ def predict_http(
         "architecture": req.architecture.value,
         "request_id": req.request_id,
     }
-    import requests  # deferred: only the HTTP backend pays for the import
+    from .http import post_retrying  # deferred: only the HTTP backend pays for the import
 
-    last_error: Exception | None = None
-    for attempt in range(endpoint.max_retries + 1):
-        if attempt:
-            time.sleep(endpoint.backoff * 2 ** (attempt - 1))
-        try:
-            raw = requests.post(url, json=body, timeout=endpoint.timeout)
-        except requests.RequestException as exc:
-            last_error = exc
-            continue
-        if raw.status_code in _TRANSIENT_STATUSES:
-            last_error = NetworkError(f"transient HTTP {raw.status_code} from {url}")
-            continue
-        try:
-            payload = raw.json()
-        except ValueError as exc:
-            raise ProtocolError(f"response is not valid JSON: {exc}") from exc
-        if raw.status_code != 200:
-            if isinstance(payload, dict) and "message" in payload:
-                raise ProtocolError(
-                    f"backend error {payload.get('code', raw.status_code)}: {payload['message']}"
-                )
-            raise ProtocolError(f"unexpected HTTP {raw.status_code} from {url}")
-        response = _parse_response_payload(payload, req)
-        predicted, score = resolve_response(response, req, mapping)
-        return PredictionRecord(
-            instance_id=req.request_id, predicted=predicted, score=score, backend=endpoint.base_url
-        )
-    raise NetworkError(f"request to {url} failed after {endpoint.max_retries + 1} attempts: {last_error}")
+    raw = post_retrying(
+        url,
+        what="request",
+        transient=_TRANSIENT_STATUSES,
+        retries=endpoint.max_retries,
+        backoff=endpoint.backoff,
+        timeout=endpoint.timeout,
+        json=body,
+    )
+    try:
+        payload = json.loads(raw.body)
+    except ValueError as exc:
+        raise ProtocolError(f"response is not valid JSON: {exc}") from exc
+    if raw.status != 200:
+        if isinstance(payload, dict) and "message" in payload:
+            raise ProtocolError(
+                f"backend error {payload.get('code', raw.status)}: {payload['message']}"
+            )
+        raise ProtocolError(f"unexpected HTTP {raw.status} from {url}")
+    response = _parse_response_payload(payload, req)
+    predicted, score = resolve_response(response, req, mapping)
+    return PredictionRecord(
+        instance_id=req.request_id, predicted=predicted, score=score, backend=endpoint.base_url
+    )
 
 
 def predict_http_batch(

@@ -8,7 +8,6 @@ character offsets are unambiguous.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import ceil, floor
 from pathlib import Path
@@ -130,20 +129,6 @@ def load_dataset_jsonl(path: str | Path) -> list[Instance]:
         seen_ids.add(instance.instance_id)
         instances.append(instance)
     return instances
-
-
-def save_dataset_jsonl(instances: list[Instance], path: str | Path) -> int:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for inst in instances:
-            record = {
-                "instance_id": inst.instance_id,
-                "text": inst.text,
-                "e1": {"start": inst.span1.start, "end": inst.span1.end},
-                "e2": {"start": inst.span2.start, "end": inst.span2.end},
-                "label": inst.label,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-    return len(instances)
 
 
 def make_fold_plan(

@@ -20,8 +20,6 @@ from .errors import (
     BudgetTooSmallError,
     EmptyPairError,
     MaskTokenError,
-    ParseError,
-    SchemaError,
     UnknownArchitectureError,
     UnknownLabelError,
     UnknownLabelWordError,
@@ -277,36 +275,3 @@ def export_prompts_jsonl(instances: list[PromptInstance], path: str | Path) -> i
         for p in instances:
             fh.write(json.dumps(prompt_to_record(p), ensure_ascii=False) + "\n")
     return len(instances)
-
-
-def load_prompts_jsonl(path: str | Path) -> list[PromptInstance]:
-    """Reload exported prompts (graph context structure is not preserved)."""
-    result: list[PromptInstance] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            for fname in ("instance_id", "architecture", "prompt", "mask_token", "pair", "label_words", "truncated"):
-                if fname not in record:
-                    raise SchemaError(f"missing field {fname!r}", line=lineno)
-            words = record["label_words"]
-            result.append(
-                PromptInstance(
-                    instance_id=record["instance_id"],
-                    architecture=Architecture.parse(record["architecture"]),
-                    text="",
-                    graph_context=None,
-                    pair=(record["pair"][0], record["pair"][1]),
-                    prompt=record["prompt"],
-                    mask_token=record["mask_token"],
-                    label_words={"causal": words["causal"], "non_causal": words["non_causal"]},
-                    gold_label=record.get("gold_label"),
-                    truncated=bool(record["truncated"]),
-                )
-            )
-    return result

@@ -7,6 +7,11 @@ experiment byte-for-byte with no network access (``read_only`` policy).
 
 Requests are issued sequentially with an optional politeness delay; public
 endpoints rate-limit, and determinism matters more than throughput here.
+They are form-encoded POSTs through ``kgprompt.http``, which keeps one
+connection per endpoint host alive across them and retries connection
+failures and 5xx answers with backoff. A 429 is not retried: it raises
+``RateLimitedError`` carrying the ``Retry-After`` seconds. Proxies and
+``.netrc`` are not read, and redirects are not followed.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ SPARQL_URL_ENV = "KGPROMPT_SPARQL_URL"
 ENTITY_API_URL_ENV = "KGPROMPT_ENTITY_API_URL"
 
 _ENTITY_ID = re.compile(r"^[QP]\d+$")
-_TRANSIENT_STATUSES = {500, 502, 503, 504}
+_TRANSIENT_STATUSES = frozenset({500, 502, 503, 504})
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,14 @@ def _canonical_request(kind: str, params: dict[str, str]) -> str:
     return f"{kind}\n{encoded}"
 
 
+def _delay_seconds(retry_after: str | None) -> float | None:
+    """A ``Retry-After`` value in seconds; None when absent or an HTTP date."""
+    try:
+        return float(retry_after) if retry_after else None
+    except ValueError:
+        return None
+
+
 def _fetch_json(
     endpoint: RemoteEndpoint,
     cache: QueryCache,
@@ -140,40 +153,33 @@ def _fetch_json(
     if cache.policy is CachePolicy.READ_ONLY:
         raise NetworkError(f"cache miss for {kind} request under read_only policy")
 
-    import requests  # deferred: only a remote fetch pays for the import
+    from .http import post_retrying  # deferred: only a remote fetch pays for the import
 
-    last_error: Exception | None = None
-    for attempt in range(endpoint.max_retries + 1):
-        if attempt:
-            time.sleep(endpoint.backoff * 2 ** (attempt - 1))
-        elif endpoint.politeness_delay:
-            time.sleep(endpoint.politeness_delay)
-        try:
-            raw = requests.post(url, data=params, headers=headers, timeout=endpoint.timeout)
-        except requests.RequestException as exc:
-            last_error = exc
-            continue
-        if raw.status_code == 429:
-            retry_after = raw.headers.get("Retry-After")
-            raise RateLimitedError(
-                f"rate limited by {url}",
-                retry_after=float(retry_after) if retry_after else None,
-            )
-        if raw.status_code in _TRANSIENT_STATUSES:
-            last_error = NetworkError(f"transient HTTP {raw.status_code} from {url}")
-            continue
-        if raw.status_code != 200:
-            raise NetworkError(f"HTTP {raw.status_code} from {url}")
-        try:
-            payload = raw.json()
-        except ValueError as exc:
-            raise MalformedResponseError(f"response from {url} is not JSON: {exc}") from exc
-        if cache.policy is CachePolicy.READ_WRITE:
-            cache.store(key, canonical, payload)
-        return payload
-    raise NetworkError(
-        f"{kind} request to {url} failed after {endpoint.max_retries + 1} attempts: {last_error}"
+    if endpoint.politeness_delay:
+        time.sleep(endpoint.politeness_delay)
+    raw = post_retrying(
+        url,
+        what=f"{kind} request",
+        transient=_TRANSIENT_STATUSES,
+        retries=endpoint.max_retries,
+        backoff=endpoint.backoff,
+        timeout=endpoint.timeout,
+        form=params,
+        headers=headers,
     )
+    if raw.status == 429:
+        raise RateLimitedError(
+            f"rate limited by {url}", retry_after=_delay_seconds(raw.headers.get("Retry-After"))
+        )
+    if raw.status != 200:
+        raise NetworkError(f"HTTP {raw.status} from {url}")
+    try:
+        payload = json.loads(raw.body)
+    except ValueError as exc:
+        raise MalformedResponseError(f"response from {url} is not JSON: {exc}") from exc
+    if cache.policy is CachePolicy.READ_WRITE:
+        cache.store(key, canonical, payload)
+    return payload
 
 
 def load_query_template(name: str) -> str:

@@ -1,6 +1,9 @@
 """Threaded local HTTP stubs: a SPARQL/entity-API endpoint and a /predict
 inference server. Both bind port 0 and expose their URL; tests drive
 behavior by seeding canned data or scripted responses.
+
+Both count the connections they accept. They answer HTTP/1.0, closing every
+connection after one response, unless built with ``keep_alive=True``.
 """
 
 from __future__ import annotations
@@ -18,29 +21,97 @@ POLL_INTERVAL = 0.01
 
 
 class _QuietHandler(BaseHTTPRequestHandler):
+    @property
+    def protocol_version(self) -> str:  # type: ignore[override]
+        return "HTTP/1.1" if self.server.keep_alive else "HTTP/1.0"
+
     def log_message(self, *args):  # keep test output clean
         pass
 
-    def _send_json(self, status: int, payload: dict) -> None:
+    def _send_json(self, status: int, payload: object, headers: dict | None = None) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_form(self) -> dict[str, str]:
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length).decode("utf-8")
-        return {k: v[0] for k, v in parse_qs(raw).items()}
+    def _send_plan(self, plan: dict) -> None:
+        """Answer a scripted plan: {"status", "body", "headers", "fault"}.
+
+        Faults: "drop" closes the connection without an answer; "truncate"
+        sends a shorter body than its Content-Length and closes; "bad_status"
+        sends a line that is no HTTP status line and closes; "close_after"
+        answers normally, then closes without a ``Connection: close``
+        header, as a server dropping an idle kept-alive connection does.
+        """
+        fault = plan.get("fault")
+        if fault == "drop":
+            self.close_connection = True
+        elif fault == "truncate":
+            self.send_response(200)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b'{"cut": ')
+            self.close_connection = True
+        elif fault == "bad_status":
+            self.wfile.write(b"NOT HTTP AT ALL\r\n\r\n")
+            self.close_connection = True
+        else:
+            self._send_json(plan.get("status", 200), plan["body"], plan.get("headers"))
+            if fault == "close_after":
+                self.close_connection = True
+
+    def _read_body(self) -> bytes:
+        return self.rfile.read(int(self.headers.get("Content-Length", 0)))
+
+
+class _StubServer(ThreadingHTTPServer):
+    """Shared plumbing: a serving thread, an accepted-connection counter and
+    a ``script`` of plans consumed one per request (see ``_send_plan``)."""
+
+    daemon_threads = True
+    block_on_close = False  # kept-alive handlers wait for their client
+
+    def __init__(self, handler, keep_alive: bool):
+        super().__init__(("127.0.0.1", 0), handler)
+        self.keep_alive = keep_alive
+        self.lock = threading.Lock()
+        self.script: list = []
+        self.connections = 0
+        self._thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": POLL_INTERVAL}, daemon=True
+        )
+
+    def process_request(self, request, client_address):
+        with self.lock:
+            self.connections += 1
+        super().process_request(request, client_address)
+
+    def next_plan(self):
+        with self.lock:
+            return self.script.pop(0) if self.script else None
+
+    def start(self):
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        self.shutdown()
+        self.server_close()
 
 
 class _WikiHandler(_QuietHandler):
     def do_POST(self):
         server: StubWikiServer = self.server  # type: ignore[assignment]
-        params = self._read_form()
+        params = {k: v[0] for k, v in parse_qs(self._read_body().decode("utf-8")).items()}
         server.request_count += 1
-        if self.path.startswith("/api"):
+        plan = server.next_plan()
+        if plan is not None:
+            self._send_plan(plan)
+        elif self.path.startswith("/api"):
             self._handle_api(server, params)
         else:
             self._handle_sparql(server, params)
@@ -78,31 +149,21 @@ class _WikiHandler(_QuietHandler):
         self._send_json(200, {"results": {"bindings": bindings}})
 
 
-class StubWikiServer(ThreadingHTTPServer):
+class StubWikiServer(_StubServer):
     """Canned SPARQL + wbsearchentities endpoint.
 
     neighbors: (entity id, "out"/"in") -> [(property id, property label,
     neighbor id, neighbor label)]; labels: entity id -> label;
-    search: name -> [(id, label, description)].
+    search: name -> [(id, label, description)]. A ``script`` entry answers
+    the next request instead of the canned data.
     """
 
-    def __init__(self):
-        super().__init__(("127.0.0.1", 0), _WikiHandler)
+    def __init__(self, keep_alive: bool = False):
+        super().__init__(_WikiHandler, keep_alive)
         self.neighbors: dict[tuple[str, str], list[tuple[str, str, str, str]]] = {}
         self.labels: dict[str, str] = {}
         self.search: dict[str, list[tuple[str, str, str]]] = {}
         self.request_count = 0
-        self._thread = threading.Thread(
-            target=self.serve_forever, kwargs={"poll_interval": POLL_INTERVAL}, daemon=True
-        )
-
-    def start(self) -> "StubWikiServer":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self.shutdown()
-        self.server_close()
 
     @property
     def sparql_url(self) -> str:
@@ -119,18 +180,16 @@ class _PredictHandler(_QuietHandler):
         if self.path != "/predict":
             self._send_json(404, {"code": 404, "message": "not found"})
             return
-        length = int(self.headers.get("Content-Length", 0))
-        request = json.loads(self.rfile.read(length).decode("utf-8"))
+        request = json.loads(self._read_body().decode("utf-8"))
         with server.lock:
             server.requests.append(request)
-            plan = server.script.pop(0) if server.script else server.default
+        plan = server.next_plan() or server.default
         if callable(plan):
             plan = plan(request)
-        status = plan.get("status", 200)
-        body = plan["body"]
+        body = plan.get("body")
         if callable(body):
-            body = body(request)
-        self._send_json(status, body)
+            plan = {**plan, "body": body(request)}
+        self._send_plan(plan)
 
 
 def score_response(scores: dict[str, float]):
@@ -149,31 +208,19 @@ def text_response(text: str):
     return build
 
 
-class StubPredictServer(ThreadingHTTPServer):
+class StubPredictServer(_StubServer):
     """Scripted /predict endpoint.
 
     ``script`` entries are consumed one per request; when empty, ``default``
-    answers. Each entry is {"status": int, "body": dict-or-callable} or a
-    callable(request) returning such a dict.
+    answers. Each entry is a plan {"status": int, "body": dict-or-callable,
+    "headers": dict, "fault": str} (see ``_send_plan``; only "body" is
+    needed) or a callable(request) returning such a dict.
     """
 
-    def __init__(self):
-        super().__init__(("127.0.0.1", 0), _PredictHandler)
-        self.lock = threading.Lock()
-        self.script: list = []
+    def __init__(self, keep_alive: bool = False):
+        super().__init__(_PredictHandler, keep_alive)
         self.default: dict = {"status": 200, "body": score_response({})}
         self.requests: list[dict] = []
-        self._thread = threading.Thread(
-            target=self.serve_forever, kwargs={"poll_interval": POLL_INTERVAL}, daemon=True
-        )
-
-    def start(self) -> "StubPredictServer":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self.shutdown()
-        self.server_close()
 
     @property
     def base_url(self) -> str:

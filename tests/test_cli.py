@@ -10,6 +10,7 @@ import pytest
 from kgprompt.cli import main
 
 from conftest import DATA_DIR
+from stubs import score_response
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -236,7 +237,49 @@ def test_non_utf8_input_exit_code_3_naming_the_file(tmp_path, capsys, input_file
     assert "stage 'ingest'" in err and where in err and "Traceback" not in err
 
 
-def test_importing_the_cli_leaves_requests_unloaded():
-    probe = "import sys, kgprompt.cli; print('requests' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+def remote_http_config(tmp_path: Path, wiki_server, predict_server) -> Path:
+    """A remote-KG run with the HTTP backend, both served by the stubs."""
+    wiki_server.search["FGF6"] = [("Q14865053", "FGF6", "human gene")]
+    wiki_server.search["prostate cancer"] = [("Q181257", "prostate cancer", "disease")]
+    wiki_server.labels["Q181257"] = "prostate cancer"
+    wiki_server.neighbors[("Q181257", "out")] = [
+        ("P2176", "drug or therapy used for treatment", "Q412415", "nilutamide"),
+    ]
+    return write_config(
+        tmp_path,
+        kg={
+            "kind": "remote",
+            "cache_dir": str(tmp_path / "cache"),
+            "sparql_url": wiki_server.sparql_url,
+            "entity_api_url": wiki_server.api_url,
+        },
+        limits={"max_neighbors": 4, "max_hops": 1},
+        backend={"kind": "http", "base_url": predict_server.base_url, "max_retries": 1,
+                 "backoff": 0.01, "max_in_flight": 2},
+    )
+
+
+def test_remote_http_run_succeeds_without_requests(
+    tmp_path, capsys, monkeypatch, wiki_server, predict_server
+):
+    monkeypatch.setitem(sys.modules, "requests", None)  # any `import requests` fails
+    predict_server.default = {
+        "status": 200, "body": score_response({"causal": 0.7, "non-causal": 0.3})
+    }
+    config = remote_http_config(tmp_path, wiki_server, predict_server)
+    assert main(["run", "--config", str(config)]) == 0
+    assert (Path(capsys.readouterr().out.strip()) / "report.json").exists()
+    assert len(predict_server.requests) == 10  # one per test prompt over the five folds
+    assert wiki_server.request_count > 0
+
+
+@pytest.mark.parametrize("fault", ["truncate", "bad_status", "drop"])
+def test_broken_http_response_exit_code_3_without_traceback(
+    tmp_path, capsys, wiki_server, predict_server, fault
+):
+    predict_server.default = {"fault": fault}
+    config = remote_http_config(tmp_path, wiki_server, predict_server)
+    assert main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'predict'" in err and "failed after 2 attempts" in err
+    assert "Traceback" not in err

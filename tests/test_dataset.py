@@ -16,7 +16,6 @@ from kgprompt.dataset import (
     load_dataset_jsonl,
     make_fold_plan,
     sample_few_shot,
-    save_dataset_jsonl,
 )
 from kgprompt.errors import (
     ClassExhaustedError,
@@ -109,13 +108,6 @@ def test_parse_error_line_number(tmp_path):
     with pytest.raises(ParseError) as err:
         load_dataset_jsonl(path)
     assert err.value.line == 1
-
-
-def test_save_load_roundtrip(tmp_path):
-    instances = balanced_pool(7)
-    path = tmp_path / "data.jsonl"
-    assert save_dataset_jsonl(instances, path) == 7
-    assert load_dataset_jsonl(path) == instances
 
 
 # --- folds ---

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from kgprompt.errors import ConfigError, StageError
 from kgprompt.pipeline import ExperimentConfig, run_experiment, validate_config
-from kgprompt.prompts import load_prompts_jsonl
 
 from conftest import DATA_DIR
 
@@ -37,6 +36,10 @@ def write_config(tmp_path: Path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config, indent=2), encoding="utf-8")
     return path
+
+
+def read_jsonl(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -102,8 +105,8 @@ def test_no_test_leakage_into_few_shot(tmp_path):
     out = run_experiment(ExperimentConfig.from_dict(base_config_dict(tmp_path / "run")))
     for fold in range(5):
         fold_dir = out / "folds" / f"fold_{fold}"
-        sample_ids = {p.instance_id for p in load_prompts_jsonl(fold_dir / "few_shot.jsonl")}
-        test_ids = {p.instance_id for p in load_prompts_jsonl(fold_dir / "test_prompts.jsonl")}
+        sample_ids = {p["instance_id"] for p in read_jsonl(fold_dir / "few_shot.jsonl")}
+        test_ids = {p["instance_id"] for p in read_jsonl(fold_dir / "test_prompts.jsonl")}
         assert not (sample_ids & test_ids)
         assert len(test_ids) == 2
 
@@ -124,8 +127,8 @@ def test_unresolved_pairs_degrade_to_empty_context(tmp_path):
     out = run_experiment(config, until="build-prompts")
     (context,) = [json.loads(l) for l in (out / "contexts.jsonl").read_text().splitlines()]
     assert context["empty"] is True
-    (prompt,) = load_prompts_jsonl(out / "prompts.jsonl")
-    assert prompt.prompt == (
+    (prompt,) = read_jsonl(out / "prompts.jsonl")
+    assert prompt["prompt"] == (
         "Mystery substance affects unknown target badly. "
         "The pair Mystery substance and unknown target shows a [MASK] relation."
     )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from random import Random
 
 import pytest
@@ -18,7 +19,6 @@ from kgprompt.prompts import (
     TruncationPolicy,
     build_prompt,
     export_prompts_jsonl,
-    load_prompts_jsonl,
     map_label,
     prompt_to_record,
     truncate_prompt,
@@ -239,18 +239,7 @@ def test_export_empty_list(tmp_path):
     path = tmp_path / "prompts.jsonl"
     assert export_prompts_jsonl([], path) == 0
     assert path.read_text(encoding="utf-8") == ""
-    assert load_prompts_jsonl(path) == []
-
-
-def test_export_reload_roundtrip(tmp_path):
-    path = tmp_path / "prompts.jsonl"
-    prompts = golden_prompts()
-    assert export_prompts_jsonl(prompts, path) == 3
-    reloaded = load_prompts_jsonl(path)
-    assert [prompt_to_record(p) for p in reloaded] == [prompt_to_record(p) for p in prompts]
-    path2 = tmp_path / "again.jsonl"
-    export_prompts_jsonl(reloaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
+    assert [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()] == []
 
 
 def test_export_matches_golden_file(tmp_path):

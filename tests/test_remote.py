@@ -174,21 +174,21 @@ def test_corrupt_cache_entry_under_read_only_is_network_error(wiki_server, tmp_p
         resolve_entity(endpoint, replay, "prostate cancer")
 
 
-def test_rate_limited_surfaces_retry_after(wiki_server, tmp_path, monkeypatch):
-    import requests as requests_module
-
-    class Fake429:
-        status_code = 429
-        headers = {"Retry-After": "17"}
-
-    def fake_post(*args, **kwargs):
-        return Fake429()
-
-    monkeypatch.setattr(requests_module, "post", fake_post)
+def test_rate_limited_surfaces_retry_after(wiki_server, tmp_path):
+    wiki_server.script = [{"status": 429, "body": {}, "headers": {"Retry-After": "17"}}]
     cache = cache_in(tmp_path, policy=CachePolicy.BYPASS)
     with pytest.raises(RateLimitedError) as err:
         fetch_neighbors_remote(endpoint_for(wiki_server), cache, "Q181257")
     assert err.value.retry_after == 17.0
+
+
+def test_rate_limited_with_http_date_retry_after(wiki_server, tmp_path):
+    date = "Wed, 21 Oct 2026 07:28:00 GMT"
+    wiki_server.script = [{"status": 429, "body": {}, "headers": {"Retry-After": date}}]
+    cache = cache_in(tmp_path, policy=CachePolicy.BYPASS)
+    with pytest.raises(RateLimitedError) as err:
+        fetch_neighbors_remote(endpoint_for(wiki_server), cache, "Q181257")
+    assert err.value.retry_after is None
 
 
 def test_env_var_overrides_sparql_url(wiki_server, tmp_path, monkeypatch):
@@ -224,17 +224,8 @@ def test_graph_from_remote_neighbors_star():
     assert {n.name for n in star.neighbors("Q181257")} == {"nilutamide", "FSHR"}
 
 
-def test_malformed_sparql_response(wiki_server, tmp_path, monkeypatch):
-    import requests as requests_module
-
-    class FakeOk:
-        status_code = 200
-
-        @staticmethod
-        def json():
-            return {"unexpected": True}
-
-    monkeypatch.setattr(requests_module, "post", lambda *a, **k: FakeOk())
+def test_malformed_sparql_response(wiki_server, tmp_path):
+    wiki_server.script = [{"status": 200, "body": {"unexpected": True}}]
     cache = cache_in(tmp_path, policy=CachePolicy.BYPASS)
     with pytest.raises(MalformedResponseError):
         fetch_neighbors_remote(endpoint_for(wiki_server), cache, "Q1")
