@@ -4,10 +4,11 @@ whole new one, never a partial write."""
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 
 @contextmanager
@@ -27,3 +28,14 @@ def write_atomic(path: str | Path) -> Iterator[TextIO]:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_jsonl(path: str | Path, records: Iterable[object]) -> int:
+    """Write each record as one JSON line (``json.dumps`` separators, non-ASCII
+    kept as is) through ``write_atomic``; returns the number of lines written."""
+    count = 0
+    with write_atomic(path) as fh:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            count += 1
+    return count

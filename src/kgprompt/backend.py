@@ -12,13 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .atomic import write_atomic
+from .atomic import write_jsonl
 from .dataset import LABELS
-from .errors import NetworkError, ProtocolError, UnmappableOutputError
+from .errors import ProtocolError, UnmappableOutputError, check_field_types
 from .prompts import Architecture, LabelMapping, PromptInstance, unmap_label
 
 _TRANSIENT_STATUSES = frozenset({429, 500, 502, 503, 504})
@@ -33,10 +34,9 @@ class HttpEndpoint:
     max_in_flight: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base_url, str) or not self.base_url.startswith(("http://", "https://")):
+        check_field_types(self)
+        if not self.base_url.startswith(("http://", "https://")):
             raise ValueError("base_url must be an http(s) URL")
-        for name, kind in (("timeout", float), ("max_retries", int), ("backoff", float), ("max_in_flight", int)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
         if not self.timeout > 0:
             raise ValueError("timeout must be > 0")
         if self.max_retries < 0:
@@ -89,6 +89,11 @@ class PredictionRecord:
     def __post_init__(self) -> None:
         if self.predicted not in LABELS:
             raise ValueError(f"predicted label {self.predicted!r} not in {LABELS}")
+
+    def to_dict(self) -> dict:
+        """The predictions JSONL record; ``score`` is left out when there is none."""
+        score = {} if self.score is None else {"score": self.score}
+        return {"instance_id": self.instance_id, "predicted": self.predicted, **score, "backend": self.backend}
 
 
 def request_for_prompt(p: PromptInstance, mapping: LabelMapping) -> InferenceRequest:
@@ -206,12 +211,23 @@ def predict_http(
 def predict_http_batch(
     endpoint: HttpEndpoint, reqs: list[InferenceRequest], mapping: LabelMapping
 ) -> list[PredictionRecord]:
-    """Predict a batch, preserving input order regardless of completion order."""
-    if endpoint.max_in_flight == 1 or len(reqs) <= 1:
-        return [predict_http(endpoint, r, mapping) for r in reqs]
+    """Predict a batch in input order, at most ``max_in_flight`` requests at a time.
+
+    Request i is sent once request i - max_in_flight has succeeded and while
+    no request has failed; the first failure in input order is raised once
+    the requests already sent have finished.
+    """
+    records: list[PredictionRecord] = []
+    window: deque[Future] = deque()
     with ThreadPoolExecutor(max_workers=endpoint.max_in_flight) as pool:
-        futures = [pool.submit(predict_http, endpoint, r, mapping) for r in reqs]
-        return [f.result() for f in futures]
+        for req in reqs:
+            if len(window) == endpoint.max_in_flight:
+                records.append(window.popleft().result())
+            if any(f.done() and f.exception() for f in window):
+                break
+            window.append(pool.submit(predict_http, endpoint, req, mapping))
+        records += [f.result() for f in window]
+    return records
 
 
 def predict_mock(req: InferenceRequest, mapping: LabelMapping, seed: int) -> PredictionRecord:
@@ -225,11 +241,4 @@ def predict_mock(req: InferenceRequest, mapping: LabelMapping, seed: int) -> Pre
 
 
 def write_predictions_jsonl(records: list[PredictionRecord], path: str | Path) -> int:
-    with write_atomic(path) as fh:
-        for record in records:
-            data: dict = {"instance_id": record.instance_id, "predicted": record.predicted}
-            if record.score is not None:
-                data["score"] = record.score
-            data["backend"] = record.backend
-            fh.write(json.dumps(data, ensure_ascii=False) + "\n")
-    return len(records)
+    return write_jsonl(path, (r.to_dict() for r in records))

@@ -19,6 +19,7 @@ from .errors import (
     SchemaError,
     SpanError,
     TooFewInstancesError,
+    check_field_types,
     jsonl_records,
     require_fields,
     require_int,
@@ -74,6 +75,7 @@ class FewShotConfig:
     stratified: bool = True
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.stratified and self.k < 2:
@@ -88,14 +90,6 @@ class FoldPlan:
 
     def to_dict(self) -> dict:
         return {"seed": self.seed, "n_folds": self.n_folds, "assignments": dict(self.assignments)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FoldPlan":
-        return cls(
-            n_folds=int(data["n_folds"]),
-            seed=int(data["seed"]),
-            assignments={str(k): int(v) for k, v in data["assignments"].items()},
-        )
 
 
 def _instance_from_record(record: object, lineno: int) -> Instance:

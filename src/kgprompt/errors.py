@@ -3,6 +3,7 @@ record checks every loader of line- or record-structured input applies."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -58,6 +59,32 @@ def require_int(value: object, what: str, line: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{what} must be an integer, not {type(value).__name__}", line=line)
     return value
+
+
+# field annotation -> (accepted types, what the error says is expected)
+_FIELD_TYPES = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+    "str | None": ((str, type(None)), "a string"),
+}
+
+
+def check_field_types(obj: object) -> None:
+    """Raise TypeError unless each field of the dataclass ``obj`` annotated
+    with a type of ``_FIELD_TYPES`` holds a value of that type; a bool is not
+    a number here. A ``float`` field stores an integer as a float."""
+    for f in dataclasses.fields(obj):
+        name = getattr(f.type, "__name__", f.type)  # a string under postponed annotations
+        if name not in _FIELD_TYPES:
+            continue
+        accepted, expected = _FIELD_TYPES[name]
+        value = getattr(obj, f.name)
+        if not isinstance(value, accepted) or (isinstance(value, bool) and name != "bool"):
+            raise TypeError(f"{f.name} must be {expected}, not {type(value).__name__}")
+        if name == "float":
+            object.__setattr__(obj, f.name, float(value))
 
 
 def jsonl_records(path: str | Path) -> Iterator[tuple[int, object]]:

@@ -19,6 +19,7 @@ its id in one dict lookup. A file that is not valid UTF-8 is a
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import sys
 from contextlib import contextmanager
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .atomic import write_atomic
+from .atomic import write_jsonl
 from .errors import ParseError, SchemaError, jsonl_records, require_fields, utf8_error
 from .graph import KnowledgeGraph, Node
 
@@ -224,14 +225,6 @@ def export_edge_list_jsonl(kg: KnowledgeGraph, path: str | Path) -> int:
     Nodes are written before edges so the file reloads in a single pass;
     reloading reproduces the graph exactly (node set, edge list, labels).
     """
-    count = 0
-    with write_atomic(path) as fh:
-        for node in kg.nodes.values():
-            record = {"node": {"id": node.id, "name": node.name, "type": node.node_type}}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-            count += 1
-        for edge in kg.edges:
-            record = {"edge": {"source": edge.source, "target": edge.target, "label": edge.label}}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-            count += 1
-    return count
+    nodes = ({"node": {"id": n.id, "name": n.name, "type": n.node_type}} for n in kg.nodes.values())
+    edges = ({"edge": {"source": e.source, "target": e.target, "label": e.label}} for e in kg.edges)
+    return write_jsonl(path, itertools.chain(nodes, edges))

@@ -8,7 +8,6 @@ per-fold F1 scores.
 
 from __future__ import annotations
 
-import json
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,9 +18,10 @@ from .dataset import CAUSAL, LABELS
 from .errors import (
     DuplicatePredictionError,
     MissingGoldError,
-    ParseError,
     PredictionCoverageError,
     SchemaError,
+    jsonl_records,
+    require_fields,
 )
 
 NO_POSITIVE_PREDICTIONS = "no_positive_predictions"
@@ -34,10 +34,6 @@ class Confusion:
     fp: int = 0
     fn: int = 0
     tn: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
 
 
 @dataclass(frozen=True)
@@ -146,28 +142,18 @@ def aggregate_folds(reports: list[Metrics]) -> FoldReport:
 
 def read_predictions_jsonl(path: str | Path) -> list[PredictionRecord]:
     records: list[PredictionRecord] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            for fname in ("instance_id", "predicted", "backend"):
-                if fname not in data:
-                    raise SchemaError(f"missing field {fname!r}", line=lineno)
-            if data["predicted"] not in LABELS:
-                raise SchemaError(f"unknown label {data['predicted']!r}", line=lineno)
-            records.append(
-                PredictionRecord(
-                    instance_id=data["instance_id"],
-                    predicted=data["predicted"],
-                    score=data.get("score"),
-                    backend=data["backend"],
-                )
+    for lineno, data in jsonl_records(path):
+        require_fields(data, ("instance_id", "predicted", "backend"), "prediction", lineno)
+        if data["predicted"] not in LABELS:
+            raise SchemaError(f"unknown label {data['predicted']!r}", line=lineno)
+        records.append(
+            PredictionRecord(
+                instance_id=data["instance_id"],
+                predicted=data["predicted"],
+                score=data.get("score"),
+                backend=data["backend"],
             )
+        )
     return records
 
 

@@ -15,9 +15,9 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
-from .atomic import write_atomic
+from .atomic import write_atomic, write_jsonl
 from .backend import (
     HttpEndpoint,
     predict_http_batch,
@@ -33,7 +33,7 @@ from .dataset import (
     make_fold_plan,
     sample_few_shot,
 )
-from .errors import ConfigError, KgPromptError, SamePairError, StageError
+from .errors import ConfigError, KgPromptError, SamePairError, StageError, check_field_types
 from .graph import KnowledgeGraph, Node
 from .ingest import IngestReport, load_edge_list_jsonl, load_hetionet_json
 from .linking import NameLookup, PairLinkage, link_pairs, load_overrides, search_lookup
@@ -89,11 +89,6 @@ KG_KINDS = LOCAL_KG_KINDS + ("remote",)
 T = TypeVar("T")
 
 
-def _optional_string(name: str, value: object) -> None:
-    if value is not None and not isinstance(value, str):
-        raise ValueError(f"{name} must be a string, not {type(value).__name__}")
-
-
 @dataclass(frozen=True)
 class KgSource:
     """The ``kg`` section: a local dump to ingest, or the remote 1-hop source."""
@@ -105,10 +100,9 @@ class KgSource:
     entity_api_url: str | None = None
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.kind not in KG_KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; expected one of {KG_KINDS}")
-        for name in ("path", "cache_dir", "sparql_url", "entity_api_url"):
-            _optional_string(name, getattr(self, name))
         if self.kind == "remote":
             self.endpoint()  # rejects a URL that is not http(s)
 
@@ -126,8 +120,7 @@ class FoldConfig:
     stratified: bool = False
 
     def __post_init__(self) -> None:
-        for name, kind in (("n_folds", int), ("seed", int), ("stratified", bool)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
+        check_field_types(self)
         if self.n_folds < 2:
             raise ValueError("n_folds must be >= 2")
 
@@ -139,7 +132,7 @@ class MockBackend:
     seed: int = 203
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", int(self.seed))
+        check_field_types(self)
 
 
 _BACKENDS = {"mock": MockBackend, "http": HttpEndpoint}
@@ -171,6 +164,9 @@ class ExperimentConfig:
     backend: HttpEndpoint | MockBackend | None = None
     overrides: str | None = None
 
+    def __post_init__(self) -> None:
+        check_field_types(self)
+
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         try:
@@ -185,14 +181,13 @@ class ExperimentConfig:
         for required in ("dataset", "kg", "out_dir"):
             if required not in data:
                 raise ConfigError(f"configuration misses required field {required!r}")
-        _optional_string("overrides", data.get("overrides"))
-        mask_token = str(data.get("mask_token", DEFAULT_MASK_TOKEN))
+        mask_token = data.get("mask_token", DEFAULT_MASK_TOKEN)
         if not mask_token:
             raise ConfigError("mask_token must be non-empty")
         return cls(
-            dataset=str(data["dataset"]),
+            dataset=data["dataset"],
             kg=_section(data, "kg", KgSource),
-            out_dir=str(data["out_dir"]),
+            out_dir=data["out_dir"],
             structure=StructureKind(data.get("structure", "NN")),
             limits=_section(data, "limits", ExtractionLimits),
             templates=_section(data, "templates", TemplateSet),
@@ -200,10 +195,10 @@ class ExperimentConfig:
             label_mapping=_section(data, "label_mapping", _label_mapping),
             few_shot=_section(data, "few_shot", FewShotConfig),
             folds=_section(data, "folds", FoldConfig),
-            selection_seed=int(data.get("selection_seed", 203)),
+            selection_seed=data.get("selection_seed", 203),
             truncation=_section(data, "truncation", TruncationPolicy),
             mask_token=mask_token,
-            nn_include_labels=bool(data.get("nn_include_labels", False)),
+            nn_include_labels=data.get("nn_include_labels", False),
             backend=_section(data, "backend", _backend),
             overrides=data.get("overrides"),
         )
@@ -322,10 +317,8 @@ def _write_json(path: Path, data: object) -> Path:
     return path
 
 
-def _write_jsonl(path: Path, records: list[dict]) -> Path:
-    with write_atomic(path) as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+def _write_jsonl(path: Path, records: Iterable[dict]) -> Path:
+    write_jsonl(path, records)
     return path
 
 
@@ -516,7 +509,7 @@ def _ingest(run: _Run) -> list[Path]:
 def _link(run: _Run) -> list[Path]:
     overrides = load_overrides(run.config.overrides) if run.config.overrides else {}
     run.linkages = link_pairs(run.instances, run.source.names(), overrides)
-    return [_write_jsonl(run.out / "linkage.jsonl", [l.to_dict() for l in run.linkages])]
+    return [_write_jsonl(run.out / "linkage.jsonl", (l.to_dict() for l in run.linkages))]
 
 
 def _extract(run: _Run) -> list[Path]:

@@ -9,12 +9,11 @@ configuration, since model families spell it differently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
-from .atomic import write_atomic
+from .atomic import write_jsonl
 from .dataset import CAUSAL, Instance, LABELS, NON_CAUSAL
 from .errors import (
     BudgetTooSmallError,
@@ -23,6 +22,7 @@ from .errors import (
     UnknownArchitectureError,
     UnknownLabelError,
     UnknownLabelWordError,
+    check_field_types,
 )
 from .verbalize import GraphContext
 
@@ -105,6 +105,7 @@ class TruncationPolicy:
     unit: str = "whitespace_token"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.max_units < 1:
             raise ValueError("max_units must be >= 1")
         if self.unit not in ("whitespace_token", "character"):
@@ -271,7 +272,4 @@ def prompt_to_record(p: PromptInstance) -> dict:
 
 
 def export_prompts_jsonl(instances: list[PromptInstance], path: str | Path) -> int:
-    with write_atomic(path) as fh:
-        for p in instances:
-            fh.write(json.dumps(prompt_to_record(p), ensure_ascii=False) + "\n")
-    return len(instances)
+    return write_jsonl(path, map(prompt_to_record, instances))

@@ -5,29 +5,28 @@ only from locally ingested graphs. Every response is cached on disk under a
 content hash of the canonical request, so a warmed cache replays an entire
 experiment byte-for-byte with no network access (``read_only`` policy).
 
-Requests are issued sequentially with an optional politeness delay; public
-endpoints rate-limit, and determinism matters more than throughput here.
-They are form-encoded POSTs through ``kgprompt.http``, which keeps one
-connection per endpoint host alive across them and retries connection
-failures and 5xx answers with backoff. A 429 is not retried: it raises
-``RateLimitedError`` carrying the ``Retry-After`` seconds. Proxies and
-``.netrc`` are not read, and redirects are not followed.
+Requests are issued sequentially; public endpoints rate-limit, and
+determinism matters more than throughput here. They are form-encoded POSTs
+through ``kgprompt.http``, which keeps one connection per endpoint host
+alive across them and retries connection failures and 5xx answers with
+backoff. A 429 is not retried: it raises ``RateLimitedError`` carrying the
+``Retry-After`` seconds. Proxies and ``.netrc`` are not read, and redirects
+are not followed.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import os
 import re
 import string
-import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from importlib.resources import files as resource_files
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .atomic import write_atomic
 from .errors import (
@@ -38,22 +37,20 @@ from .errors import (
 )
 from .graph import Direction, KnowledgeGraph, Node
 
-SPARQL_URL_ENV = "KGPROMPT_SPARQL_URL"
-ENTITY_API_URL_ENV = "KGPROMPT_ENTITY_API_URL"
-
 _ENTITY_ID = re.compile(r"^[QP]\d+$")
 _TRANSIENT_STATUSES = frozenset({500, 502, 503, 504})
+_USER_AGENT = "kgprompt/0.1 (graph-context extraction)"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
 class RemoteEndpoint:
     sparql_url: str = "https://query.wikidata.org/sparql"
     entity_api_url: str = "https://www.wikidata.org/w/api.php"
-    user_agent: str = "kgprompt/0.1 (graph-context extraction)"
     timeout: float = 30.0
     max_retries: int = 3
     backoff: float = 1.0
-    politeness_delay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.timeout <= 0:
@@ -62,19 +59,10 @@ class RemoteEndpoint:
             if not getattr(self, name).startswith(("http://", "https://")):
                 raise ValueError(f"{name} must be an http(s) URL")
 
-    @property
-    def effective_sparql_url(self) -> str:
-        return os.environ.get(SPARQL_URL_ENV, self.sparql_url)
-
-    @property
-    def effective_entity_api_url(self) -> str:
-        return os.environ.get(ENTITY_API_URL_ENV, self.entity_api_url)
-
 
 class CachePolicy(Enum):
     READ_WRITE = "read_write"
     READ_ONLY = "read_only"
-    BYPASS = "bypass"
 
 
 @dataclass(frozen=True)
@@ -118,7 +106,7 @@ class QueryCache:
             "response": response,
         }
         with write_atomic(self._entry_path(key)) as fh:
-            json.dump(entry, fh, ensure_ascii=False)
+            fh.write(json.dumps(entry, ensure_ascii=False))
 
 
 def _canonical_request(kind: str, params: dict[str, str]) -> str:
@@ -143,20 +131,21 @@ def _fetch_json(
     url: str,
     params: dict[str, str],
     headers: dict[str, str],
-) -> dict:
+    parse: Callable[[object], T],
+) -> T:
+    """``parse`` of the request's cached or fetched JSON payload. ``parse``
+    raises MalformedResponseError for a payload of the wrong shape, and a
+    fetched payload is cached only once it parsed."""
     canonical = _canonical_request(kind, params)
     key = QueryCache.key_for(canonical)
-    if cache.policy is not CachePolicy.BYPASS:
-        cached = cache.load(key)
-        if cached is not None:
-            return cached["response"]
+    cached = cache.load(key)
+    if cached is not None:
+        return parse(cached["response"])
     if cache.policy is CachePolicy.READ_ONLY:
         raise NetworkError(f"cache miss for {kind} request under read_only policy")
 
     from .http import post_retrying  # deferred: only a remote fetch pays for the import
 
-    if endpoint.politeness_delay:
-        time.sleep(endpoint.politeness_delay)
     raw = post_retrying(
         url,
         what=f"{kind} request",
@@ -177,9 +166,9 @@ def _fetch_json(
         payload = json.loads(raw.body)
     except ValueError as exc:
         raise MalformedResponseError(f"response from {url} is not JSON: {exc}") from exc
-    if cache.policy is CachePolicy.READ_WRITE:
-        cache.store(key, canonical, payload)
-    return payload
+    result = parse(payload)
+    cache.store(key, canonical, payload)
+    return result
 
 
 def load_query_template(name: str) -> str:
@@ -191,28 +180,44 @@ def _render_query(name: str, entity_id: str) -> str:
 
 
 def _run_sparql(
-    endpoint: RemoteEndpoint, cache: QueryCache, template: str, entity_id: str
-) -> list[dict]:
-    query = _render_query(template, entity_id)
-    payload = _fetch_json(
+    endpoint: RemoteEndpoint, cache: QueryCache, template: str, entity_id: str, row: Callable[[dict], T]
+) -> list[T]:
+    """``row`` of each result binding of a query; ``row`` raises
+    MalformedResponseError for a binding it cannot read."""
+
+    def parse(payload: object) -> list[T]:
+        try:
+            bindings = payload["results"]["bindings"]
+        except (KeyError, TypeError):
+            raise MalformedResponseError("SPARQL response misses results.bindings") from None
+        if not isinstance(bindings, list):
+            raise MalformedResponseError("results.bindings is not a list")
+        return [row(binding) for binding in bindings]
+
+    return _fetch_json(
         endpoint,
         cache,
         kind="sparql",
-        url=endpoint.effective_sparql_url,
-        params={"query": query, "format": "json"},
-        headers={"User-Agent": endpoint.user_agent, "Accept": "application/sparql-results+json"},
+        url=endpoint.sparql_url,
+        params={"query": _render_query(template, entity_id), "format": "json"},
+        headers={"User-Agent": _USER_AGENT, "Accept": "application/sparql-results+json"},
+        parse=parse,
     )
-    try:
-        bindings = payload["results"]["bindings"]
-    except (KeyError, TypeError):
-        raise MalformedResponseError("SPARQL response misses results.bindings") from None
-    if not isinstance(bindings, list):
-        raise MalformedResponseError("results.bindings is not a list")
-    return bindings
 
 
 def _last_segment(iri: str) -> str:
     return iri.rsplit("/", 1)[-1]
+
+
+def _search_results(payload: object) -> list[tuple[str, str, str]]:
+    if not isinstance(payload, dict) or "search" not in payload:
+        raise MalformedResponseError("entity search response misses 'search'")
+    results = []
+    for item in payload["search"]:
+        if "id" not in item:
+            raise MalformedResponseError("entity search result misses 'id'")
+        results.append((item["id"], item.get("label", ""), item.get("description", "")))
+    return results
 
 
 def resolve_entity(
@@ -225,11 +230,11 @@ def resolve_entity(
     """
     if not name:
         raise ValueError("name must be non-empty")
-    payload = _fetch_json(
+    return _fetch_json(
         endpoint,
         cache,
         kind="wbsearchentities",
-        url=endpoint.effective_entity_api_url,
+        url=endpoint.entity_api_url,
         params={
             "action": "wbsearchentities",
             "search": name,
@@ -237,28 +242,33 @@ def resolve_entity(
             "type": "item",
             "format": "json",
         },
-        headers={"User-Agent": endpoint.user_agent},
+        headers={"User-Agent": _USER_AGENT},
+        parse=_search_results,
     )
-    if not isinstance(payload, dict) or "search" not in payload:
-        raise MalformedResponseError("entity search response misses 'search'")
-    results = []
-    for item in payload["search"]:
-        if "id" not in item:
-            raise MalformedResponseError("entity search result misses 'id'")
-        results.append((item["id"], item.get("label", ""), item.get("description", "")))
-    return results
 
 
 def fetch_entity_label(endpoint: RemoteEndpoint, cache: QueryCache, entity_id: str) -> str:
     """English label of an entity; falls back to the id when unlabeled."""
     if not _ENTITY_ID.match(entity_id):
         raise UnknownEntityError(f"{entity_id!r} is not a valid entity id")
-    bindings = _run_sparql(endpoint, cache, "label_lookup.rq", entity_id)
-    for row in bindings:
-        value = row.get("label", {}).get("value")
-        if value:
-            return value
-    return entity_id
+    labels = _run_sparql(
+        endpoint, cache, "label_lookup.rq", entity_id, lambda row: row.get("label", {}).get("value")
+    )
+    return next((label for label in labels if label), entity_id)
+
+
+def _neighbor_row(direction: Direction, binding: dict) -> tuple[str, str, str, str, Direction]:
+    """(property id, neighbor id, property label, neighbor label, direction)."""
+    try:
+        property_iri = binding["property"]["value"]
+        neighbor_iri = binding["neighbor"]["value"]
+    except (KeyError, TypeError):
+        raise MalformedResponseError("SPARQL binding misses property/neighbor") from None
+    property_id = _last_segment(property_iri)
+    neighbor_id = _last_segment(neighbor_iri)
+    property_label = binding.get("propertyLabel", {}).get("value", property_id)
+    neighbor_label = binding.get("neighborLabel", {}).get("value", neighbor_id)
+    return property_id, neighbor_id, property_label, neighbor_label, direction
 
 
 def fetch_neighbors_remote(
@@ -274,17 +284,7 @@ def fetch_neighbors_remote(
         raise UnknownEntityError(f"{x!r} is not a valid entity id")
     rows: list[tuple[str, str, str, str, Direction]] = []
     for template, direction in (("one_hop_out.rq", "out"), ("one_hop_in.rq", "in")):
-        for binding in _run_sparql(endpoint, cache, template, x):
-            try:
-                property_iri = binding["property"]["value"]
-                neighbor_iri = binding["neighbor"]["value"]
-            except (KeyError, TypeError):
-                raise MalformedResponseError("SPARQL binding misses property/neighbor") from None
-            property_id = _last_segment(property_iri)
-            neighbor_id = _last_segment(neighbor_iri)
-            property_label = binding.get("propertyLabel", {}).get("value", property_id)
-            neighbor_label = binding.get("neighborLabel", {}).get("value", neighbor_id)
-            rows.append((property_id, neighbor_id, property_label, neighbor_label, direction))
+        rows += _run_sparql(endpoint, cache, template, x, functools.partial(_neighbor_row, direction))
     rows.sort(key=lambda r: (r[0], r[1], r[4]))
     return [
         (Node(id=neighbor_id, name=neighbor_label, node_type="unknown"), property_label, direction)

@@ -23,7 +23,7 @@ from enum import Enum
 from random import Random
 from typing import Callable, Sequence, TypeVar
 
-from .errors import SamePairError, UnknownNodeError
+from .errors import SamePairError, UnknownNodeError, check_field_types
 from .graph import Direction, KnowledgeGraph, Node
 
 log = logging.getLogger(__name__)
@@ -55,6 +55,7 @@ class ExtractionLimits:
     max_paths_enumerated: int = 10_000
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         for name in ("max_neighbors", "max_common_neighbors", "max_metapaths", "max_paths_enumerated"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -95,10 +96,6 @@ class Metapath:
     @property
     def length(self) -> int:
         return len(self.nodes)
-
-    @property
-    def node_types(self) -> tuple[str, ...]:
-        return tuple(n.node_type for n in self.nodes)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,7 @@ sentence with a dangling connective.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .errors import KindMismatchError, MissingLabelError
 from .graph import Node
@@ -25,7 +23,8 @@ class TemplateSet:
     """Connective words used by the renderers.
 
     The defaults reproduce the reference renderings exactly; any field can
-    be replaced by other fitting words, e.g. from a JSON config file.
+    be replaced by other fitting words through the configuration's
+    ``templates`` section.
     """
 
     nn_connective: str = "is connected to"
@@ -41,16 +40,6 @@ class TemplateSet:
         for f in fields(self):
             if not getattr(self, f.name):
                 raise ValueError(f"template field {f.name!r} must be non-empty")
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "TemplateSet":
-        with Path(path).open("r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown template fields: {sorted(unknown)}")
-        return cls(**data)
 
 
 DEFAULT_TEMPLATES = TemplateSet()

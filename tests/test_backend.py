@@ -213,6 +213,24 @@ def test_http_batch_matches_sequential(predict_server):
     assert parallel == sequential
 
 
+@pytest.mark.parametrize("max_in_flight", [1, 2, 4])
+@pytest.mark.parametrize("status, error", [(400, ProtocolError), (503, NetworkError)])
+def test_http_batch_sends_nothing_after_a_failure(predict_server, max_in_flight, status, error):
+    k = 5  # the request that fails, for good
+    ok = {"status": 200, "body": score_response({"causal": 1.0, "non-causal": 0.0})}
+    bad = {"status": status, "body": {"code": status, "message": "no"}}
+    predict_server.default = lambda req: bad if req["request_id"] == f"r{k}" else ok
+    reqs = [make_request(rid=f"r{i}") for i in range(20)]
+    endpoint = endpoint_for(predict_server, max_in_flight=max_in_flight, max_retries=2)
+    with pytest.raises(error):
+        predict_http_batch(endpoint, reqs, IDENTITY)
+    sent = [r["request_id"] for r in predict_server.requests]
+    assert sent.count(f"r{k}") == (3 if status == 503 else 1)
+    assert len(set(sent)) <= k + max_in_flight
+    if max_in_flight == 1:
+        assert sent == [f"r{i}" for i in range(k)] + [f"r{k}"] * sent.count(f"r{k}")
+
+
 def test_wire_request_shape(predict_server):
     predict_server.default = {"status": 200, "body": score_response({"causal": 1.0, "non-causal": 0.0})}
     predict_http(endpoint_for(predict_server), make_request(), IDENTITY)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import kgprompt
 from kgprompt.cli import main
 
 from conftest import DATA_DIR
@@ -94,10 +96,13 @@ def test_out_flag_redirects_artifacts(tmp_path, capsys):
 
 def test_console_entry_point(tmp_path):
     config = write_config(tmp_path)
+    src = Path(kgprompt.__file__).parent.parent  # found without an install, too
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "kgprompt.cli", "run", "--config", str(config)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert result.returncode == 0, result.stderr
 
@@ -131,8 +136,17 @@ def test_malformed_override_table_exit_code_3(tmp_path, capsys):
             {"kg": {"kind": "remote", "cache_dir": "cache", "sparql_url": "ftp://x"}},
             "kg: sparql_url must be an http(s) URL",
         ),
+        ({"limits": {"max_neighbors": 2.5}}, "limits: max_neighbors must be an integer, not float"),
+        ({"few_shot": {"k": 4.5}}, "few_shot: k must be an integer, not float"),
+        ({"structure": "MP", "limits": {"max_hops": 2.5}}, "limits: max_hops must be an integer, not float"),
+        ({"folds": {"n_folds": 2.7}}, "folds: n_folds must be an integer, not float"),
+        ({"selection_seed": True}, "selection_seed must be an integer, not bool"),
+        ({"nn_include_labels": "no"}, "nn_include_labels must be true or false, not str"),
+        ({"out_dir": 5}, "out_dir must be a string, not int"),
     ],
-    ids=["kg-path-int", "overrides-int", "http-timeout-0", "remote-ftp-url"],
+    ids=["kg-path-int", "overrides-int", "http-timeout-0", "remote-ftp-url", "max-neighbors-float",
+         "few-shot-k-float", "mp-max-hops-float", "n-folds-float", "selection-seed-bool",
+         "nn-include-labels-str", "out-dir-int"],
 )
 def test_bad_config_values_exit_code_2_before_any_artifact(tmp_path, capsys, overrides, message):
     config = write_config(tmp_path, **overrides)

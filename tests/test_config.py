@@ -20,6 +20,7 @@ from kgprompt.backend import HttpEndpoint
 from kgprompt.cli import main
 from kgprompt.errors import ConfigError
 from kgprompt.pipeline import ExperimentConfig, FoldConfig, MockBackend, run_experiment
+from kgprompt.verbalize import TemplateSet
 
 from conftest import DATA_DIR
 
@@ -134,6 +135,7 @@ def test_cli_seed_out_cache_flags_are_pinned(workdir, capsys):
         ("backend", {"kind": "mock", "seed": 1, "timeout": 3}),
         ("backend", {"kind": "http", "base_url": UNREACHABLE, "seed": 1}),
         ("backend", {"seed": 1}),
+        ("templates", {"nn_conective": "borders"}),
     ],
 )
 def test_unknown_section_keys_are_rejected(section, value):
@@ -169,10 +171,12 @@ def test_sections_parse_into_stage_objects():
         {
             **MINIMAL,
             "kg": {**REMOTE, "sparql_url": f"{UNREACHABLE}/sparql"},
-            "folds": {"n_folds": "3", "stratified": 1},
+            "templates": {"nn_connective": "borders"},
+            "folds": {"n_folds": 3, "stratified": True},
             "backend": HTTP_BENCH,
         }
     )
+    assert config.templates == TemplateSet(nn_connective="borders")
     assert config.kg.endpoint().sparql_url == f"{UNREACHABLE}/sparql"
     assert config.folds == FoldConfig(n_folds=3, seed=203, stratified=True)
     assert config.backend == HttpEndpoint(base_url=UNREACHABLE, timeout=10, max_retries=3, backoff=0.005, max_in_flight=2)

@@ -173,7 +173,7 @@ def test_too_few_instances_for_folds():
 
 def test_fold_plan_dict_roundtrip():
     plan = make_fold_plan(balanced_pool(10), n_folds=5, seed=203)
-    assert FoldPlan.from_dict(plan.to_dict()) == plan
+    assert FoldPlan(**json.loads(json.dumps(plan.to_dict()))) == plan
 
 
 # --- few-shot sampling ---

@@ -12,7 +12,7 @@ from kgprompt import http
 from kgprompt.backend import HttpEndpoint, InferenceRequest, predict_http, predict_http_batch
 from kgprompt.errors import NetworkError
 from kgprompt.prompts import Architecture, LabelMapping
-from kgprompt.remote import CachePolicy, QueryCache, RemoteEndpoint, resolve_entity
+from kgprompt.remote import QueryCache, RemoteEndpoint, resolve_entity
 
 from stubs import StubPredictServer, StubWikiServer, score_response
 
@@ -56,7 +56,7 @@ def test_remote_fetches_share_one_connection(tmp_path):
     try:
         endpoint = RemoteEndpoint(sparql_url=server.sparql_url, entity_api_url=server.api_url,
                                   timeout=5.0, max_retries=0)
-        cache = QueryCache(root_dir=tmp_path / "cache", policy=CachePolicy.BYPASS)
+        cache = QueryCache(root_dir=tmp_path / "cache")
         for name in ("a", "b", "c", "d"):
             assert resolve_entity(endpoint, cache, name) == []
         assert server.request_count == 4

@@ -10,6 +10,7 @@ from kgprompt.dataset import CAUSAL, NON_CAUSAL
 from kgprompt.errors import (
     DuplicatePredictionError,
     MissingGoldError,
+    ParseError,
     PredictionCoverageError,
     SchemaError,
 )
@@ -204,6 +205,23 @@ def test_predictions_unknown_label(tmp_path):
     path = tmp_path / "p.jsonl"
     path.write_text(json.dumps({"instance_id": "a", "predicted": "meh", "backend": "t"}) + "\n")
     with pytest.raises(SchemaError):
+        read_predictions_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "content, error, message",
+    [
+        (b'{"instance_id": "a", "predicted": "causal", "backend": "t"}\n["b"]\n', SchemaError, "line 2: prediction must be a JSON object"),
+        (b'{"instance_id": "a", "backend": "t"}\n', SchemaError, "line 1: prediction: missing field 'predicted'"),
+        (b'{"instance_id": "a"\n', ParseError, "line 1: invalid JSON"),
+        (b'{"instance_id": "a", "predicted": "causal", "backend": "t"}\n{"x": "\xff"}\n', ParseError, "line 2: .*not valid UTF-8"),
+    ],
+    ids=["not-an-object", "missing-field", "bad-json", "not-utf8"],
+)
+def test_predictions_bad_line_is_named(tmp_path, content, error, message):
+    path = tmp_path / "p.jsonl"
+    path.write_bytes(content)
+    with pytest.raises(error, match=message):
         read_predictions_jsonl(path)
 
 

@@ -15,7 +15,6 @@ from kgprompt.remote import (
     CachePolicy,
     QueryCache,
     RemoteEndpoint,
-    SPARQL_URL_ENV,
     fetch_entity_label,
     fetch_neighbors_remote,
     graph_from_remote_neighbors,
@@ -176,7 +175,7 @@ def test_corrupt_cache_entry_under_read_only_is_network_error(wiki_server, tmp_p
 
 def test_rate_limited_surfaces_retry_after(wiki_server, tmp_path):
     wiki_server.script = [{"status": 429, "body": {}, "headers": {"Retry-After": "17"}}]
-    cache = cache_in(tmp_path, policy=CachePolicy.BYPASS)
+    cache = cache_in(tmp_path)
     with pytest.raises(RateLimitedError) as err:
         fetch_neighbors_remote(endpoint_for(wiki_server), cache, "Q181257")
     assert err.value.retry_after == 17.0
@@ -185,23 +184,17 @@ def test_rate_limited_surfaces_retry_after(wiki_server, tmp_path):
 def test_rate_limited_with_http_date_retry_after(wiki_server, tmp_path):
     date = "Wed, 21 Oct 2026 07:28:00 GMT"
     wiki_server.script = [{"status": 429, "body": {}, "headers": {"Retry-After": date}}]
-    cache = cache_in(tmp_path, policy=CachePolicy.BYPASS)
+    cache = cache_in(tmp_path)
     with pytest.raises(RateLimitedError) as err:
         fetch_neighbors_remote(endpoint_for(wiki_server), cache, "Q181257")
     assert err.value.retry_after is None
 
 
-def test_env_var_overrides_sparql_url(wiki_server, tmp_path, monkeypatch):
+def test_env_var_does_not_override_sparql_url(wiki_server, tmp_path, monkeypatch):
     seed_prostate(wiki_server)
-    monkeypatch.setenv(SPARQL_URL_ENV, wiki_server.sparql_url)
-    endpoint = RemoteEndpoint(
-        sparql_url="http://unreachable.invalid/sparql",
-        entity_api_url=wiki_server.api_url,
-        timeout=5.0,
-        max_retries=0,
-    )
-    links = fetch_neighbors_remote(endpoint, cache_in(tmp_path), "Q181257")
-    assert links  # served by the stub, not the configured unreachable URL
+    monkeypatch.setenv("KGPROMPT_SPARQL_URL", "http://127.0.0.1:9/sparql")
+    links = fetch_neighbors_remote(endpoint_for(wiki_server), cache_in(tmp_path), "Q181257")
+    assert links  # served by the configured stub, not the URL in the environment
 
 
 def test_query_templates_ship_with_entity_parameter():
@@ -226,6 +219,30 @@ def test_graph_from_remote_neighbors_star():
 
 def test_malformed_sparql_response(wiki_server, tmp_path):
     wiki_server.script = [{"status": 200, "body": {"unexpected": True}}]
-    cache = cache_in(tmp_path, policy=CachePolicy.BYPASS)
+    cache = cache_in(tmp_path)
     with pytest.raises(MalformedResponseError):
         fetch_neighbors_remote(endpoint_for(wiki_server), cache, "Q1")
+
+
+MALFORMED_ANSWERS = {
+    "sparql": (lambda e, c: fetch_entity_label(e, c, "Q181257"), {"unexpected": True}),
+    "sparql-binding": (lambda e, c: fetch_neighbors_remote(e, c, "Q181257"), {"results": {"bindings": [{"x": 1}]}}),
+    "entity-search": (lambda e, c: resolve_entity(e, c, "prostate cancer"), {"searchinfo": {}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ANSWERS))
+def test_malformed_answer_is_not_cached(wiki_server, tmp_path, case):
+    fetch, body = MALFORMED_ANSWERS[case]
+    seed_prostate(wiki_server)
+    wiki_server.script = [{"status": 200, "body": body}]
+    endpoint = endpoint_for(wiki_server)
+    cache_dir = tmp_path / "cache"
+    with pytest.raises(MalformedResponseError):
+        fetch(endpoint, QueryCache(root_dir=cache_dir))
+    good = fetch(endpoint, QueryCache(root_dir=cache_dir))  # the server answers well now
+    assert good
+    requests_used = wiki_server.request_count
+    replay = QueryCache(root_dir=cache_dir, policy=CachePolicy.READ_ONLY)
+    assert fetch(endpoint, replay) == good
+    assert wiki_server.request_count == requests_used

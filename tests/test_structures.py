@@ -167,7 +167,7 @@ def test_metapath_fixture_walk():
     paths = {tuple(n.id for n in p.nodes) for p in bundle.payload}
     assert ("M:FGF6", "M:TEN", "M:SQRDL", "M:FGFR2", "M:PC") in paths
     (path,) = [p for p in bundle.payload if p.length == 5]
-    assert path.node_types == ("gene", "anatomy", "gene", "gene", "disease")
+    assert tuple(n.node_type for n in path.nodes) == ("gene", "anatomy", "gene", "gene", "disease")
     # the walk runs against the stored FGFR2->SQRDL edge
     assert path.edges[2] == ("regulates", "in")
 
@@ -179,7 +179,7 @@ def test_metapath_three_node_walk_with_types():
     )
     bundle = enumerate_metapaths(kg, "g1", "d1", ExtractionLimits(), seed=1)
     assert len(bundle.payload) == 1
-    assert bundle.payload[0].node_types == ("gene", "gene", "disease")
+    assert tuple(n.node_type for n in bundle.payload[0].nodes) == ("gene", "gene", "disease")
     assert bundle.payload[0].length == 3
 
 

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from kgprompt.errors import KindMismatchError, MissingLabelError
@@ -206,17 +204,6 @@ def test_determinism_same_bundle_same_string():
     a = verbalize_common_neighbors(kg.node("C:BC"), kg.node("C:ERBB2"), bundle).text
     b = verbalize_common_neighbors(kg.node("C:BC"), kg.node("C:ERBB2"), bundle).text
     assert a == b
-
-
-def test_templates_from_json(tmp_path):
-    path = tmp_path / "templates.json"
-    path.write_text(json.dumps({"nn_connective": "borders"}), encoding="utf-8")
-    templates = TemplateSet.from_json(path)
-    assert templates.nn_connective == "borders"
-    assert templates.cnn_prefix == DEFAULT_TEMPLATES.cnn_prefix
-    path.write_text(json.dumps({"bogus": "x"}), encoding="utf-8")
-    with pytest.raises(ValueError):
-        TemplateSet.from_json(path)
 
 
 def test_template_fields_must_be_non_empty():
