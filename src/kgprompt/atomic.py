@@ -8,22 +8,26 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import IO, Iterable, Iterator, Literal
 
 
 @contextmanager
-def write_atomic(path: str | Path) -> Iterator[TextIO]:
-    """Open a UTF-8 text file that replaces ``path`` when the block succeeds.
+def write_atomic(path: str | Path, mode: Literal["w", "wb"] = "w") -> Iterator[IO]:
+    """Open a file that replaces ``path`` when the block succeeds: UTF-8 text
+    for ``mode="w"``, bytes for ``mode="wb"``.
 
     The temporary file lives in ``path``'s directory, so ``os.replace`` is a
     rename within one file system. On an error it is removed and ``path``
     keeps its old content. Missing parent directories are created.
     """
+    if mode not in ("w", "wb"):
+        raise ValueError(f"mode must be 'w' or 'wb', not {mode!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with tmp.open("x", encoding="utf-8") as fh:
+        binary = mode == "wb"
+        with tmp.open("xb" if binary else "x", encoding=None if binary else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     finally:

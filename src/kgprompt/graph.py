@@ -11,23 +11,35 @@ All query results are deterministically ordered by the insertion order of
 the first contributing edge, so downstream verbalization and seeded subset
 selection are reproducible run to run.
 
-Storage is kept lean for Hetionet-sized graphs: the edges live once, as
-(source, target, label) keys of one insertion-ordered dict that is both the
-edge list and the duplicate check, and each node's adjacency holds plain
-(other, label, direction) tuples. ``Edge`` objects are made only when
-``edges`` is read.
+Storage is an integer core:
+
+- node ids are interned to ints in insertion order, with parallel lists of
+  ids, names and types; labels are interned to small ints;
+- the edges are three ``array`` columns (source, target, label) in insertion
+  order, and a set of packed integer keys is the duplicate check;
+- adjacency is a CSR (compressed sparse rows) built from the columns on the
+  first query after an add: per node, the other end, label and direction of
+  each link in global edge order, self-loops left out, and a second CSR of
+  the deduplicated neighbor ids in first-edge order.
+
+``Node`` and ``Edge`` objects are made only when a query returns them. The
+whole core converts to and from plain values (:meth:`KnowledgeGraph.dump`,
+:meth:`KnowledgeGraph.restore`), which is what an ingest snapshot stores.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from itertools import accumulate
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .errors import DuplicateEdgeError, UnknownNodeError
 
 Direction = Literal["out", "in"]
 OUT: Direction = "out"
 IN: Direction = "in"
+_DIRECTIONS: tuple[Direction, Direction] = (OUT, IN)  # indexed by the CSR's direction byte
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,6 +56,31 @@ class Edge:
     label: str
 
 
+class _Csr(NamedTuple):
+    """Adjacency rows: node i's links are ``offsets[i]:offsets[i + 1]`` of
+    ``other``/``label``/``direction``, its neighbors are
+    ``neighbor_offsets[i]:neighbor_offsets[i + 1]`` of ``neighbors``."""
+
+    offsets: array
+    other: array
+    label: array
+    direction: array
+    neighbor_offsets: array
+    neighbors: array
+
+
+# the typecode of each integer array of the core, by its name in dump()
+_ARRAYS = {
+    "sources": "i", "targets": "i", "edge_labels": "i",
+    "offsets": "q", "other": "i", "label": "i", "direction": "b",
+    "neighbor_offsets": "q", "neighbors": "i",
+}
+
+
+def _edge_key(source: int, target: int, label: int) -> int:
+    return (source << 64) | (target << 32) | label
+
+
 class KnowledgeGraph:
     """Directed labeled graph over string node ids.
 
@@ -53,13 +90,19 @@ class KnowledgeGraph:
     """
 
     def __init__(self, nodes: Iterable[Node] = (), edges: Iterable[Edge] = ()):
-        self._nodes: dict[str, Node] = {}
-        # every edge once, as a (source, target, label) key in insertion
-        # order: this dict is both the edge list and the duplicate check
-        self._edges: dict[tuple[str, str, str], None] = {}
-        # per-node adjacency in global edge-insertion order:
-        # (other endpoint, label, direction as seen from the node)
-        self._adj: dict[str, list[tuple[str, str, Direction]]] = {}
+        self._index: dict[str, int] = {}  # node id -> its int
+        self._ids: list[str] = []
+        self._names: list[str] = []
+        self._types: list[str] = []
+        self._label_index: dict[str, int] = {}
+        self._labels: list[str] = []
+        self._sources = array("i")
+        self._targets = array("i")
+        self._edge_labels = array("i")
+        # packed edge keys; None until an add needs them on a restored graph
+        self._keys: set[int] | None = set()
+        self._csr: _Csr | None = None  # None until the first query after an add
+        self._nodes: dict[str, Node] | None = None
         for node in nodes:
             if not self.add_node(node):
                 raise ValueError(f"duplicate node id: {node.id!r}")
@@ -70,63 +113,85 @@ class KnowledgeGraph:
 
     def add_node(self, node: Node) -> bool:
         """Add a node while loading; False (and no change) if its id exists."""
-        if node.id in self._nodes:
+        if node.id in self._index:
             return False
         if not node.id:
             raise ValueError("node id must be non-empty")
         if not node.name:
             raise ValueError(f"node {node.id!r}: name must be non-empty")
-        self._nodes[node.id] = node
-        self._adj[node.id] = []
+        self._index[node.id] = len(self._ids)
+        self._ids.append(node.id)
+        self._names.append(node.name)
+        self._types.append(node.node_type)
+        self._csr = self._nodes = None
         return True
 
     def add_edge(self, source: str, target: str, label: str) -> bool:
         """Add the edge source->target while loading; False (and no change)
         for a duplicate triple."""
-        out_links = self._adj.get(source)
-        if out_links is None:
+        s = self._index.get(source)
+        if s is None:
             raise UnknownNodeError(source)
-        in_links = self._adj.get(target)
-        if in_links is None:
+        t = self._index.get(target)
+        if t is None:
             raise UnknownNodeError(target)
         if not label:
             raise ValueError("edge label must be non-empty")
-        key = (source, target, label)
-        if key in self._edges:
+        lab = self._label_index.get(label)
+        if lab is None:
+            lab = self._label_index[label] = len(self._labels)
+            self._labels.append(label)
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = set(map(_edge_key, self._sources, self._targets, self._edge_labels))
+        key = _edge_key(s, t, lab)
+        if key in keys:
             return False
-        self._edges[key] = None
-        out_links.append((target, label, OUT))
-        if target != source:
-            in_links.append((source, label, IN))
+        keys.add(key)
+        self._sources.append(s)
+        self._targets.append(t)
+        self._edge_labels.append(lab)
+        self._csr = None
         return True
 
     # --- basic accessors ---
 
     @property
     def nodes(self) -> dict[str, Node]:
+        """Node id -> node, in insertion order (built on first read, then kept)."""
+        if self._nodes is None:
+            self._nodes = {
+                node_id: Node(node_id, name, node_type)
+                for node_id, name, node_type in zip(self._ids, self._names, self._types)
+            }
         return self._nodes
 
     @property
     def edges(self) -> list[Edge]:
         """Every edge once, in insertion order (a new list on each call)."""
-        return [Edge(source, target, label) for source, target, label in self._edges]
+        ids, labels = self._ids, self._labels
+        return [
+            Edge(ids[s], ids[t], labels[lab])
+            for s, t, lab in zip(self._sources, self._targets, self._edge_labels)
+        ]
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self._ids)
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._sources)
 
     def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
+        return node_id in self._index
 
     def node(self, node_id: str) -> Node:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise UnknownNodeError(node_id) from None
+        return self._node(self._int(node_id))
+
+    def node_names(self) -> Iterator[tuple[str, str]]:
+        """(id, name) of every node, in insertion order."""
+        return zip(self._ids, self._names)
 
     # --- adjacency queries ---
 
@@ -135,23 +200,20 @@ class KnowledgeGraph:
 
         Self-loops are skipped: a node is never its own neighbor.
         """
-        if x not in self._nodes:
-            raise UnknownNodeError(x)
-        for other, label, direction in self._adj[x]:
-            if other != x:
-                yield other, label, direction
+        i = self._int(x)
+        csr = self._adjacency()
+        ids, labels = self._ids, self._labels
+        for p in range(csr.offsets[i], csr.offsets[i + 1]):
+            yield ids[csr.other[p]], labels[csr.label[p]], _DIRECTIONS[csr.direction[p]]
 
     def neighbor_ids(self, x: str) -> list[str]:
         """Ids of the nodes sharing an edge with x, deduplicated, in first-edge order."""
-        if x not in self._nodes:
-            raise UnknownNodeError(x)
-        ids = dict.fromkeys([other for other, _label, _direction in self._adj[x]])
-        ids.pop(x, None)  # a self-loop does not make x its own neighbor
-        return list(ids)
+        ids = self._ids
+        return [ids[j] for j in self._neighbors(self._int(x))]
 
     def neighbors(self, x: str) -> list[Node]:
         """Nodes sharing an edge with x, deduplicated, in first-edge order."""
-        return [self._nodes[other] for other in self.neighbor_ids(x)]
+        return [self._node(j) for j in self._neighbors(self._int(x))]
 
     def k_hop_neighbors(self, x: str, k: int) -> list[list[Node]]:
         """Per-hop node lists: hop h holds nodes at shortest distance exactly h.
@@ -160,20 +222,19 @@ class KnowledgeGraph:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        if x not in self._nodes:
-            raise UnknownNodeError(x)
-        visited = {x}
-        frontier = [x]
+        i = self._int(x)
+        visited = {i}
+        frontier = [i]
         hops: list[list[Node]] = []
         for _hop in range(k):
-            next_ids: list[str] = []
+            next_ints: list[int] = []
             for current in frontier:
-                for other, _label, _direction in self.adjacency(current):
+                for other in self._neighbors(current):
                     if other not in visited:
                         visited.add(other)
-                        next_ids.append(other)
-            hops.append([self._nodes[nid] for nid in next_ids])
-            frontier = next_ids
+                        next_ints.append(other)
+            hops.append([self._node(j) for j in next_ints])
+            frontier = next_ints
         return hops
 
     def relation_labels_between(self, x: str, y: str) -> list[tuple[str, Direction]]:
@@ -182,10 +243,122 @@ class KnowledgeGraph:
         Direction is relative to x: "out" means the stored edge runs x->y.
         Order follows edge insertion order; empty when no edge exists.
         """
-        if y not in self._nodes:
-            raise UnknownNodeError(y)
-        return [
-            (label, direction)
-            for other, label, direction in self.adjacency(x)
-            if other == y
-        ]
+        j = self._int(y)
+        i = self._int(x)
+        csr = self._adjacency()
+        labels = self._labels
+        found: list[tuple[str, Direction]] = []
+        p, end = csr.offsets[i], csr.offsets[i + 1]
+        while True:
+            try:
+                p = csr.other.index(j, p, end)
+            except ValueError:
+                return found
+            found.append((labels[csr.label[p]], _DIRECTIONS[csr.direction[p]]))
+            p += 1
+
+    # --- the core ---
+
+    def _int(self, node_id: str) -> int:
+        i = self._index.get(node_id)
+        if i is None:
+            raise UnknownNodeError(node_id)
+        return i
+
+    def _node(self, i: int) -> Node:
+        return Node(self._ids[i], self._names[i], self._types[i])
+
+    def _neighbors(self, i: int) -> array:
+        csr = self._adjacency()
+        return csr.neighbors[csr.neighbor_offsets[i]:csr.neighbor_offsets[i + 1]]
+
+    def _adjacency(self) -> _Csr:
+        csr = self._csr
+        if csr is None:
+            csr = self._csr = _build_csr(
+                len(self._ids), self._sources, self._targets, self._edge_labels
+            )
+        return csr
+
+    def dump(self) -> tuple[dict[str, list[str]], dict[str, array]]:
+        """The whole core as plain values: the string tables, and the integer
+        arrays (adjacency included, built first if need be)."""
+        tables = {"ids": self._ids, "names": self._names, "types": self._types, "labels": self._labels}
+        arrays = {
+            "sources": self._sources,
+            "targets": self._targets,
+            "edge_labels": self._edge_labels,
+            **self._adjacency()._asdict(),
+        }
+        return tables, arrays
+
+    @classmethod
+    def restore(cls, tables: dict[str, list[str]], arrays: dict[str, array]) -> "KnowledgeGraph":
+        """The graph whose :meth:`dump` gave ``tables`` and ``arrays``; it
+        takes them over without a copy.
+
+        Raises ValueError or TypeError when they do not fit together: other
+        names or types, or tables and arrays of mismatched lengths.
+        """
+        if set(tables) != {"ids", "names", "types", "labels"} or not all(
+            isinstance(table, list) for table in tables.values()
+        ):
+            raise TypeError("graph state: wrong string tables")
+        if {name: values.typecode for name, values in arrays.items()} != _ARRAYS:
+            raise TypeError("graph state: wrong integer arrays")
+        graph = cls()
+        graph._ids, graph._names, graph._types = tables["ids"], tables["names"], tables["types"]
+        graph._labels = tables["labels"]
+        n = len(graph._ids)
+        graph._index = dict(zip(graph._ids, range(n)))
+        graph._label_index = dict(zip(graph._labels, range(len(graph._labels))))
+        csr = _Csr(*(arrays[name] for name in _Csr._fields))
+        edges = len(arrays["sources"])
+        if (
+            len(graph._names) != n or len(graph._types) != n or len(graph._index) != n
+            or len(graph._label_index) != len(graph._labels)
+            or len(arrays["targets"]) != edges or len(arrays["edge_labels"]) != edges
+            or len(csr.offsets) != n + 1 or len(csr.neighbor_offsets) != n + 1
+            or not len(csr.other) == len(csr.label) == len(csr.direction) == csr.offsets[-1]
+            or len(csr.neighbors) != csr.neighbor_offsets[-1]
+        ):
+            raise ValueError("graph state: tables and arrays do not match")
+        graph._sources, graph._targets = arrays["sources"], arrays["targets"]
+        graph._edge_labels = arrays["edge_labels"]
+        graph._keys = None
+        graph._csr = csr
+        return graph
+
+
+def _build_csr(n: int, sources: array, targets: array, labels: array) -> _Csr:
+    """Adjacency rows of n nodes from the edge columns, in two passes: count
+    each node's links, then fill its row in global edge order."""
+    degree = [0] * n
+    for s, t in zip(sources, targets):
+        if s != t:  # a self-loop makes no link
+            degree[s] += 1
+            degree[t] += 1
+    offsets = array("q", accumulate(degree, initial=0))
+    links = offsets[-1]
+    other = array("i", [0]) * links
+    label = array("i", [0]) * links
+    direction = array("b", [0]) * links  # 0 is OUT
+    free = offsets.tolist()  # the next free slot of each row
+    for s, t, lab in zip(sources, targets, labels):
+        if s == t:
+            continue
+        p = free[s]
+        free[s] = p + 1
+        other[p] = t
+        label[p] = lab
+        p = free[t]
+        free[t] = p + 1
+        other[p] = s
+        label[p] = lab
+        direction[p] = 1
+    neighbor_offsets = array("q", [0])
+    neighbors = array("i")
+    for i in range(n):
+        neighbors.extend(dict.fromkeys(other[offsets[i]:offsets[i + 1]]))
+        neighbor_offsets.append(len(neighbors))
+    return _Csr(offsets, other, label, direction, neighbor_offsets, neighbors)

@@ -6,33 +6,64 @@ edge-list format used for fixtures and third-party graphs. Loading is
 single-threaded; the resulting graph inherits the immutability contract of
 :mod:`kgprompt.graph`.
 
-Both loaders run with the cyclic garbage collector paused and restore the
-caller's GC state afterwards, also when they raise: a load makes hundreds of
-thousands of containers and no cycles, so every collection it would trigger
-is wasted. The Hetionet loader drops each node and edge record of the parsed
-document as soon as it is read, so the document shrinks while the graph
-grows. Each edge endpoint is checked and mapped to the graph's own copy of
-its id in one dict lookup. A file that is not valid UTF-8 is a
+**Snapshots.** Both loaders first hash the dump (sha256). A graph parsed from
+a dump is saved as a snapshot under ``$XDG_CACHE_HOME/kgprompt/graphs/``
+(``~/.cache`` when the variable is unset), keyed by that digest, the loader,
+the snapshot format version, the byte order and the sha256 of this module's
+and :mod:`kgprompt.graph`'s source, so a code change never reads an old
+snapshot. A later load of the same bytes restores the graph's arrays, string
+tables and :class:`IngestReport` (warnings included) from the snapshot and
+skips the parse. A snapshot is a fixed header (magic, version, payload
+length, payload sha256) and a payload of the ``marshal``-encoded string
+tables and report followed by the raw integer arrays; any mismatch,
+truncation or decode error makes the loader parse the dump again and rewrite
+the snapshot. A cache directory that cannot be written costs a log warning, not
+the load.
+
+**Parsing.** The parse runs with the cyclic garbage collector paused and
+restores the caller's GC state afterwards, also when it raises: a load makes
+hundreds of thousands of objects and no cycles, so every collection it would
+trigger is wasted. The Hetionet loader drops each node and edge record of
+the parsed document as soon as it is read, so the document shrinks while the
+graph grows. A file that is not valid UTF-8 is a
 :class:`~kgprompt.errors.ParseError` naming the file and the line.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
+import hashlib
 import itertools
 import json
+import logging
+import marshal
+import os
+import struct
 import sys
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Callable, Iterator
 
-from .atomic import write_jsonl
+from . import graph as graph_module
+from .atomic import write_atomic, write_jsonl
 from .errors import ParseError, SchemaError, jsonl_records, require_fields, utf8_error
 from .graph import KnowledgeGraph, Node
 
+log = logging.getLogger(__name__)
+
 # Warnings kept verbatim in the report are capped; counts stay exact.
 _MAX_WARNINGS = 50
+
+_SNAPSHOT_VERSION = 1
+_SNAPSHOT_MAGIC = b"KGPGRAPH"
+# magic, format version, payload length, payload sha256
+_SNAPSHOT_HEADER = struct.Struct("<8sIQ32s")
+_SNAPSHOT_LENGTH = struct.Struct("<Q")  # of the marshalled tables that open the payload
+_SNAPSHOT_ARRAY = struct.Struct("<cQ")  # typecode and item count before each array's bytes
+_HASH_CHUNK = 1 << 20
 
 
 @dataclass
@@ -75,9 +106,13 @@ def load_hetionet_json(path: str | Path) -> tuple[KnowledgeGraph, IngestReport]:
     target_id, kind and a direction marker. "both"-direction edges are
     expanded into two directed edges so the in-memory model stays purely
     directed while preserving undirected semantics. Exact duplicate triples
-    are skipped with a warning, never a failure.
+    are skipped with a warning, never a failure. A snapshot of an earlier
+    load of the same bytes is restored instead of parsing.
     """
-    path = Path(path)
+    return _load(Path(path), "hetionet_json", _parse_hetionet_json)
+
+
+def _parse_hetionet_json(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
     with _gc_paused():
         try:
             with path.open("r", encoding="utf-8") as fh:
@@ -94,7 +129,6 @@ def load_hetionet_json(path: str | Path) -> tuple[KnowledgeGraph, IngestReport]:
 
         report = IngestReport()
         graph = KnowledgeGraph()
-        ids: dict[str, str] = {}  # node id -> the one copy the graph keeps
         records = data["nodes"]
         for i, record in enumerate(records):
             records[i] = None  # the document shrinks as the graph grows
@@ -102,23 +136,19 @@ def load_hetionet_json(path: str | Path) -> tuple[KnowledgeGraph, IngestReport]:
             kind = sys.intern(str(record["kind"]))
             node_id = hetionet_node_id(kind, record["identifier"])
             name = _nonempty(record, "name", f"node record {i}")
-            if graph.add_node(Node(id=node_id, name=name, node_type=kind)):
-                ids[node_id] = node_id
-            else:
+            if not graph.add_node(Node(id=node_id, name=name, node_type=kind)):
                 report.warn(f"node record {i}: duplicate node id {node_id!r} skipped")
 
         records = data["edges"]
         for i, record in enumerate(records):
             records[i] = None
             require_fields(record, ("source_id", "target_id", "kind", "direction"), f"edge record {i}")
-            source_id = hetionet_node_id(*_endpoint(record["source_id"], i, "source_id"))
-            target_id = hetionet_node_id(*_endpoint(record["target_id"], i, "target_id"))
-            source = ids.get(source_id)
-            target = ids.get(target_id)
-            for endpoint, known in ((source_id, source), (target_id, target)):
-                if known is None:
+            source = hetionet_node_id(*_endpoint(record["source_id"], i, "source_id"))
+            target = hetionet_node_id(*_endpoint(record["target_id"], i, "target_id"))
+            for endpoint in (source, target):
+                if not graph.has_node(endpoint):
                     raise SchemaError(f"edge record {i}: unknown node id {endpoint!r}")
-            label = sys.intern(_nonempty(record, "kind", f"edge record {i}"))
+            label = _nonempty(record, "kind", f"edge record {i}")
             direction = record["direction"]
             if direction == "forward":
                 oriented = ((source, target),)
@@ -156,11 +186,16 @@ def load_edge_list_jsonl(path: str | Path) -> tuple[KnowledgeGraph, IngestReport
 
     Each line is either ``{"node": {"id", "name", "type"}}`` or
     ``{"edge": {"source", "target", "label"}}``; the graph is assembled in
-    file order, so a node must appear before any edge referencing it.
+    file order, so a node must appear before any edge referencing it. A
+    snapshot of an earlier load of the same bytes is restored instead of
+    parsing.
     """
+    return _load(Path(path), "edge_list_jsonl", _parse_edge_list_jsonl)
+
+
+def _parse_edge_list_jsonl(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
     report = IngestReport()
     graph = KnowledgeGraph()
-    ids: dict[str, str] = {}  # node id -> the one copy the graph keeps
 
     with _gc_paused():
         for lineno, record in jsonl_records(path):
@@ -180,20 +215,16 @@ def load_edge_list_jsonl(path: str | Path) -> tuple[KnowledgeGraph, IngestReport
                     name=_nonempty(body, "name", "node record", lineno),
                     node_type=sys.intern(str(body.get("type", "unknown"))),
                 )
-                if graph.add_node(node):
-                    ids[node_id] = node_id
-                else:
+                if not graph.add_node(node):
                     report.warn(f"line {lineno}: duplicate node id {node_id!r} skipped")
             else:
                 body = require_fields(record["edge"], ("source", "target", "label"), "edge record", line=lineno)
-                source_id = str(body["source"])
-                target_id = str(body["target"])
-                source = ids.get(source_id)
-                target = ids.get(target_id)
-                for endpoint, known in ((source_id, source), (target_id, target)):
-                    if known is None:
+                source = str(body["source"])
+                target = str(body["target"])
+                for endpoint in (source, target):
+                    if not graph.has_node(endpoint):
                         raise SchemaError(f"edge references unknown node id {endpoint!r}", line=lineno)
-                label = sys.intern(_nonempty(body, "label", "edge record", lineno))
+                label = _nonempty(body, "label", "edge record", lineno)
                 if graph.add_edge(source, target, label):
                     report.edges_loaded += 1
                 else:
@@ -217,6 +248,133 @@ def _gc_paused() -> Iterator[None]:
     finally:
         if enabled:
             gc.enable()
+
+
+# --- snapshots ---
+
+
+def _load(
+    path: Path, kind: str, parse: Callable[[Path], tuple[KnowledgeGraph, IngestReport]]
+) -> tuple[KnowledgeGraph, IngestReport]:
+    """The snapshot of ``path``'s bytes if one is valid, else ``parse(path)``,
+    saved as that snapshot."""
+    snapshot = _snapshot_path(kind, _file_sha256(path))
+    restored = _read_snapshot(snapshot)
+    if restored is not None:
+        return restored
+    graph, report = parse(path)
+    _write_snapshot(snapshot, graph, report)
+    return graph, report
+
+
+def _snapshot_path(kind: str, dump_sha256: str) -> Path:
+    """Where the snapshot of a dump with this digest, read by the loader
+    ``kind``, lives."""
+    key = "\0".join((kind, str(_SNAPSHOT_VERSION), sys.byteorder, _code_sha256(), dump_sha256))
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(root) / "kgprompt" / "graphs" / f"{hashlib.sha256(key.encode()).hexdigest()}.graph"
+
+
+@functools.cache
+def _code_sha256() -> str:
+    """sha256 of the source of the modules that decide what a snapshot holds."""
+    digest = hashlib.sha256()
+    for module_file in (graph_module.__file__, __file__):
+        digest.update(Path(module_file).read_bytes())
+    return digest.hexdigest()
+
+
+def _file_sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _read_snapshot(path: Path) -> tuple[KnowledgeGraph, IngestReport] | None:
+    """The graph and report a snapshot holds, or None when there is none or
+    it does not check out."""
+    try:
+        fh = path.open("rb")
+    except OSError:  # none yet, or an unusable cache directory
+        return None
+    with fh:
+        try:
+            return _decode_snapshot(fh)
+        except (OSError, struct.error, ValueError, EOFError, TypeError, KeyError) as exc:
+            log.warning("graph snapshot %s is not usable (%s); parsing the dump again", path, exc)
+            return None
+
+
+def _decode_snapshot(fh: BinaryIO) -> tuple[KnowledgeGraph, IngestReport]:
+    """Read and check a whole snapshot, then decode it.
+
+    Nothing read is decoded or trusted before the payload's length and
+    checksum match the header.
+    """
+    magic, version, length, checksum = _SNAPSHOT_HEADER.unpack(fh.read(_SNAPSHOT_HEADER.size))
+    if magic != _SNAPSHOT_MAGIC or version != _SNAPSHOT_VERSION:
+        raise ValueError(f"not a version {_SNAPSHOT_VERSION} graph snapshot")
+    if os.fstat(fh.fileno()).st_size != _SNAPSHOT_HEADER.size + length:
+        raise EOFError("file size does not match the payload length")
+    # every size read below is checked against what is left before reading
+    digest = hashlib.sha256()
+    remaining = length
+
+    def read(size: int) -> bytes:
+        nonlocal remaining
+        if size > remaining:
+            raise EOFError("payload shorter than its parts say")
+        data = fh.read(size)
+        digest.update(data)
+        remaining -= size
+        return data
+
+    (tables_size,) = _SNAPSHOT_LENGTH.unpack(read(_SNAPSHOT_LENGTH.size))
+    tables = read(tables_size)
+    arrays = []
+    while remaining:
+        typecode, count = _SNAPSHOT_ARRAY.unpack(read(_SNAPSHOT_ARRAY.size))
+        values = array(typecode.decode("ascii"))  # ValueError for a bad typecode
+        if count * values.itemsize > remaining:
+            raise EOFError("payload shorter than its parts say")
+        values.fromfile(fh, count)
+        digest.update(values)
+        remaining -= count * values.itemsize
+        arrays.append(values)
+    if digest.digest() != checksum:
+        raise ValueError("payload checksum mismatch")
+    state = marshal.loads(tables)
+    if len(state["arrays"]) != len(arrays):
+        raise ValueError("payload holds other arrays than its tables name")
+    graph = KnowledgeGraph.restore(state["graph"], dict(zip(state["arrays"], arrays)))
+    return graph, IngestReport(*state["report"])
+
+
+def _write_snapshot(path: Path, graph: KnowledgeGraph, report: IngestReport) -> None:
+    """Save a snapshot: the header, then a payload of the marshalled string
+    tables and report, and each integer array's typecode, count and bytes."""
+    tables, arrays = graph.dump()
+    head = marshal.dumps({
+        "graph": tables,
+        "arrays": list(arrays),
+        "report": (report.nodes_loaded, report.edges_loaded, report.duplicates_rejected, report.warnings),
+    })
+    pieces: list = [_SNAPSHOT_LENGTH.pack(len(head)), head]
+    for values in arrays.values():
+        pieces += [_SNAPSHOT_ARRAY.pack(values.typecode.encode("ascii"), len(values)), values]
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece)
+    length = sum(memoryview(piece).nbytes for piece in pieces)
+    try:
+        with write_atomic(path, mode="wb") as fh:
+            fh.write(_SNAPSHOT_HEADER.pack(_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, length, digest.digest()))
+            for piece in pieces:
+                fh.write(piece)
+    except OSError as exc:
+        log.warning("graph snapshot not saved (%s); the next load parses the dump again", exc)
 
 
 def export_edge_list_jsonl(kg: KnowledgeGraph, path: str | Path) -> int:

@@ -80,9 +80,9 @@ def _graph_lookup(kg: KnowledgeGraph) -> NameLookup:
     """
     exact: dict[str, str] = {}
     normalized: dict[str, str] = {}
-    for node in kg.nodes.values():
-        exact.setdefault(node.name, node.id)
-        normalized.setdefault(normalize_name(node.name), node.id)
+    for node_id, name in kg.node_names():
+        exact.setdefault(name, node_id)
+        normalized.setdefault(normalize_name(name), node_id)
 
     def lookup(name: str) -> tuple[str, str] | None:
         if name in exact:

@@ -262,8 +262,19 @@ def _section(data: dict, name: str, build: Callable[..., T]) -> T:
 def _label_mapping(
     mode: str = "identity", causal: str | None = None, non_causal: str | None = None
 ) -> LabelMapping:
+    words = {"causal": causal, "non_causal": non_causal}
     if mode == "identity":
+        for key, word in words.items():
+            if word is not None:
+                raise ValueError(f"mode 'identity' takes no label words, but {key!r} is given")
         return LabelMapping.identity()
+    if mode != "custom":
+        raise ValueError(f"unknown mode {mode!r}; expected 'identity' or 'custom'")
+    for key, word in words.items():
+        if word is None:
+            raise ValueError(f"mode 'custom' needs {key!r}")
+        if not isinstance(word, str):
+            raise TypeError(f"{key} must be a string, not {type(word).__name__}")
     return LabelMapping.custom(causal, non_causal)
 
 

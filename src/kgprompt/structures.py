@@ -140,10 +140,10 @@ def extract_neighbors(
     kg: KnowledgeGraph, x: str, limits: ExtractionLimits, seed: int
 ) -> StructureBundle:
     """Up to ``max_neighbors`` 1-hop neighbors of x with relation labels."""
-    candidates = kg.neighbors(x)
+    candidates = kg.neighbor_ids(x)
     chosen = select_subset(candidates, limits.max_neighbors, derive_seed(seed, "NN", x))
     payload = tuple(
-        NeighborLink(node=n, labels=tuple(kg.relation_labels_between(x, n.id)))
+        NeighborLink(node=kg.node(n), labels=tuple(kg.relation_labels_between(x, n)))
         for n in chosen
     )
     return StructureBundle(
@@ -166,12 +166,12 @@ def extract_common_neighbors(
     if x == y:
         raise SamePairError(f"common neighbors need two distinct nodes, got {x!r} twice")
     y_neighbor_ids = set(kg.neighbor_ids(y))
-    common = [n for n in kg.neighbors(x) if n.id in y_neighbor_ids]
+    common = [n for n in kg.neighbor_ids(x) if n in y_neighbor_ids]
     chosen = select_subset(common, limits.max_common_neighbors, derive_seed(seed, "CNN", x, y))
     return StructureBundle(
         kind=StructureKind.CNN,
         pair=(x, y),
-        payload=tuple(chosen),
+        payload=tuple(kg.node(n) for n in chosen),
         selection_seed=seed,
         candidate_count=len(common),
     )

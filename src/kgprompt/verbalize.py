@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import KindMismatchError, MissingLabelError
+from .errors import KindMismatchError, MissingLabelError, check_field_types
 from .graph import Node
 from .structures import Metapath, NeighborLink, StructureBundle, StructureKind
 
@@ -37,6 +37,7 @@ class TemplateSet:
     final_conjunction: str = "and"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         for f in fields(self):
             if not getattr(self, f.name):
                 raise ValueError(f"template field {f.name!r} must be non-empty")

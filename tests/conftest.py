@@ -7,6 +7,15 @@ import pytest
 DATA_DIR = Path(__file__).parent / "data"
 
 
+@pytest.fixture(autouse=True)
+def graph_cache(tmp_path, monkeypatch) -> Path:
+    """A per-test ``XDG_CACHE_HOME``: every test starts with no graph
+    snapshot, and none reaches the user's cache."""
+    cache = tmp_path / "xdg-cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache
+
+
 @pytest.fixture
 def fixture_dataset_path() -> Path:
     return DATA_DIR / "fixture_dataset.jsonl"

@@ -25,3 +25,16 @@ def test_failed_write_keeps_the_old_file_and_no_temporary(tmp_path):
             raise RuntimeError("interrupted")
     assert target.read_text(encoding="utf-8") == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+
+def test_binary_write_replaces_bytes_and_a_failed_one_keeps_the_old_file(tmp_path):
+    target = tmp_path / "snapshot.bin"
+    with write_atomic(target, mode="wb") as fh:
+        fh.write(b"\x00old\xff")
+    assert target.read_bytes() == b"\x00old\xff"
+    with pytest.raises(RuntimeError):
+        with write_atomic(target, mode="wb") as fh:
+            fh.write(b"half of the new")
+            raise RuntimeError("interrupted")
+    assert target.read_bytes() == b"\x00old\xff"
+    assert [p.name for p in tmp_path.iterdir()] == ["snapshot.bin"]

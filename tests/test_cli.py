@@ -143,10 +143,25 @@ def test_malformed_override_table_exit_code_3(tmp_path, capsys):
         ({"selection_seed": True}, "selection_seed must be an integer, not bool"),
         ({"nn_include_labels": "no"}, "nn_include_labels must be true or false, not str"),
         ({"out_dir": 5}, "out_dir must be a string, not int"),
+        (
+            {"label_mapping": {"mode": "custom", "causal": 1, "non_causal": 2}},
+            "label_mapping: causal must be a string, not int",
+        ),
+        ({"templates": {"nn_connective": 5}}, "templates: nn_connective must be a string, not int"),
+        (
+            {"label_mapping": {"mode": "weird", "causal": "yes", "non_causal": "no"}},
+            "label_mapping: unknown mode 'weird'; expected 'identity' or 'custom'",
+        ),
+        ({"label_mapping": {"mode": "custom"}}, "label_mapping: mode 'custom' needs 'causal'"),
+        (
+            {"label_mapping": {"mode": "identity", "non_causal": "no"}},
+            "label_mapping: mode 'identity' takes no label words, but 'non_causal' is given",
+        ),
     ],
     ids=["kg-path-int", "overrides-int", "http-timeout-0", "remote-ftp-url", "max-neighbors-float",
          "few-shot-k-float", "mp-max-hops-float", "n-folds-float", "selection-seed-bool",
-         "nn-include-labels-str", "out-dir-int"],
+         "nn-include-labels-str", "out-dir-int", "label-words-int", "template-word-int",
+         "label-mode-unknown", "custom-mode-without-words", "identity-mode-with-words"],
 )
 def test_bad_config_values_exit_code_2_before_any_artifact(tmp_path, capsys, overrides, message):
     config = write_config(tmp_path, **overrides)

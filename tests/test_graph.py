@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from array import array
 from random import Random
 
 import pytest
@@ -150,3 +151,46 @@ def test_undirected_symmetry_on_random_graphs():
             for neighbor in kg.neighbors(nid):
                 assert nid in {n.id for n in kg.neighbors(neighbor.id)}
             assert {n.id for n in kg.neighbors(nid)} == undirected_neighbor_ids(edges, nid)
+
+
+def test_queries_after_further_adds_see_them():
+    kg = make_graph([("a", "A", "t"), ("b", "B", "t")], [("a", "b", "r")])
+    assert kg.neighbor_ids("a") == ["b"]
+    assert len(kg.nodes) == 2
+    assert kg.add_node(Node("c", "C"))
+    assert kg.add_edge("c", "a", "s")
+    assert kg.neighbor_ids("a") == ["b", "c"]
+    assert kg.relation_labels_between("a", "c") == [("s", "in")]
+    assert list(kg.nodes) == ["a", "b", "c"]
+
+
+def test_restored_graph_answers_as_the_dumped_one_and_still_dedups():
+    rng = Random(77)
+    for _ in range(20):
+        nodes, edges = random_graph(rng, max_nodes=30, max_edges=120)
+        kg = make_graph(nodes, edges)
+        tables, arrays = kg.dump()
+        copy = KnowledgeGraph.restore(
+            {name: list(table) for name, table in tables.items()},
+            {name: array(values.typecode, values) for name, values in arrays.items()},
+        )
+        ids = list(kg.nodes)
+        assert list(copy.nodes.items()) == list(kg.nodes.items())
+        assert copy.edges == kg.edges
+        for x in ids:
+            assert list(copy.adjacency(x)) == list(kg.adjacency(x))
+            assert copy.neighbor_ids(x) == kg.neighbor_ids(x)
+        source, target, label = edges[0]
+        assert not copy.add_edge(source, target, label)
+        assert copy.add_edge(source, target, label + " again")
+        assert copy.edge_count == kg.edge_count + 1
+
+
+def test_restore_rejects_state_that_does_not_fit_together():
+    tables, arrays = make_graph([("a", "A", "t"), ("b", "B", "t")], [("a", "b", "r")]).dump()
+    with pytest.raises(ValueError):
+        KnowledgeGraph.restore({**tables, "names": ["A"]}, arrays)
+    with pytest.raises(ValueError):
+        KnowledgeGraph.restore(tables, {**arrays, "other": arrays["other"][:-1]})
+    with pytest.raises(TypeError):
+        KnowledgeGraph.restore(tables, {**arrays, "other": array("q", arrays["other"])})

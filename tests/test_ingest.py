@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+import kgprompt.ingest as ingest
 from kgprompt.errors import ParseError, SchemaError
 from kgprompt.ingest import export_edge_list_jsonl, load_edge_list_jsonl, load_hetionet_json
 
@@ -373,8 +374,11 @@ def test_loaders_match_frozen_copies_on_random_dumps(tmp_path):
         path = write_hetionet(het, **_random_hetionet(rng))
         got = _outcome(load_hetionet_json, path)
         assert got == _outcome(frozen_load_hetionet_json, path)
+        # the second load of the same bytes restores the first one's snapshot
+        assert _outcome(load_hetionet_json, path) == got
         suppressed += any("further warnings suppressed" in w for w in got[0].warnings)
         path = _write_edge_list(jsonl, _random_edge_list(rng))
+        assert _outcome(load_edge_list_jsonl, path) == _outcome(frozen_load_edge_list_jsonl, path)
         assert _outcome(load_edge_list_jsonl, path) == _outcome(frozen_load_edge_list_jsonl, path)
     assert suppressed  # some dumps overflow the report's warning cap
 
@@ -506,3 +510,77 @@ def test_jsonl_non_utf8_line_counts_every_kind_of_line_break(tmp_path):
     with pytest.raises(ParseError, match=where) as err:
         load_edge_list_jsonl(path)
     assert err.value.line == 4
+
+
+# --- snapshots ---
+
+_FROZEN = {"hetionet": frozen_load_hetionet_json, "jsonl": frozen_load_edge_list_jsonl}
+_PARSERS = {"hetionet": "_parse_hetionet_json", "jsonl": "_parse_edge_list_jsonl"}
+
+
+def _random_dump(tmp_path: Path, fmt: str, seed: int) -> Path:
+    rng = Random(seed)
+    if fmt == "hetionet":
+        return write_hetionet(tmp_path / "het.json", **_random_hetionet(rng))
+    return _write_edge_list(tmp_path / "graph.jsonl", _random_edge_list(rng))
+
+
+def _count_parses(monkeypatch, fmt: str) -> list:
+    """The paths ``fmt``'s loader parses from now on (a snapshot hit parses none)."""
+    parses = []
+    parse = getattr(ingest, _PARSERS[fmt])
+    monkeypatch.setattr(ingest, _PARSERS[fmt], lambda path: parses.append(path) or parse(path))
+    return parses
+
+
+def _damage(snapshot: Path, damage: str) -> None:
+    data = bytearray(snapshot.read_bytes())
+    header = ingest._SNAPSHOT_HEADER.size
+    if damage == "truncated":
+        del data[header + (len(data) - header) // 2:]
+    elif damage == "flipped-byte":
+        data[header + (len(data) - header) // 2] ^= 0x01
+    elif damage == "wrong-version":
+        data[8:12] = (ingest._SNAPSHOT_VERSION + 1).to_bytes(4, "little")
+    elif damage == "header-only":
+        del data[header - 1:]
+    snapshot.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+@pytest.mark.parametrize("damage", ["truncated", "flipped-byte", "wrong-version", "header-only"])
+def test_damaged_snapshot_is_rebuilt_not_trusted(tmp_path, graph_cache, monkeypatch, fmt, damage):
+    path = _random_dump(tmp_path, fmt, seed=808)
+    expected = _outcome(_FROZEN[fmt], path)
+    parses = _count_parses(monkeypatch, fmt)
+    assert _outcome(_LOADERS[fmt], path) == expected
+    assert _outcome(_LOADERS[fmt], path) == expected
+    assert len(parses) == 1  # the second load restored the snapshot
+    (snapshot,) = (graph_cache / "kgprompt" / "graphs").iterdir()
+    _damage(snapshot, damage)
+    assert _outcome(_LOADERS[fmt], path) == expected
+    assert len(parses) == 2  # parsed again
+    assert _outcome(_LOADERS[fmt], path) == expected
+    assert len(parses) == 2  # and the rewritten snapshot restored
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+def test_changed_dump_is_parsed_again(tmp_path, graph_cache, monkeypatch, fmt):
+    path = _random_dump(tmp_path, fmt, seed=1)
+    _LOADERS[fmt](path)
+    parses = _count_parses(monkeypatch, fmt)
+    path = _random_dump(tmp_path, fmt, seed=2)  # other bytes at the same path
+    assert _outcome(_LOADERS[fmt], path) == _outcome(_FROZEN[fmt], path)
+    assert parses == [path]
+    assert len(list((graph_cache / "kgprompt" / "graphs").iterdir())) == 2
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+def test_unwritable_cache_still_loads_with_one_warning(tmp_path, monkeypatch, caplog, fmt):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    path = _random_dump(tmp_path, fmt, seed=3)
+    with caplog.at_level("WARNING", logger="kgprompt.ingest"):
+        assert _outcome(_LOADERS[fmt], path) == _outcome(_FROZEN[fmt], path)
+    assert [r.getMessage().startswith("graph snapshot not saved") for r in caplog.records] == [True]

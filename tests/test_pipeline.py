@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgprompt.ingest as ingest
 from kgprompt.errors import ConfigError, StageError
 from kgprompt.pipeline import ExperimentConfig, run_experiment, validate_config
 
@@ -316,3 +318,64 @@ def test_from_dict_lets_only_config_errors_escape(base, extra):
     except ConfigError:
         pass
 
+
+
+# --- graph snapshots across runs ---
+
+
+def _fixture_kg_as_hetionet(path: Path) -> Path:
+    """The fixture graph as a Hetionet dump, plus a duplicate, a "both" and a
+    "backward" edge record."""
+    nodes, edges, kind_of = [], [], {}
+    for line in (DATA_DIR / "fixture_kg.jsonl").read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if "node" in record:
+            node = record["node"]
+            kind_of[node["id"]] = node["type"]
+            nodes.append({"kind": node["type"], "identifier": node["id"], "name": node["name"]})
+        else:
+            edge = record["edge"]
+            edges.append({
+                "source_id": [kind_of[edge["source"]], edge["source"]],
+                "target_id": [kind_of[edge["target"]], edge["target"]],
+                "kind": edge["label"],
+                "direction": "forward",
+            })
+    edges.append(dict(edges[0]))
+    edges.append(dict(edges[1], kind="co-occurs with", direction="both"))
+    edges.append(dict(edges[2], kind="reported with", direction="backward"))
+    path.write_text(json.dumps({"nodes": nodes, "edges": edges}), encoding="utf-8")
+    return path
+
+
+def _parse_fails(path):
+    raise AssertionError(f"{path} was parsed, not restored from its snapshot")
+
+
+@pytest.mark.parametrize("structure", ["NN", "CNN", "MP"])
+@pytest.mark.parametrize("kg_kind", ["jsonl", "hetionet_json"])
+def test_warm_run_restores_the_graph_and_writes_the_cold_runs_bytes(
+    tmp_path, monkeypatch, kg_kind, structure
+):
+    path = DATA_DIR / "fixture_kg.jsonl"
+    if kg_kind == "hetionet_json":
+        path = _fixture_kg_as_hetionet(tmp_path / "het.json")
+    config = ExperimentConfig.from_dict(
+        base_config_dict(tmp_path / "run", structure=structure, kg={"kind": kg_kind, "path": str(path)})
+    )
+    cold = tree_bytes(run_experiment(config))
+    assert "manifest.json" in cold
+    shutil.rmtree(tmp_path / "run")
+    monkeypatch.setattr(ingest, "_parse_hetionet_json", _parse_fails)
+    monkeypatch.setattr(ingest, "_parse_edge_list_jsonl", _parse_fails)
+    assert tree_bytes(run_experiment(config)) == cold
+
+
+def test_unwritable_graph_cache_gives_the_same_artifacts(tmp_path, monkeypatch):
+    config = ExperimentConfig.from_dict(base_config_dict(tmp_path / "run"))
+    expected = tree_bytes(run_experiment(config))
+    shutil.rmtree(tmp_path / "run")
+    blocker = tmp_path / "cache-is-a-file"
+    blocker.write_text("", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    assert tree_bytes(run_experiment(config)) == expected
