@@ -19,8 +19,8 @@ Storage is an integer core:
   order, and a set of packed integer keys is the duplicate check;
 - adjacency is a CSR (compressed sparse rows) built from the columns on the
   first query after an add: per node, the other end, label and direction of
-  each link in global edge order, self-loops left out, and a second CSR of
-  the deduplicated neighbor ids in first-edge order.
+  each link in global edge order, self-loops left out. A node's neighbors
+  are the other ends of its row, deduplicated in first-link order.
 
 ``Node`` and ``Edge`` objects are made only when a query returns them. The
 whole core converts to and from plain values (:meth:`KnowledgeGraph.dump`,
@@ -58,22 +58,18 @@ class Edge:
 
 class _Csr(NamedTuple):
     """Adjacency rows: node i's links are ``offsets[i]:offsets[i + 1]`` of
-    ``other``/``label``/``direction``, its neighbors are
-    ``neighbor_offsets[i]:neighbor_offsets[i + 1]`` of ``neighbors``."""
+    ``other``/``label``/``direction``."""
 
     offsets: array
     other: array
     label: array
     direction: array
-    neighbor_offsets: array
-    neighbors: array
 
 
 # the typecode of each integer array of the core, by its name in dump()
 _ARRAYS = {
     "sources": "i", "targets": "i", "edge_labels": "i",
     "offsets": "q", "other": "i", "label": "i", "direction": "b",
-    "neighbor_offsets": "q", "neighbors": "i",
 }
 
 
@@ -102,7 +98,6 @@ class KnowledgeGraph:
         # packed edge keys; None until an add needs them on a restored graph
         self._keys: set[int] | None = set()
         self._csr: _Csr | None = None  # None until the first query after an add
-        self._nodes: dict[str, Node] | None = None
         for node in nodes:
             if not self.add_node(node):
                 raise ValueError(f"duplicate node id: {node.id!r}")
@@ -123,7 +118,7 @@ class KnowledgeGraph:
         self._ids.append(node.id)
         self._names.append(node.name)
         self._types.append(node.node_type)
-        self._csr = self._nodes = None
+        self._csr = None
         return True
 
     def add_edge(self, source: str, target: str, label: str) -> bool:
@@ -158,13 +153,11 @@ class KnowledgeGraph:
 
     @property
     def nodes(self) -> dict[str, Node]:
-        """Node id -> node, in insertion order (built on first read, then kept)."""
-        if self._nodes is None:
-            self._nodes = {
-                node_id: Node(node_id, name, node_type)
-                for node_id, name, node_type in zip(self._ids, self._names, self._types)
-            }
-        return self._nodes
+        """Node id -> node, in insertion order (a new dict on each call)."""
+        return {
+            node_id: Node(node_id, name, node_type)
+            for node_id, name, node_type in zip(self._ids, self._names, self._types)
+        }
 
     @property
     def edges(self) -> list[Edge]:
@@ -268,9 +261,11 @@ class KnowledgeGraph:
     def _node(self, i: int) -> Node:
         return Node(self._ids[i], self._names[i], self._types[i])
 
-    def _neighbors(self, i: int) -> array:
+    def _neighbors(self, i: int) -> Iterable[int]:
+        """Node i's neighbors: the other ends of its links, deduplicated in
+        first-link order (self-loops are not in the rows)."""
         csr = self._adjacency()
-        return csr.neighbors[csr.neighbor_offsets[i]:csr.neighbor_offsets[i + 1]]
+        return dict.fromkeys(csr.other[csr.offsets[i]:csr.offsets[i + 1]])
 
     def _adjacency(self) -> _Csr:
         csr = self._csr
@@ -318,9 +313,8 @@ class KnowledgeGraph:
             len(graph._names) != n or len(graph._types) != n or len(graph._index) != n
             or len(graph._label_index) != len(graph._labels)
             or len(arrays["targets"]) != edges or len(arrays["edge_labels"]) != edges
-            or len(csr.offsets) != n + 1 or len(csr.neighbor_offsets) != n + 1
+            or len(csr.offsets) != n + 1
             or not len(csr.other) == len(csr.label) == len(csr.direction) == csr.offsets[-1]
-            or len(csr.neighbors) != csr.neighbor_offsets[-1]
         ):
             raise ValueError("graph state: tables and arrays do not match")
         graph._sources, graph._targets = arrays["sources"], arrays["targets"]
@@ -356,9 +350,4 @@ def _build_csr(n: int, sources: array, targets: array, labels: array) -> _Csr:
         other[p] = s
         label[p] = lab
         direction[p] = 1
-    neighbor_offsets = array("q", [0])
-    neighbors = array("i")
-    for i in range(n):
-        neighbors.extend(dict.fromkeys(other[offsets[i]:offsets[i + 1]]))
-        neighbor_offsets.append(len(neighbors))
-    return _Csr(offsets, other, label, direction, neighbor_offsets, neighbors)
+    return _Csr(offsets, other, label, direction)

@@ -8,10 +8,10 @@ single-threaded; the resulting graph inherits the immutability contract of
 
 **Snapshots.** Both loaders first hash the dump (sha256). A graph parsed from
 a dump is saved as a snapshot under ``$XDG_CACHE_HOME/kgprompt/graphs/``
-(``~/.cache`` when the variable is unset), keyed by that digest, the loader,
-the snapshot format version, the byte order and the sha256 of this module's
-and :mod:`kgprompt.graph`'s source, so a code change never reads an old
-snapshot. A later load of the same bytes restores the graph's arrays, string
+(``~/.cache`` when the variable is unset or not an absolute path), keyed by
+that digest, the loader, the snapshot format version, the byte order and the
+sha256 of this module's and :mod:`kgprompt.graph`'s source, so a code change
+never reads an old snapshot. A later load of the same bytes restores the graph's arrays, string
 tables and :class:`IngestReport` (warnings included) from the snapshot and
 skips the parse. A snapshot is a fixed header (magic, version, payload
 length, payload sha256) and a payload of the ``marshal``-encoded string
@@ -57,7 +57,7 @@ log = logging.getLogger(__name__)
 # Warnings kept verbatim in the report are capped; counts stay exact.
 _MAX_WARNINGS = 50
 
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_VERSION = 2
 _SNAPSHOT_MAGIC = b"KGPGRAPH"
 # magic, format version, payload length, payload sha256
 _SNAPSHOT_HEADER = struct.Struct("<8sIQ32s")
@@ -271,7 +271,9 @@ def _snapshot_path(kind: str, dump_sha256: str) -> Path:
     """Where the snapshot of a dump with this digest, read by the loader
     ``kind``, lives."""
     key = "\0".join((kind, str(_SNAPSHOT_VERSION), sys.byteorder, _code_sha256(), dump_sha256))
-    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):  # unset, empty or relative: the spec says ignore it
+        root = os.path.join(os.path.expanduser("~"), ".cache")
     return Path(root) / "kgprompt" / "graphs" / f"{hashlib.sha256(key.encode()).hexdigest()}.graph"
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -178,6 +178,12 @@ class ExperimentConfig:
 
     @classmethod
     def _from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"configuration must be an object, not {type(data).__name__}")
+        known = {f.name for f in fields(cls)}
+        for key in data:
+            if key not in known:
+                raise ConfigError(f"unknown configuration key {key!r}")
         for required in ("dataset", "kg", "out_dir"):
             if required not in data:
                 raise ConfigError(f"configuration misses required field {required!r}")

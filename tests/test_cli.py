@@ -157,14 +157,22 @@ def test_malformed_override_table_exit_code_3(tmp_path, capsys):
             {"label_mapping": {"mode": "identity", "non_causal": "no"}},
             "label_mapping: mode 'identity' takes no label words, but 'non_causal' is given",
         ),
+        ({"strucutre": "MP"}, "unknown configuration key 'strucutre'"),
+        (None, "configuration must be an object, not NoneType"),
+        (["dataset"], "configuration must be an object, not list"),
     ],
     ids=["kg-path-int", "overrides-int", "http-timeout-0", "remote-ftp-url", "max-neighbors-float",
          "few-shot-k-float", "mp-max-hops-float", "n-folds-float", "selection-seed-bool",
          "nn-include-labels-str", "out-dir-int", "label-words-int", "template-word-int",
-         "label-mode-unknown", "custom-mode-without-words", "identity-mode-with-words"],
+         "label-mode-unknown", "custom-mode-without-words", "identity-mode-with-words",
+         "unknown-top-level-key", "config-null", "config-list"],
 )
 def test_bad_config_values_exit_code_2_before_any_artifact(tmp_path, capsys, overrides, message):
-    config = write_config(tmp_path, **overrides)
+    if isinstance(overrides, dict):
+        config = write_config(tmp_path, **overrides)
+    else:  # the whole configuration is this value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(overrides), encoding="utf-8")
     assert main(["run", "--config", str(config)]) == 2
     assert message in capsys.readouterr().err
     out_dir = tmp_path / "run"

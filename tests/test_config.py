@@ -9,6 +9,7 @@ change to the canonical form must update them and say why.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -106,6 +107,22 @@ def test_canonical_config_is_pinned(workdir, name):
     assert manifest["config_hash"] == GOLDEN_HASHES[name]
     with_mock = data.get("backend", {}).get("kind") == "mock"
     assert manifest["seeds"] == {**SEEDS_203, **({"mock_seed": 203} if with_mock else {})}
+
+
+def test_canonical_dict_covers_every_field():
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    full = {
+        **FIXTURE_NN_MOCK,
+        "templates": {"nn_connective": "borders"},
+        "selection_seed": 7,
+        "mask_token": "<mask>",
+        "nn_include_labels": True,
+        "backend": HTTP_BENCH,
+        "overrides": "overrides.json",
+    }
+    assert set(full) == names  # every top-level key is given
+    for data in (MINIMAL, full):
+        assert set(ExperimentConfig.from_dict(data).to_canonical_dict()) == names
 
 
 def test_integer_http_settings_are_stored_as_floats(workdir):

@@ -584,3 +584,18 @@ def test_unwritable_cache_still_loads_with_one_warning(tmp_path, monkeypatch, ca
     with caplog.at_level("WARNING", logger="kgprompt.ingest"):
         assert _outcome(_LOADERS[fmt], path) == _outcome(_FROZEN[fmt], path)
     assert [r.getMessage().startswith("graph snapshot not saved") for r in caplog.records] == [True]
+
+
+@pytest.mark.parametrize("value", ["rel", "", None], ids=["relative", "empty", "unset"])
+def test_snapshot_ignores_a_cache_home_that_is_not_absolute(tmp_path, monkeypatch, value):
+    home, cwd = tmp_path / "home", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    if value is None:
+        monkeypatch.delenv("XDG_CACHE_HOME")
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", value)
+    monkeypatch.chdir(cwd)
+    load_edge_list_jsonl(_random_dump(tmp_path, "jsonl", seed=4))
+    assert len(list((home / ".cache" / "kgprompt" / "graphs").iterdir())) == 1
+    assert not any(cwd.iterdir())
