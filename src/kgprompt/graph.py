@@ -20,7 +20,10 @@ Storage is an integer core:
 - adjacency is a CSR (compressed sparse rows) built from the columns on the
   first query after an add: per node, the other end, label and direction of
   each link in global edge order, self-loops left out. A node's neighbors
-  are the other ends of its row, deduplicated in first-link order.
+  are the other ends of its row, deduplicated in first-link order;
+- each node's normalized name (:func:`normalize_name`), which
+  :meth:`KnowledgeGraph.name_tables` indexes, is built when first needed
+  after an add.
 
 ``Node`` and ``Edge`` objects are made only when a query returns them. The
 whole core converts to and from plain values (:meth:`KnowledgeGraph.dump`,
@@ -29,6 +32,7 @@ whole core converts to and from plain values (:meth:`KnowledgeGraph.dump`,
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
@@ -73,6 +77,15 @@ _ARRAYS = {
 }
 
 
+_PUNCT = re.compile(r"[^\w\s]", re.UNICODE)
+_SPACES = re.compile(r"\s+")
+
+
+def normalize_name(name: str) -> str:
+    """Lowercase, strip punctuation, collapse whitespace."""
+    return _SPACES.sub(" ", _PUNCT.sub(" ", name.casefold())).strip()
+
+
 def _edge_key(source: int, target: int, label: int) -> int:
     return (source << 64) | (target << 32) | label
 
@@ -98,6 +111,7 @@ class KnowledgeGraph:
         # packed edge keys; None until an add needs them on a restored graph
         self._keys: set[int] | None = set()
         self._csr: _Csr | None = None  # None until the first query after an add
+        self._normalized: list[str] | None = None  # likewise
         for node in nodes:
             if not self.add_node(node):
                 raise ValueError(f"duplicate node id: {node.id!r}")
@@ -119,6 +133,7 @@ class KnowledgeGraph:
         self._names.append(node.name)
         self._types.append(node.node_type)
         self._csr = None
+        self._normalized = None
         return True
 
     def add_edge(self, source: str, target: str, label: str) -> bool:
@@ -180,11 +195,14 @@ class KnowledgeGraph:
         return node_id in self._index
 
     def node(self, node_id: str) -> Node:
-        return self._node(self._int(node_id))
+        return self._node(self.index_of(node_id))
 
-    def node_names(self) -> Iterator[tuple[str, str]]:
-        """(id, name) of every node, in insertion order."""
-        return zip(self._ids, self._names)
+    def name_tables(self) -> tuple[dict[str, str], dict[str, str]]:
+        """Two new dicts, name -> node id and normalized name -> node id;
+        when nodes share a (normalized) name, the first added wins."""
+        # a dict keeps the last value given for a key, so feed it backwards
+        exact = dict(zip(reversed(self._names), reversed(self._ids)))
+        return exact, dict(zip(reversed(self._normalized_names()), reversed(self._ids)))
 
     # --- adjacency queries ---
 
@@ -193,7 +211,7 @@ class KnowledgeGraph:
 
         Self-loops are skipped: a node is never its own neighbor.
         """
-        i = self._int(x)
+        i = self.index_of(x)
         csr = self._adjacency()
         ids, labels = self._ids, self._labels
         for p in range(csr.offsets[i], csr.offsets[i + 1]):
@@ -202,11 +220,11 @@ class KnowledgeGraph:
     def neighbor_ids(self, x: str) -> list[str]:
         """Ids of the nodes sharing an edge with x, deduplicated, in first-edge order."""
         ids = self._ids
-        return [ids[j] for j in self._neighbors(self._int(x))]
+        return [ids[j] for j in self._neighbors(self.index_of(x))]
 
     def neighbors(self, x: str) -> list[Node]:
         """Nodes sharing an edge with x, deduplicated, in first-edge order."""
-        return [self._node(j) for j in self._neighbors(self._int(x))]
+        return [self._node(j) for j in self._neighbors(self.index_of(x))]
 
     def k_hop_neighbors(self, x: str, k: int) -> list[list[Node]]:
         """Per-hop node lists: hop h holds nodes at shortest distance exactly h.
@@ -215,7 +233,7 @@ class KnowledgeGraph:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        i = self._int(x)
+        i = self.index_of(x)
         visited = {i}
         frontier = [i]
         hops: list[list[Node]] = []
@@ -236,8 +254,8 @@ class KnowledgeGraph:
         Direction is relative to x: "out" means the stored edge runs x->y.
         Order follows edge insertion order; empty when no edge exists.
         """
-        j = self._int(y)
-        i = self._int(x)
+        j = self.index_of(y)
+        i = self.index_of(x)
         csr = self._adjacency()
         labels = self._labels
         found: list[tuple[str, Direction]] = []
@@ -250,13 +268,27 @@ class KnowledgeGraph:
             found.append((labels[csr.label[p]], _DIRECTIONS[csr.direction[p]]))
             p += 1
 
-    # --- the core ---
+    # --- the integer view, for algorithms that walk the adjacency in bulk ---
 
-    def _int(self, node_id: str) -> int:
+    def index_of(self, node_id: str) -> int:
+        """The int node_id is interned to (its insertion position)."""
         i = self._index.get(node_id)
         if i is None:
             raise UnknownNodeError(node_id)
         return i
+
+    def id_of(self, i: int) -> str:
+        """The node id interned to i."""
+        return self._ids[i]
+
+    def link_rows(self) -> tuple[array, array]:
+        """``(offsets, other)``: node i's links end at the nodes
+        ``other[offsets[i]:offsets[i + 1]]``, in edge insertion order, with a
+        repeat per parallel edge and no self-loops."""
+        csr = self._adjacency()
+        return csr.offsets, csr.other
+
+    # --- the core ---
 
     def _node(self, i: int) -> Node:
         return Node(self._ids[i], self._names[i], self._types[i])
@@ -267,6 +299,12 @@ class KnowledgeGraph:
         csr = self._adjacency()
         return dict.fromkeys(csr.other[csr.offsets[i]:csr.offsets[i + 1]])
 
+    def _normalized_names(self) -> list[str]:
+        normalized = self._normalized
+        if normalized is None:
+            normalized = self._normalized = list(map(normalize_name, self._names))
+        return normalized
+
     def _adjacency(self) -> _Csr:
         csr = self._csr
         if csr is None:
@@ -276,9 +314,13 @@ class KnowledgeGraph:
         return csr
 
     def dump(self) -> tuple[dict[str, list[str]], dict[str, array]]:
-        """The whole core as plain values: the string tables, and the integer
-        arrays (adjacency included, built first if need be)."""
-        tables = {"ids": self._ids, "names": self._names, "types": self._types, "labels": self._labels}
+        """The whole core as plain values: the string tables (normalized names
+        included) and the integer arrays (adjacency included), each built
+        first if need be."""
+        tables = {
+            "ids": self._ids, "names": self._names, "types": self._types, "labels": self._labels,
+            "normalized_names": self._normalized_names(),
+        }
         arrays = {
             "sources": self._sources,
             "targets": self._targets,
@@ -295,7 +337,7 @@ class KnowledgeGraph:
         Raises ValueError or TypeError when they do not fit together: other
         names or types, or tables and arrays of mismatched lengths.
         """
-        if set(tables) != {"ids", "names", "types", "labels"} or not all(
+        if set(tables) != {"ids", "names", "types", "labels", "normalized_names"} or not all(
             isinstance(table, list) for table in tables.values()
         ):
             raise TypeError("graph state: wrong string tables")
@@ -304,6 +346,7 @@ class KnowledgeGraph:
         graph = cls()
         graph._ids, graph._names, graph._types = tables["ids"], tables["names"], tables["types"]
         graph._labels = tables["labels"]
+        graph._normalized = tables["normalized_names"]
         n = len(graph._ids)
         graph._index = dict(zip(graph._ids, range(n)))
         graph._label_index = dict(zip(graph._labels, range(len(graph._labels))))
@@ -311,6 +354,7 @@ class KnowledgeGraph:
         edges = len(arrays["sources"])
         if (
             len(graph._names) != n or len(graph._types) != n or len(graph._index) != n
+            or len(graph._normalized) != n
             or len(graph._label_index) != len(graph._labels)
             or len(arrays["targets"]) != edges or len(arrays["edge_labels"]) != edges
             or len(csr.offsets) != n + 1

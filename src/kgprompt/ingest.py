@@ -12,8 +12,9 @@ a dump is saved as a snapshot under ``$XDG_CACHE_HOME/kgprompt/graphs/``
 that digest, the loader, the snapshot format version, the byte order and the
 sha256 of this module's and :mod:`kgprompt.graph`'s source, so a code change
 never reads an old snapshot. A later load of the same bytes restores the graph's arrays, string
-tables and :class:`IngestReport` (warnings included) from the snapshot and
-skips the parse. A snapshot is a fixed header (magic, version, payload
+tables (the normalized node names that linking matches against included)
+and :class:`IngestReport` (warnings included) from the snapshot and skips
+the parse. A snapshot is a fixed header (magic, version, payload
 length, payload sha256) and a payload of the ``marshal``-encoded string
 tables and report followed by the raw integer arrays; any mismatch,
 truncation or decode error makes the loader parse the dump again and rewrite
@@ -57,7 +58,7 @@ log = logging.getLogger(__name__)
 # Warnings kept verbatim in the report are capped; counts stay exact.
 _MAX_WARNINGS = 50
 
-_SNAPSHOT_VERSION = 2
+_SNAPSHOT_VERSION = 3
 _SNAPSHOT_MAGIC = b"KGPGRAPH"
 # magic, format version, payload length, payload sha256
 _SNAPSHOT_HEADER = struct.Struct("<8sIQ32s")

@@ -13,27 +13,18 @@ is looked up once, in first-appearance order.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from .dataset import Instance
 from .errors import OverrideConflictError, ParseError
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, normalize_name
 
 EXACT = "exact"
 NORMALIZED = "normalized"
 MANUAL_OVERRIDE = "manual_override"
 UNRESOLVED = "unresolved"
-
-_PUNCT = re.compile(r"[^\w\s]", re.UNICODE)
-_SPACES = re.compile(r"\s+")
-
-
-def normalize_name(name: str) -> str:
-    """Lowercase, strip punctuation, collapse whitespace."""
-    return _SPACES.sub(" ", _PUNCT.sub(" ", name.casefold())).strip()
 
 
 @dataclass(frozen=True)
@@ -78,11 +69,7 @@ def _graph_lookup(kg: KnowledgeGraph) -> NameLookup:
     When several nodes share a name the first by node insertion order wins,
     which keeps linking deterministic.
     """
-    exact: dict[str, str] = {}
-    normalized: dict[str, str] = {}
-    for node_id, name in kg.node_names():
-        exact.setdefault(name, node_id)
-        normalized.setdefault(normalize_name(name), node_id)
+    exact, normalized = kg.name_tables()
 
     def lookup(name: str) -> tuple[str, str] | None:
         if name in exact:

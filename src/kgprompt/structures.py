@@ -6,24 +6,28 @@ kept, so structure content is never ranked or optimized. Every operation
 derives its generator from (seed, kind, pair), which makes per-pair
 extraction safe to parallelize without changing results.
 
-Metapath enumeration is a depth-first walk in adjacency order that skips
-every branch which can no longer reach y within ``max_hops`` (hop distances
-to y come from a breadth-first search that avoids x). Skipped branches hold
-no path, so the paths, their order and the truncation flag are those of a
-plain depth-first walk. When ``max_paths_enumerated`` is hit, the subset is
-drawn from the first paths in that order, not from all paths.
+Metapaths are counted, not enumerated: the simple x..y paths are numbered
+in the order of a depth-first walk in adjacency order, each branch's paths
+are counted with closed forms for the last two hops (branches that can no
+longer reach y are skipped by hop distances from a breadth-first search that
+avoids x), the seeded subset is drawn over those numbers exactly as over the
+enumerated list, and one walk builds only the chosen paths. Paths, order,
+candidate count and truncation flag are those of the plain depth-first walk.
+When ``max_paths_enumerated`` is passed, counting stops there and the subset
+is drawn from the first paths in that order, not from all paths.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
-from .errors import SamePairError, UnknownNodeError, check_field_types
+from .errors import SamePairError, check_field_types
 from .graph import Direction, KnowledgeGraph, Node
 
 log = logging.getLogger(__name__)
@@ -185,100 +189,195 @@ def enumerate_metapaths(
     The direct 2-node path is excluded in both orientations regardless of
     whether a direct edge exists; longer paths are unaffected. Per-hop edge
     labels keep the stored edge's direction so verbalization can name the
-    true source first.
+    true source first. A node absent from the graph raises UnknownNodeError.
     """
     if x == y:
         raise SamePairError(f"metapaths need two distinct nodes, got {x!r} twice")
     if limits.max_hops < 2:
         raise ValueError("metapath enumeration requires max_hops >= 2")
-    if not kg.has_node(x):
-        raise UnknownNodeError(x)
-    if not kg.has_node(y):
-        raise UnknownNodeError(y)
-
-    sequences, truncated = _simple_path_sequences(
-        kg, x, y, limits.max_hops, limits.max_paths_enumerated
-    )
+    tree = _PathTree(kg, kg.index_of(x), kg.index_of(y), limits.max_hops)
+    ceiling = limits.max_paths_enumerated
+    top, total = tree.scan(ceiling)
+    truncated = total > ceiling
     if truncated:
-        log.warning(
-            "metapath enumeration for (%s, %s) truncated at %d paths",
-            x, y, limits.max_paths_enumerated,
-        )
-    chosen = select_subset(sequences, limits.max_metapaths, derive_seed(seed, "MP", x, y))
-    payload = tuple(_materialize_path(kg, seq) for seq in chosen)
+        log.warning("metapath enumeration for (%s, %s) truncated at %d paths", x, y, ceiling)
+    candidate_count = min(total, ceiling)
+    keep = select_subset(range(candidate_count), limits.max_metapaths, derive_seed(seed, "MP", x, y))
+    payload = tuple(
+        _materialize_path(kg, tuple(map(kg.id_of, path))) for path in tree.paths(top, keep)
+    )
     return StructureBundle(
         kind=StructureKind.MP,
         pair=(x, y),
         payload=payload,
         selection_seed=seed,
-        candidate_count=len(sequences),
+        candidate_count=candidate_count,
         truncated=truncated,
     )
 
 
-def _simple_path_sequences(
-    kg: KnowledgeGraph, x: str, y: str, max_hops: int, ceiling: int
-) -> tuple[list[tuple[str, ...]], bool]:
-    # Depth-first in adjacency order, so results are deterministic. A branch
-    # is entered only while y is still in reach: a completion from v is a
-    # simple path avoiding x, so it is at least dist[v] hops long. Pruned
-    # branches hold no path, and the rest are walked in plain DFS order.
-    neighbor_order: dict[str, list[str]] = {}
+class _PathTree:
+    """The simple x..y paths of 2..max_hops hops, as the tree of their
+    prefixes in depth-first adjacency order, over the graph's node ints.
 
-    def ordered_neighbors(u: str) -> list[str]:
-        cached = neighbor_order.get(u)
-        if cached is None:
-            cached = neighbor_order[u] = kg.neighbor_ids(u)
-        return cached
+    A prefix's subtree is counted without walking its last two hops: with
+    one hop left from v it holds ``[y in N(v)]`` paths, with two it holds
+    ``[y in N(v)] + |N(v) & N(y)|`` minus the prefix nodes in N(v) & N(y).
+    Counts further up are sums of these. Every walk keeps an explicit stack,
+    so no recursion grows with ``max_hops``.
+    """
 
-    dist = _hops_to(y, x, max_hops - 1, ordered_neighbors)
+    def __init__(self, kg: KnowledgeGraph, x: int, y: int, max_hops: int):
+        self.offsets, self.other = kg.link_rows()
+        self.x, self.y, self.max_hops = x, y, max_hops
+        self.near_y = set(self._row(y))
+        self.dist = self._hops_to_y(max_hops - 2)
+        self._onward: dict[int, dict[int, None]] = {}
+        self._two_hop_counts: dict[int, int] = {}
 
-    sequences: list[tuple[str, ...]] = []
-    path = [x]
-    on_path = {x}
+    def _row(self, u: int) -> array:
+        return self.other[self.offsets[u]:self.offsets[u + 1]]
 
-    def dfs(u: str) -> bool:
-        """Extend the path from u; True once the ceiling is hit."""
-        hops_so_far = len(path) - 1
-        budget = max_hops - hops_so_far - 1
-        for v in ordered_neighbors(u):
-            if dist.get(v, max_hops) > budget:  # an unreached v is out of every budget
+    def _hops_to_y(self, depth: int) -> dict[int, int]:
+        """Hop distance to y of every node within ``depth`` hops of it,
+        avoiding x. A completion from v avoids x, so it is at least
+        ``dist[v]`` hops long."""
+        x = self.x
+        dist = {self.y: 0}
+        frontier = [self.y]
+        for d in range(1, depth + 1):
+            reached = []
+            for u in frontier:
+                for v in self._row(u):  # repeats of parallel links are harmless here
+                    if v not in dist and v != x:
+                        dist[v] = d
+                        reached.append(v)
+            frontier = reached
+        return dist
+
+    def onward(self, u: int) -> dict[int, None]:
+        """u's neighbors within ``max_hops - 2`` hops of y, deduplicated in
+        first-link order (a dict, so also a set). A prefix past x's child
+        has at most ``max_hops - 2`` hops left, so it extends only to these."""
+        found = self._onward.get(u)
+        if found is None:
+            found = self._onward[u] = dict.fromkeys(filter(self.dist.__contains__, self._row(u)))
+        return found
+
+    def _two_hops(self, path: list[int], v: int) -> int:
+        """Paths below the prefix ``path + [v]`` with two hops left from v."""
+        near_y = self.near_y
+        count = self._two_hop_counts.get(v)
+        if count is None:
+            count = self._two_hop_counts[v] = (v in near_y) + len(near_y.intersection(self._row(v)))
+        # Subtract the prefix nodes in N(v) & N(y). v's parent is in N(v); an
+        # earlier prefix node p is when v is in onward(p), because v, two or
+        # more hops past x, came from an onward() and so is within its reach.
+        count -= path[-1] in near_y
+        for p in path[:-1]:
+            if p in near_y and v in self.onward(p):
+                count -= 1
+        return count
+
+    def count(self, path: list[int], on_path: set[int], v: int, hops: int, cap: int) -> int:
+        """Paths below the prefix ``path + [v]`` with ``hops`` hops left from
+        v, counted up to ``cap`` (>= 1) and capped there."""
+        if hops == 1:
+            return int(v in self.near_y)
+        if hops == 2:
+            return min(self._two_hops(path, v), cap)
+        y, dist = self.y, self.dist
+        depth = len(path)
+        path.append(v)
+        on_path.add(v)
+        frames = [iter(self.onward(v))]
+        total = 0
+        while frames and total < cap:
+            left = hops - len(frames) + 1  # hops left from the prefix's last node
+            for w in frames[-1]:
+                if w == y:
+                    total += 1
+                elif w in on_path or dist[w] >= left:
+                    continue
+                elif left == 3:
+                    total += self._two_hops(path, w)
+                else:
+                    path.append(w)
+                    on_path.add(w)
+                    frames.append(iter(self.onward(w)))
+                    break
+                if total >= cap:
+                    break
+            else:
+                frames.pop()
+                on_path.discard(path.pop())
+        on_path.difference_update(path[depth:])
+        del path[depth:]
+        return min(total, cap)
+
+    def scan(self, ceiling: int) -> tuple[list[tuple[int, int]], int]:
+        """Each child of x whose subtree holds a path, with its path count,
+        in order, until the running total passes ``ceiling``; and that total.
+        The last child's count is capped where the total passes the ceiling."""
+        x, y = self.x, self.y
+        path, on_path = [x], {x}
+        top: list[tuple[int, int]] = []
+        total = 0
+        for v in dict.fromkeys(self._row(x)):
+            if total > ceiling:
+                break
+            if v == y:  # the direct x-y path is never a metapath
                 continue
-            if v == y:
-                if hops_so_far:  # the direct x-y path is never a metapath
-                    if len(sequences) >= ceiling:
-                        return True
-                    sequences.append((*path, y))
-                continue
-            if v in on_path:
-                continue
-            path.append(v)
-            on_path.add(v)
-            if dfs(v):
-                return True
-            path.pop()
-            on_path.remove(v)
-        return False
+            count = self.count(path, on_path, v, self.max_hops - 1, ceiling + 1 - total)
+            if count:
+                top.append((v, count))
+                total += count
+        return top, total
 
-    truncated = dfs(x)
-    return sequences, truncated
+    def paths(self, top: list[tuple[int, int]], keep: list[int]) -> list[list[int]]:
+        """The paths at the sorted depth-first indices ``keep``, in one walk
+        that enters only the subtrees holding a kept index; ``top`` is what
+        :meth:`scan` gave."""
+        found: list[list[int]] = []
+        base = 0  # the depth-first index of the next path the walk passes
+        for v, count in top:
+            if len(found) < len(keep) and keep[len(found)] < base + count:
+                self._walk(v, base, keep, found)
+            base += count
+        return found
 
-
-def _hops_to(
-    y: str, x: str, depth: int, neighbors: Callable[[str], list[str]]
-) -> dict[str, int]:
-    """Hop distance to y of every node within ``depth`` hops of it, avoiding x."""
-    dist = {y: 0}
-    frontier = [y]
-    for d in range(1, depth + 1):
-        next_frontier = []
-        for u in frontier:
-            for v in neighbors(u):
-                if v != x and v not in dist:
-                    dist[v] = d
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return dist
+    def _walk(self, v: int, base: int, keep: list[int], found: list[list[int]]) -> None:
+        """Append to ``found`` the kept paths below the prefix ``[x, v]``,
+        whose first path has the depth-first index ``base``."""
+        y, dist = self.y, self.dist
+        path, on_path = [self.x, v], {self.x, v}
+        frames = [iter(self.onward(v))]
+        while frames:
+            left = self.max_hops - len(path) + 1  # hops left from path[-1]
+            for w in frames[-1]:
+                if w == y:
+                    end = [y]
+                elif w in on_path or dist[w] >= left:
+                    continue
+                elif left == 2:  # then w neighbors y: the one path below ends w, y
+                    end = [w, y]
+                else:
+                    count = self.count(path, on_path, w, left - 1, keep[len(found)] - base + 1)
+                    if keep[len(found)] < base + count:
+                        path.append(w)
+                        on_path.add(w)
+                        frames.append(iter(self.onward(w)))
+                        break
+                    base += count
+                    continue
+                if base == keep[len(found)]:
+                    found.append(path + end)
+                    if len(found) == len(keep):
+                        return
+                base += 1
+            else:
+                frames.pop()
+                on_path.discard(path.pop())
 
 
 def _materialize_path(kg: KnowledgeGraph, sequence: tuple[str, ...]) -> Metapath:

@@ -107,6 +107,22 @@ def test_console_entry_point(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_metapaths_longer_than_the_recursion_limit(tmp_path, capsys):
+    # a 1,200-node chain from FGF6 to prostate cancer holds one 1,199-hop path
+    n = 1200
+    names = ["FGF6", *(f"link {i}" for i in range(1, n - 1)), "prostate cancer"]
+    lines = [{"node": {"id": f"c{i}", "name": name, "type": "t"}} for i, name in enumerate(names)]
+    lines += [{"edge": {"source": f"c{i}", "target": f"c{i + 1}", "label": "r"}} for i in range(n - 1)]
+    kg = tmp_path / "chain.jsonl"
+    kg.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    config = write_config(tmp_path, kg={"kind": "jsonl", "path": str(kg)}, structure="MP",
+                          limits={"max_hops": 1500})
+    assert main(["run", "--config", str(config)]) == 0
+    out = Path(capsys.readouterr().out.strip())
+    bundles = [json.loads(line) for line in (out / "bundles.jsonl").read_text().splitlines()]
+    assert [b["candidate_count"] for b in bundles if b["instance_id"] == "d001"] == [1]
+
+
 def test_non_object_config_sections_exit_code_2(tmp_path, capsys):
     for section, value in (("backend", "mock"), ("folds", "x")):
         config = write_config(tmp_path, **{section: value})

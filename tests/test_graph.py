@@ -186,6 +186,17 @@ def test_restored_graph_answers_as_the_dumped_one_and_still_dedups():
         assert copy.edge_count == kg.edge_count + 1
 
 
+def test_name_tables_first_node_wins_and_survive_a_restore():
+    kg = make_graph(
+        [("a", "Beta-Carotene", "t"), ("b", "beta carotene", "t"), ("c", "Beta-Carotene", "t")], []
+    )
+    tables = ({"Beta-Carotene": "a", "beta carotene": "b"}, {"beta carotene": "a"})
+    assert kg.name_tables() == tables
+    assert KnowledgeGraph.restore(*kg.dump()).name_tables() == tables
+    assert kg.add_node(Node("d", "  Zeta! "))
+    assert kg.name_tables()[1] == {"beta carotene": "a", "zeta": "d"}
+
+
 def test_restore_rejects_state_that_does_not_fit_together():
     tables, arrays = make_graph([("a", "A", "t"), ("b", "B", "t")], [("a", "b", "r")]).dump()
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+import kgprompt.graph as graph_module
 import kgprompt.ingest as ingest
 from kgprompt.errors import ParseError, SchemaError
 from kgprompt.ingest import export_edge_list_jsonl, load_edge_list_jsonl, load_hetionet_json
@@ -573,6 +574,21 @@ def test_changed_dump_is_parsed_again(tmp_path, graph_cache, monkeypatch, fmt):
     assert _outcome(_LOADERS[fmt], path) == _outcome(_FROZEN[fmt], path)
     assert parses == [path]
     assert len(list((graph_cache / "kgprompt" / "graphs").iterdir())) == 2
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+def test_snapshot_carries_the_normalized_names(tmp_path, monkeypatch, fmt):
+    path = _random_dump(tmp_path, fmt, seed=5)
+    parsed, _report = _LOADERS[fmt](path)
+    parses = _count_parses(monkeypatch, fmt)
+
+    def not_again(name: str) -> str:
+        raise AssertionError(f"normalized {name!r} again")
+
+    monkeypatch.setattr(graph_module, "normalize_name", not_again)
+    restored, _report = _LOADERS[fmt](path)
+    assert parses == []
+    assert restored.name_tables() == parsed.name_tables()
 
 
 @pytest.mark.parametrize("fmt", sorted(_LOADERS))

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
+import itertools
 import math
 from collections import Counter
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -13,6 +16,7 @@ from kgprompt.structures import (
     ExtractionLimits,
     Metapath,
     StructureKind,
+    derive_seed,
     enumerate_metapaths,
     extract_common_neighbors,
     extract_neighbors,
@@ -27,6 +31,8 @@ from oracles import (
     random_graph,
     undirected_neighbor_ids,
 )
+
+PATHCOUNT_PY = Path(__file__).resolve().parent.parent / "bench" / "pathcount.py"
 
 
 # --- select_subset ---
@@ -322,6 +328,93 @@ def test_metapath_enumeration_matches_networkx_on_larger_graphs():
         assert not bundle.truncated
         total += len(got)
     assert total >= 100
+
+
+def _metapath_case_graph(rng: Random):
+    """A random graph with self-loops, parallel labels (random_graph draws
+    them), a hub and often a direct edge between the pair; and the pair."""
+    nodes, edges = random_graph(rng, max_nodes=24, max_edges=70)
+    ids = [nid for nid, _name, _type in nodes]
+    seen = set(edges)
+    hub = rng.choice(ids)
+    for other in rng.sample(ids, len(ids) // 2):
+        if other != hub and (hub, other, "hub") not in seen:
+            edges.append((hub, other, "hub"))
+            seen.add((hub, other, "hub"))
+    edges += [(nid, nid, "self") for nid in rng.sample(ids, min(2, len(ids)))]
+    x, y = rng.sample(ids, 2)
+    if rng.random() < 0.5 and (x, y, "direct") not in seen:
+        edges.append((x, y, "direct"))
+    return nodes, edges, x, y
+
+
+def test_metapath_selection_matches_frozen_dfs_and_select_subset():
+    # Counting the paths and walking only to the chosen ones must give what
+    # the plain DFS followed by select_subset gave: paths, order, count and
+    # truncation, for every max_hops, ceiling and max_metapaths.
+    rng = Random(1010)
+    ceilings = [0, 1, 5, 40, 10_000]
+    metapaths = [0, 1, 3, 10**9]
+    truncating = chosen = 0
+    for case in range(400):
+        nodes, edges, x, y = _metapath_case_graph(rng)
+        kg = make_graph(nodes, edges)
+        max_hops = 2 + case % 5
+        ceiling = ceilings[case // 5 % 5]
+        m = metapaths[case // 25 % 4]
+        limits = ExtractionLimits(max_hops=max_hops, max_metapaths=m, max_paths_enumerated=ceiling)
+        bundle = enumerate_metapaths(kg, x, y, limits, seed=case)
+        sequences, truncated = frozen_simple_path_sequences(kg, x, y, max_hops, ceiling)
+        assert _path_ids(bundle) == select_subset(sequences, m, derive_seed(case, "MP", x, y))
+        assert bundle.candidate_count == len(sequences)
+        assert bundle.truncated is truncated
+        truncating += truncated
+        chosen += len(bundle.payload)
+    assert truncating >= 60 and chosen >= 1000  # both sides of every branch are exercised
+
+
+def _bench_pathcount():
+    spec = importlib.util.spec_from_file_location("bench_pathcount", PATHCOUNT_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_metapath_count_matches_independent_path_count():
+    count_simple_paths = _bench_pathcount().count_simple_paths
+    rng = Random(77)
+    total = 0
+    for case in range(150):
+        nodes, edges, x, y = _metapath_case_graph(rng)
+        kg = make_graph(nodes, edges)
+        neighbors = {nid: undirected_neighbor_ids(edges, nid) for nid, _name, _type in nodes}
+        max_hops = 2 + case % 3
+        limits = ExtractionLimits(max_hops=max_hops, max_metapaths=1, max_paths_enumerated=10**9)
+        bundle = enumerate_metapaths(kg, x, y, limits, seed=1)
+        assert bundle.candidate_count == count_simple_paths(neighbors, x, y, max_hops)
+        assert not bundle.truncated
+        total += bundle.candidate_count
+    assert total >= 2_000
+
+
+def test_metapath_count_on_a_complete_graph():
+    # K60 at 4 hops: 58 + 58*57 + 58*57*56 paths, counted without walking them
+    n = 60
+    nodes = [(f"k{i}", f"K{i}", "t") for i in range(n)]
+    kg = make_graph(nodes, [(f"k{i}", f"k{j}", "r") for i in range(n) for j in range(i + 1, n)])
+    limits = ExtractionLimits(max_hops=4, max_metapaths=2, max_paths_enumerated=10**9)
+    bundle = enumerate_metapaths(kg, "k0", "k1", limits, seed=5)
+    assert bundle.candidate_count == 188_500
+    assert not bundle.truncated
+    # neighbors are in ascending order, so the DFS order is lexicographic
+    # by node number; the chosen paths are those at the drawn indices
+    ordered = sorted(
+        [0, *middle, 1]
+        for hops in (2, 3, 4)
+        for middle in itertools.permutations(range(2, n), hops - 1)
+    )
+    keep = select_subset(range(188_500), 2, derive_seed(5, "MP", "k0", "k1"))
+    assert _path_ids(bundle) == [tuple(f"k{i}" for i in ordered[k]) for k in keep]
 
 
 def test_metapath_type_invariants():
