@@ -277,9 +277,18 @@ class KnowledgeGraph:
             raise UnknownNodeError(node_id)
         return i
 
-    def id_of(self, i: int) -> str:
-        """The node id interned to i."""
-        return self._ids[i]
+    def node_at(self, i: int) -> Node:
+        """The node interned to i."""
+        return self._node(i)
+
+    def first_link(self, i: int, j: int) -> tuple[str, Direction]:
+        """Label and direction, relative to i, of the first stored edge
+        between the nodes interned to i and j; the first item of
+        ``relation_labels_between`` for their ids. ValueError when they
+        share no edge."""
+        csr = self._adjacency()
+        p = csr.other.index(j, csr.offsets[i], csr.offsets[i + 1])
+        return self._labels[csr.label[p]], _DIRECTIONS[csr.direction[p]]
 
     def link_rows(self) -> tuple[array, array]:
         """``(offsets, other)``: node i's links end at the nodes

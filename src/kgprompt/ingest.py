@@ -66,6 +66,10 @@ _SNAPSHOT_LENGTH = struct.Struct("<Q")  # of the marshalled tables that open the
 _SNAPSHOT_ARRAY = struct.Struct("<cQ")  # typecode and item count before each array's bytes
 _HASH_CHUNK = 1 << 20
 
+# The only JSON values with one obvious spelling inside a node id (a bool is
+# not an int here).
+_ID_TYPES = (str, int)
+
 
 @dataclass
 class IngestReport:
@@ -87,9 +91,19 @@ class IngestReport:
             self._suppressed = 0
 
 
-def hetionet_node_id(kind: str, identifier: object) -> str:
+def hetionet_node_id(kind: str | int, identifier: str | int) -> str:
     """Composite node id used for Hetionet records, e.g. ``Gene::5468``."""
     return f"{kind}::{identifier}"
+
+
+def _id_field(record: dict, name: str, what: str, line: int | None = None) -> str:
+    """A field that becomes (part of) a node id, as a string."""
+    value = record[name]
+    if type(value) not in _ID_TYPES:
+        raise SchemaError(
+            f"{what}: {name!r} must be a string or an integer, not {type(value).__name__}", line=line
+        )
+    return str(value)
 
 
 def _nonempty(record: dict, name: str, what: str, line: int | None = None) -> str:
@@ -133,23 +147,25 @@ def _parse_hetionet_json(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
         records = data["nodes"]
         for i, record in enumerate(records):
             records[i] = None  # the document shrinks as the graph grows
-            require_fields(record, ("kind", "identifier", "name"), f"node record {i}")
-            kind = sys.intern(str(record["kind"]))
-            node_id = hetionet_node_id(kind, record["identifier"])
-            name = _nonempty(record, "name", f"node record {i}")
+            what = f"node record {i}"
+            require_fields(record, ("kind", "identifier", "name"), what)
+            kind = sys.intern(_id_field(record, "kind", what))
+            node_id = hetionet_node_id(kind, _id_field(record, "identifier", what))
+            name = _nonempty(record, "name", what)
             if not graph.add_node(Node(id=node_id, name=name, node_type=kind)):
                 report.warn(f"node record {i}: duplicate node id {node_id!r} skipped")
 
         records = data["edges"]
         for i, record in enumerate(records):
             records[i] = None
-            require_fields(record, ("source_id", "target_id", "kind", "direction"), f"edge record {i}")
-            source = hetionet_node_id(*_endpoint(record["source_id"], i, "source_id"))
-            target = hetionet_node_id(*_endpoint(record["target_id"], i, "target_id"))
+            what = f"edge record {i}"
+            require_fields(record, ("source_id", "target_id", "kind", "direction"), what)
+            source = _endpoint(record, "source_id", what)
+            target = _endpoint(record, "target_id", what)
             for endpoint in (source, target):
                 if not graph.has_node(endpoint):
-                    raise SchemaError(f"edge record {i}: unknown node id {endpoint!r}")
-            label = _nonempty(record, "kind", f"edge record {i}")
+                    raise SchemaError(f"{what}: unknown node id {endpoint!r}")
+            label = _nonempty(record, "kind", what)
             direction = record["direction"]
             if direction == "forward":
                 oriented = ((source, target),)
@@ -174,12 +190,15 @@ def _parse_hetionet_json(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
     return graph, report
 
 
-def _endpoint(value: object, record_index: int, field_name: str) -> tuple[str, object]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise SchemaError(
-            f"edge record {record_index}: {field_name} must be a [kind, identifier] pair"
-        )
-    return str(value[0]), value[1]
+def _endpoint(record: dict, name: str, what: str) -> str:
+    """The node id an edge record's ``[kind, identifier]`` field names."""
+    value = record[name]
+    if (
+        not isinstance(value, (list, tuple)) or len(value) != 2
+        or type(value[0]) not in _ID_TYPES or type(value[1]) not in _ID_TYPES
+    ):
+        raise SchemaError(f"{what}: {name} must be a [kind, identifier] pair of strings or integers")
+    return hetionet_node_id(*value)
 
 
 def load_edge_list_jsonl(path: str | Path) -> tuple[KnowledgeGraph, IngestReport]:
@@ -210,7 +229,9 @@ def _parse_edge_list_jsonl(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
 
             if has_node:
                 body = require_fields(record["node"], ("id", "name"), "node record", line=lineno)
-                node_id = _nonempty(body, "id", "node record", lineno)
+                node_id = _id_field(body, "id", "node record", lineno)
+                if not node_id:
+                    raise SchemaError("node record: empty 'id'", line=lineno)
                 node = Node(
                     id=node_id,
                     name=_nonempty(body, "name", "node record", lineno),
@@ -220,8 +241,8 @@ def _parse_edge_list_jsonl(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
                     report.warn(f"line {lineno}: duplicate node id {node_id!r} skipped")
             else:
                 body = require_fields(record["edge"], ("source", "target", "label"), "edge record", line=lineno)
-                source = str(body["source"])
-                target = str(body["target"])
+                source = _id_field(body, "source", "edge record", lineno)
+                target = _id_field(body, "target", "edge record", lineno)
                 for endpoint in (source, target):
                     if not graph.has_node(endpoint):
                         raise SchemaError(f"edge references unknown node id {endpoint!r}", line=lineno)

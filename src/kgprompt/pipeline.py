@@ -13,7 +13,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -165,6 +166,8 @@ class ExperimentConfig:
     overrides: str | None = None
 
     def __post_init__(self) -> None:
+        if not self.mask_token:
+            raise ConfigError("mask_token must be non-empty")
         check_field_types(self)
 
     @classmethod
@@ -180,34 +183,19 @@ class ExperimentConfig:
     def _from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"configuration must be an object, not {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
+        known = {f.name: f for f in fields(cls)}
         for key in data:
             if key not in known:
                 raise ConfigError(f"unknown configuration key {key!r}")
-        for required in ("dataset", "kg", "out_dir"):
-            if required not in data:
-                raise ConfigError(f"configuration misses required field {required!r}")
-        mask_token = data.get("mask_token", DEFAULT_MASK_TOKEN)
-        if not mask_token:
-            raise ConfigError("mask_token must be non-empty")
-        return cls(
-            dataset=data["dataset"],
-            kg=_section(data, "kg", KgSource),
-            out_dir=data["out_dir"],
-            structure=StructureKind(data.get("structure", "NN")),
-            limits=_section(data, "limits", ExtractionLimits),
-            templates=_section(data, "templates", TemplateSet),
-            architecture=Architecture.parse(str(data.get("architecture", "MLM"))),
-            label_mapping=_section(data, "label_mapping", _label_mapping),
-            few_shot=_section(data, "few_shot", FewShotConfig),
-            folds=_section(data, "folds", FoldConfig),
-            selection_seed=data.get("selection_seed", 203),
-            truncation=_section(data, "truncation", TruncationPolicy),
-            mask_token=mask_token,
-            nn_include_labels=data.get("nn_include_labels", False),
-            backend=_section(data, "backend", _backend),
-            overrides=data.get("overrides"),
-        )
+        for f in known.values():
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in data:
+                raise ConfigError(f"configuration misses required field {f.name!r}")
+        values = {**data, **{name: _section(data, name, build) for name, build in _SECTIONS.items()}}
+        if "structure" in data:
+            values["structure"] = StructureKind(data["structure"])
+        if "architecture" in data:
+            values["architecture"] = Architecture.parse(str(data["architecture"]))
+        return cls(**values)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -221,28 +209,7 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def to_canonical_dict(self) -> dict:
-        backend = None
-        if self.backend is not None:
-            kind = "mock" if isinstance(self.backend, MockBackend) else "http"
-            backend = {"kind": kind, **asdict(self.backend)}
-        return {
-            "dataset": self.dataset,
-            "kg": asdict(self.kg),
-            "out_dir": self.out_dir,
-            "structure": self.structure.value,
-            "limits": asdict(self.limits),
-            "templates": asdict(self.templates),
-            "architecture": self.architecture.value,
-            "label_mapping": {"mode": self.label_mapping.mode, **self.label_mapping.label_words()},
-            "few_shot": asdict(self.few_shot),
-            "folds": asdict(self.folds),
-            "selection_seed": self.selection_seed,
-            "truncation": asdict(self.truncation),
-            "mask_token": self.mask_token,
-            "nn_include_labels": self.nn_include_labels,
-            "backend": backend,
-            "overrides": self.overrides,
-        }
+        return {f.name: _canonical(getattr(self, f.name)) for f in fields(self)}
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_canonical_dict(), sort_keys=True, ensure_ascii=False)
@@ -290,6 +257,36 @@ def _backend(kind: str | None = None, **settings: object) -> HttpEndpoint | Mock
     if kind not in _BACKENDS:
         raise ConfigError(f"unknown backend kind {kind!r}; expected one of {tuple(_BACKENDS)}")
     return _BACKENDS[kind](**settings)
+
+
+# The object-valued sections, each built from its keys by ``_section``; the
+# other top-level keys are the field values themselves.
+_SECTIONS: dict[str, Callable[..., object]] = {
+    "kg": KgSource,
+    "limits": ExtractionLimits,
+    "templates": TemplateSet,
+    "label_mapping": _label_mapping,
+    "few_shot": FewShotConfig,
+    "folds": FoldConfig,
+    "truncation": TruncationPolicy,
+    "backend": _backend,
+}
+_BACKEND_KINDS = {backend: kind for kind, backend in _BACKENDS.items()}
+
+
+def _canonical(value: object) -> object:
+    """A config field's value as JSON: an enum as its value, the label
+    mapping as its mode and words, a backend as its kind and settings, another
+    section as its fields."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, LabelMapping):
+        return {"mode": value.mode, **value.label_words()}
+    if type(value) in _BACKEND_KINDS:
+        return {"kind": _BACKEND_KINDS[type(value)], **asdict(value)}
+    if is_dataclass(value):
+        return asdict(value)
+    return value
 
 
 def validate_config(config: ExperimentConfig, check_paths: bool = True) -> None:
@@ -348,7 +345,7 @@ def _sha256_file(path: Path) -> str:
 
 
 def _bundle_record(instance_id: str, side: str, bundle: StructureBundle) -> dict:
-    record = {
+    return {
         "instance_id": instance_id,
         "side": side,
         "kind": bundle.kind.value,
@@ -356,35 +353,62 @@ def _bundle_record(instance_id: str, side: str, bundle: StructureBundle) -> dict
         "candidate_count": bundle.candidate_count,
         "truncated": bundle.truncated,
         "selection_seed": bundle.selection_seed,
+        "payload": _plain(bundle.payload),
     }
-    if bundle.kind is StructureKind.NN:
-        record["payload"] = [
-            {
-                "node": {"id": link.node.id, "name": link.node.name, "type": link.node.node_type},
-                "labels": [[label, direction] for label, direction in link.labels],
-            }
-            for link in bundle.payload
-        ]
-    elif bundle.kind is StructureKind.CNN:
-        record["payload"] = [
-            {"id": n.id, "name": n.name, "type": n.node_type} for n in bundle.payload
-        ]
-    else:
-        record["payload"] = [
-            {
-                "nodes": [{"id": n.id, "name": n.name, "type": n.node_type} for n in path.nodes],
-                "edges": [[label, direction] for label, direction in path.edges],
-            }
-            for path in bundle.payload
-        ]
-    return record
+
+
+def _plain(value: object) -> object:
+    """A bundle payload as JSON: a node as its id, name and type, another
+    dataclass as its fields in order, a tuple as a list."""
+    if isinstance(value, Node):
+        return {"id": value.id, "name": value.name, "type": value.node_type}
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 # --- graph-context construction ---
 
 
-class _LocalSource:
-    """Structure extraction against a locally ingested graph."""
+class _Source:
+    """Structure extraction against the graph that ``graph_of`` gives for a node.
+
+    The two sources below derive from this class and never from each other,
+    so each class has an ``extract`` attribute of its own to trace.
+    """
+
+    def graph_of(self, node_id: str) -> KnowledgeGraph:
+        raise NotImplementedError
+
+    def node(self, node_id: str) -> Node:
+        return self.graph_of(node_id).node(node_id)
+
+    def extract(
+        self, linkage: PairLinkage, config: ExperimentConfig
+    ) -> list[tuple[str, StructureBundle]]:
+        kind = config.structure
+        limits, seed = config.limits, config.selection_seed
+        x, y = linkage.e1_node, linkage.e2_node
+        if kind is StructureKind.NN:
+            return [
+                (side, extract_neighbors(self.graph_of(node_id), node_id, limits, seed))
+                for side, node_id in (("e1", x), ("e2", y))
+                if node_id is not None
+            ]
+        if x is None or y is None:
+            return []
+        pairwise = extract_common_neighbors if kind is StructureKind.CNN else enumerate_metapaths
+        try:
+            return [("pair", pairwise(self.graph_of(x), x, y, limits, seed))]
+        except SamePairError:
+            # both names linked to one node; nothing pairwise to extract
+            return []
+
+
+class _LocalSource(_Source):
+    """Every node in one locally ingested graph."""
 
     def __init__(self, kg: KnowledgeGraph):
         self.kg = kg
@@ -392,73 +416,33 @@ class _LocalSource:
     def names(self) -> KnowledgeGraph:
         return self.kg
 
-    def node(self, node_id: str) -> Node:
-        return self.kg.node(node_id)
-
-    def extract(
-        self, linkage: PairLinkage, config: ExperimentConfig
-    ) -> list[tuple[str, StructureBundle]]:
-        kind = config.structure
-        seed = config.selection_seed
-        if kind is StructureKind.NN:
-            bundles = []
-            for side, node_id in (("e1", linkage.e1_node), ("e2", linkage.e2_node)):
-                if node_id is not None:
-                    bundles.append((side, extract_neighbors(self.kg, node_id, config.limits, seed)))
-            return bundles
-        if linkage.e1_node is None or linkage.e2_node is None:
-            return []
-        try:
-            if kind is StructureKind.CNN:
-                bundle = extract_common_neighbors(
-                    self.kg, linkage.e1_node, linkage.e2_node, config.limits, seed
-                )
-            else:
-                bundle = enumerate_metapaths(
-                    self.kg, linkage.e1_node, linkage.e2_node, config.limits, seed
-                )
-        except SamePairError:
-            # both names linked to one node; nothing pairwise to extract
-            return []
-        return [("pair", bundle)]
+    def graph_of(self, node_id: str) -> KnowledgeGraph:
+        return self.kg
 
 
-class _RemoteSource:
-    """NN-only structure extraction against cached 1-hop remote fetches."""
+class _RemoteSource(_Source):
+    """Each node in its cached 1-hop star from the remote source (NN only)."""
 
     def __init__(self, endpoint: RemoteEndpoint, cache: QueryCache):
         self.endpoint = endpoint
         self.cache = cache
         self._stars: dict[str, KnowledgeGraph] = {}
 
-    def _star(self, entity_id: str) -> KnowledgeGraph:
-        star = self._stars.get(entity_id)
-        if star is None:
-            name = fetch_entity_label(self.endpoint, self.cache, entity_id)
-            links = fetch_neighbors_remote(self.endpoint, self.cache, entity_id)
-            star = graph_from_remote_neighbors(Node(id=entity_id, name=name), links)
-            self._stars[entity_id] = star
-        return star
-
     def names(self) -> NameLookup:
         return search_lookup(functools.partial(resolve_entity, self.endpoint, self.cache))
 
-    def node(self, node_id: str) -> Node:
-        return self._star(node_id).node(node_id)
-
-    def extract(
-        self, linkage: PairLinkage, config: ExperimentConfig
-    ) -> list[tuple[str, StructureBundle]]:
-        bundles = []
-        for side, node_id in (("e1", linkage.e1_node), ("e2", linkage.e2_node)):
-            if node_id is not None:
-                star = self._star(node_id)
-                bundles.append((side, extract_neighbors(star, node_id, config.limits, config.selection_seed)))
-        return bundles
+    def graph_of(self, node_id: str) -> KnowledgeGraph:
+        star = self._stars.get(node_id)
+        if star is None:
+            name = fetch_entity_label(self.endpoint, self.cache, node_id)
+            links = fetch_neighbors_remote(self.endpoint, self.cache, node_id)
+            star = graph_from_remote_neighbors(Node(id=node_id, name=name), links)
+            self._stars[node_id] = star
+        return star
 
 
 def _verbalize_bundles(
-    source: _LocalSource | _RemoteSource,
+    source: _Source,
     linkage: PairLinkage,
     bundles: list[tuple[str, StructureBundle]],
     config: ExperimentConfig,
@@ -495,7 +479,7 @@ class _Run:
     offline: bool
     out: Path
     instances: list[Instance] = field(default_factory=list)
-    source: _LocalSource | _RemoteSource | None = None
+    source: _Source | None = None
     linkages: list[PairLinkage] = field(default_factory=list)
     bundles: dict[str, list[tuple[str, StructureBundle]]] = field(default_factory=dict)
     contexts: dict[str, GraphContext] = field(default_factory=dict)

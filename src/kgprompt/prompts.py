@@ -175,7 +175,7 @@ def build_prompt(
 ) -> PromptInstance:
     """Assemble the final prompt string for one instance.
 
-    An empty-flagged (or missing) graph context omits the context slot and
+    An empty (or missing) graph context omits the context slot and
     its surrounding space. ``template`` overrides the architecture default;
     it is a format string over {text}, {context}, {e1}, {e2} and {mask}.
     """
@@ -184,7 +184,7 @@ def build_prompt(
     e1, e2 = pair
     if not e1 or not e2:
         raise EmptyPairError(f"instance {instance.instance_id!r}: pair names must be non-empty")
-    context_text = "" if graph_context is None or graph_context.empty else graph_context.text
+    context_text = "" if graph_context is None else graph_context.text
     prompt = _assemble(instance.text, context_text, e1, e2, architecture, mask_token, template)
     _check_mask(prompt, architecture, mask_token, instance.instance_id)
     return PromptInstance(
@@ -224,7 +224,7 @@ def truncate_prompt(p: PromptInstance, policy: TruncationPolicy) -> PromptInstan
     dropped_text = 0
 
     def current_prompt() -> str:
-        context_text = "" if context is None or context.empty else context.text
+        context_text = "" if context is None else context.text
         return _assemble(text, context_text, p.pair[0], p.pair[1], p.architecture, p.mask_token, p.template)
 
     prompt = p.prompt

@@ -171,6 +171,7 @@ def _fetch_json(
     return result
 
 
+@functools.cache
 def load_query_template(name: str) -> str:
     return (resource_files("kgprompt") / "queries" / name).read_text(encoding="utf-8")
 

@@ -203,9 +203,7 @@ def enumerate_metapaths(
         log.warning("metapath enumeration for (%s, %s) truncated at %d paths", x, y, ceiling)
     candidate_count = min(total, ceiling)
     keep = select_subset(range(candidate_count), limits.max_metapaths, derive_seed(seed, "MP", x, y))
-    payload = tuple(
-        _materialize_path(kg, tuple(map(kg.id_of, path))) for path in tree.paths(top, keep)
-    )
+    payload = tuple(_materialize_path(kg, path) for path in tree.paths(top, keep))
     return StructureBundle(
         kind=StructureKind.MP,
         pair=(x, y),
@@ -380,11 +378,8 @@ class _PathTree:
                 on_path.discard(path.pop())
 
 
-def _materialize_path(kg: KnowledgeGraph, sequence: tuple[str, ...]) -> Metapath:
+def _materialize_path(kg: KnowledgeGraph, path: list[int]) -> Metapath:
     # Parallel edges collapse to the first stored edge for each hop.
-    nodes = tuple(kg.node(nid) for nid in sequence)
-    edges = tuple(
-        kg.relation_labels_between(sequence[i], sequence[i + 1])[0]
-        for i in range(len(sequence) - 1)
+    return Metapath(
+        nodes=tuple(map(kg.node_at, path)), edges=tuple(map(kg.first_link, path, path[1:]))
     )
-    return Metapath(nodes=nodes, edges=edges)

@@ -1,15 +1,18 @@
 """Render structure bundles into natural-language graph contexts.
 
 Rendering is pure and deterministic: the same bundle and template set always
-produce the same string. Contexts keep their item structure around (segments
-of droppable items) so prompt truncation can shrink them without re-running
-extraction. Empty structures yield an empty-flagged context instead of a
-sentence with a dangling connective.
+produce the same string. A context is its segments, each a fixed prefix plus
+droppable items; its text, source nodes and empty flag are read off the
+segments that still hold items, so prompt truncation shrinks a context by
+dropping items without re-running extraction. Empty structures yield a
+context without segments, which is empty, instead of a sentence with a
+dangling connective.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 from .errors import KindMismatchError, MissingLabelError, check_field_types
 from .graph import Node
@@ -61,64 +64,52 @@ class ContextSegment:
 
 @dataclass(frozen=True)
 class GraphContext:
-    """A verbalized structure with provenance.
+    """A verbalized structure: its kind and its segments.
 
-    ``empty`` is true exactly when ``text`` is the empty string; when
-    non-empty, every source node's name appears verbatim in the text.
+    Only the populated segments (those with items left) count: ``text``
+    renders them joined by "; ", ``source_nodes`` lists their node ids in
+    first-appearance order, and ``empty`` is true exactly when ``text`` is
+    the empty string. When non-empty, every source node's name appears
+    verbatim in the text.
     """
 
     kind: StructureKind
-    text: str
-    source_nodes: tuple[str, ...]
-    empty: bool
     segments: tuple[ContextSegment, ...] = ()
+
+    @cached_property
+    def text(self) -> str:
+        return _SEGMENT_JOINER.join(s.render() for s in self.segments if s.items)
+
+    @property
+    def empty(self) -> bool:
+        return not self.text
+
+    @property
+    def source_nodes(self) -> tuple[str, ...]:
+        ids: list[str] = []
+        for segment in self.segments:
+            if segment.items:
+                ids += segment.prefix_nodes
+                for _text, item_ids in segment.items:
+                    ids += item_ids
+        return tuple(dict.fromkeys(ids))
 
     @property
     def item_count(self) -> int:
         return sum(len(s.items) for s in self.segments)
 
     def without_last_item(self) -> "GraphContext":
-        """Drop the last item of the last populated segment and re-render."""
+        """Drop the last item of the last populated segment."""
         segments = list(self.segments)
         for i in range(len(segments) - 1, -1, -1):
             if segments[i].items:
-                trimmed = ContextSegment(
-                    prefix=segments[i].prefix,
-                    prefix_nodes=segments[i].prefix_nodes,
-                    items=segments[i].items[:-1],
-                    separator=segments[i].separator,
-                )
-                segments[i] = trimmed
-                return _from_segments(self.kind, tuple(segments))
+                segments[i] = replace(segments[i], items=segments[i].items[:-1])
+                return GraphContext(self.kind, tuple(segments))
         return self
 
 
-def _from_segments(kind: StructureKind, segments: tuple[ContextSegment, ...]) -> GraphContext:
-    populated = [s for s in segments if s.items]
-    text = _SEGMENT_JOINER.join(s.render() for s in populated)
-    sources: list[str] = []
-    seen: set[str] = set()
-    for segment in populated:
-        for nid in segment.prefix_nodes:
-            if nid not in seen:
-                seen.add(nid)
-                sources.append(nid)
-        for _text, ids in segment.items:
-            for nid in ids:
-                if nid not in seen:
-                    seen.add(nid)
-                    sources.append(nid)
-    return GraphContext(
-        kind=kind,
-        text=text,
-        source_nodes=tuple(sources),
-        empty=not text,
-        segments=segments,
-    )
-
-
 def empty_context(kind: StructureKind) -> GraphContext:
-    return GraphContext(kind=kind, text="", source_nodes=(), empty=True)
+    return GraphContext(kind)
 
 
 def _require_kind(bundle: StructureBundle, kind: StructureKind) -> None:
@@ -146,7 +137,7 @@ def verbalize_neighbors(
         items=tuple((link.node.name, (link.node.id,)) for link in bundle.payload),
         separator=t.list_separator,
     )
-    return _from_segments(StructureKind.NN, (segment,))
+    return GraphContext(StructureKind.NN, (segment,))
 
 
 def verbalize_neighbors_labeled(
@@ -183,7 +174,7 @@ def verbalize_neighbors_labeled(
         items=tuple(items),
         separator=", ",
     )
-    return _from_segments(StructureKind.NN, (segment,))
+    return GraphContext(StructureKind.NN, (segment,))
 
 
 def verbalize_common_neighbors(
@@ -199,7 +190,7 @@ def verbalize_common_neighbors(
         items=tuple((n.name, (n.id,)) for n in bundle.payload),
         separator=t.list_separator,
     )
-    return _from_segments(StructureKind.CNN, (segment,))
+    return GraphContext(StructureKind.CNN, (segment,))
 
 
 def verbalize_metapath(
@@ -223,7 +214,7 @@ def verbalize_metapath(
         items=tuple(items),
         separator=_SEGMENT_JOINER,
     )
-    return _from_segments(StructureKind.MP, (segment,))
+    return GraphContext(StructureKind.MP, (segment,))
 
 
 def _render_path(path: Metapath, t: TemplateSet) -> str:
@@ -239,12 +230,5 @@ def _render_path(path: Metapath, t: TemplateSet) -> str:
 
 def combine_contexts(contexts: list[GraphContext]) -> GraphContext:
     """Merge several same-kind contexts into one (clauses joined by "; ")."""
-    populated = [c for c in contexts if not c.empty]
-    if not populated:
-        kind = contexts[0].kind if contexts else StructureKind.NN
-        return empty_context(kind)
-    kind = populated[0].kind
-    segments: list[ContextSegment] = []
-    for context in populated:
-        segments.extend(context.segments)
-    return _from_segments(kind, tuple(segments))
+    kind = contexts[0].kind if contexts else StructureKind.NN
+    return GraphContext(kind, tuple(s for c in contexts for s in c.segments if s.items))

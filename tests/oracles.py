@@ -12,13 +12,21 @@ from __future__ import annotations
 import json
 import sys
 from collections import deque
+from dataclasses import asdict, fields
 from pathlib import Path
 from random import Random
 from typing import Iterable, Iterator
 
-from kgprompt.errors import DuplicateEdgeError, ParseError, SchemaError, UnknownNodeError, require_fields
+from kgprompt.dataset import FewShotConfig
+from kgprompt.errors import (
+    ConfigError, DuplicateEdgeError, ParseError, SchemaError, UnknownNodeError, require_fields,
+)
 from kgprompt.graph import IN, OUT, Direction, Edge, KnowledgeGraph, Node
 from kgprompt.ingest import IngestReport, hetionet_node_id
+from kgprompt.pipeline import FoldConfig, KgSource, MockBackend, _backend, _label_mapping, _section
+from kgprompt.prompts import DEFAULT_MASK_TOKEN, Architecture, TruncationPolicy
+from kgprompt.structures import ExtractionLimits, StructureKind
+from kgprompt.verbalize import TemplateSet
 
 
 def undirected_neighbor_ids(edges: list[tuple[str, str, str]], x: str) -> set[str]:
@@ -467,3 +475,124 @@ def frozen_load_edge_list_jsonl(path: str | Path) -> tuple[FrozenKnowledgeGraph,
     report.nodes_loaded = graph.node_count
     report.finish()
     return graph, report
+
+
+# Frozen copies of the bundle record writer, the config parser and canonical
+# form, and the context renderer from before bundle payloads, config fields
+# and contexts were each walked by one rule. Only the names are changed, the
+# parser builds an ``ExperimentConfig`` it is given, and the renderer returns
+# the text, source nodes and empty flag it set on the context instead of the
+# context; the bodies are otherwise verbatim.
+
+
+def frozen_bundle_record(instance_id: str, side: str, bundle) -> dict:
+    record = {
+        "instance_id": instance_id,
+        "side": side,
+        "kind": bundle.kind.value,
+        "pair": list(bundle.pair),
+        "candidate_count": bundle.candidate_count,
+        "truncated": bundle.truncated,
+        "selection_seed": bundle.selection_seed,
+    }
+    if bundle.kind is StructureKind.NN:
+        record["payload"] = [
+            {
+                "node": {"id": link.node.id, "name": link.node.name, "type": link.node.node_type},
+                "labels": [[label, direction] for label, direction in link.labels],
+            }
+            for link in bundle.payload
+        ]
+    elif bundle.kind is StructureKind.CNN:
+        record["payload"] = [
+            {"id": n.id, "name": n.name, "type": n.node_type} for n in bundle.payload
+        ]
+    else:
+        record["payload"] = [
+            {
+                "nodes": [{"id": n.id, "name": n.name, "type": n.node_type} for n in path.nodes],
+                "edges": [[label, direction] for label, direction in path.edges],
+            }
+            for path in bundle.payload
+        ]
+    return record
+
+
+def frozen_config_from_dict(cls, data: dict):
+    if not isinstance(data, dict):
+        raise ConfigError(f"configuration must be an object, not {type(data).__name__}")
+    known = {f.name for f in fields(cls)}
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"unknown configuration key {key!r}")
+    for required in ("dataset", "kg", "out_dir"):
+        if required not in data:
+            raise ConfigError(f"configuration misses required field {required!r}")
+    mask_token = data.get("mask_token", DEFAULT_MASK_TOKEN)
+    if not mask_token:
+        raise ConfigError("mask_token must be non-empty")
+    return cls(
+        dataset=data["dataset"],
+        kg=_section(data, "kg", KgSource),
+        out_dir=data["out_dir"],
+        structure=StructureKind(data.get("structure", "NN")),
+        limits=_section(data, "limits", ExtractionLimits),
+        templates=_section(data, "templates", TemplateSet),
+        architecture=Architecture.parse(str(data.get("architecture", "MLM"))),
+        label_mapping=_section(data, "label_mapping", _label_mapping),
+        few_shot=_section(data, "few_shot", FewShotConfig),
+        folds=_section(data, "folds", FoldConfig),
+        selection_seed=data.get("selection_seed", 203),
+        truncation=_section(data, "truncation", TruncationPolicy),
+        mask_token=mask_token,
+        nn_include_labels=data.get("nn_include_labels", False),
+        backend=_section(data, "backend", _backend),
+        overrides=data.get("overrides"),
+    )
+
+
+def frozen_to_canonical_dict(self) -> dict:
+    backend = None
+    if self.backend is not None:
+        kind = "mock" if isinstance(self.backend, MockBackend) else "http"
+        backend = {"kind": kind, **asdict(self.backend)}
+    return {
+        "dataset": self.dataset,
+        "kg": asdict(self.kg),
+        "out_dir": self.out_dir,
+        "structure": self.structure.value,
+        "limits": asdict(self.limits),
+        "templates": asdict(self.templates),
+        "architecture": self.architecture.value,
+        "label_mapping": {"mode": self.label_mapping.mode, **self.label_mapping.label_words()},
+        "few_shot": asdict(self.few_shot),
+        "folds": asdict(self.folds),
+        "selection_seed": self.selection_seed,
+        "truncation": asdict(self.truncation),
+        "mask_token": self.mask_token,
+        "nn_include_labels": self.nn_include_labels,
+        "backend": backend,
+        "overrides": self.overrides,
+    }
+
+
+def frozen_from_segments(kind, segments) -> dict:
+    populated = [s for s in segments if s.items]
+    text = "; ".join(s.render() for s in populated)
+    sources: list[str] = []
+    seen: set[str] = set()
+    for segment in populated:
+        for nid in segment.prefix_nodes:
+            if nid not in seen:
+                seen.add(nid)
+                sources.append(nid)
+        for _text, ids in segment.items:
+            for nid in ids:
+                if nid not in seen:
+                    seen.add(nid)
+                    sources.append(nid)
+    return dict(
+        text=text,
+        source_nodes=tuple(sources),
+        empty=not text,
+    )

@@ -10,20 +10,23 @@ change to the canonical form must update them and say why.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import shutil
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from kgprompt.backend import HttpEndpoint
 from kgprompt.cli import main
-from kgprompt.errors import ConfigError
+from kgprompt.errors import ConfigError, KgPromptError
 from kgprompt.pipeline import ExperimentConfig, FoldConfig, MockBackend, run_experiment
 from kgprompt.verbalize import TemplateSet
 
 from conftest import DATA_DIR
+from oracles import frozen_config_from_dict, frozen_to_canonical_dict
 
 UNREACHABLE = "http://127.0.0.1:9"
 
@@ -199,3 +202,78 @@ def test_sections_parse_into_stage_objects():
     assert config.backend == HttpEndpoint(base_url=UNREACHABLE, timeout=10, max_retries=3, backoff=0.005, max_in_flight=2)
     assert ExperimentConfig.from_dict({**MINIMAL, "backend": {"kind": "mock"}}).backend == MockBackend(seed=203)
     assert ExperimentConfig.from_dict({**MINIMAL, "backend": {}}).backend is None
+
+
+def _random_config(rng: Random) -> dict:
+    """A configuration with each section present (some of its keys), absent
+    or null, both backends, both label-mapping modes and the scalar keys
+    present or absent."""
+    kgs = [
+        {"kind": "jsonl", "path": "kg.jsonl"},
+        {"kind": "hetionet_json", "path": "het.json"},
+        {"kind": "remote", "cache_dir": "cache"},
+        {"kind": "remote", "cache_dir": "cache", "sparql_url": f"{UNREACHABLE}/sparql"},
+    ]
+    sections = {
+        "limits": {"max_neighbors": 2, "max_common_neighbors": 0, "max_metapaths": 3,
+                   "max_hops": 5, "max_paths_enumerated": 40},
+        "templates": {"nn_connective": "borders", "list_separator": " / ", "final_conjunction": "&"},
+        "few_shot": {"k": 4, "seed": 9, "stratified": False},
+        "folds": {"n_folds": 3, "seed": 11, "stratified": True},
+        "truncation": {"max_units": 64, "unit": "character"},
+    }
+    data = {"dataset": "data.jsonl", "kg": rng.choice(kgs), "out_dir": "out"}
+    for name, keys in sections.items():
+        draw = rng.random()
+        if draw < 0.6:
+            data[name] = {k: v for k, v in keys.items() if rng.random() < 0.5}
+        elif draw < 0.8:
+            data[name] = None
+    data["label_mapping"] = rng.choice([
+        {"mode": "identity"}, {"mode": "custom", "causal": "yes", "non_causal": "no"}, None, "absent",
+    ])
+    data["backend"] = rng.choice([
+        {"kind": "mock"}, {"kind": "mock", "seed": 5}, HTTP_BENCH,
+        {"kind": "http", "base_url": UNREACHABLE, "timeout": 3}, {}, None, "absent",
+    ])
+    scalars = {
+        "structure": ["NN", "CNN", "MP"],
+        "architecture": ["MLM", "clm", "Seq2Seq"],
+        "selection_seed": [0, 7],
+        "mask_token": ["<mask>", "[MASK]"],
+        "nn_include_labels": [True, False],
+        "overrides": ["overrides.json", None],
+    }
+    for name, values in scalars.items():
+        if rng.random() < 0.5:
+            data[name] = rng.choice(values)
+    return {k: v for k, v in data.items() if v != "absent"}
+
+
+def _parsed(parse, data: dict) -> object:
+    try:
+        return parse(data)
+    except (KgPromptError, KeyError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_config_parse_and_canonical_form_match_the_frozen_copies():
+    rng = Random(1111)
+    outcomes = set()
+    for case in range(600):
+        data = _random_config(rng)
+        if case % 25 == 0:  # a broken key the two parsers must reject alike
+            data.update(rng.choice([{"kg": None}, {"mask_token": ""}, {"structure": "XX"}, {"folds": []}]))
+        if case % 100 == 0:
+            del data["dataset"]
+        got = _parsed(ExperimentConfig._from_dict, data)
+        want = _parsed(functools.partial(frozen_config_from_dict, ExperimentConfig), data)
+        assert got == want
+        if isinstance(got, ExperimentConfig):
+            canonical = got.to_canonical_dict()
+            assert list(canonical.items()) == list(frozen_to_canonical_dict(got).items())
+            outcomes.add((canonical["backend"] or {}).get("kind"))
+            outcomes.add(canonical["label_mapping"]["mode"])
+        else:
+            outcomes.add(got[0])
+    assert {None, "mock", "http", "identity", "custom", ConfigError} <= outcomes

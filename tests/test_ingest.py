@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import os
 import re
@@ -239,6 +240,39 @@ def test_jsonl_empty_name_or_label_names_the_line(tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("".join(json.dumps(l) + "\n" for l in lines), encoding="utf-8")
         with pytest.raises(SchemaError, match=f"empty '{field}'") as err:
+            load_edge_list_jsonl(path)
+        assert err.value.line == line
+
+
+@pytest.mark.parametrize("bad", [["x"], {"x": 1}, None, True, 1.5])
+def test_node_id_parts_must_be_strings_or_integers(tmp_path, bad):
+    # Any other JSON value has no one spelling in a node id ("Gene::['x']").
+    a, b = het_node("Gene", 1, "A"), het_node("Gene", "2", "B")
+    forward = het_edge(["Gene", 1], ["Gene", "2"], "interacts")
+    hetionet_cases = [
+        ([het_node(bad, 1, "A")], [], "node record 0: 'kind' must be a string or an integer"),
+        ([a, het_node("Gene", bad, "B")], [], "node record 1: 'identifier' must be a string or an integer"),
+    ]
+    for field, half in itertools.product(("source_id", "target_id"), (0, 1)):
+        edge = dict(forward)
+        edge[field] = list(edge[field])
+        edge[field][half] = bad
+        hetionet_cases.append(([a, b], [forward, edge], f"edge record 1: {field} must be a \\[kind, identifier\\] pair"))
+    for nodes, edges, message in hetionet_cases:
+        path = write_hetionet(tmp_path / "het.json", nodes=nodes, edges=edges)
+        with pytest.raises(SchemaError, match=f"^{message}"):
+            load_hetionet_json(path)
+
+    node_a = {"node": {"id": "a", "name": "A"}}
+    node_b = {"node": {"id": 2, "name": "B"}}
+    for lines, line, field in (
+        ([node_a, {"node": {"id": bad, "name": "X"}}], 2, "id"),
+        ([node_a, node_b, {"edge": {"source": bad, "target": 2, "label": "r"}}], 3, "source"),
+        ([node_a, node_b, {"edge": {"source": "a", "target": bad, "label": "r"}}], 3, "target"),
+    ):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(json.dumps(l) + "\n" for l in lines), encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"'{field}' must be a string or an integer") as err:
             load_edge_list_jsonl(path)
         assert err.value.line == line
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import shutil
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,19 @@ from hypothesis import strategies as st
 
 import kgprompt.ingest as ingest
 from kgprompt.errors import ConfigError, StageError
-from kgprompt.pipeline import ExperimentConfig, run_experiment, validate_config
+from kgprompt.linking import PairLinkage
+from kgprompt.pipeline import (
+    ExperimentConfig,
+    _bundle_record,
+    _LocalSource,
+    _verbalize_bundles,
+    run_experiment,
+    validate_config,
+)
 
 from conftest import DATA_DIR
+from fixtures_kg import make_graph
+from oracles import frozen_bundle_record, frozen_from_segments, random_graph
 
 
 def base_config_dict(out_dir: Path, **overrides) -> dict:
@@ -379,3 +390,45 @@ def test_unwritable_graph_cache_gives_the_same_artifacts(tmp_path, monkeypatch):
     blocker.write_text("", encoding="utf-8")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
     assert tree_bytes(run_experiment(config)) == expected
+
+
+def test_bundle_records_and_contexts_match_the_frozen_writers():
+    # One rule writes every payload kind, and a context is read off its
+    # segments; both must give what the per-kind writers gave, on random
+    # graphs with parallel labels, self-loops and pairs linked to one node.
+    rng = Random(2311)
+    kinds = {"NN": 0, "CNN": 0, "MP": 0}
+    for case in range(240):
+        nodes, edges = random_graph(rng, max_nodes=20, max_edges=70)
+        ids = [nid for nid, _name, _type in nodes]
+        edges += [(nid, nid, "self") for nid in rng.sample(ids, min(2, len(ids)))]
+        kg = make_graph(nodes, edges)
+        structure = ("NN", "CNN", "MP")[case % 3]
+        config = ExperimentConfig.from_dict({
+            "dataset": "data.jsonl",
+            "kg": {"kind": "jsonl", "path": "kg.jsonl"},
+            "out_dir": "out",
+            "structure": structure,
+            "nn_include_labels": case % 2 == 0,
+            "limits": {
+                "max_neighbors": rng.choice([0, 1, 4, 100]),
+                "max_common_neighbors": rng.choice([0, 1, 5, 100]),
+                "max_metapaths": rng.choice([0, 1, 3, 10**9]),
+                "max_hops": rng.choice([2, 3, 4]),
+                "max_paths_enumerated": rng.choice([5, 10_000]),
+            },
+        })
+        e1 = rng.choice(ids + [None])
+        e2 = e1 if case % 7 == 0 else rng.choice(ids + [None])
+        linkage = PairLinkage(f"i{case}", e1, e2)
+        source = _LocalSource(kg)
+        bundles = source.extract(linkage, config)
+        for side, bundle in bundles:
+            assert _bundle_record(linkage.instance_id, side, bundle) == frozen_bundle_record(
+                linkage.instance_id, side, bundle
+            )
+            kinds[structure] += bool(bundle.payload)
+        context = _verbalize_bundles(source, linkage, bundles, config)
+        want = frozen_from_segments(context.kind, context.segments)
+        assert (context.text, context.source_nodes, context.empty) == tuple(want.values())
+    assert min(kinds.values()) >= 20  # every kind wrote non-empty payloads

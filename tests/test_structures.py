@@ -373,6 +373,24 @@ def test_metapath_selection_matches_frozen_dfs_and_select_subset():
     assert truncating >= 60 and chosen >= 1000  # both sides of every branch are exercised
 
 
+def test_metapath_hops_take_the_first_stored_link():
+    # Each hop reads the first link of the row between its two ints; that must
+    # be the first of all labels between the two nodes, parallel ones included.
+    rng = Random(4040)
+    hops = parallel = 0
+    for case in range(200):
+        nodes, edges, x, y = _metapath_case_graph(rng)
+        kg = make_graph(nodes, edges)
+        limits = ExtractionLimits(max_hops=2 + case % 3, max_metapaths=10**9)
+        for path in enumerate_metapaths(kg, x, y, limits, seed=case).payload:
+            for i, edge in enumerate(path.edges):
+                labels = kg.relation_labels_between(path.nodes[i].id, path.nodes[i + 1].id)
+                assert edge == labels[0]
+                hops += 1
+                parallel += len(labels) > 1
+    assert hops >= 5000 and parallel >= 500
+
+
 def _bench_pathcount():
     spec = importlib.util.spec_from_file_location("bench_pathcount", PATHCOUNT_PY)
     module = importlib.util.module_from_spec(spec)

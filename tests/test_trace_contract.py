@@ -43,3 +43,10 @@ def test_every_traced_method_and_function_exists():
     assert callable(backend.predict_http)
     assert callable(cli.run_experiment)
     assert callable(remote.QueryCache.load)
+
+
+def test_neither_source_class_inherits_from_the_other():
+    # The tracer wraps each class's extract once; a subclass would inherit the
+    # wrapped method and wrap it again, nesting two pair spans per extraction.
+    assert not issubclass(pipeline._LocalSource, pipeline._RemoteSource)
+    assert not issubclass(pipeline._RemoteSource, pipeline._LocalSource)

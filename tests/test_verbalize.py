@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
 from kgprompt.errors import KindMismatchError, MissingLabelError
@@ -14,6 +16,8 @@ from kgprompt.structures import (
 )
 from kgprompt.verbalize import (
     DEFAULT_TEMPLATES,
+    ContextSegment,
+    GraphContext,
     TemplateSet,
     combine_contexts,
     empty_context,
@@ -24,6 +28,7 @@ from kgprompt.verbalize import (
 )
 
 from fixtures_kg import common_neighbor_graph, make_graph, metapath_graph, prostate_star_graph
+from oracles import frozen_from_segments, random_graph
 
 GOLD_NN = "prostate cancer is connected to nilutamide, cabazitaxel, urology, FSHR, F6F10"
 GOLD_NN_LABELED = (
@@ -235,3 +240,52 @@ def test_without_last_item_drops_from_the_end():
         drained = drained.without_last_item()
     assert drained.empty
     assert drained.without_last_item().empty
+
+
+def _random_contexts(rng: Random) -> list[GraphContext]:
+    """Verbalized NN (plain and labeled), CNN and MP contexts of a random
+    graph, their combination, and contexts of random segments that may hold
+    empty prefixes and empty item texts."""
+    nodes, edges = random_graph(rng, max_nodes=15, max_edges=50)
+    kg = make_graph(nodes, edges)
+    ids = [nid for nid, _name, _type in nodes]
+    x, y = rng.sample(ids, 2)
+    limits = ExtractionLimits(max_neighbors=6, max_metapaths=3, max_hops=3)
+    contexts = [
+        verbalize_neighbors(kg.node(x), extract_neighbors(kg, x, limits, 1)),
+        verbalize_neighbors_labeled(kg.node(y), extract_neighbors(kg, y, limits, 2)),
+        verbalize_common_neighbors(kg.node(x), kg.node(y), extract_common_neighbors(kg, x, y, limits, 3)),
+        verbalize_metapath(kg.node(x), kg.node(y), enumerate_metapaths(kg, x, y, limits, 4)),
+    ]
+    contexts.append(combine_contexts(contexts[:2]))
+    words = ["", "a", "b c", "d"]
+    segments = tuple(
+        ContextSegment(
+            prefix=rng.choice(words),
+            prefix_nodes=tuple(rng.sample(ids, rng.randint(0, 2))),
+            items=tuple(
+                (rng.choice(words), tuple(rng.sample(ids, rng.randint(0, 2))))
+                for _ in range(rng.randint(0, 3))
+            ),
+            separator=rng.choice([", ", "; "]),
+        )
+        for _ in range(rng.randint(0, 3))
+    )
+    contexts.append(GraphContext(StructureKind.NN, segments))
+    return contexts
+
+
+def test_context_is_read_off_its_populated_segments():
+    rng = Random(808)
+    steps = 0
+    for _case in range(150):
+        for context in _random_contexts(rng):
+            while True:
+                want = frozen_from_segments(context.kind, context.segments)
+                assert context.empty == (context.text == "")
+                assert (context.text, context.source_nodes, context.empty) == tuple(want.values())
+                if not context.item_count:
+                    break
+                context = context.without_last_item()
+                steps += 1
+    assert steps >= 2500
