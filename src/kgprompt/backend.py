@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -217,6 +216,9 @@ def predict_http_batch(
     no request has failed; the first failure in input order is raised once
     the requests already sent have finished.
     """
+    # imported here: loading it costs every process that imports the CLI
+    from concurrent.futures import Future, ThreadPoolExecutor
+
     records: list[PredictionRecord] = []
     window: deque[Future] = deque()
     with ThreadPoolExecutor(max_workers=endpoint.max_in_flight) as pool:

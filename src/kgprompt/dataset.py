@@ -22,7 +22,9 @@ from .errors import (
     check_field_types,
     jsonl_records,
     require_fields,
+    require_id,
     require_int,
+    require_str,
 )
 
 CAUSAL = "causal"
@@ -104,8 +106,8 @@ def _instance_from_record(record: object, lineno: int) -> Instance:
             )
         )
     return Instance(
-        instance_id=str(record["instance_id"]),
-        text=str(record["text"]),
+        instance_id=require_id(record["instance_id"], "instance_id", lineno),
+        text=require_str(record["text"], "text", lineno),
         span1=spans[0],
         span2=spans[1],
         label=record["label"],

@@ -61,6 +61,26 @@ def require_int(value: object, what: str, line: int | None = None) -> int:
     return value
 
 
+def require_str(value: object, what: str, line: int | None = None) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{what} must be a string, not {type(value).__name__}", line=line)
+    return value
+
+
+# The only JSON values with one obvious spelling inside an id (a bool is not
+# an int here).
+ID_TYPES = (str, int)
+
+
+def require_id(value: object, what: str, line: int | None = None) -> str:
+    """An id, or a part of one, as a string."""
+    if type(value) not in ID_TYPES:
+        raise SchemaError(
+            f"{what} must be a string or an integer, not {type(value).__name__}", line=line
+        )
+    return str(value)
+
+
 # field annotation -> (accepted types, what the error says is expected)
 _FIELD_TYPES = {
     "int": (int, "an integer"),
@@ -140,6 +160,10 @@ class MalformedResponseError(KgPromptError):
 
 class UnknownEntityError(KgPromptError):
     pass
+
+
+class CacheError(KgPromptError):
+    """A remote cache entry cannot be read or written."""
 
 
 # --- verbalization ---

@@ -17,10 +17,10 @@ Storage is an integer core:
   ids, names and types; labels are interned to small ints;
 - the edges are three ``array`` columns (source, target, label) in insertion
   order, and a set of packed integer keys is the duplicate check;
-- adjacency is a CSR (compressed sparse rows) built from the columns on the
-  first query after an add: per node, the other end, label and direction of
-  each link in global edge order, self-loops left out. A node's neighbors
-  are the other ends of its row, deduplicated in first-link order;
+- adjacency is a CSR (compressed sparse rows) that indexes the edge columns,
+  built on the first query after an add: per node, the other end and the edge
+  position of each link in global edge order, self-loops left out. A node's
+  neighbors are the other ends of its row, deduplicated in first-link order;
 - each node's normalized name (:func:`normalize_name`), which
   :meth:`KnowledgeGraph.name_tables` indexes, is built when first needed
   after an add.
@@ -43,7 +43,6 @@ from .errors import DuplicateEdgeError, UnknownNodeError
 Direction = Literal["out", "in"]
 OUT: Direction = "out"
 IN: Direction = "in"
-_DIRECTIONS: tuple[Direction, Direction] = (OUT, IN)  # indexed by the CSR's direction byte
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,18 +61,17 @@ class Edge:
 
 class _Csr(NamedTuple):
     """Adjacency rows: node i's links are ``offsets[i]:offsets[i + 1]`` of
-    ``other``/``label``/``direction``."""
+    ``other`` (their other ends) and ``edge`` (their edges' positions)."""
 
     offsets: array
     other: array
-    label: array
-    direction: array
+    edge: array
 
 
 # the typecode of each integer array of the core, by its name in dump()
 _ARRAYS = {
     "sources": "i", "targets": "i", "edge_labels": "i",
-    "offsets": "q", "other": "i", "label": "i", "direction": "b",
+    "offsets": "q", "other": "i", "edge": "i",
 }
 
 
@@ -213,9 +211,8 @@ class KnowledgeGraph:
         """
         i = self.index_of(x)
         csr = self._adjacency()
-        ids, labels = self._ids, self._labels
         for p in range(csr.offsets[i], csr.offsets[i + 1]):
-            yield ids[csr.other[p]], labels[csr.label[p]], _DIRECTIONS[csr.direction[p]]
+            yield (self._ids[csr.other[p]], *self._link(i, csr.edge[p]))
 
     def neighbor_ids(self, x: str) -> list[str]:
         """Ids of the nodes sharing an edge with x, deduplicated, in first-edge order."""
@@ -233,19 +230,10 @@ class KnowledgeGraph:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        i = self.index_of(x)
-        visited = {i}
-        frontier = [i]
-        hops: list[list[Node]] = []
-        for _hop in range(k):
-            next_ints: list[int] = []
-            for current in frontier:
-                for other in self._neighbors(current):
-                    if other not in visited:
-                        visited.add(other)
-                        next_ints.append(other)
-            hops.append([self._node(j) for j in next_ints])
-            frontier = next_ints
+        hops: list[list[Node]] = [[] for _hop in range(k)]
+        for j, hop in self.hop_distances(self.index_of(x), k).items():
+            if hop:
+                hops[hop - 1].append(self._node(j))
         return hops
 
     def relation_labels_between(self, x: str, y: str) -> list[tuple[str, Direction]]:
@@ -257,7 +245,6 @@ class KnowledgeGraph:
         j = self.index_of(y)
         i = self.index_of(x)
         csr = self._adjacency()
-        labels = self._labels
         found: list[tuple[str, Direction]] = []
         p, end = csr.offsets[i], csr.offsets[i + 1]
         while True:
@@ -265,7 +252,7 @@ class KnowledgeGraph:
                 p = csr.other.index(j, p, end)
             except ValueError:
                 return found
-            found.append((labels[csr.label[p]], _DIRECTIONS[csr.direction[p]]))
+            found.append(self._link(i, csr.edge[p]))
             p += 1
 
     # --- the integer view, for algorithms that walk the adjacency in bulk ---
@@ -288,14 +275,30 @@ class KnowledgeGraph:
         share no edge."""
         csr = self._adjacency()
         p = csr.other.index(j, csr.offsets[i], csr.offsets[i + 1])
-        return self._labels[csr.label[p]], _DIRECTIONS[csr.direction[p]]
+        return self._link(i, csr.edge[p])
 
-    def link_rows(self) -> tuple[array, array]:
-        """``(offsets, other)``: node i's links end at the nodes
-        ``other[offsets[i]:offsets[i + 1]]``, in edge insertion order, with a
+    def row(self, i: int) -> array:
+        """The other ends of node i's links, in edge insertion order, with a
         repeat per parallel edge and no self-loops."""
         csr = self._adjacency()
-        return csr.offsets, csr.other
+        return csr.other[csr.offsets[i]:csr.offsets[i + 1]]
+
+    def hop_distances(self, i: int, depth: int, avoid: int = -1) -> dict[int, int]:
+        """Node -> hop distance from node i, for every node within ``depth``
+        hops of it (i itself at 0), in breadth-first discovery order. Walks
+        never pass through the node ``avoid``, which is left out."""
+        row = self.row
+        dist = {i: 0}
+        frontier = [i]
+        for d in range(1, depth + 1):
+            reached = []
+            for u in frontier:
+                for v in row(u):  # repeats of parallel links are harmless here
+                    if v not in dist and v != avoid:
+                        dist[v] = d
+                        reached.append(v)
+            frontier = reached
+        return dist
 
     # --- the core ---
 
@@ -303,10 +306,13 @@ class KnowledgeGraph:
         return Node(self._ids[i], self._names[i], self._types[i])
 
     def _neighbors(self, i: int) -> Iterable[int]:
-        """Node i's neighbors: the other ends of its links, deduplicated in
-        first-link order (self-loops are not in the rows)."""
-        csr = self._adjacency()
-        return dict.fromkeys(csr.other[csr.offsets[i]:csr.offsets[i + 1]])
+        """Node i's neighbors: its row deduplicated in first-link order."""
+        return dict.fromkeys(self.row(i))
+
+    def _link(self, i: int, e: int) -> tuple[str, Direction]:
+        """Label and direction, relative to node i, of i's link along the edge
+        at position e: the edge's label, OUT exactly when i is its source."""
+        return self._labels[self._edge_labels[e]], OUT if self._sources[e] == i else IN
 
     def _normalized_names(self) -> list[str]:
         normalized = self._normalized
@@ -317,9 +323,7 @@ class KnowledgeGraph:
     def _adjacency(self) -> _Csr:
         csr = self._csr
         if csr is None:
-            csr = self._csr = _build_csr(
-                len(self._ids), self._sources, self._targets, self._edge_labels
-            )
+            csr = self._csr = _build_csr(len(self._ids), self._sources, self._targets)
         return csr
 
     def dump(self) -> tuple[dict[str, list[str]], dict[str, array]]:
@@ -367,7 +371,7 @@ class KnowledgeGraph:
             or len(graph._label_index) != len(graph._labels)
             or len(arrays["targets"]) != edges or len(arrays["edge_labels"]) != edges
             or len(csr.offsets) != n + 1
-            or not len(csr.other) == len(csr.label) == len(csr.direction) == csr.offsets[-1]
+            or not len(csr.other) == len(csr.edge) == csr.offsets[-1]
         ):
             raise ValueError("graph state: tables and arrays do not match")
         graph._sources, graph._targets = arrays["sources"], arrays["targets"]
@@ -377,7 +381,7 @@ class KnowledgeGraph:
         return graph
 
 
-def _build_csr(n: int, sources: array, targets: array, labels: array) -> _Csr:
+def _build_csr(n: int, sources: array, targets: array) -> _Csr:
     """Adjacency rows of n nodes from the edge columns, in two passes: count
     each node's links, then fill its row in global edge order."""
     degree = [0] * n
@@ -388,19 +392,17 @@ def _build_csr(n: int, sources: array, targets: array, labels: array) -> _Csr:
     offsets = array("q", accumulate(degree, initial=0))
     links = offsets[-1]
     other = array("i", [0]) * links
-    label = array("i", [0]) * links
-    direction = array("b", [0]) * links  # 0 is OUT
+    edge = array("i", [0]) * links
     free = offsets.tolist()  # the next free slot of each row
-    for s, t, lab in zip(sources, targets, labels):
+    for e, (s, t) in enumerate(zip(sources, targets)):
         if s == t:
             continue
         p = free[s]
         free[s] = p + 1
         other[p] = t
-        label[p] = lab
+        edge[p] = e
         p = free[t]
         free[t] = p + 1
         other[p] = s
-        label[p] = lab
-        direction[p] = 1
-    return _Csr(offsets, other, label, direction)
+        edge[p] = e
+    return _Csr(offsets, other, edge)

@@ -44,13 +44,15 @@ import struct
 import sys
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator
 
 from . import graph as graph_module
 from .atomic import write_atomic, write_jsonl
-from .errors import ParseError, SchemaError, jsonl_records, require_fields, utf8_error
+from .errors import (
+    ID_TYPES, ParseError, SchemaError, jsonl_records, require_fields, require_id, require_str, utf8_error
+)
 from .graph import KnowledgeGraph, Node
 
 log = logging.getLogger(__name__)
@@ -58,17 +60,12 @@ log = logging.getLogger(__name__)
 # Warnings kept verbatim in the report are capped; counts stay exact.
 _MAX_WARNINGS = 50
 
-_SNAPSHOT_VERSION = 3
+_SNAPSHOT_VERSION = 4
 _SNAPSHOT_MAGIC = b"KGPGRAPH"
 # magic, format version, payload length, payload sha256
 _SNAPSHOT_HEADER = struct.Struct("<8sIQ32s")
 _SNAPSHOT_LENGTH = struct.Struct("<Q")  # of the marshalled tables that open the payload
 _SNAPSHOT_ARRAY = struct.Struct("<cQ")  # typecode and item count before each array's bytes
-_HASH_CHUNK = 1 << 20
-
-# The only JSON values with one obvious spelling inside a node id (a bool is
-# not an int here).
-_ID_TYPES = (str, int)
 
 
 @dataclass
@@ -77,7 +74,7 @@ class IngestReport:
     edges_loaded: int = 0
     duplicates_rejected: int = 0
     warnings: list[str] = field(default_factory=list)
-    _suppressed: int = 0
+    _suppressed = 0  # not a field: finish() turns it into a warning
 
     def warn(self, message: str) -> None:
         if len(self.warnings) < _MAX_WARNINGS:
@@ -98,17 +95,12 @@ def hetionet_node_id(kind: str | int, identifier: str | int) -> str:
 
 def _id_field(record: dict, name: str, what: str, line: int | None = None) -> str:
     """A field that becomes (part of) a node id, as a string."""
-    value = record[name]
-    if type(value) not in _ID_TYPES:
-        raise SchemaError(
-            f"{what}: {name!r} must be a string or an integer, not {type(value).__name__}", line=line
-        )
-    return str(value)
+    return require_id(record[name], f"{what}: {name!r}", line)
 
 
 def _nonempty(record: dict, name: str, what: str, line: int | None = None) -> str:
-    """A field's value as a string; names and labels must not be empty."""
-    value = str(record[name])
+    """A name or label field: a non-empty string."""
+    value = require_str(record[name], f"{what}: {name!r}", line)
     if not value:
         raise SchemaError(f"{what}: empty {name!r}", line=line)
     return value
@@ -195,7 +187,7 @@ def _endpoint(record: dict, name: str, what: str) -> str:
     value = record[name]
     if (
         not isinstance(value, (list, tuple)) or len(value) != 2
-        or type(value[0]) not in _ID_TYPES or type(value[1]) not in _ID_TYPES
+        or type(value[0]) not in ID_TYPES or type(value[1]) not in ID_TYPES
     ):
         raise SchemaError(f"{what}: {name} must be a [kind, identifier] pair of strings or integers")
     return hetionet_node_id(*value)
@@ -232,10 +224,11 @@ def _parse_edge_list_jsonl(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
                 node_id = _id_field(body, "id", "node record", lineno)
                 if not node_id:
                     raise SchemaError("node record: empty 'id'", line=lineno)
+                node_type = require_str(body.get("type", "unknown"), "node record: 'type'", lineno)
                 node = Node(
                     id=node_id,
                     name=_nonempty(body, "name", "node record", lineno),
-                    node_type=sys.intern(str(body.get("type", "unknown"))),
+                    node_type=sys.intern(node_type),
                 )
                 if not graph.add_node(node):
                     report.warn(f"line {lineno}: duplicate node id {node_id!r} skipped")
@@ -280,7 +273,7 @@ def _load(
 ) -> tuple[KnowledgeGraph, IngestReport]:
     """The snapshot of ``path``'s bytes if one is valid, else ``parse(path)``,
     saved as that snapshot."""
-    snapshot = _snapshot_path(kind, _file_sha256(path))
+    snapshot = _snapshot_path(kind, file_sha256(path))
     restored = _read_snapshot(snapshot)
     if restored is not None:
         return restored
@@ -308,10 +301,11 @@ def _code_sha256() -> str:
     return digest.hexdigest()
 
 
-def _file_sha256(path: Path) -> str:
+def file_sha256(path: Path) -> str:
+    """The hex sha256 of a file's bytes, read 64 KiB at a time."""
     digest = hashlib.sha256()
     with path.open("rb") as fh:
-        while chunk := fh.read(_HASH_CHUNK):
+        while chunk := fh.read(1 << 16):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -373,7 +367,7 @@ def _decode_snapshot(fh: BinaryIO) -> tuple[KnowledgeGraph, IngestReport]:
     if len(state["arrays"]) != len(arrays):
         raise ValueError("payload holds other arrays than its tables name")
     graph = KnowledgeGraph.restore(state["graph"], dict(zip(state["arrays"], arrays)))
-    return graph, IngestReport(*state["report"])
+    return graph, IngestReport(**state["report"])
 
 
 def _write_snapshot(path: Path, graph: KnowledgeGraph, report: IngestReport) -> None:
@@ -383,7 +377,7 @@ def _write_snapshot(path: Path, graph: KnowledgeGraph, report: IngestReport) -> 
     head = marshal.dumps({
         "graph": tables,
         "arrays": list(arrays),
-        "report": (report.nodes_loaded, report.edges_loaded, report.duplicates_rejected, report.warnings),
+        "report": asdict(report),
     })
     pieces: list = [_SNAPSHOT_LENGTH.pack(len(head)), head]
     for values in arrays.values():

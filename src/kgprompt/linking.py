@@ -13,7 +13,7 @@ is looked up once, in first-appearance order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -36,13 +36,7 @@ class PairLinkage:
     e2_method: str = UNRESOLVED
 
     def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "e1_node": self.e1_node,
-            "e2_node": self.e2_node,
-            "e1_method": self.e1_method,
-            "e2_method": self.e2_method,
-        }
+        return asdict(self)
 
 
 # A name lookup answers (node id, EXACT or NORMALIZED), or None for no match.

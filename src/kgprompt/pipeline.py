@@ -36,7 +36,7 @@ from .dataset import (
 )
 from .errors import ConfigError, KgPromptError, SamePairError, StageError, check_field_types
 from .graph import KnowledgeGraph, Node
-from .ingest import IngestReport, load_edge_list_jsonl, load_hetionet_json
+from .ingest import file_sha256, load_edge_list_jsonl, load_hetionet_json
 from .linking import NameLookup, PairLinkage, link_pairs, load_overrides, search_lookup
 from .metrics import (
     Metrics,
@@ -305,6 +305,8 @@ def validate_config(config: ExperimentConfig, check_paths: bool = True) -> None:
     else:
         if not kg.cache_dir:
             raise ConfigError("remote kg sources need kg.cache_dir for reproducibility")
+        if check_paths and Path(kg.cache_dir).exists() and not Path(kg.cache_dir).is_dir():
+            raise ConfigError(f"kg.cache_dir is not a directory: {kg.cache_dir}")
         if config.structure is not StructureKind.NN:
             raise ConfigError(
                 "remote kg sources support only the NN structure (remote querying is 1-hop)"
@@ -334,14 +336,6 @@ def _write_json(path: Path, data: object) -> Path:
 def _write_jsonl(path: Path, records: Iterable[dict]) -> Path:
     write_jsonl(path, records)
     return path
-
-
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _bundle_record(instance_id: str, side: str, bundle: StructureBundle) -> dict:
@@ -504,7 +498,7 @@ def _ingest(run: _Run) -> list[Path]:
     loader = load_hetionet_json if config.kg.kind == "hetionet_json" else load_edge_list_jsonl
     kg, report = loader(config.kg.path)
     run.source = _LocalSource(kg)
-    return [_write_json(run.out / "ingest_report.json", _report_dict(report))]
+    return [_write_json(run.out / "ingest_report.json", asdict(report))]
 
 
 def _link(run: _Run) -> list[Path]:
@@ -650,18 +644,9 @@ def run_experiment(
     return _finish(run.out, config, written)
 
 
-def _report_dict(report: IngestReport) -> dict:
-    return {
-        "nodes_loaded": report.nodes_loaded,
-        "edges_loaded": report.edges_loaded,
-        "duplicates_rejected": report.duplicates_rejected,
-        "warnings": list(report.warnings),
-    }
-
-
 def _finish(out: Path, config: ExperimentConfig, written: list[Path]) -> Path:
     """Write the manifest: config, seeds and a sha256 per file this run wrote."""
-    artifacts = {str(path.relative_to(out)): _sha256_file(path) for path in written}
+    artifacts = {str(path.relative_to(out)): file_sha256(path) for path in written}
     manifest = {
         "config_hash": config.config_hash(),
         "config": config.to_canonical_dict(),

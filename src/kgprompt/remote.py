@@ -30,6 +30,7 @@ from typing import Callable, Iterable, TypeVar
 
 from .atomic import write_atomic
 from .errors import (
+    CacheError,
     MalformedResponseError,
     NetworkError,
     RateLimitedError,
@@ -70,8 +71,10 @@ class QueryCache:
     """Content-addressed response cache: root/<2 hash chars>/<hash>.json.
 
     Writers use write-then-rename so concurrent clients can share a cache
-    directory safely. An unreadable entry is a miss that the refetch
-    replaces; under ``read_only`` it is a NetworkError instead.
+    directory safely. An entry that does not parse is a miss that the
+    refetch replaces; under ``read_only`` it is a NetworkError instead. An
+    entry that cannot be opened or written at all (say, its shard directory
+    is a file) is a CacheError naming its path.
     """
 
     root_dir: Path
@@ -86,13 +89,15 @@ class QueryCache:
 
     def load(self, key: str) -> dict | None:
         path = self._entry_path(key)
-        if not path.exists():
-            return None
         try:
             with path.open("r", encoding="utf-8") as fh:
                 entry = json.load(fh)
+        except FileNotFoundError:
+            return None
         except ValueError:  # truncated or not UTF-8
             entry = None
+        except OSError as exc:
+            raise CacheError(f"cannot read cache entry {path}: {exc.strerror}") from exc
         if isinstance(entry, dict) and "response" in entry:
             return entry
         if self.policy is CachePolicy.READ_ONLY:
@@ -105,8 +110,12 @@ class QueryCache:
             "fetched_at": datetime.now(timezone.utc).isoformat(),
             "response": response,
         }
-        with write_atomic(self._entry_path(key)) as fh:
-            fh.write(json.dumps(entry, ensure_ascii=False))
+        path = self._entry_path(key)
+        try:
+            with write_atomic(path) as fh:
+                fh.write(json.dumps(entry, ensure_ascii=False))
+        except OSError as exc:
+            raise CacheError(f"cannot write cache entry {path}: {exc.strerror}") from exc
 
 
 def _canonical_request(kind: str, params: dict[str, str]) -> str:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
@@ -226,32 +225,13 @@ class _PathTree:
     """
 
     def __init__(self, kg: KnowledgeGraph, x: int, y: int, max_hops: int):
-        self.offsets, self.other = kg.link_rows()
+        self.row = kg.row
         self.x, self.y, self.max_hops = x, y, max_hops
-        self.near_y = set(self._row(y))
-        self.dist = self._hops_to_y(max_hops - 2)
+        self.near_y = set(self.row(y))
+        # a completion from v avoids x, so it is at least dist[v] hops long
+        self.dist = kg.hop_distances(y, max_hops - 2, avoid=x)
         self._onward: dict[int, dict[int, None]] = {}
         self._two_hop_counts: dict[int, int] = {}
-
-    def _row(self, u: int) -> array:
-        return self.other[self.offsets[u]:self.offsets[u + 1]]
-
-    def _hops_to_y(self, depth: int) -> dict[int, int]:
-        """Hop distance to y of every node within ``depth`` hops of it,
-        avoiding x. A completion from v avoids x, so it is at least
-        ``dist[v]`` hops long."""
-        x = self.x
-        dist = {self.y: 0}
-        frontier = [self.y]
-        for d in range(1, depth + 1):
-            reached = []
-            for u in frontier:
-                for v in self._row(u):  # repeats of parallel links are harmless here
-                    if v not in dist and v != x:
-                        dist[v] = d
-                        reached.append(v)
-            frontier = reached
-        return dist
 
     def onward(self, u: int) -> dict[int, None]:
         """u's neighbors within ``max_hops - 2`` hops of y, deduplicated in
@@ -259,7 +239,7 @@ class _PathTree:
         has at most ``max_hops - 2`` hops left, so it extends only to these."""
         found = self._onward.get(u)
         if found is None:
-            found = self._onward[u] = dict.fromkeys(filter(self.dist.__contains__, self._row(u)))
+            found = self._onward[u] = dict.fromkeys(filter(self.dist.__contains__, self.row(u)))
         return found
 
     def _two_hops(self, path: list[int], v: int) -> int:
@@ -267,7 +247,7 @@ class _PathTree:
         near_y = self.near_y
         count = self._two_hop_counts.get(v)
         if count is None:
-            count = self._two_hop_counts[v] = (v in near_y) + len(near_y.intersection(self._row(v)))
+            count = self._two_hop_counts[v] = (v in near_y) + len(near_y.intersection(self.row(v)))
         # Subtract the prefix nodes in N(v) & N(y). v's parent is in N(v); an
         # earlier prefix node p is when v is in onward(p), because v, two or
         # more hops past x, came from an onward() and so is within its reach.
@@ -321,7 +301,7 @@ class _PathTree:
         path, on_path = [x], {x}
         top: list[tuple[int, int]] = []
         total = 0
-        for v in dict.fromkeys(self._row(x)):
+        for v in dict.fromkeys(self.row(x)):
             if total > ceiling:
                 break
             if v == y:  # the direct x-y path is never a metapath

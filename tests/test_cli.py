@@ -107,6 +107,22 @@ def test_console_entry_point(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_cli_import_loads_no_thread_pool_http_or_tls_module():
+    # each costs every process, and a mock-backend run uses none of them
+    src = Path(kgprompt.__file__).parent.parent
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    probe = "import sys, kgprompt.cli; print(sorted(m for m in ARGS if m in sys.modules))"
+    modules = ("concurrent.futures", "http.client", "ssl")
+    result = subprocess.run(
+        [sys.executable, "-c", probe.replace("ARGS", repr(modules))],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_metapaths_longer_than_the_recursion_limit(tmp_path, capsys):
     # a 1,200-node chain from FGF6 to prostate cancer holds one 1,199-hop path
     n = 1200
@@ -335,4 +351,33 @@ def test_broken_http_response_exit_code_3_without_traceback(
     assert main(["run", "--config", str(config)]) == 3
     err = capsys.readouterr().err
     assert "stage 'predict'" in err and "failed after 2 attempts" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("offline", [False, True], ids=["run", "offline"])
+def test_file_as_cache_dir_exit_code_2_before_any_artifact(
+    tmp_path, capsys, wiki_server, predict_server, offline
+):
+    config = remote_http_config(tmp_path, wiki_server, predict_server)
+    blocker = tmp_path / "cache"
+    blocker.write_text("keep\n", encoding="utf-8")
+    assert main(["run", "--config", str(config), *(["--offline"] if offline else [])]) == 2
+    err = capsys.readouterr().err
+    assert f"kg.cache_dir is not a directory: {blocker}" in err and "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("offline", [False, True], ids=["run", "offline"])
+def test_file_as_cache_shard_exit_code_3_naming_the_entry(
+    tmp_path, capsys, wiki_server, predict_server, offline
+):
+    config = remote_http_config(tmp_path, wiki_server, predict_server)
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    for shard in range(256):  # every root/<2 hash chars> is a file
+        (cache_dir / f"{shard:02x}").write_text("", encoding="utf-8")
+    assert main(["run", "--config", str(config), *(["--offline"] if offline else [])]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'link'" in err and f"cannot read cache entry {cache_dir}" in err
     assert "Traceback" not in err

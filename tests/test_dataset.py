@@ -102,6 +102,37 @@ def test_duplicate_instance_id(tmp_path):
         load_dataset_jsonl(path)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("instance_id", None), ("instance_id", True), ("instance_id", 1.5), ("instance_id", ["x1"]),
+        ("text", 12345678), ("text", None), ("text", ["a likes b"]),
+    ],
+    ids=["id-null", "id-bool", "id-float", "id-list", "text-int", "text-null", "text-list"],
+)
+def test_instance_id_and_text_keep_their_json_type(tmp_path, field, bad):
+    # An id is a string or an integer (not a bool), as a node id is; a text is a string.
+    good = {
+        "instance_id": "x1", "text": "a likes b", "e1": {"start": 0, "end": 1},
+        "e2": {"start": 2, "end": 3}, "label": "causal",
+    }
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: bad}) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^line 2: {field} must be a string") as err:
+        load_dataset_jsonl(path)
+    assert err.value.line == 2
+
+
+def test_integer_instance_id_reads_as_its_string(tmp_path):
+    record = {
+        "instance_id": 7, "text": "a likes b", "e1": {"start": 0, "end": 1},
+        "e2": {"start": 8, "end": 9}, "label": "causal",
+    }
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert load_dataset_jsonl(path)[0].instance_id == "7"
+
+
 def test_parse_error_line_number(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_text("{broken\n", encoding="utf-8")

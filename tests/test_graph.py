@@ -89,6 +89,29 @@ def test_k_hop_matches_bfs_oracle_on_random_graphs():
         assert got == bfs_hop_partition(edges, x, k)
 
 
+def test_hop_distances_match_bfs_oracle_on_random_graphs():
+    rng = Random(2612)
+    for _ in range(60):
+        nodes, edges = random_graph(rng, max_nodes=40, max_edges=150)
+        ids = [node[0] for node in nodes]
+        loops = [(v, v, "self") for v in rng.sample(ids, rng.randint(1, len(ids)))]
+        parallel = [(t, s, "also") for s, t, _ in rng.sample(edges, rng.randint(0, len(edges)))]
+        edges = list(dict.fromkeys(edges + loops + parallel))
+        kg = make_graph(nodes, edges)
+        x, avoid = rng.sample(ids, 2)
+        depth = rng.randint(0, 4)
+        # avoiding a node is the same as dropping its edges
+        kept = [e for e in edges if avoid not in e[:2]]
+        for got, oracle_edges in (
+            (kg.hop_distances(kg.index_of(x), depth), edges),
+            (kg.hop_distances(kg.index_of(x), depth, avoid=kg.index_of(avoid)), kept),
+        ):
+            rings = bfs_hop_partition(oracle_edges, x, depth)
+            expected = {x: 0, **{v: hop for hop, ring in enumerate(rings, 1) for v in ring}}
+            assert {kg.node_at(j).id: d for j, d in got.items()} == expected
+            assert list(got.values()) == sorted(got.values())  # breadth-first discovery order
+
+
 def test_relation_labels_between_example():
     kg = prostate_star_graph()
     assert kg.relation_labels_between("Q:PC", "Q:NIL") == [

@@ -277,6 +277,32 @@ def test_node_id_parts_must_be_strings_or_integers(tmp_path, bad):
         assert err.value.line == line
 
 
+@pytest.mark.parametrize("bad", [None, ["B"], {"x": 1}, 5, False], ids=["null", "list", "object", "int", "bool"])
+def test_names_labels_and_types_must_be_strings(tmp_path, bad):
+    # Any other JSON value would load as its Python spelling ("None", "['B']").
+    a, b = het_node("Gene", 1, "A"), het_node("Gene", 2, "B")
+    for nodes, edges, message in (
+        ([a, het_node("Gene", 2, bad)], [], "node record 1: 'name' must be a string"),
+        ([a, b], [het_edge(["Gene", 1], ["Gene", 2], bad)], "edge record 0: 'kind' must be a string"),
+    ):
+        path = write_hetionet(tmp_path / "het.json", nodes=nodes, edges=edges)
+        with pytest.raises(SchemaError, match=f"^{message}, not {type(bad).__name__}$"):
+            load_hetionet_json(path)
+
+    node_a = {"node": {"id": "a", "name": "A"}}
+    node_b = {"node": {"id": "b", "name": "B"}}
+    for lines, line, field in (
+        ([node_a, {"node": {"id": "b", "name": bad}}], 2, "name"),
+        ([node_a, {"node": {"id": "b", "name": "B", "type": bad}}], 2, "type"),
+        ([node_a, node_b, {"edge": {"source": "a", "target": "b", "label": bad}}], 3, "label"),
+    ):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(json.dumps(l) + "\n" for l in lines), encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"'{field}' must be a string, not {type(bad).__name__}$") as err:
+            load_edge_list_jsonl(path)
+        assert err.value.line == line
+
+
 def test_jsonl_body_must_be_an_object(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"node": {"id": "a", "name": "A"}}\n{"edge": 5}\n', encoding="utf-8")

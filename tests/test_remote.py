@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from kgprompt.errors import (
+    CacheError,
     MalformedResponseError,
     NetworkError,
     RateLimitedError,
@@ -171,6 +173,21 @@ def test_corrupt_cache_entry_under_read_only_is_network_error(wiki_server, tmp_p
     replay = QueryCache(root_dir=cache_dir, policy=CachePolicy.READ_ONLY)
     with pytest.raises(NetworkError, match="corrupt cache entry"):
         resolve_entity(endpoint, replay, "prostate cancer")
+
+
+@pytest.mark.parametrize("policy", list(CachePolicy))
+def test_unusable_cache_entry_path_is_a_cache_error_naming_it(tmp_path, policy):
+    cache = cache_in(tmp_path, policy=policy)
+    key = QueryCache.key_for("search\nsearch=prostate cancer")
+    shard = tmp_path / "cache" / key[:2]
+    shard.parent.mkdir()
+    shard.write_text("", encoding="utf-8")  # a file where the shard directory belongs
+    entry = shard / f"{key}.json"
+    with pytest.raises(CacheError, match=f"^cannot read cache entry {re.escape(str(entry))}: "):
+        cache.load(key)
+    with pytest.raises(CacheError, match=f"^cannot write cache entry {re.escape(str(entry))}: "):
+        cache.store(key, "search\nsearch=prostate cancer", {"search": []})
+    assert shard.read_text(encoding="utf-8") == ""
 
 
 def test_rate_limited_surfaces_retry_after(wiki_server, tmp_path):
