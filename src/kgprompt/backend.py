@@ -13,12 +13,12 @@ import hashlib
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .atomic import write_jsonl
 from .dataset import LABELS
-from .errors import ProtocolError, UnmappableOutputError, check_field_types
+from .errors import ProtocolError, UnmappableOutputError, check_field_types, require_http_url
 from .prompts import Architecture, LabelMapping, PromptInstance, unmap_label
 
 _TRANSIENT_STATUSES = frozenset({429, 500, 502, 503, 504})
@@ -31,11 +31,11 @@ class HttpEndpoint:
     max_retries: int = 3
     backoff: float = 0.5
     max_in_flight: int = 1
+    kind: str = field(default="http", init=False)
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if not self.base_url.startswith(("http://", "https://")):
-            raise ValueError("base_url must be an http(s) URL")
+        require_http_url(self.base_url, "base_url")
         if not self.timeout > 0:
             raise ValueError("timeout must be > 0")
         if self.max_retries < 0:
@@ -192,7 +192,7 @@ def predict_http(
     )
     try:
         payload = json.loads(raw.body)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"response is not valid JSON: {exc}") from exc
     if raw.status != 200:
         if isinstance(payload, dict) and "message" in payload:

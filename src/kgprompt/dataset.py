@@ -105,8 +105,11 @@ def _instance_from_record(record: object, lineno: int) -> Instance:
                 end=require_int(body["end"], f"{name}.end", lineno),
             )
         )
+    instance_id = require_id(record["instance_id"], "instance_id", lineno)
+    if not instance_id:
+        raise SchemaError("instance_id must be non-empty", line=lineno)
     return Instance(
-        instance_id=require_id(record["instance_id"], "instance_id", lineno),
+        instance_id=instance_id,
         text=require_str(record["text"], "text", lineno),
         span1=spans[0],
         span2=spans[1],

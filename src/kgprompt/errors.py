@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the reading and
-record checks every loader of line- or record-structured input applies."""
+"""Exception hierarchy shared across the package, and the reading, record
+and URL checks every loader of outside input and every endpoint applies."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import dataclasses
 import json
 from pathlib import Path
 from typing import Iterable, Iterator
+from urllib.parse import urlsplit
 
 
 class KgPromptError(Exception):
@@ -38,11 +39,8 @@ class ParseError(KgPromptError):
         self.line = line
 
 
-class SchemaError(KgPromptError):
-    def __init__(self, message: str, line: int | None = None):
-        where = f"line {line}: " if line is not None else ""
-        super().__init__(f"{where}{message}")
-        self.line = line
+class SchemaError(ParseError):
+    """A decoded record breaks its format's rules."""
 
 
 def require_fields(record: object, fields: Iterable[str], what: str, line: int | None = None) -> dict:
@@ -65,6 +63,18 @@ def require_str(value: object, what: str, line: int | None = None) -> str:
     if not isinstance(value, str):
         raise SchemaError(f"{what} must be a string, not {type(value).__name__}", line=line)
     return value
+
+
+def require_http_url(url: str, what: str) -> None:
+    """Raise ValueError unless ``url`` is an http(s) URL naming a host, whose
+    host and port ``urlsplit`` can read."""
+    try:
+        parts = urlsplit(url)
+        parts.port  # ValueError for a port that is not a number in 0..65535
+    except ValueError:
+        parts = None
+    if not (parts and parts.hostname and url.startswith(("http://", "https://"))):
+        raise ValueError(f"{what} must be an http(s) URL")
 
 
 # The only JSON values with one obvious spelling inside an id (a bool is not
@@ -107,11 +117,28 @@ def check_field_types(obj: object) -> None:
             object.__setattr__(obj, f.name, float(value))
 
 
+def read_json(path: str | Path) -> object:
+    """The JSON value of a whole UTF-8 file; any failure is a ParseError naming
+    the file, and the line where known (an OSError is its ``__cause__``)."""
+    path = Path(path)
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON at column {exc.colno}: {exc.msg}", line=exc.lineno) from exc
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def jsonl_records(path: str | Path) -> Iterator[tuple[int, object]]:
     """(line number, parsed value) for each non-blank line of a UTF-8 JSONL file."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        try:
+    try:
+        with path.open("r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line:
@@ -120,9 +147,13 @@ def jsonl_records(path: str | Path) -> Iterator[tuple[int, object]]:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+                except RecursionError:
+                    raise ParseError(f"{path}: JSON nested too deeply", line=lineno) from None
                 yield lineno, record
-        except UnicodeDecodeError:
-            raise utf8_error(path) from None
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def utf8_error(path: Path) -> ParseError:

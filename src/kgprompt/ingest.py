@@ -36,7 +36,6 @@ import functools
 import gc
 import hashlib
 import itertools
-import json
 import logging
 import marshal
 import os
@@ -51,7 +50,7 @@ from typing import BinaryIO, Callable, Iterator
 from . import graph as graph_module
 from .atomic import write_atomic, write_jsonl
 from .errors import (
-    ID_TYPES, ParseError, SchemaError, jsonl_records, require_fields, require_id, require_str, utf8_error
+    ID_TYPES, ParseError, SchemaError, jsonl_records, read_json, require_fields, require_id, require_str
 )
 from .graph import KnowledgeGraph, Node
 
@@ -121,14 +120,7 @@ def load_hetionet_json(path: str | Path) -> tuple[KnowledgeGraph, IngestReport]:
 
 def _parse_hetionet_json(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
     with _gc_paused():
-        try:
-            with path.open("r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON at column {exc.colno}: {exc.msg}", line=exc.lineno) from exc
-        except UnicodeDecodeError:
-            raise utf8_error(path) from None
-
+        data = read_json(path)
         require_fields(data, ("nodes", "edges"), "top-level document")
         for key in ("nodes", "edges"):
             if not isinstance(data[key], list):
@@ -176,9 +168,6 @@ def _parse_hetionet_json(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
                     report.warn(f"edge record {i}: duplicate edge {(src, dst, label)!r} skipped")
             if added:
                 report.edges_loaded += 1
-
-    report.nodes_loaded = graph.node_count
-    report.finish()
     return graph, report
 
 
@@ -246,9 +235,6 @@ def _parse_edge_list_jsonl(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
                     report.duplicates_rejected += 1
                     key = (source, target, label)
                     report.warn(f"line {lineno}: duplicate edge {key!r} skipped")
-
-    report.nodes_loaded = graph.node_count
-    report.finish()
     return graph, report
 
 
@@ -273,11 +259,16 @@ def _load(
 ) -> tuple[KnowledgeGraph, IngestReport]:
     """The snapshot of ``path``'s bytes if one is valid, else ``parse(path)``,
     saved as that snapshot."""
-    snapshot = _snapshot_path(kind, file_sha256(path))
+    try:
+        snapshot = _snapshot_path(kind, file_sha256(path))
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     restored = _read_snapshot(snapshot)
     if restored is not None:
         return restored
     graph, report = parse(path)
+    report.nodes_loaded = graph.node_count
+    report.finish()
     _write_snapshot(snapshot, graph, report)
     return graph, report
 

@@ -12,13 +12,12 @@ is looked up once, in first-appearance order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
 from .dataset import Instance
-from .errors import OverrideConflictError, ParseError
+from .errors import OverrideConflictError, read_json
 from .graph import KnowledgeGraph, normalize_name
 
 EXACT = "exact"
@@ -45,15 +44,9 @@ NameLookup = Callable[[str], "tuple[str, str] | None"]
 
 def load_overrides(path: str | Path) -> dict[str, str]:
     """Read a manual override table: pair name -> node id."""
-    try:
-        with Path(path).open("r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except ValueError as exc:  # invalid JSON or not UTF-8
-        raise ParseError(f"override table {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in data.items()
-    ):
-        raise OverrideConflictError("override table must map name strings to node id strings")
+    data = read_json(path)  # a JSON object's keys are strings
+    if not isinstance(data, dict) or not all(isinstance(v, str) for v in data.values()):
+        raise OverrideConflictError(f"override table {path} must map name strings to node id strings")
     return data
 
 

@@ -34,7 +34,9 @@ from .dataset import (
     make_fold_plan,
     sample_few_shot,
 )
-from .errors import ConfigError, KgPromptError, SamePairError, StageError, check_field_types
+from .errors import (
+    ConfigError, KgPromptError, ParseError, SamePairError, StageError, check_field_types, read_json
+)
 from .graph import KnowledgeGraph, Node
 from .ingest import file_sha256, load_edge_list_jsonl, load_hetionet_json
 from .linking import NameLookup, PairLinkage, link_pairs, load_overrides, search_lookup
@@ -131,12 +133,13 @@ class MockBackend:
     """The ``backend`` section of kind ``mock``: seeded offline predictions."""
 
     seed: int = 203
+    kind: str = field(default="mock", init=False)
 
     def __post_init__(self) -> None:
         check_field_types(self)
 
 
-_BACKENDS = {"mock": MockBackend, "http": HttpEndpoint}
+_BACKENDS = {backend.kind: backend for backend in (MockBackend, HttpEndpoint)}
 
 
 @dataclass
@@ -200,12 +203,9 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         try:
-            with Path(path).open("r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read configuration file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
+            data = read_json(path)
+        except ParseError as exc:
+            raise ConfigError(f"cannot read configuration: {exc}") from exc
         return cls.from_dict(data)
 
     def to_canonical_dict(self) -> dict:
@@ -246,8 +246,6 @@ def _label_mapping(
     for key, word in words.items():
         if word is None:
             raise ValueError(f"mode 'custom' needs {key!r}")
-        if not isinstance(word, str):
-            raise TypeError(f"{key} must be a string, not {type(word).__name__}")
     return LabelMapping.custom(causal, non_causal)
 
 
@@ -271,19 +269,12 @@ _SECTIONS: dict[str, Callable[..., object]] = {
     "truncation": TruncationPolicy,
     "backend": _backend,
 }
-_BACKEND_KINDS = {backend: kind for kind, backend in _BACKENDS.items()}
 
 
 def _canonical(value: object) -> object:
-    """A config field's value as JSON: an enum as its value, the label
-    mapping as its mode and words, a backend as its kind and settings, another
-    section as its fields."""
+    """A config field's value as JSON: an enum as its value, a section as its fields."""
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, LabelMapping):
-        return {"mode": value.mode, **value.label_words()}
-    if type(value) in _BACKEND_KINDS:
-        return {"kind": _BACKEND_KINDS[type(value)], **asdict(value)}
     if is_dataclass(value):
         return asdict(value)
     return value

@@ -56,42 +56,42 @@ class Architecture(str, Enum):
 class LabelMapping:
     """Injective map between the two class labels and model label words."""
 
-    entries: dict[str, str]
-    mode: str = "custom"
+    mode: str
+    causal: str
+    non_causal: str
 
     def __post_init__(self) -> None:
-        if set(self.entries) != set(LABELS):
-            raise UnknownLabelError(f"mapping must cover exactly {LABELS}")
-        if len(set(self.entries.values())) != len(self.entries):
+        check_field_types(self)
+        if self.causal == self.non_causal:
             raise ValueError("label words must be distinct (mapping must be injective)")
-        if any(not word for word in self.entries.values()):
+        if not (self.causal and self.non_causal):
             raise ValueError("label words must be non-empty")
 
     @classmethod
     def identity(cls) -> "LabelMapping":
-        return cls(entries={CAUSAL: CAUSAL, NON_CAUSAL: NON_CAUSAL}, mode="identity")
+        return cls("identity", CAUSAL, NON_CAUSAL)
 
     @classmethod
     def custom(cls, causal_word: str, non_causal_word: str) -> "LabelMapping":
-        return cls(entries={CAUSAL: causal_word, NON_CAUSAL: non_causal_word}, mode="custom")
+        return cls("custom", causal_word, non_causal_word)
 
     def candidates(self) -> tuple[str, str]:
         # Causal first, by convention; ties downstream break on this order.
-        return (self.entries[CAUSAL], self.entries[NON_CAUSAL])
+        return (self.causal, self.non_causal)
 
     def label_words(self) -> dict[str, str]:
-        return {"causal": self.entries[CAUSAL], "non_causal": self.entries[NON_CAUSAL]}
+        return {"causal": self.causal, "non_causal": self.non_causal}
 
 
 def map_label(mapping: LabelMapping, y: str) -> str:
-    try:
-        return mapping.entries[y]
-    except KeyError:
-        raise UnknownLabelError(f"unknown class label {y!r}") from None
+    for label, word in zip(LABELS, mapping.candidates()):
+        if label == y:
+            return word
+    raise UnknownLabelError(f"unknown class label {y!r}")
 
 
 def unmap_label(mapping: LabelMapping, word: str) -> str:
-    for label, candidate in mapping.entries.items():
+    for label, candidate in zip(LABELS, mapping.candidates()):
         if candidate == word:
             return label
     raise UnknownLabelWordError(f"label word {word!r} is not in the mapping range")

@@ -33,12 +33,15 @@ from .errors import (
     CacheError,
     MalformedResponseError,
     NetworkError,
+    ParseError,
     RateLimitedError,
     UnknownEntityError,
+    read_json,
+    require_http_url,
 )
 from .graph import Direction, KnowledgeGraph, Node
 
-_ENTITY_ID = re.compile(r"^[QP]\d+$")
+_ENTITY_ID = re.compile(r"[QP][0-9]+")
 _TRANSIENT_STATUSES = frozenset({500, 502, 503, 504})
 _USER_AGENT = "kgprompt/0.1 (graph-context extraction)"
 
@@ -57,8 +60,7 @@ class RemoteEndpoint:
         if self.timeout <= 0:
             raise ValueError("timeout must be > 0")
         for name in ("sparql_url", "entity_api_url"):
-            if not getattr(self, name).startswith(("http://", "https://")):
-                raise ValueError(f"{name} must be an http(s) URL")
+            require_http_url(getattr(self, name), name)
 
 
 class CachePolicy(Enum):
@@ -90,14 +92,13 @@ class QueryCache:
     def load(self, key: str) -> dict | None:
         path = self._entry_path(key)
         try:
-            with path.open("r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except FileNotFoundError:
-            return None
-        except ValueError:  # truncated or not UTF-8
-            entry = None
-        except OSError as exc:
-            raise CacheError(f"cannot read cache entry {path}: {exc.strerror}") from exc
+            entry = read_json(path)
+        except ParseError as exc:
+            if isinstance(exc.__cause__, FileNotFoundError):
+                return None
+            if isinstance(exc.__cause__, OSError):
+                raise CacheError(f"cannot read cache entry {path}: {exc.__cause__.strerror}") from exc
+            entry = None  # truncated, not UTF-8, not JSON or nested too deeply
         if isinstance(entry, dict) and "response" in entry:
             return entry
         if self.policy is CachePolicy.READ_ONLY:
@@ -173,7 +174,7 @@ def _fetch_json(
         raise NetworkError(f"HTTP {raw.status} from {url}")
     try:
         payload = json.loads(raw.body)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedResponseError(f"response from {url} is not JSON: {exc}") from exc
     result = parse(payload)
     cache.store(key, canonical, payload)
@@ -186,6 +187,9 @@ def load_query_template(name: str) -> str:
 
 
 def _render_query(name: str, entity_id: str) -> str:
+    """Query template ``name`` for an entity id: Q or P, then ASCII digits."""
+    if not _ENTITY_ID.fullmatch(entity_id):
+        raise UnknownEntityError(f"{entity_id!r} is not a valid entity id")
     return string.Template(load_query_template(name)).substitute(ENTITY=entity_id)
 
 
@@ -259,8 +263,6 @@ def resolve_entity(
 
 def fetch_entity_label(endpoint: RemoteEndpoint, cache: QueryCache, entity_id: str) -> str:
     """English label of an entity; falls back to the id when unlabeled."""
-    if not _ENTITY_ID.match(entity_id):
-        raise UnknownEntityError(f"{entity_id!r} is not a valid entity id")
     labels = _run_sparql(
         endpoint, cache, "label_lookup.rq", entity_id, lambda row: row.get("label", {}).get("value")
     )
@@ -290,8 +292,6 @@ def fetch_neighbors_remote(
     deterministic regardless of endpoint ordering. Only entity-valued
     statements appear; literals have no node identity to verbalize.
     """
-    if not _ENTITY_ID.match(x):
-        raise UnknownEntityError(f"{x!r} is not a valid entity id")
     rows: list[tuple[str, str, str, str, Direction]] = []
     for template, direction in (("one_hop_out.rq", "out"), ("one_hop_in.rq", "in")):
         rows += _run_sparql(endpoint, cache, template, x, functools.partial(_neighbor_row, direction))

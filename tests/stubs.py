@@ -39,7 +39,8 @@ class _QuietHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_plan(self, plan: dict) -> None:
-        """Answer a scripted plan: {"status", "body", "headers", "fault"}.
+        """Answer a scripted plan: {"status", "body", "headers", "fault"}, or
+        {"status", "raw"} to send the bytes ``raw`` as the body.
 
         Faults: "drop" closes the connection without an answer; "truncate"
         sends a shorter body than its Content-Length and closes; "bad_status"
@@ -59,6 +60,11 @@ class _QuietHandler(BaseHTTPRequestHandler):
         elif fault == "bad_status":
             self.wfile.write(b"NOT HTTP AT ALL\r\n\r\n")
             self.close_connection = True
+        elif "raw" in plan:
+            self.send_response(plan.get("status", 200))
+            self.send_header("Content-Length", str(len(plan["raw"])))
+            self.end_headers()
+            self.wfile.write(plan["raw"])
         else:
             self._send_json(plan.get("status", 200), plan["body"], plan.get("headers"))
             if fault == "close_after":
@@ -108,6 +114,7 @@ class _WikiHandler(_QuietHandler):
         server: StubWikiServer = self.server  # type: ignore[assignment]
         params = {k: v[0] for k, v in parse_qs(self._read_body().decode("utf-8")).items()}
         server.request_count += 1
+        server.params.append(params)
         plan = server.next_plan()
         if plan is not None:
             self._send_plan(plan)
@@ -164,6 +171,7 @@ class StubWikiServer(_StubServer):
         self.labels: dict[str, str] = {}
         self.search: dict[str, list[tuple[str, str, str]]] = {}
         self.request_count = 0
+        self.params: list[dict[str, str]] = []  # the form fields of each request
 
     @property
     def sparql_url(self) -> str:

@@ -238,3 +238,9 @@ def test_wire_request_shape(predict_server):
     assert list(sent) == ["prompt", "mask_token", "candidates", "architecture", "request_id"]
     assert sent["architecture"] == "MLM"
     assert sent["candidates"] == ["causal", "non-causal"]
+
+
+def test_http_nested_answer_is_protocol_error(predict_server):
+    predict_server.default = {"status": 200, "raw": b"[" * 100_000}
+    with pytest.raises(ProtocolError, match="response is not valid JSON"):
+        predict_http(endpoint_for(predict_server, max_retries=0), make_request(), IDENTITY)

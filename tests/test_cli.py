@@ -155,6 +155,12 @@ def test_malformed_override_table_exit_code_3(tmp_path, capsys):
     assert "stage 'link'" in err and str(overrides) in err
 
 
+# http(s) URLs that urlsplit or http.client cannot use: an unclosed IPv6
+# bracket, no host, a port past 65535.
+_URLS_HTTP_CLIENT_REJECTS = ("http://[::1", "http://", "http://h:99999")
+_NO_SERVER = "http://127.0.0.1:9"  # the discard port: nothing listens there
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -192,12 +198,23 @@ def test_malformed_override_table_exit_code_3(tmp_path, capsys):
         ({"strucutre": "MP"}, "unknown configuration key 'strucutre'"),
         (None, "configuration must be an object, not NoneType"),
         (["dataset"], "configuration must be an object, not list"),
+        *(
+            ({"backend": {"kind": "http", "base_url": url}}, "backend: base_url must be an http(s) URL")
+            for url in _URLS_HTTP_CLIENT_REJECTS
+        ),
+        *(
+            ({"kg": {"kind": "remote", "cache_dir": "cache", "sparql_url": url, "entity_api_url": _NO_SERVER}},
+             "kg: sparql_url must be an http(s) URL")
+            for url in _URLS_HTTP_CLIENT_REJECTS
+        ),
     ],
     ids=["kg-path-int", "overrides-int", "http-timeout-0", "remote-ftp-url", "max-neighbors-float",
          "few-shot-k-float", "mp-max-hops-float", "n-folds-float", "selection-seed-bool",
          "nn-include-labels-str", "out-dir-int", "label-words-int", "template-word-int",
          "label-mode-unknown", "custom-mode-without-words", "identity-mode-with-words",
-         "unknown-top-level-key", "config-null", "config-list"],
+         "unknown-top-level-key", "config-null", "config-list",
+         "http-url-bad-ipv6", "http-url-no-host", "http-url-port-out-of-range",
+         "remote-url-bad-ipv6", "remote-url-no-host", "remote-url-port-out-of-range"],
 )
 def test_bad_config_values_exit_code_2_before_any_artifact(tmp_path, capsys, overrides, message):
     if isinstance(overrides, dict):
@@ -381,3 +398,112 @@ def test_file_as_cache_shard_exit_code_3_naming_the_entry(
     err = capsys.readouterr().err
     assert "stage 'link'" in err and f"cannot read cache entry {cache_dir}" in err
     assert "Traceback" not in err
+
+
+# Deeper than the JSON decoder can follow.
+_NESTED = "[" * 100_000
+
+
+def test_nested_json_config_exit_code_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(_NESTED, encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}: JSON nested too deeply" in err and "Traceback" not in err
+
+
+def test_non_utf8_config_exit_code_2_naming_the_byte(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"dataset": "\xff"}')
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"line 1: {config}: not valid UTF-8 at byte 13" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("input_file", ["dataset", "jsonl-graph", "hetionet-dump", "overrides"])
+def test_nested_json_input_exit_code_3_naming_the_file(tmp_path, capsys, input_file):
+    if input_file in ("dataset", "jsonl-graph"):
+        fixture = DATA_DIR / ("fixture_dataset.jsonl" if input_file == "dataset" else "fixture_kg.jsonl")
+        bad = _with_bad_line(fixture, tmp_path / fixture.name, 1, _NESTED)
+        where = f"line 2: {bad}: JSON nested too deeply"
+    else:
+        bad = tmp_path / "nested.json"
+        bad.write_text(_NESTED, encoding="utf-8")
+        where = f"{bad}: JSON nested too deeply"
+    field = {
+        "dataset": {"dataset": str(bad)},
+        "jsonl-graph": {"kg": {"kind": "jsonl", "path": str(bad)}},
+        "hetionet-dump": {"kg": {"kind": "hetionet_json", "path": str(bad)}},
+        "overrides": {"overrides": str(bad)},
+    }[input_file]
+    config = write_config(tmp_path, **field)
+    assert main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    stage = "link" if input_file == "overrides" else "ingest"
+    assert f"stage '{stage}'" in err and where in err and "Traceback" not in err
+
+
+def test_empty_instance_id_exit_code_3_naming_the_line(tmp_path, capsys):
+    line = json.dumps(
+        {"instance_id": "", "text": "a b", "e1": {"start": 0, "end": 1}, "e2": {"start": 2, "end": 3},
+         "label": "causal"}
+    )
+    dataset = _with_bad_line(DATA_DIR / "fixture_dataset.jsonl", tmp_path / "dataset.jsonl", 1, line)
+    config = write_config(tmp_path, dataset=str(dataset))
+    assert main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'ingest'" in err and "line 2: instance_id must be non-empty" in err
+    assert "Traceback" not in err
+
+
+def _dataset_with_unlinked_name(tmp_path: Path) -> Path:
+    """The fixture dataset plus one instance whose first name no graph node
+    carries, exactly or normalized."""
+    text = "Tendon sheath injury precedes FGF6 loss."
+    line = json.dumps(
+        {"instance_id": "x1", "text": text, "e1": {"start": 0, "end": 13},
+         "e2": {"start": 30, "end": 34}, "label": "causal"}
+    )
+    return _with_bad_line(DATA_DIR / "fixture_dataset.jsonl", tmp_path / "dataset.jsonl", 0, line)
+
+
+def test_override_table_links_a_name_as_manual_override(tmp_path):
+    overrides = tmp_path / "overrides.json"
+    overrides.write_text(json.dumps({"Tendon sheath": "A:TEN"}), encoding="utf-8")
+    config = write_config(tmp_path, dataset=str(_dataset_with_unlinked_name(tmp_path)), overrides=str(overrides))
+    assert main(["link", "--config", str(config)]) == 0
+    lines = (tmp_path / "run" / "linkage.jsonl").read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[0]) == {
+        "instance_id": "x1", "e1_node": "A:TEN", "e2_node": "G:FGF6",
+        "e1_method": "manual_override", "e2_method": "exact",
+    }
+    assert all(json.loads(line)["e1_method"] != "manual_override" for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "table", [["Tendon sheath", "A:TEN"], {"Tendon sheath": 5}], ids=["list", "non-string-id"]
+)
+def test_override_table_of_wrong_shape_exit_code_3_naming_it(tmp_path, capsys, table):
+    overrides = tmp_path / "overrides.json"
+    overrides.write_text(json.dumps(table), encoding="utf-8")
+    config = write_config(tmp_path, dataset=str(_dataset_with_unlinked_name(tmp_path)), overrides=str(overrides))
+    assert main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'link'" in err and f"override table {overrides} must map" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entity_id", ["Q5\n", "Q\u0663"], ids=["trailing-newline", "arabic-indic-digit"])
+def test_override_to_an_invalid_entity_id_exit_code_3_before_any_request_for_it(
+    tmp_path, capsys, wiki_server, predict_server, entity_id
+):
+    config = remote_http_config(tmp_path, wiki_server, predict_server)
+    overrides = tmp_path / "overrides.json"
+    overrides.write_text(json.dumps({"Smoking": entity_id}), encoding="utf-8")
+    data = json.loads(config.read_text(encoding="utf-8"))
+    config.write_text(json.dumps({**data, "overrides": str(overrides)}), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert f"{entity_id!r} is not a valid entity id" in err and "Traceback" not in err
+    assert not any(entity_id in value for params in wiki_server.params for value in params.values())

@@ -174,6 +174,12 @@ def test_unknown_section_keys_are_rejected(section, value):
         ("backend", {"kind": "http", "base_url": "localhost:8080"}, "base_url must be an http"),
         ("backend", {"kind": "http", "base_url": UNREACHABLE, "backoff": -1}, "backoff must be >= 0"),
         ("backend", {"kind": "grpc"}, "unknown backend kind 'grpc'"),
+        ("backend", {"kind": "http", "base_url": "http://[::1"}, "base_url must be an http"),
+        ("backend", {"kind": "http", "base_url": "http://"}, "base_url must be an http"),
+        ("backend", {"kind": "http", "base_url": "http://h:99999"}, "base_url must be an http"),
+        ("kg", {"kind": "remote", "cache_dir": "c", "entity_api_url": "https://[::1"}, "entity_api_url must be an http"),
+        ("kg", {"kind": "remote", "cache_dir": "c", "entity_api_url": "https:///w/api.php"}, "entity_api_url must be an http"),
+        ("kg", {"kind": "remote", "cache_dir": "c", "sparql_url": "http://h:port/sparql"}, "sparql_url must be an http"),
     ],
 )
 def test_section_values_are_checked_when_parsed(section, value, message):

@@ -263,3 +263,41 @@ def test_malformed_answer_is_not_cached(wiki_server, tmp_path, case):
     replay = QueryCache(root_dir=cache_dir, policy=CachePolicy.READ_ONLY)
     assert fetch(endpoint, replay) == good
     assert wiki_server.request_count == requests_used
+
+
+# Deeper than the JSON decoder can follow.
+NESTED = b"[" * 100_000
+
+
+@pytest.mark.parametrize("policy", list(CachePolicy))
+def test_nested_cache_entry_is_corrupt(wiki_server, tmp_path, policy):
+    seed_prostate(wiki_server)
+    cache_dir = tmp_path / "cache"
+    endpoint = endpoint_for(wiki_server)
+    first = resolve_entity(endpoint, QueryCache(root_dir=cache_dir), "prostate cancer")
+    (entry,) = sorted(cache_dir.rglob("*.json"))
+    entry.write_bytes(NESTED)
+    cache = QueryCache(root_dir=cache_dir, policy=policy)
+    if policy is CachePolicy.READ_ONLY:
+        with pytest.raises(NetworkError, match="corrupt cache entry"):
+            resolve_entity(endpoint, cache, "prostate cancer")
+    else:  # refetched and replaced
+        assert resolve_entity(endpoint, cache, "prostate cancer") == first
+        assert json.loads(entry.read_text(encoding="utf-8"))["response"]["search"][0]["id"] == "Q181257"
+
+
+def test_nested_sparql_answer_is_malformed_and_not_cached(wiki_server, tmp_path):
+    wiki_server.script = [{"status": 200, "raw": NESTED}]
+    with pytest.raises(MalformedResponseError, match="is not JSON"):
+        fetch_entity_label(endpoint_for(wiki_server), cache_in(tmp_path), "Q181257")
+    assert not list((tmp_path / "cache").rglob("*.json"))
+
+
+@pytest.mark.parametrize("entity_id", ["Q5\n", "Q٣", "q5", "Q", "wd:Q5"])
+@pytest.mark.parametrize("fetch", [fetch_entity_label, fetch_neighbors_remote])
+def test_invalid_entity_id_fails_before_cache_or_request(wiki_server, tmp_path, fetch, entity_id):
+    for policy in CachePolicy:
+        with pytest.raises(UnknownEntityError, match="is not a valid entity id"):
+            fetch(endpoint_for(wiki_server), cache_in(tmp_path, policy), entity_id)
+    assert wiki_server.request_count == 0
+    assert not (tmp_path / "cache").exists()
