@@ -146,7 +146,7 @@ def jsonl_records(path: str | Path) -> Iterator[tuple[int, object]]:
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+                    raise ParseError(f"{path}: invalid JSON: {exc.msg}", line=lineno) from exc
                 except RecursionError:
                     raise ParseError(f"{path}: JSON nested too deeply", line=lineno) from None
                 yield lineno, record

@@ -21,9 +21,15 @@ Storage is an integer core:
   built on the first query after an add: per node, the other end and the edge
   position of each link in global edge order, self-loops left out. A node's
   neighbors are the other ends of its row, deduplicated in first-link order;
-- each node's normalized name (:func:`normalize_name`), which
-  :meth:`KnowledgeGraph.name_tables` indexes, is built when first needed
-  after an add.
+- names are looked up without a whole-graph dict:
+  :meth:`KnowledgeGraph.first_nodes_named` finds exact names in one pass over
+  the name list, and :meth:`KnowledgeGraph.first_node_normalized` bisects a
+  compact index of the normalized names (:func:`normalize_name`): the
+  distinct normalized names in sorted order, UTF-8 encoded and joined into one
+  byte ``array``, with an ``array`` of their offsets in it and one of the
+  first node holding each. Like the CSR, the index is built on the first
+  lookup after an add, so a graph that is never asked for a normalized name
+  never builds it.
 
 ``Node`` and ``Edge`` objects are made only when a query returns them. The
 whole core converts to and from plain values (:meth:`KnowledgeGraph.dump`,
@@ -34,8 +40,9 @@ from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .errors import DuplicateEdgeError, UnknownNodeError
@@ -68,20 +75,32 @@ class _Csr(NamedTuple):
     edge: array
 
 
+class _NameIndex(NamedTuple):
+    """The distinct normalized names, UTF-8 encoded, in sorted order: the
+    k-th is ``normalized[name_offsets[k]:name_offsets[k + 1]]`` and the first
+    node added with it is ``name_nodes[k]``."""
+
+    normalized: array
+    name_offsets: array
+    name_nodes: array
+
+
 # the typecode of each integer array of the core, by its name in dump()
 _ARRAYS = {
     "sources": "i", "targets": "i", "edge_labels": "i",
     "offsets": "q", "other": "i", "edge": "i",
+    "normalized": "B", "name_offsets": "q", "name_nodes": "i",
 }
 
 
-_PUNCT = re.compile(r"[^\w\s]", re.UNICODE)
-_SPACES = re.compile(r"\s+")
+_NON_WORD = re.compile(r"\W+")
 
 
 def normalize_name(name: str) -> str:
-    """Lowercase, strip punctuation, collapse whitespace."""
-    return _SPACES.sub(" ", _PUNCT.sub(" ", name.casefold())).strip()
+    """Lowercase, strip punctuation, collapse whitespace: casefold, then turn
+    each run of characters that are not word characters (punctuation and
+    whitespace alike) into one space, and strip the ends."""
+    return _NON_WORD.sub(" ", name.casefold()).strip()
 
 
 def _edge_key(source: int, target: int, label: int) -> int:
@@ -109,7 +128,7 @@ class KnowledgeGraph:
         # packed edge keys; None until an add needs them on a restored graph
         self._keys: set[int] | None = set()
         self._csr: _Csr | None = None  # None until the first query after an add
-        self._normalized: list[str] | None = None  # likewise
+        self._name_index: _NameIndex | None = None  # None until the first lookup after an add
         for node in nodes:
             if not self.add_node(node):
                 raise ValueError(f"duplicate node id: {node.id!r}")
@@ -131,7 +150,7 @@ class KnowledgeGraph:
         self._names.append(node.name)
         self._types.append(node.node_type)
         self._csr = None
-        self._normalized = None
+        self._name_index = None
         return True
 
     def add_edge(self, source: str, target: str, label: str) -> bool:
@@ -195,12 +214,27 @@ class KnowledgeGraph:
     def node(self, node_id: str) -> Node:
         return self._node(self.index_of(node_id))
 
-    def name_tables(self) -> tuple[dict[str, str], dict[str, str]]:
-        """Two new dicts, name -> node id and normalized name -> node id;
-        when nodes share a (normalized) name, the first added wins."""
-        # a dict keeps the last value given for a key, so feed it backwards
-        exact = dict(zip(reversed(self._names), reversed(self._ids)))
-        return exact, dict(zip(reversed(self._normalized_names()), reversed(self._ids)))
+    def first_nodes_named(self, names: Iterable[str]) -> dict[str, str]:
+        """Name -> id of the first node added with exactly that name, for each
+        of ``names`` that some node has."""
+        wanted = frozenset(names)
+        found: dict[str, str] = {}
+        all_names, ids = self._names, self._ids
+        for i in compress(range(len(all_names)), map(wanted.__contains__, all_names)):
+            found.setdefault(all_names[i], ids[i])
+        return found
+
+    def first_node_normalized(self, key: str) -> str | None:
+        """Id of the first node added whose normalized name is ``key``, or
+        None; ``key`` is already normalized (:func:`normalize_name`)."""
+        normalized, offsets, nodes = self._normalized_names()
+
+        def name(k: int) -> array:
+            return normalized[offsets[k]:offsets[k + 1]]
+
+        target = array("B", _utf8(key))
+        k = bisect_left(range(len(nodes)), target, key=name)
+        return self._ids[nodes[k]] if k < len(nodes) and name(k) == target else None
 
     # --- adjacency queries ---
 
@@ -314,11 +348,11 @@ class KnowledgeGraph:
         at position e: the edge's label, OUT exactly when i is its source."""
         return self._labels[self._edge_labels[e]], OUT if self._sources[e] == i else IN
 
-    def _normalized_names(self) -> list[str]:
-        normalized = self._normalized
-        if normalized is None:
-            normalized = self._normalized = list(map(normalize_name, self._names))
-        return normalized
+    def _normalized_names(self) -> _NameIndex:
+        index = self._name_index
+        if index is None:
+            index = self._name_index = _build_name_index(self._names)
+        return index
 
     def _adjacency(self) -> _Csr:
         csr = self._csr
@@ -327,18 +361,16 @@ class KnowledgeGraph:
         return csr
 
     def dump(self) -> tuple[dict[str, list[str]], dict[str, array]]:
-        """The whole core as plain values: the string tables (normalized names
-        included) and the integer arrays (adjacency included), each built
+        """The whole core as plain values: the string tables and the integer
+        arrays (adjacency and the normalized-name index included), each built
         first if need be."""
-        tables = {
-            "ids": self._ids, "names": self._names, "types": self._types, "labels": self._labels,
-            "normalized_names": self._normalized_names(),
-        }
+        tables = {"ids": self._ids, "names": self._names, "types": self._types, "labels": self._labels}
         arrays = {
             "sources": self._sources,
             "targets": self._targets,
             "edge_labels": self._edge_labels,
             **self._adjacency()._asdict(),
+            **self._normalized_names()._asdict(),
         }
         return tables, arrays
 
@@ -350,7 +382,7 @@ class KnowledgeGraph:
         Raises ValueError or TypeError when they do not fit together: other
         names or types, or tables and arrays of mismatched lengths.
         """
-        if set(tables) != {"ids", "names", "types", "labels", "normalized_names"} or not all(
+        if set(tables) != {"ids", "names", "types", "labels"} or not all(
             isinstance(table, list) for table in tables.values()
         ):
             raise TypeError("graph state: wrong string tables")
@@ -359,26 +391,48 @@ class KnowledgeGraph:
         graph = cls()
         graph._ids, graph._names, graph._types = tables["ids"], tables["names"], tables["types"]
         graph._labels = tables["labels"]
-        graph._normalized = tables["normalized_names"]
         n = len(graph._ids)
         graph._index = dict(zip(graph._ids, range(n)))
         graph._label_index = dict(zip(graph._labels, range(len(graph._labels))))
         csr = _Csr(*(arrays[name] for name in _Csr._fields))
+        index = _NameIndex(*(arrays[name] for name in _NameIndex._fields))
         edges = len(arrays["sources"])
         if (
             len(graph._names) != n or len(graph._types) != n or len(graph._index) != n
-            or len(graph._normalized) != n
             or len(graph._label_index) != len(graph._labels)
             or len(arrays["targets"]) != edges or len(arrays["edge_labels"]) != edges
             or len(csr.offsets) != n + 1
             or not len(csr.other) == len(csr.edge) == csr.offsets[-1]
+            or not len(index.name_offsets) == len(index.name_nodes) + 1 <= n + 1
+            or index.name_offsets[-1] != len(index.normalized)
         ):
             raise ValueError("graph state: tables and arrays do not match")
         graph._sources, graph._targets = arrays["sources"], arrays["targets"]
         graph._edge_labels = arrays["edge_labels"]
         graph._keys = None
         graph._csr = csr
+        graph._name_index = index
         return graph
+
+
+def _utf8(text: str) -> bytes:
+    """``text`` as UTF-8; a lone surrogate passes, so every str has bytes, and
+    the bytes sort as the strs do (by code point)."""
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _build_name_index(names: list[str]) -> _NameIndex:
+    """The name index of nodes with these names, in insertion order."""
+    # a dict keeps the last value given for a key, so feed it backwards
+    first = dict(zip(
+        (_utf8(normalize_name(name)) for name in reversed(names)), range(len(names) - 1, -1, -1)
+    ))
+    keys = sorted(first)
+    return _NameIndex(
+        array("B", b"".join(keys)),
+        array("q", accumulate(map(len, keys), initial=0)),
+        array("i", map(first.__getitem__, keys)),
+    )
 
 
 def _build_csr(n: int, sources: array, targets: array) -> _Csr:

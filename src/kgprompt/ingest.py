@@ -11,15 +11,19 @@ a dump is saved as a snapshot under ``$XDG_CACHE_HOME/kgprompt/graphs/``
 (``~/.cache`` when the variable is unset or not an absolute path), keyed by
 that digest, the loader, the snapshot format version, the byte order and the
 sha256 of this module's and :mod:`kgprompt.graph`'s source, so a code change
-never reads an old snapshot. A later load of the same bytes restores the graph's arrays, string
-tables (the normalized node names that linking matches against included)
-and :class:`IngestReport` (warnings included) from the snapshot and skips
-the parse. A snapshot is a fixed header (magic, version, payload
+never reads an old snapshot. A later load of the same bytes restores the
+graph and its :class:`IngestReport` (warnings included) from the snapshot and
+skips the parse. A snapshot is a fixed header (magic, version, payload
 length, payload sha256) and a payload of the ``marshal``-encoded string
-tables and report followed by the raw integer arrays; any mismatch,
-truncation or decode error makes the loader parse the dump again and rewrite
-the snapshot. A cache directory that cannot be written costs a log warning, not
-the load.
+tables and report followed by the raw integer arrays. The string tables are
+the node ids, names and types and the edge labels; the arrays are the edge
+columns, the adjacency CSR and the normalized-name index (the names' UTF-8
+bytes, their offsets and their first nodes), so a restore builds neither the
+CSR nor the index again. The marshalled bytes are dropped as soon as they are
+decoded, before the graph's node index is built.
+Any mismatch, truncation or decode error makes the loader parse the dump
+again and rewrite the snapshot. A cache directory that cannot be written
+costs a log warning, not the load.
 
 **Parsing.** The parse runs with the cyclic garbage collector paused and
 restores the caller's GC state afterwards, also when it raises: a load makes
@@ -59,7 +63,7 @@ log = logging.getLogger(__name__)
 # Warnings kept verbatim in the report are capped; counts stay exact.
 _MAX_WARNINGS = 50
 
-_SNAPSHOT_VERSION = 4
+_SNAPSHOT_VERSION = 5
 _SNAPSHOT_MAGIC = b"KGPGRAPH"
 # magic, format version, payload length, payload sha256
 _SNAPSHOT_HEADER = struct.Struct("<8sIQ32s")
@@ -355,6 +359,7 @@ def _decode_snapshot(fh: BinaryIO) -> tuple[KnowledgeGraph, IngestReport]:
     if digest.digest() != checksum:
         raise ValueError("payload checksum mismatch")
     state = marshal.loads(tables)
+    del tables  # megabytes of bytes no longer needed: free them before restore() allocates
     if len(state["arrays"]) != len(arrays):
         raise ValueError("payload holds other arrays than its tables name")
     graph = KnowledgeGraph.restore(state["graph"], dict(zip(state["arrays"], arrays)))

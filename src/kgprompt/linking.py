@@ -5,16 +5,18 @@ normalized match, then a manual override table; whatever is left is an
 unresolved marker, never a failure, so downstream stages degrade to an
 empty graph context instead of dropping the instance.
 
-The first two steps ask a name lookup: a local graph's name tables, or a
-remote entity search (:func:`search_lookup`). Either way each distinct name
-is looked up once, in first-appearance order.
+The first two steps ask a name lookup: a local graph, or a remote entity
+search (:func:`search_lookup`). Either way each distinct name is looked up
+once, in first-appearance order. A graph answers the exact step for all the
+pair names in one pass over its node names, and the normalized step by a
+bisect of its normalized-name index; it builds no table of all its names.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .dataset import Instance
 from .errors import OverrideConflictError, read_json
@@ -50,21 +52,19 @@ def load_overrides(path: str | Path) -> dict[str, str]:
     return data
 
 
-def _graph_lookup(kg: KnowledgeGraph) -> NameLookup:
-    """Exact, then normalized match against the graph's node names.
+def _graph_lookup(kg: KnowledgeGraph, names: Iterable[str]) -> NameLookup:
+    """Exact, then normalized match of ``names`` against the graph's node names.
 
     When several nodes share a name the first by node insertion order wins,
     which keeps linking deterministic.
     """
-    exact, normalized = kg.name_tables()
+    exact = kg.first_nodes_named(names)
 
     def lookup(name: str) -> tuple[str, str] | None:
         if name in exact:
             return exact[name], EXACT
-        norm = normalize_name(name)
-        if norm in normalized:
-            return normalized[norm], NORMALIZED
-        return None
+        node_id = kg.first_node_normalized(normalize_name(name))
+        return None if node_id is None else (node_id, NORMALIZED)
 
     return lookup
 
@@ -103,7 +103,7 @@ def link_pairs(
                 raise OverrideConflictError(
                     f"override for {name!r} points at unknown node id {node_id!r}"
                 )
-        lookup = _graph_lookup(kg)
+        lookup = _graph_lookup(kg, {name for instance in instances for name in (instance.e1, instance.e2)})
     else:
         lookup = kg
 

@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
-from kgprompt.graph import Edge, KnowledgeGraph, Node
+from kgprompt.graph import Edge, KnowledgeGraph, Node, normalize_name
+
+# Names that only casefold, a line break, a NUL or a lone surrogate tell apart,
+# with duplicates: (node id, name), in insertion order.
+ODD_NAMES = [
+    ("s1", "Straße"), ("s2", "STRASSE"), ("s3", "strasse"), ("s4", "Straße"),
+    ("n1", "a\nb"), ("n2", "a b"), ("n3", "a\nb"),
+    ("z1", "\0x"), ("z2", "x"),
+    ("u1", "\ud800y"), ("u2", "y\ud800"), ("u3", "y"),
+    ("e1", "!!!"), ("e2", "???"),
+]
 
 
 def make_graph(
@@ -12,6 +22,15 @@ def make_graph(
         [Node(id=nid, name=name, node_type=ntype) for nid, name, ntype in nodes],
         [Edge(source=s, target=t, label=l) for s, t, l in edges],
     )
+
+
+def name_lookups(kg: KnowledgeGraph, names: list[str], keys: list[str] | None = None) -> dict:
+    """What linking asks a graph for each name: the first node with exactly
+    that name, and the first node whose normalized name is the name's
+    (``keys``, normalized beforehand when given)."""
+    exact = kg.first_nodes_named(names)
+    keys = keys if keys is not None else [normalize_name(name) for name in names]
+    return {name: (exact.get(name), kg.first_node_normalized(key)) for name, key in zip(names, keys)}
 
 
 def prostate_star_graph() -> KnowledgeGraph:

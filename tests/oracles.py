@@ -438,7 +438,7 @@ def frozen_load_edge_list_jsonl(path: str | Path) -> tuple[FrozenKnowledgeGraph,
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+                raise ParseError(f"{path}: invalid JSON: {exc.msg}", line=lineno) from exc
             require_fields(record, (), "record", line=lineno)
             has_node = "node" in record
             has_edge = "edge" in record

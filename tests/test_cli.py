@@ -171,7 +171,7 @@ _NO_SERVER = "http://127.0.0.1:9"  # the discard port: nothing listens there
             "backend: timeout must be > 0",
         ),
         (
-            {"kg": {"kind": "remote", "cache_dir": "cache", "sparql_url": "ftp://x"}},
+            {"kg": {"kind": "remote", "cache_dir": "cache", "sparql_url": "ftp://x", "entity_api_url": _NO_SERVER}},
             "kg: sparql_url must be an http(s) URL",
         ),
         ({"limits": {"max_neighbors": 2.5}}, "limits: max_neighbors must be an integer, not float"),

@@ -22,6 +22,17 @@ def test_read_json_names_the_file_and_line(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "load", [jsonl_records, load_dataset_jsonl, load_edge_list_jsonl], ids=["jsonl_records", "dataset", "edge-list"]
+)
+def test_jsonl_line_that_is_not_json_names_the_file_and_line(tmp_path, load):
+    path = tmp_path / "lines.jsonl"
+    path.write_text('\n{"node": \n', encoding="utf-8")  # line 1 is blank
+    with pytest.raises(ParseError, match=f"^line 2: {re.escape(str(path))}: invalid JSON: Expecting value$") as err:
+        list(load(path))
+    assert err.value.line == 2
+
+
 @pytest.mark.parametrize("reader", [read_json, lambda path: list(jsonl_records(path))], ids=["json", "jsonl"])
 def test_nesting_deeper_than_the_decoder_is_a_parse_error(tmp_path, reader):
     path = tmp_path / "nested.json"

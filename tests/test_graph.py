@@ -6,9 +6,9 @@ from random import Random
 import pytest
 
 from kgprompt.errors import DuplicateEdgeError, UnknownNodeError
-from kgprompt.graph import Edge, KnowledgeGraph, Node
+from kgprompt.graph import Edge, KnowledgeGraph, Node, normalize_name
 
-from fixtures_kg import gene_hop_graph, make_graph, prostate_star_graph
+from fixtures_kg import ODD_NAMES, gene_hop_graph, make_graph, name_lookups, prostate_star_graph
 from oracles import (
     bfs_hop_partition,
     random_graph,
@@ -213,11 +213,48 @@ def test_name_tables_first_node_wins_and_survive_a_restore():
     kg = make_graph(
         [("a", "Beta-Carotene", "t"), ("b", "beta carotene", "t"), ("c", "Beta-Carotene", "t")], []
     )
-    tables = ({"Beta-Carotene": "a", "beta carotene": "b"}, {"beta carotene": "a"})
-    assert kg.name_tables() == tables
-    assert KnowledgeGraph.restore(*kg.dump()).name_tables() == tables
+    names = ["Beta-Carotene", "beta carotene", "BETA CAROTENE", "  Zeta! ", "zeta"]
+    found = {
+        "Beta-Carotene": ("a", "a"), "beta carotene": ("b", "a"), "BETA CAROTENE": (None, "a"),
+        "  Zeta! ": (None, None), "zeta": (None, None),
+    }
+    assert name_lookups(kg, names) == found
+    assert name_lookups(KnowledgeGraph.restore(*kg.dump()), names) == found
     assert kg.add_node(Node("d", "  Zeta! "))
-    assert kg.name_tables()[1] == {"beta carotene": "a", "zeta": "d"}
+    assert name_lookups(kg, names) == {**found, "  Zeta! ": ("d", "d"), "zeta": (None, "d")}
+
+
+def test_name_lookup_first_node_wins_under_casefold_and_odd_characters():
+    kg = make_graph([(node_id, name, "t") for node_id, name in ODD_NAMES], [])
+    found = {
+        "Straße": ("s1", "s1"), "STRASSE": ("s2", "s1"), "strasse": ("s3", "s1"), "STRASSE\n": (None, "s1"),
+        "a\nb": ("n1", "n1"), "a b": ("n2", "n1"), "A\0B": (None, "n1"),
+        "\0x": ("z1", "z1"), "x": ("z2", "z1"),
+        "\ud800y": ("u1", "u1"), "y\ud800": ("u2", "u1"), "y": ("u3", "u1"),
+        "!!!": ("e1", "e1"), "???": ("e2", "e1"), "\ud800": (None, "e1"),
+        "strass": (None, None), "z": (None, None), "\ud800z": (None, None),
+    }
+    assert name_lookups(kg, list(found)) == found
+    assert name_lookups(KnowledgeGraph.restore(*kg.dump()), list(found)) == found
+    assert kg.first_node_normalized("\ud800") is None  # a key normalize_name never gives
+
+
+def _first_by_name(nodes: list[tuple[str, str]], key) -> dict[str, str]:
+    """key(name) -> the first node id with it: the whole-graph table the lookups replace."""
+    return dict(zip(map(key, reversed([name for _id, name in nodes])), reversed([i for i, _name in nodes])))
+
+
+def test_name_lookups_match_whole_graph_tables_on_random_names():
+    rng = Random(14)
+    alphabet = ["a", "B", "ß", "SS", "é", "E\u0301", " ", "-", "\n", "\0", "\ud800", "\U0001f600", "1", "_"]
+    for _ in range(60):
+        nodes = [(f"n{i}", "".join(rng.choices(alphabet, k=rng.randint(1, 4)))) for i in range(rng.randint(1, 40))]
+        names = [name for _id, name in nodes] + ["".join(rng.choices(alphabet, k=3)) for _ in range(20)]
+        exact, normalized = _first_by_name(nodes, str), _first_by_name(nodes, normalize_name)
+        expected = {name: (exact.get(name), normalized.get(normalize_name(name))) for name in names}
+        kg = make_graph([(node_id, name, "t") for node_id, name in nodes], [])
+        assert name_lookups(kg, names) == expected
+        assert name_lookups(KnowledgeGraph.restore(*kg.dump()), names) == expected
 
 
 def test_restore_rejects_state_that_does_not_fit_together():
@@ -228,3 +265,16 @@ def test_restore_rejects_state_that_does_not_fit_together():
         KnowledgeGraph.restore(tables, {**arrays, "other": arrays["other"][:-1]})
     with pytest.raises(TypeError):
         KnowledgeGraph.restore(tables, {**arrays, "other": array("q", arrays["other"])})
+
+
+@pytest.mark.parametrize(
+    "name, cut", [("normalized", 1), ("name_offsets", 1), ("name_nodes", 1), ("name_nodes", 2)]
+)
+def test_restore_rejects_a_name_index_that_does_not_fit(name, cut):
+    tables, arrays = make_graph([("a", "A", "t"), ("b", "B", "t")], [("a", "b", "r")]).dump()
+    with pytest.raises(ValueError):
+        KnowledgeGraph.restore(tables, {**arrays, name: arrays[name][:-cut]})
+    with pytest.raises(ValueError):
+        KnowledgeGraph.restore(tables, {**arrays, name: arrays[name] + arrays[name][-cut:]})
+    with pytest.raises(TypeError):
+        KnowledgeGraph.restore(tables, {**arrays, name: array("b", arrays[name])})

@@ -13,8 +13,10 @@ import pytest
 import kgprompt.graph as graph_module
 import kgprompt.ingest as ingest
 from kgprompt.errors import ParseError, SchemaError
+from kgprompt.graph import KnowledgeGraph, normalize_name
 from kgprompt.ingest import export_edge_list_jsonl, load_edge_list_jsonl, load_hetionet_json
 
+from fixtures_kg import ODD_NAMES, name_lookups
 from oracles import frozen_load_edge_list_jsonl, frozen_load_hetionet_json
 
 HETIONET_ENV = "KGPROMPT_HETIONET_JSON"
@@ -636,19 +638,68 @@ def test_changed_dump_is_parsed_again(tmp_path, graph_cache, monkeypatch, fmt):
     assert len(list((graph_cache / "kgprompt" / "graphs").iterdir())) == 2
 
 
+def _odd_names_dump(tmp_path: Path, fmt: str) -> Path:
+    """A dump whose node names are ``ODD_NAMES``, node i holding the i-th."""
+    if fmt == "hetionet":
+        return write_hetionet(
+            tmp_path / "het.json", [het_node("Gene", i, name) for i, (_id, name) in enumerate(ODD_NAMES)], []
+        )
+    return _write_edge_list(
+        tmp_path / "graph.jsonl", [{"node": {"id": str(i), "name": name}} for i, (_id, name) in enumerate(ODD_NAMES)]
+    )
+
+
 @pytest.mark.parametrize("fmt", sorted(_LOADERS))
 def test_snapshot_carries_the_normalized_names(tmp_path, monkeypatch, fmt):
-    path = _random_dump(tmp_path, fmt, seed=5)
-    parsed, _report = _LOADERS[fmt](path)
+    (tmp_path / "random").mkdir()
+    (tmp_path / "odd").mkdir()
+    paths = [_random_dump(tmp_path / "random", fmt, seed=5), _odd_names_dump(tmp_path / "odd", fmt)]
+    parsed = [_LOADERS[fmt](path)[0] for path in paths]
     parses = _count_parses(monkeypatch, fmt)
+    questions = []
+    for kg in parsed:
+        names = [node.name for node in kg.nodes.values()] + ["NODE 3", "gene 3", "STRASSE", "A\0B", "?"]
+        questions.append((names, [normalize_name(name) for name in names]))  # normalized while it still may
+    expected = [name_lookups(kg, *question) for kg, question in zip(parsed, questions)]
+    node_id = "Gene::{}".format if fmt == "hetionet" else str
+    assert expected[1]["STRASSE"] == (node_id(1), node_id(0))  # ODD_NAMES' s2, then s1
 
     def not_again(name: str) -> str:
         raise AssertionError(f"normalized {name!r} again")
 
     monkeypatch.setattr(graph_module, "normalize_name", not_again)
-    restored, _report = _LOADERS[fmt](path)
+    restored = [_LOADERS[fmt](path)[0] for path in paths]
     assert parses == []
-    assert restored.name_tables() == parsed.name_tables()
+    assert [name_lookups(kg, *question) for kg, question in zip(restored, questions)] == expected
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+@pytest.mark.parametrize("name", ["normalized", "name_offsets", "name_nodes"])
+def test_snapshot_with_a_name_index_that_does_not_fit_is_parsed_again(
+    tmp_path, graph_cache, monkeypatch, caplog, fmt, name
+):
+    path = _random_dump(tmp_path, fmt, seed=909)
+    expected = _outcome(_FROZEN[fmt], path)
+    dump = KnowledgeGraph.dump
+
+    def cut_dump(graph: KnowledgeGraph):
+        tables, arrays = dump(graph)
+        return tables, {**arrays, name: arrays[name][:-1]}
+
+    monkeypatch.setattr(KnowledgeGraph, "dump", cut_dump)
+    _LOADERS[fmt](path)  # parses and saves a snapshot whose index is one item short
+    monkeypatch.setattr(KnowledgeGraph, "dump", dump)
+    parses = _count_parses(monkeypatch, fmt)
+    with caplog.at_level("WARNING", logger="kgprompt.ingest"):
+        assert _outcome(_LOADERS[fmt], path) == expected
+    assert parses == [path]
+    (snapshot,) = (graph_cache / "kgprompt" / "graphs").iterdir()
+    assert [r.getMessage() for r in caplog.records] == [
+        f"graph snapshot {snapshot} is not usable (graph state: tables and arrays do not match);"
+        " parsing the dump again"
+    ]
+    assert _outcome(_LOADERS[fmt], path) == expected
+    assert parses == [path]  # and the rewritten snapshot restored
 
 
 @pytest.mark.parametrize("fmt", sorted(_LOADERS))

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+import sys
+
 import pytest
 
 from kgprompt.dataset import CAUSAL, Instance, Span
@@ -69,6 +72,20 @@ def test_normalize_name():
     assert normalize_name("Beta-Carotene") == "beta carotene"
     assert normalize_name("  FGF6 ") == "fgf6"
     assert normalize_name("breast   cancer!") == "breast cancer"
+
+
+def _two_pass_normalize(name: str) -> str:
+    """The rule in its first form: each punctuation character to a space,
+    then each whitespace run to one space."""
+    return re.sub(r"\s+", " ", re.sub(r"[^\w\s]", " ", name.casefold())).strip()
+
+
+@pytest.mark.parametrize("between", ["", "a"])
+def test_normalize_name_is_the_two_pass_rule_on_every_code_point(between):
+    every = between.join(map(chr, range(sys.maxunicode + 1)))
+    chunks = (every[start:start + (1 << 16)] for start in range(0, len(every), 1 << 16))
+    # compared as booleans: a diff of two 64k-character strings takes minutes
+    assert [normalize_name(chunk) == _two_pass_normalize(chunk) for chunk in chunks].count(False) == 0
 
 
 def test_search_lookup_cascade_resolves_each_name_once_in_order():

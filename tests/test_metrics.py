@@ -213,7 +213,7 @@ def test_predictions_unknown_label(tmp_path):
     [
         (b'{"instance_id": "a", "predicted": "causal", "backend": "t"}\n["b"]\n', SchemaError, "line 2: prediction must be a JSON object"),
         (b'{"instance_id": "a", "backend": "t"}\n', SchemaError, "line 1: prediction: missing field 'predicted'"),
-        (b'{"instance_id": "a"\n', ParseError, "line 1: invalid JSON"),
+        (b'{"instance_id": "a"\n', ParseError, "line 1: .*invalid JSON"),
         (b'{"instance_id": "a", "predicted": "causal", "backend": "t"}\n{"x": "\xff"}\n', ParseError, "line 2: .*not valid UTF-8"),
     ],
     ids=["not-an-object", "missing-field", "bad-json", "not-utf8"],
