@@ -16,7 +16,9 @@ Storage is an integer core:
 - node ids are interned to ints in insertion order, with parallel lists of
   ids, names and types; labels are interned to small ints;
 - the edges are three ``array`` columns (source, target, label) in insertion
-  order, and a set of packed integer keys is the duplicate check;
+  order, and a set of packed integer keys is the duplicate check. The set
+  lives until the graph is dumped, and an add after that (or on a restored
+  graph) rebuilds it from the columns;
 - adjacency is a CSR (compressed sparse rows) that indexes the edge columns,
   built on the first query after an add: per node, the other end and the edge
   position of each link in global edge order, self-loops left out. A node's
@@ -125,7 +127,7 @@ class KnowledgeGraph:
         self._sources = array("i")
         self._targets = array("i")
         self._edge_labels = array("i")
-        # packed edge keys; None until an add needs them on a restored graph
+        # packed edge keys; None after a dump or restore, until an add needs them
         self._keys: set[int] | None = set()
         self._csr: _Csr | None = None  # None until the first query after an add
         self._name_index: _NameIndex | None = None  # None until the first lookup after an add
@@ -364,6 +366,7 @@ class KnowledgeGraph:
         """The whole core as plain values: the string tables and the integer
         arrays (adjacency and the normalized-name index included), each built
         first if need be."""
+        self._keys = None  # the duplicate check is done; an add rebuilds it
         tables = {"ids": self._ids, "names": self._names, "types": self._types, "labels": self._labels}
         arrays = {
             "sources": self._sources,

@@ -427,30 +427,19 @@ class _RemoteSource(_Source):
 
 
 def _verbalize_bundles(
-    source: _Source,
-    linkage: PairLinkage,
-    bundles: list[tuple[str, StructureBundle]],
-    config: ExperimentConfig,
+    source: _Source, bundles: list[tuple[str, StructureBundle]], config: ExperimentConfig
 ) -> GraphContext:
-    kind = config.structure
     t = config.templates
-    if not bundles:
-        return empty_context(kind)
-    if kind is StructureKind.NN:
-        contexts = []
-        for _side, bundle in bundles:
-            x = source.node(bundle.pair[0])
-            if config.nn_include_labels:
-                contexts.append(verbalize_neighbors_labeled(x, bundle, t))
-            else:
-                contexts.append(verbalize_neighbors(x, bundle, t))
-        return combine_contexts(contexts)
-    _side, bundle = bundles[0]
-    x = source.node(bundle.pair[0])
-    y = source.node(bundle.pair[1])
-    if kind is StructureKind.CNN:
-        return verbalize_common_neighbors(x, y, bundle, t)
-    return verbalize_metapath(x, y, bundle, t)
+    contexts = []
+    for _side, bundle in bundles:
+        x = source.node(bundle.pair[0])
+        if bundle.kind is StructureKind.NN:
+            render = verbalize_neighbors_labeled if config.nn_include_labels else verbalize_neighbors
+            contexts.append(render(x, bundle, t))
+        else:
+            render = verbalize_common_neighbors if bundle.kind is StructureKind.CNN else verbalize_metapath
+            contexts.append(render(x, source.node(bundle.pair[1]), bundle, t))
+    return combine_contexts(contexts) if contexts else empty_context(config.structure)
 
 
 # --- the run itself ---
@@ -511,9 +500,7 @@ def _extract(run: _Run) -> list[Path]:
 def _verbalize(run: _Run) -> list[Path]:
     records = []
     for linkage in run.linkages:
-        context = _verbalize_bundles(
-            run.source, linkage, run.bundles[linkage.instance_id], run.config
-        )
+        context = _verbalize_bundles(run.source, run.bundles[linkage.instance_id], run.config)
         run.contexts[linkage.instance_id] = context
         records.append(
             {

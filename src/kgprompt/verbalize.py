@@ -7,12 +7,17 @@ segments that still hold items, so prompt truncation shrinks a context by
 dropping items without re-running extraction. Empty structures yield a
 context without segments, which is empty, instead of a sentence with a
 dangling connective.
+
+Each renderer states only its template: the prefix, the prefix's node ids,
+the items and their separator. One builder shapes the context from them,
+so the kind check, the empty check and the one-segment wrapping live there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from typing import Iterable, Iterator
 
 from .errors import KindMismatchError, MissingLabelError, check_field_types
 from .graph import Node
@@ -112,9 +117,22 @@ def empty_context(kind: StructureKind) -> GraphContext:
     return GraphContext(kind)
 
 
-def _require_kind(bundle: StructureBundle, kind: StructureKind) -> None:
+def _context(
+    bundle: StructureBundle,
+    kind: StructureKind,
+    prefix: str,
+    prefix_nodes: tuple[str, ...],
+    items: Iterable[tuple[str, tuple[str, ...]]],
+    separator: str,
+) -> GraphContext:
+    """The one-segment context of a ``kind`` bundle's items; the kind is
+    checked before any item is read, and an empty payload gives an empty
+    context."""
     if bundle.kind is not kind:
         raise KindMismatchError(f"expected a {kind.value} bundle, got {bundle.kind.value}")
+    if not bundle.payload:
+        return empty_context(kind)
+    return GraphContext(kind, (ContextSegment(prefix, prefix_nodes, tuple(items), separator),))
 
 
 def _join_names(names: list[str], t: TemplateSet) -> str:
@@ -128,16 +146,9 @@ def verbalize_neighbors(
     x: Node, bundle: StructureBundle, t: TemplateSet = DEFAULT_TEMPLATES
 ) -> GraphContext:
     """"<x> is connected to <n1, n2, ...>" over the bundle's neighbors."""
-    _require_kind(bundle, StructureKind.NN)
-    if not bundle.payload:
-        return empty_context(StructureKind.NN)
-    segment = ContextSegment(
-        prefix=f"{x.name} {t.nn_connective} ",
-        prefix_nodes=(x.id,),
-        items=tuple((link.node.name, (link.node.id,)) for link in bundle.payload),
-        separator=t.list_separator,
-    )
-    return GraphContext(StructureKind.NN, (segment,))
+    prefix = f"{x.name} {t.nn_connective} "
+    items = ((link.node.name, (link.node.id,)) for link in bundle.payload)
+    return _context(bundle, StructureKind.NN, prefix, (x.id,), items, t.list_separator)
 
 
 def verbalize_neighbors_labeled(
@@ -150,47 +161,32 @@ def verbalize_neighbors_labeled(
     leading word of the labeled connective ("has <label> with <names>"),
     matching the reference rendering.
     """
-    _require_kind(bundle, StructureKind.NN)
-    if not bundle.payload:
-        return empty_context(StructureKind.NN)
+    return _context(bundle, StructureKind.NN, f"{x.name} ", (x.id,), _label_groups(bundle.payload, t), ", ")
+
+
+def _label_groups(payload: tuple[NeighborLink, ...], t: TemplateSet) -> Iterator[tuple[str, tuple[str, ...]]]:
     groups: dict[str, list[Node]] = {}
-    for link in bundle.payload:
+    for link in payload:
         if not isinstance(link, NeighborLink) or not link.labels:
             raise MissingLabelError(
                 f"neighbor {getattr(getattr(link, 'node', None), 'id', link)!r} carries no relation label"
             )
         for label, _direction in link.labels:
             groups.setdefault(label, []).append(link.node)
-
     elided_post = t.nn_labeled_post.split(" ", 1)[1] if " " in t.nn_labeled_post else t.nn_labeled_post
-    items: list[tuple[str, tuple[str, ...]]] = []
     for i, (label, members) in enumerate(groups.items()):
         post = t.nn_labeled_post if i == 0 else elided_post
         clause = f"{t.nn_labeled_pre} {label} {post} {_join_names([m.name for m in members], t)}"
-        items.append((clause, tuple(m.id for m in members)))
-    segment = ContextSegment(
-        prefix=f"{x.name} ",
-        prefix_nodes=(x.id,),
-        items=tuple(items),
-        separator=", ",
-    )
-    return GraphContext(StructureKind.NN, (segment,))
+        yield clause, tuple(m.id for m in members)
 
 
 def verbalize_common_neighbors(
     x: Node, y: Node, bundle: StructureBundle, t: TemplateSet = DEFAULT_TEMPLATES
 ) -> GraphContext:
     """"Common neighbor nodes of <x> and <y> are: <n1, ...>"."""
-    _require_kind(bundle, StructureKind.CNN)
-    if not bundle.payload:
-        return empty_context(StructureKind.CNN)
-    segment = ContextSegment(
-        prefix=f"{t.cnn_prefix} {x.name} {t.final_conjunction} {y.name} are: ",
-        prefix_nodes=(x.id, y.id),
-        items=tuple((n.name, (n.id,)) for n in bundle.payload),
-        separator=t.list_separator,
-    )
-    return GraphContext(StructureKind.CNN, (segment,))
+    prefix = f"{t.cnn_prefix} {x.name} {t.final_conjunction} {y.name} are: "
+    items = ((n.name, (n.id,)) for n in bundle.payload)
+    return _context(bundle, StructureKind.CNN, prefix, (x.id, y.id), items, t.list_separator)
 
 
 def verbalize_metapath(
@@ -202,29 +198,17 @@ def verbalize_metapath(
     that runs against an edge still reads in the edge's own direction.
     Multiple selected paths are separated by "; ".
     """
-    _require_kind(bundle, StructureKind.MP)
-    if not bundle.payload:
-        return empty_context(StructureKind.MP)
-    items: list[tuple[str, tuple[str, ...]]] = []
-    for path in bundle.payload:
-        items.append((_render_path(path, t), tuple(n.id for n in path.nodes)))
-    segment = ContextSegment(
-        prefix=f"{x.name} {t.mp_connective} {y.name} {t.mp_path_intro} ",
-        prefix_nodes=(x.id, y.id),
-        items=tuple(items),
-        separator=_SEGMENT_JOINER,
-    )
-    return GraphContext(StructureKind.MP, (segment,))
+    prefix = f"{x.name} {t.mp_connective} {y.name} {t.mp_path_intro} "
+    items = ((_render_path(path, t), tuple(n.id for n in path.nodes)) for path in bundle.payload)
+    return _context(bundle, StructureKind.MP, prefix, (x.id, y.id), items, _SEGMENT_JOINER)
 
 
 def _render_path(path: Metapath, t: TemplateSet) -> str:
     clauses = []
-    for i, (label, direction) in enumerate(path.edges):
-        u, v = path.nodes[i], path.nodes[i + 1]
-        if direction == "out":
-            clauses.append(f"{u.name} {label} {v.name}")
-        else:
-            clauses.append(f"{v.name} {label} {u.name}")
+    for (label, direction), u, v in zip(path.edges, path.nodes, path.nodes[1:]):
+        if direction != "out":
+            u, v = v, u
+        clauses.append(f"{u.name} {label} {v.name}")
     return t.list_separator.join(clauses)
 
 

@@ -638,6 +638,17 @@ def test_changed_dump_is_parsed_again(tmp_path, graph_cache, monkeypatch, fmt):
     assert len(list((graph_cache / "kgprompt" / "graphs").iterdir())) == 2
 
 
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+def test_cold_load_drops_the_duplicate_check_set_like_a_restore(tmp_path, fmt):
+    path = _random_dump(tmp_path, fmt, seed=6)
+    for load in ("cold", "warm"):
+        kg, _report = _LOADERS[fmt](path)
+        assert kg._keys is None, load
+        count, edge = kg.edge_count, kg.edges[0]
+        assert kg.add_edge(edge.source, edge.target, edge.label) is False  # the set is rebuilt
+        assert kg.edge_count == count
+
+
 def _odd_names_dump(tmp_path: Path, fmt: str) -> Path:
     """A dump whose node names are ``ODD_NAMES``, node i holding the i-th."""
     if fmt == "hetionet":

@@ -428,7 +428,7 @@ def test_bundle_records_and_contexts_match_the_frozen_writers():
                 linkage.instance_id, side, bundle
             )
             kinds[structure] += bool(bundle.payload)
-        context = _verbalize_bundles(source, linkage, bundles, config)
+        context = _verbalize_bundles(source, bundles, config)
         want = frozen_from_segments(context.kind, context.segments)
         assert (context.text, context.source_nodes, context.empty) == tuple(want.values())
     assert min(kinds.values()) >= 20  # every kind wrote non-empty payloads

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -184,6 +185,44 @@ def test_kind_mismatch_raises():
         verbalize_common_neighbors(kg.node("Q:PC"), kg.node("Q:NIL"), bundle)
     with pytest.raises(KindMismatchError):
         verbalize_metapath(kg.node("Q:PC"), kg.node("Q:NIL"), bundle)
+
+
+def _bundles_of_each_kind():
+    kg = make_graph(
+        [("a", "A", "t"), ("b", "B", "t"), ("c", "C", "t")],
+        [("a", "b", "r"), ("b", "c", "s"), ("a", "c", "q")],
+    )
+    limits = ExtractionLimits(max_hops=2)
+    return kg, {
+        StructureKind.NN: extract_neighbors(kg, "a", limits, 1),
+        StructureKind.CNN: extract_common_neighbors(kg, "a", "c", limits, 1),
+        StructureKind.MP: enumerate_metapaths(kg, "a", "c", limits, 1),
+    }
+
+
+RENDERERS = [
+    (verbalize_neighbors, StructureKind.NN),
+    (verbalize_neighbors_labeled, StructureKind.NN),
+    (verbalize_common_neighbors, StructureKind.CNN),
+    (verbalize_metapath, StructureKind.MP),
+]
+
+
+@pytest.mark.parametrize("renderer, kind", RENDERERS, ids=[r.__name__ for r, _kind in RENDERERS])
+@pytest.mark.parametrize("bundle_kind", list(StructureKind), ids=[k.value for k in StructureKind])
+def test_every_renderer_checks_the_kind_before_the_payload(renderer, kind, bundle_kind):
+    kg, bundles = _bundles_of_each_kind()
+    nodes = (kg.node("a"),) if kind is StructureKind.NN else (kg.node("a"), kg.node("c"))
+    bundle = bundles[bundle_kind]
+    assert bundle.payload  # items of the bundle's own kind
+    if bundle_kind is not kind:
+        for wrong in (bundle, replace(bundle, payload=())):
+            with pytest.raises(KindMismatchError):
+                renderer(*nodes, wrong)
+        return
+    assert not renderer(*nodes, bundle).empty
+    empty = renderer(*nodes, replace(bundle, payload=()))
+    assert (empty.kind, empty.text, empty.segments) == (kind, "", ())
 
 
 def test_name_fidelity_and_source_nodes():
