@@ -72,7 +72,11 @@ class InferenceResponse:
     def __post_init__(self) -> None:
         if (self.scores is None) == (self.generated_text is None):
             raise ValueError("exactly one of scores/generated_text must be present")
+        if self.generated_text is not None and not isinstance(self.generated_text, str):
+            raise ValueError("generated_text is not a string")
         if self.scores is not None:
+            if not isinstance(self.scores, dict):
+                raise ValueError("scores is not an object")
             for word, value in self.scores.items():
                 if not isinstance(value, (int, float)) or not math.isfinite(value):
                     raise ValueError(f"score for {word!r} is not finite")

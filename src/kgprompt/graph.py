@@ -327,6 +327,8 @@ class KnowledgeGraph:
         dist = {i: 0}
         frontier = [i]
         for d in range(1, depth + 1):
+            if not frontier:
+                break
             reached = []
             for u in frontier:
                 for v in row(u):  # repeats of parallel links are harmless here

@@ -223,14 +223,33 @@ def _last_segment(iri: str) -> str:
     return iri.rsplit("/", 1)[-1]
 
 
+def _binding_value(binding: object, name: str, default: str | None) -> str | None:
+    """The string value of the term ``name`` in a SPARQL result binding, or
+    ``default`` when the binding has no such term or the term no value."""
+    if not isinstance(binding, dict):
+        raise MalformedResponseError("SPARQL binding is not an object")
+    term = binding.get(name, {})
+    if not isinstance(term, dict):
+        raise MalformedResponseError(f"SPARQL binding's {name!r} is not an object")
+    value = term.get("value", default)
+    if value is not default and not isinstance(value, str):
+        raise MalformedResponseError(f"SPARQL binding's {name!r} value is not a string")
+    return value
+
+
 def _search_results(payload: object) -> list[tuple[str, str, str]]:
     if not isinstance(payload, dict) or "search" not in payload:
         raise MalformedResponseError("entity search response misses 'search'")
+    if not isinstance(payload["search"], list):
+        raise MalformedResponseError("entity search 'search' is not a list")
     results = []
     for item in payload["search"]:
-        if "id" not in item:
+        if not isinstance(item, dict) or "id" not in item:
             raise MalformedResponseError("entity search result misses 'id'")
-        results.append((item["id"], item.get("label", ""), item.get("description", "")))
+        result = (item["id"], item.get("label", ""), item.get("description", ""))
+        if not all(isinstance(field, str) for field in result):
+            raise MalformedResponseError("entity search result has a non-string id, label or description")
+        results.append(result)
     return results
 
 
@@ -264,22 +283,21 @@ def resolve_entity(
 def fetch_entity_label(endpoint: RemoteEndpoint, cache: QueryCache, entity_id: str) -> str:
     """English label of an entity; falls back to the id when unlabeled."""
     labels = _run_sparql(
-        endpoint, cache, "label_lookup.rq", entity_id, lambda row: row.get("label", {}).get("value")
+        endpoint, cache, "label_lookup.rq", entity_id, lambda row: _binding_value(row, "label", None)
     )
     return next((label for label in labels if label), entity_id)
 
 
-def _neighbor_row(direction: Direction, binding: dict) -> tuple[str, str, str, str, Direction]:
+def _neighbor_row(direction: Direction, binding: object) -> tuple[str, str, str, str, Direction]:
     """(property id, neighbor id, property label, neighbor label, direction)."""
-    try:
-        property_iri = binding["property"]["value"]
-        neighbor_iri = binding["neighbor"]["value"]
-    except (KeyError, TypeError):
-        raise MalformedResponseError("SPARQL binding misses property/neighbor") from None
+    property_iri = _binding_value(binding, "property", None)
+    neighbor_iri = _binding_value(binding, "neighbor", None)
+    if property_iri is None or neighbor_iri is None:
+        raise MalformedResponseError("SPARQL binding misses property/neighbor")
     property_id = _last_segment(property_iri)
     neighbor_id = _last_segment(neighbor_iri)
-    property_label = binding.get("propertyLabel", {}).get("value", property_id)
-    neighbor_label = binding.get("neighborLabel", {}).get("value", neighbor_id)
+    property_label = _binding_value(binding, "propertyLabel", property_id)
+    neighbor_label = _binding_value(binding, "neighborLabel", neighbor_id)
     return property_id, neighbor_id, property_label, neighbor_label, direction
 
 

@@ -6,13 +6,15 @@ kept, so structure content is never ranked or optimized. Every operation
 derives its generator from (seed, kind, pair), which makes per-pair
 extraction safe to parallelize without changing results.
 
-Metapaths are counted, not enumerated: the simple x..y paths are numbered
-in the order of a depth-first walk in adjacency order, each branch's paths
-are counted with closed forms for the last two hops (branches that can no
-longer reach y are skipped by hop distances from a breadth-first search that
-avoids x), the seeded subset is drawn over those numbers exactly as over the
-enumerated list, and one walk builds only the chosen paths. Paths, order,
-candidate count and truncation flag are those of the plain depth-first walk.
+Metapaths are numbered, not enumerated: one depth-first walker, in adjacency
+order, gives each simple x..y path its index as it passes it. It passes a
+branch with two hops left by its closed-form count, skips branches that can
+no longer reach y (by hop distances from a breadth-first search that avoids
+x), and builds a path only when its index was drawn. One pass of it counts
+the paths, the seeded subset is drawn over their indices exactly as over the
+enumerated list, and a second pass over the children of x that hold a drawn
+index collects the drawn paths. Paths, order, candidate count and truncation
+flag are those of the plain depth-first walk.
 When ``max_paths_enumerated`` is passed, counting stops there and the subset
 is drawn from the first paths in that order, not from all paths.
 """
@@ -217,11 +219,12 @@ class _PathTree:
     """The simple x..y paths of 2..max_hops hops, as the tree of their
     prefixes in depth-first adjacency order, over the graph's node ints.
 
-    A prefix's subtree is counted without walking its last two hops: with
-    one hop left from v it holds ``[y in N(v)]`` paths, with two it holds
-    ``[y in N(v)] + |N(v) & N(y)|`` minus the prefix nodes in N(v) & N(y).
-    Counts further up are sums of these. Every walk keeps an explicit stack,
-    so no recursion grows with ``max_hops``.
+    One walker, :meth:`number`, gives each path its depth-first index as it
+    passes it, and both counting and selection call it. A prefix with two
+    hops left from v is passed by its closed-form count, ``[y in N(v)] +
+    |N(v) & N(y)|`` minus the prefix nodes in N(v) & N(y), unless it holds
+    the next kept index. The walk keeps an explicit stack, so no recursion
+    grows with ``max_hops``.
     """
 
     def __init__(self, kg: KnowledgeGraph, x: int, y: int, max_hops: int):
@@ -257,105 +260,79 @@ class _PathTree:
                 count -= 1
         return count
 
-    def count(self, path: list[int], on_path: set[int], v: int, hops: int, cap: int) -> int:
-        """Paths below the prefix ``path + [v]`` with ``hops`` hops left from
-        v, counted up to ``cap`` (>= 1) and capped there."""
-        if hops == 1:
-            return int(v in self.near_y)
-        if hops == 2:
-            return min(self._two_hops(path, v), cap)
-        y, dist = self.y, self.dist
-        depth = len(path)
-        path.append(v)
-        on_path.add(v)
+    def number(self, v: int, base: int, stop: int, keep: Sequence[int], found: list[list[int]]) -> int:
+        """Number the paths below the prefix ``[x, v]`` in depth-first order,
+        the first one ``base``, and append to ``found`` the path at each index
+        of the sorted ``keep`` from ``keep[len(found)]`` on. Stop once the
+        index passes ``stop`` (>= ``base`` and every kept index), and return
+        the index after the last path numbered, at most ``stop + 1``."""
+        y, dist, max_hops = self.y, self.dist, self.max_hops
+        goal = keep[len(found)] if len(found) < len(keep) else stop + 1  # the next kept index, if any
+        bound = min(goal, stop)  # indices below it need no more than a count
+        path, on_path = [self.x, v], {self.x, v}
         frames = [iter(self.onward(v))]
-        total = 0
-        while frames and total < cap:
-            left = hops - len(frames) + 1  # hops left from the prefix's last node
+        while frames:
+            left = max_hops - len(path) + 1  # hops left from path[-1]
             for w in frames[-1]:
-                if w == y:
-                    total += 1
-                elif w in on_path or dist[w] >= left:
+                if w != y:
+                    if w in on_path or dist[w] >= left:
+                        continue
+                    if left == 3:  # w has two hops left: pass its branch by their count
+                        after = base + self._two_hops(path, w)  # the index after the branch
+                        if after <= bound:
+                            base = after
+                            continue
+                        if bound < goal:  # the branch holds the stop, not the kept index
+                            return stop + 1
+                    if left > 2:  # enter w's branch
+                        path.append(w)
+                        on_path.add(w)
+                        frames.append(iter(self.onward(w)))
+                        break
+                # a path ends here: in w, y when w has one hop left, or in y
+                if base < bound:
+                    base += 1
                     continue
-                elif left == 3:
-                    total += self._two_hops(path, w)
-                else:
-                    path.append(w)
-                    on_path.add(w)
-                    frames.append(iter(self.onward(w)))
-                    break
-                if total >= cap:
-                    break
+                if bound < goal:  # the path is the stop, not the kept index
+                    return stop + 1
+                found.append(path + [w, y] if w != y else path + [y])
+                base += 1
+                if base > stop:  # stop >= every kept index, so all are found
+                    return base
+                goal = bound = keep[len(found)]
             else:
                 frames.pop()
                 on_path.discard(path.pop())
-        on_path.difference_update(path[depth:])
-        del path[depth:]
-        return min(total, cap)
+        return base
 
     def scan(self, ceiling: int) -> tuple[list[tuple[int, int]], int]:
         """Each child of x whose subtree holds a path, with its path count,
         in order, until the running total passes ``ceiling``; and that total.
         The last child's count is capped where the total passes the ceiling."""
-        x, y = self.x, self.y
-        path, on_path = [x], {x}
         top: list[tuple[int, int]] = []
         total = 0
-        for v in dict.fromkeys(self.row(x)):
+        for v in dict.fromkeys(self.row(self.x)):
             if total > ceiling:
                 break
-            if v == y:  # the direct x-y path is never a metapath
+            if v == self.y:  # the direct x-y path is never a metapath
                 continue
-            count = self.count(path, on_path, v, self.max_hops - 1, ceiling + 1 - total)
-            if count:
-                top.append((v, count))
-                total += count
+            end = self.number(v, total, ceiling, (), [])
+            if end > total:
+                top.append((v, end - total))
+                total = end
         return top, total
 
     def paths(self, top: list[tuple[int, int]], keep: list[int]) -> list[list[int]]:
-        """The paths at the sorted depth-first indices ``keep``, in one walk
-        that enters only the subtrees holding a kept index; ``top`` is what
+        """The paths at the sorted depth-first indices ``keep``, numbering only
+        the children of x that hold a kept index; ``top`` is what
         :meth:`scan` gave."""
         found: list[list[int]] = []
-        base = 0  # the depth-first index of the next path the walk passes
+        base = 0  # the depth-first index of the first path below v
         for v, count in top:
             if len(found) < len(keep) and keep[len(found)] < base + count:
-                self._walk(v, base, keep, found)
+                self.number(v, base, keep[-1], keep, found)
             base += count
         return found
-
-    def _walk(self, v: int, base: int, keep: list[int], found: list[list[int]]) -> None:
-        """Append to ``found`` the kept paths below the prefix ``[x, v]``,
-        whose first path has the depth-first index ``base``."""
-        y, dist = self.y, self.dist
-        path, on_path = [self.x, v], {self.x, v}
-        frames = [iter(self.onward(v))]
-        while frames:
-            left = self.max_hops - len(path) + 1  # hops left from path[-1]
-            for w in frames[-1]:
-                if w == y:
-                    end = [y]
-                elif w in on_path or dist[w] >= left:
-                    continue
-                elif left == 2:  # then w neighbors y: the one path below ends w, y
-                    end = [w, y]
-                else:
-                    count = self.count(path, on_path, w, left - 1, keep[len(found)] - base + 1)
-                    if keep[len(found)] < base + count:
-                        path.append(w)
-                        on_path.add(w)
-                        frames.append(iter(self.onward(w)))
-                        break
-                    base += count
-                    continue
-                if base == keep[len(found)]:
-                    found.append(path + end)
-                    if len(found) == len(keep):
-                        return
-                base += 1
-            else:
-                frames.pop()
-                on_path.discard(path.pop())
 
 
 def _materialize_path(kg: KnowledgeGraph, path: list[int]) -> Metapath:

@@ -244,3 +244,19 @@ def test_http_nested_answer_is_protocol_error(predict_server):
     predict_server.default = {"status": 200, "raw": b"[" * 100_000}
     with pytest.raises(ProtocolError, match="response is not valid JSON"):
         predict_http(endpoint_for(predict_server, max_retries=0), make_request(), IDENTITY)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("scores", [["causal", 1.0]], "scores is not an object"),
+        ("scores", "causal", "scores is not an object"),
+        ("generated_text", 5, "generated_text is not a string"),
+        ("generated_text", ["causal"], "generated_text is not a string"),
+    ],
+)
+def test_http_answer_of_the_wrong_shape_is_protocol_error(predict_server, field, value, message):
+    predict_server.default = {"status": 200, "body": lambda req: {"request_id": req["request_id"], field: value}}
+    reqs = [make_request(rid=f"r{i}") for i in range(3)]
+    with pytest.raises(ProtocolError, match=message):
+        predict_http_batch(endpoint_for(predict_server, max_retries=0), reqs, IDENTITY)

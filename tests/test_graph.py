@@ -112,6 +112,17 @@ def test_hop_distances_match_bfs_oracle_on_random_graphs():
             assert list(got.values()) == sorted(got.values())  # breadth-first discovery order
 
 
+def test_hop_distances_stop_once_nothing_new_is_reached():
+    # a depth past the node count reaches nothing more; the walk must not run it out
+    rng = Random(1616)
+    for _ in range(20):
+        nodes, edges = random_graph(rng, max_nodes=30, max_edges=80)
+        kg = make_graph(nodes, edges)
+        i, avoid = rng.sample(range(len(nodes)), 2)
+        for skip in (-1, avoid):
+            assert kg.hop_distances(i, 10**9, avoid=skip) == kg.hop_distances(i, len(nodes), avoid=skip)
+
+
 def test_relation_labels_between_example():
     kg = prostate_star_graph()
     assert kg.relation_labels_between("Q:PC", "Q:NIL") == [

@@ -241,10 +241,49 @@ def test_malformed_sparql_response(wiki_server, tmp_path):
         fetch_neighbors_remote(endpoint_for(wiki_server), cache, "Q1")
 
 
+def _label_lookup(e, c):
+    return fetch_entity_label(e, c, "Q181257")
+
+
+def _neighbors(e, c):
+    return fetch_neighbors_remote(e, c, "Q181257")
+
+
+def _search(e, c):
+    return resolve_entity(e, c, "prostate cancer")
+
+
+def _bindings(*bindings):
+    return {"results": {"bindings": list(bindings)}}
+
+
+PROPERTY = {"value": "http://www.wikidata.org/prop/direct/P2176"}
+NEIGHBOR = {"value": "http://www.wikidata.org/entity/Q412415"}
+
 MALFORMED_ANSWERS = {
     "sparql": (lambda e, c: fetch_entity_label(e, c, "Q181257"), {"unexpected": True}),
     "sparql-binding": (lambda e, c: fetch_neighbors_remote(e, c, "Q181257"), {"results": {"bindings": [{"x": 1}]}}),
     "entity-search": (lambda e, c: resolve_entity(e, c, "prostate cancer"), {"searchinfo": {}}),
+    "label-binding-not-object": (_label_lookup, _bindings(["label"])),
+    "label-not-object": (_label_lookup, _bindings({"label": "prostate cancer"})),
+    "label-value-number": (_label_lookup, _bindings({"label": {"value": 5}})),
+    "neighbor-binding-not-object": (_neighbors, _bindings("P2176")),
+    "property-label-not-object": (
+        _neighbors, _bindings({"property": PROPERTY, "neighbor": NEIGHBOR, "propertyLabel": "treats"})
+    ),
+    "neighbor-label-not-object": (
+        _neighbors, _bindings({"property": PROPERTY, "neighbor": NEIGHBOR, "neighborLabel": ["nilutamide"]})
+    ),
+    "neighbor-label-value-null": (
+        _neighbors, _bindings({"property": PROPERTY, "neighbor": NEIGHBOR, "neighborLabel": {"value": None}})
+    ),
+    "property-value-number": (_neighbors, _bindings({"property": {"value": 2176}, "neighbor": NEIGHBOR})),
+    "neighbor-value-list": (_neighbors, _bindings({"property": PROPERTY, "neighbor": {"value": ["Q412415"]}})),
+    "search-not-list": (_search, {"search": {"id": "Q181257"}}),
+    "search-result-not-object": (_search, {"search": [181257]}),
+    "search-label-number": (_search, {"search": [{"id": "Q181257", "label": 5}]}),
+    "search-id-number": (_search, {"search": [{"id": 181257, "label": "prostate cancer"}]}),
+    "search-description-object": (_search, {"search": [{"id": "Q181257", "description": {"en": "cancer"}}]}),
 }
 
 

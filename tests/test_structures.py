@@ -435,6 +435,19 @@ def test_metapath_count_on_a_complete_graph():
     assert _path_ids(bundle) == [tuple(f"k{i}" for i in ordered[k]) for k in keep]
 
 
+def test_metapath_longer_than_the_recursion_limit():
+    # a 1,200-node chain: its one metapath has more hops than Python's
+    # default recursion limit, so no step may recurse once per hop
+    n = 1_200
+    nodes = [(f"c{i}", f"C{i}", "t") for i in range(n)]
+    kg = make_graph(nodes, [(f"c{i}", f"c{i + 1}", "next") for i in range(n - 1)])
+    limits = ExtractionLimits(max_hops=n, max_metapaths=1)
+    bundle = enumerate_metapaths(kg, "c0", f"c{n - 1}", limits, seed=1)
+    assert bundle.candidate_count == 1
+    assert not bundle.truncated
+    assert _path_ids(bundle) == [tuple(f"c{i}" for i in range(n))]
+
+
 def test_metapath_type_invariants():
     kg = metapath_graph()
     with pytest.raises(ValueError):
