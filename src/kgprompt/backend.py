@@ -78,8 +78,8 @@ class InferenceResponse:
             if not isinstance(self.scores, dict):
                 raise ValueError("scores is not an object")
             for word, value in self.scores.items():
-                if not isinstance(value, (int, float)) or not math.isfinite(value):
-                    raise ValueError(f"score for {word!r} is not finite")
+                if type(value) not in (int, float) or not math.isfinite(value):  # a bool is not a number
+                    raise ValueError(f"score for {word!r} is not a finite number")
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def _parse_response_payload(payload: object, req: InferenceRequest) -> Inference
             scores=payload.get("scores"),
             generated_text=payload.get("generated_text"),
         )
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:  # OverflowError: an int score past float's range
         raise ProtocolError(f"malformed response: {exc}") from exc
 
 

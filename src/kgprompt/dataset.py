@@ -90,9 +90,6 @@ class FoldPlan:
     seed: int
     assignments: dict[str, int]
 
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "n_folds": self.n_folds, "assignments": dict(self.assignments)}
-
 
 def _instance_from_record(record: object, lineno: int) -> Instance:
     require_fields(record, ("instance_id", "text", "e1", "e2", "label"), "record", lineno)

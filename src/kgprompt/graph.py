@@ -87,8 +87,9 @@ class _NameIndex(NamedTuple):
     name_nodes: array
 
 
-# the typecode of each integer array of the core, by its name in dump()
-_ARRAYS = {
+# The integer arrays of the core, by name, with their typecodes: the one layout
+# that dump() gives, restore() takes and an ingest snapshot stores, in this order.
+ARRAYS = {
     "sources": "i", "targets": "i", "edge_labels": "i",
     "offsets": "q", "other": "i", "edge": "i",
     "normalized": "B", "name_offsets": "q", "name_nodes": "i",
@@ -391,7 +392,7 @@ class KnowledgeGraph:
             isinstance(table, list) for table in tables.values()
         ):
             raise TypeError("graph state: wrong string tables")
-        if {name: values.typecode for name, values in arrays.items()} != _ARRAYS:
+        if {name: values.typecode for name, values in arrays.items()} != ARRAYS:
             raise TypeError("graph state: wrong integer arrays")
         graph = cls()
         graph._ids, graph._names, graph._types = tables["ids"], tables["names"], tables["types"]

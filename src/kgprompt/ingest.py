@@ -14,13 +14,16 @@ sha256 of this module's and :mod:`kgprompt.graph`'s source, so a code change
 never reads an old snapshot. A later load of the same bytes restores the
 graph and its :class:`IngestReport` (warnings included) from the snapshot and
 skips the parse. A snapshot is a fixed header (magic, version, payload
-length, payload sha256) and a payload of the ``marshal``-encoded string
-tables and report followed by the raw integer arrays. The string tables are
-the node ids, names and types and the edge labels; the arrays are the edge
-columns, the adjacency CSR and the normalized-name index (the names' UTF-8
-bytes, their offsets and their first nodes), so a restore builds neither the
-CSR nor the index again. The marshalled bytes are dropped as soon as they are
-decoded, before the graph's node index is built.
+length, payload sha256) and a payload of a fixed vector of sizes, the
+``marshal``-encoded string tables and report, and the raw integer arrays in
+:data:`kgprompt.graph.ARRAYS` order. The sizes are the tables' length and each
+array's item count; the arrays' names and typecodes are not on disk, since
+``ARRAYS`` states them. The string tables are the node ids, names and types
+and the edge labels; the arrays are the edge columns, the adjacency CSR and
+the normalized-name index (the names' UTF-8 bytes, their offsets and their
+first nodes), so a restore builds neither the CSR nor the index again. The
+marshalled bytes are dropped as soon as they are decoded, before the graph's
+node index is built.
 Any mismatch, truncation or decode error makes the loader parse the dump
 again and rewrite the snapshot. A cache directory that cannot be written
 costs a log warning, not the load.
@@ -63,12 +66,12 @@ log = logging.getLogger(__name__)
 # Warnings kept verbatim in the report are capped; counts stay exact.
 _MAX_WARNINGS = 50
 
-_SNAPSHOT_VERSION = 5
+_SNAPSHOT_VERSION = 6
 _SNAPSHOT_MAGIC = b"KGPGRAPH"
 # magic, format version, payload length, payload sha256
 _SNAPSHOT_HEADER = struct.Struct("<8sIQ32s")
-_SNAPSHOT_LENGTH = struct.Struct("<Q")  # of the marshalled tables that open the payload
-_SNAPSHOT_ARRAY = struct.Struct("<cQ")  # typecode and item count before each array's bytes
+# the payload's sizes: the marshalled tables' length, then each array's item count
+_SNAPSHOT_SIZES = struct.Struct(f"<{1 + len(graph_module.ARRAYS)}Q")
 
 
 @dataclass
@@ -324,60 +327,40 @@ def _decode_snapshot(fh: BinaryIO) -> tuple[KnowledgeGraph, IngestReport]:
     """Read and check a whole snapshot, then decode it.
 
     Nothing read is decoded or trusted before the payload's length and
-    checksum match the header.
+    checksum match the header; the sizes only say how much to read.
     """
     magic, version, length, checksum = _SNAPSHOT_HEADER.unpack(fh.read(_SNAPSHOT_HEADER.size))
     if magic != _SNAPSHOT_MAGIC or version != _SNAPSHOT_VERSION:
         raise ValueError(f"not a version {_SNAPSHOT_VERSION} graph snapshot")
     if os.fstat(fh.fileno()).st_size != _SNAPSHOT_HEADER.size + length:
         raise EOFError("file size does not match the payload length")
-    # every size read below is checked against what is left before reading
-    digest = hashlib.sha256()
-    remaining = length
-
-    def read(size: int) -> bytes:
-        nonlocal remaining
-        if size > remaining:
-            raise EOFError("payload shorter than its parts say")
-        data = fh.read(size)
-        digest.update(data)
-        remaining -= size
-        return data
-
-    (tables_size,) = _SNAPSHOT_LENGTH.unpack(read(_SNAPSHOT_LENGTH.size))
-    tables = read(tables_size)
-    arrays = []
-    while remaining:
-        typecode, count = _SNAPSHOT_ARRAY.unpack(read(_SNAPSHOT_ARRAY.size))
-        values = array(typecode.decode("ascii"))  # ValueError for a bad typecode
-        if count * values.itemsize > remaining:
-            raise EOFError("payload shorter than its parts say")
+    sizes = fh.read(_SNAPSHOT_SIZES.size)
+    tables_size, *counts = _SNAPSHOT_SIZES.unpack(sizes)
+    arrays = [array(typecode) for typecode in graph_module.ARRAYS.values()]
+    if len(sizes) + tables_size + sum(n * a.itemsize for n, a in zip(counts, arrays)) != length:
+        raise EOFError("payload length does not match its parts")
+    digest = hashlib.sha256(sizes)  # the tables are hashed apart, so they are never copied
+    tables = fh.read(tables_size)
+    digest.update(tables)
+    for values, count in zip(arrays, counts):
         values.fromfile(fh, count)
         digest.update(values)
-        remaining -= count * values.itemsize
-        arrays.append(values)
     if digest.digest() != checksum:
         raise ValueError("payload checksum mismatch")
     state = marshal.loads(tables)
     del tables  # megabytes of bytes no longer needed: free them before restore() allocates
-    if len(state["arrays"]) != len(arrays):
-        raise ValueError("payload holds other arrays than its tables name")
-    graph = KnowledgeGraph.restore(state["graph"], dict(zip(state["arrays"], arrays)))
+    graph = KnowledgeGraph.restore(state["graph"], dict(zip(graph_module.ARRAYS, arrays)))
     return graph, IngestReport(**state["report"])
 
 
 def _write_snapshot(path: Path, graph: KnowledgeGraph, report: IngestReport) -> None:
-    """Save a snapshot: the header, then a payload of the marshalled string
-    tables and report, and each integer array's typecode, count and bytes."""
+    """Save a snapshot: the header, then a payload of the sizes, the
+    marshalled string tables and report, and each integer array's bytes in
+    ``ARRAYS`` order."""
     tables, arrays = graph.dump()
-    head = marshal.dumps({
-        "graph": tables,
-        "arrays": list(arrays),
-        "report": asdict(report),
-    })
-    pieces: list = [_SNAPSHOT_LENGTH.pack(len(head)), head]
-    for values in arrays.values():
-        pieces += [_SNAPSHOT_ARRAY.pack(values.typecode.encode("ascii"), len(values)), values]
+    head = marshal.dumps({"graph": tables, "report": asdict(report)})
+    columns = [arrays[name] for name in graph_module.ARRAYS]
+    pieces = [_SNAPSHOT_SIZES.pack(len(head), *map(len, columns)), head, *columns]
     digest = hashlib.sha256()
     for piece in pieces:
         digest.update(piece)

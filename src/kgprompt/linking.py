@@ -14,7 +14,7 @@ bisect of its normalized-name index; it builds no table of all its names.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -35,9 +35,6 @@ class PairLinkage:
     e2_node: str | None
     e1_method: str = UNRESOLVED
     e2_method: str = UNRESOLVED
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # A name lookup answers (node id, EXACT or NORMALIZED), or None for no match.

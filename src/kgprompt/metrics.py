@@ -43,27 +43,12 @@ class Metrics:
     f1: float
     degenerate_flags: frozenset[str] = frozenset()
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "degenerate_flags": sorted(self.degenerate_flags),
-        }
-
 
 @dataclass(frozen=True)
 class FoldReport:
     per_fold: tuple[Metrics, ...]
     mean: Metrics
     f1_std: float
-
-    def to_dict(self) -> dict:
-        return {
-            "per_fold": [m.to_dict() for m in self.per_fold],
-            "mean": self.mean.to_dict(),
-            "f1_std": self.f1_std,
-        }
 
 
 def confusion_from_predictions(

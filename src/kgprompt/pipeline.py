@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -209,7 +209,7 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def to_canonical_dict(self) -> dict:
-        return {f.name: _canonical(getattr(self, f.name)) for f in fields(self)}
+        return _plain(self)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_canonical_dict(), sort_keys=True, ensure_ascii=False)
@@ -269,15 +269,6 @@ _SECTIONS: dict[str, Callable[..., object]] = {
     "truncation": TruncationPolicy,
     "backend": _backend,
 }
-
-
-def _canonical(value: object) -> object:
-    """A config field's value as JSON: an enum as its value, a section as its fields."""
-    if isinstance(value, Enum):
-        return value.value
-    if is_dataclass(value):
-        return asdict(value)
-    return value
 
 
 def validate_config(config: ExperimentConfig, check_paths: bool = True) -> None:
@@ -343,10 +334,16 @@ def _bundle_record(instance_id: str, side: str, bundle: StructureBundle) -> dict
 
 
 def _plain(value: object) -> object:
-    """A bundle payload as JSON: a node as its id, name and type, another
-    dataclass as its fields in order, a tuple as a list."""
+    """The JSON form of the config and of every result a run writes (prompt
+    and prediction records keep their own wire schemas): a node as its id,
+    name and type, an enum as its value, a frozenset as a sorted list, a
+    tuple as a list, another dataclass as its fields in order."""
     if isinstance(value, Node):
         return {"id": value.id, "name": value.name, "type": value.node_type}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, frozenset):
+        return sorted(value)
     if isinstance(value, tuple):
         return [_plain(item) for item in value]
     if is_dataclass(value):
@@ -478,13 +475,13 @@ def _ingest(run: _Run) -> list[Path]:
     loader = load_hetionet_json if config.kg.kind == "hetionet_json" else load_edge_list_jsonl
     kg, report = loader(config.kg.path)
     run.source = _LocalSource(kg)
-    return [_write_json(run.out / "ingest_report.json", asdict(report))]
+    return [_write_json(run.out / "ingest_report.json", _plain(report))]
 
 
 def _link(run: _Run) -> list[Path]:
     overrides = load_overrides(run.config.overrides) if run.config.overrides else {}
     run.linkages = link_pairs(run.instances, run.source.names(), overrides)
-    return [_write_jsonl(run.out / "linkage.jsonl", (l.to_dict() for l in run.linkages))]
+    return [_write_jsonl(run.out / "linkage.jsonl", map(_plain, run.linkages))]
 
 
 def _extract(run: _Run) -> list[Path]:
@@ -536,7 +533,7 @@ def _split(run: _Run) -> list[Path]:
     folds = config.folds
     plan = make_fold_plan(run.instances, folds.n_folds, folds.seed, folds.stratified)
     run.folds = kfold_split(run.instances, plan)
-    written = [_write_json(run.out / "fold_plan.json", plan.to_dict())]
+    written = [_write_json(run.out / "fold_plan.json", _plain(plan))]
     for i, (train_ids, test_ids) in enumerate(run.folds):
         fold_dir = run.fold_dir(i)
         sample = sample_few_shot(train_ids, run.instances, config.few_shot)
@@ -570,9 +567,9 @@ def _eval(run: _Run) -> list[Path]:
         check_coverage(records, test_ids, f"fold {i}")
         metrics = compute_metrics(records, golds)
         fold_metrics.append(metrics)
-        written.append(_write_json(run.fold_dir(i) / "metrics.json", metrics.to_dict()))
+        written.append(_write_json(run.fold_dir(i) / "metrics.json", _plain(metrics)))
     fold_report = aggregate_folds(fold_metrics)
-    written.append(_write_json(run.out / "report.json", fold_report.to_dict()))
+    written.append(_write_json(run.out / "report.json", _plain(fold_report)))
     with write_atomic(run.out / "report.txt") as fh:
         fh.write(format_report(fold_report))
     written.append(run.out / "report.txt")

@@ -253,6 +253,8 @@ def test_http_nested_answer_is_protocol_error(predict_server):
         ("scores", "causal", "scores is not an object"),
         ("generated_text", 5, "generated_text is not a string"),
         ("generated_text", ["causal"], "generated_text is not a string"),
+        ("scores", {"causal": True, "non-causal": 0.5}, "score for 'causal' is not a finite number"),
+        ("scores", {"causal": 10**400, "non-causal": 0.5}, "int too large to convert to float"),
     ],
 )
 def test_http_answer_of_the_wrong_shape_is_protocol_error(predict_server, field, value, message):

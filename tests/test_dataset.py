@@ -25,6 +25,7 @@ from kgprompt.errors import (
     SpanError,
     TooFewInstancesError,
 )
+from kgprompt.pipeline import _plain
 
 
 def balanced_pool(n: int, prefix: str = "i") -> list[Instance]:
@@ -204,7 +205,7 @@ def test_too_few_instances_for_folds():
 
 def test_fold_plan_dict_roundtrip():
     plan = make_fold_plan(balanced_pool(10), n_folds=5, seed=203)
-    assert FoldPlan(**json.loads(json.dumps(plan.to_dict()))) == plan
+    assert FoldPlan(**json.loads(json.dumps(_plain(plan)))) == plan
 
 
 # --- few-shot sampling ---

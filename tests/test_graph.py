@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from kgprompt.errors import DuplicateEdgeError, UnknownNodeError
-from kgprompt.graph import Edge, KnowledgeGraph, Node, normalize_name
+from kgprompt.graph import ARRAYS, Edge, KnowledgeGraph, Node, normalize_name
 
 from fixtures_kg import ODD_NAMES, gene_hop_graph, make_graph, name_lookups, prostate_star_graph
 from oracles import (
@@ -266,6 +266,14 @@ def test_name_lookups_match_whole_graph_tables_on_random_names():
         kg = make_graph([(node_id, name, "t") for node_id, name in nodes], [])
         assert name_lookups(kg, names) == expected
         assert name_lookups(KnowledgeGraph.restore(*kg.dump()), names) == expected
+
+
+def test_dump_follows_the_one_array_layout():
+    rng = Random(17)
+    nodes, edges = random_graph(rng, max_nodes=30, max_edges=90)
+    for kg in (make_graph(nodes, edges), KnowledgeGraph()):
+        _tables, arrays = kg.dump()
+        assert [(name, values.typecode) for name, values in arrays.items()] == list(ARRAYS.items())
 
 
 def test_restore_rejects_state_that_does_not_fit_together():

@@ -607,11 +607,16 @@ def _damage(snapshot: Path, damage: str) -> None:
         data[8:12] = (ingest._SNAPSHOT_VERSION + 1).to_bytes(4, "little")
     elif damage == "header-only":
         del data[header - 1:]
+    elif damage == "wrong-count":  # one more item of the last array than the payload holds
+        end = header + ingest._SNAPSHOT_SIZES.size
+        sizes = list(ingest._SNAPSHOT_SIZES.unpack(data[header:end]))
+        sizes[-1] += 1
+        data[header:end] = ingest._SNAPSHOT_SIZES.pack(*sizes)
     snapshot.write_bytes(bytes(data))
 
 
 @pytest.mark.parametrize("fmt", sorted(_LOADERS))
-@pytest.mark.parametrize("damage", ["truncated", "flipped-byte", "wrong-version", "header-only"])
+@pytest.mark.parametrize("damage", ["truncated", "flipped-byte", "wrong-version", "header-only", "wrong-count"])
 def test_damaged_snapshot_is_rebuilt_not_trusted(tmp_path, graph_cache, monkeypatch, fmt, damage):
     path = _random_dump(tmp_path, fmt, seed=808)
     expected = _outcome(_FROZEN[fmt], path)

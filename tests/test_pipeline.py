@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from dataclasses import asdict
 from pathlib import Path
 from random import Random
 
@@ -10,12 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kgprompt.ingest as ingest
+from kgprompt.dataset import load_dataset_jsonl, make_fold_plan
 from kgprompt.errors import ConfigError, StageError
-from kgprompt.linking import PairLinkage
+from kgprompt.ingest import IngestReport
+from kgprompt.linking import UNRESOLVED, PairLinkage
+from kgprompt.metrics import NO_POSITIVE_GOLDS, NO_POSITIVE_PREDICTIONS, Metrics, aggregate_folds
 from kgprompt.pipeline import (
     ExperimentConfig,
     _bundle_record,
     _LocalSource,
+    _plain,
     _verbalize_bundles,
     run_experiment,
     validate_config,
@@ -432,3 +437,52 @@ def test_bundle_records_and_contexts_match_the_frozen_writers():
         want = frozen_from_segments(context.kind, context.segments)
         assert (context.text, context.source_nodes, context.empty) == tuple(want.values())
     assert min(kinds.values()) >= 20  # every kind wrote non-empty payloads
+
+
+# Frozen copies of the per-class JSON writers that ``_plain`` replaced.
+
+
+def _frozen_metrics_dict(m) -> dict:
+    return {"precision": m.precision, "recall": m.recall, "f1": m.f1, "degenerate_flags": sorted(m.degenerate_flags)}
+
+
+def _frozen_fold_report_dict(report) -> dict:
+    return {
+        "per_fold": [_frozen_metrics_dict(m) for m in report.per_fold],
+        "mean": _frozen_metrics_dict(report.mean),
+        "f1_std": report.f1_std,
+    }
+
+
+def _frozen_fold_plan_dict(plan) -> dict:
+    return {"seed": plan.seed, "n_folds": plan.n_folds, "assignments": dict(plan.assignments)}
+
+
+def _frozen_linkage_dict(linkage) -> dict:
+    return asdict(linkage)
+
+
+def test_plain_matches_the_deleted_writers():
+    both = frozenset({NO_POSITIVE_PREDICTIONS, NO_POSITIVE_GOLDS})
+    folds = [
+        Metrics(0.0, 0.0, 0.0, both),
+        Metrics(0.5, 1.0, 2 / 3, frozenset({NO_POSITIVE_GOLDS})),
+        Metrics(1.0, 0.25, 0.4),
+    ]
+    report = aggregate_folds(folds)
+    assert report.mean.degenerate_flags == both
+    linkage = PairLinkage("i1", "Gene::1", None, "exact", UNRESOLVED)
+    ingest_report = IngestReport(3, 2, 1, ["line 4: duplicate edge ('a', 'b', 'r') skipped", "… ünïcode"])
+    plan = make_fold_plan(load_dataset_jsonl(DATA_DIR / "fixture_dataset.jsonl"), 5, 203, stratified=True)
+    cases = [
+        (report, _frozen_fold_report_dict(report)),
+        *((m, _frozen_metrics_dict(m)) for m in folds),
+        (plan, _frozen_fold_plan_dict(plan)),
+        (linkage, _frozen_linkage_dict(linkage)),
+        (ingest_report, asdict(ingest_report)),
+    ]
+    for value, want in cases:
+        got = _plain(value)
+        assert got == want
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)  # 1 == 1.0, but not as JSON
+    assert list(_plain(linkage)) == list(_frozen_linkage_dict(linkage))  # linkage.jsonl keeps the field order
