@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,10 +39,18 @@ class HttpEndpoint:
         require_http_url(self.base_url, "base_url")
         if not self.timeout > 0:
             raise ValueError("timeout must be > 0")
+        if self.timeout > threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must be at most {threading.TIMEOUT_MAX:.0f} seconds")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if not self.backoff >= 0:
             raise ValueError("backoff must be >= 0")
+        # The last retry waits backoff * 2**(max_retries - 1); compared as
+        # backoff against a scaled-down limit, so no float overflows.
+        if self.max_retries and self.backoff > math.ldexp(threading.TIMEOUT_MAX, 1 - self.max_retries):
+            raise ValueError(
+                f"backoff * 2**(max_retries - 1) must be at most {threading.TIMEOUT_MAX:.0f} seconds"
+            )
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
 

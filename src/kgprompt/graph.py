@@ -215,7 +215,7 @@ class KnowledgeGraph:
         return node_id in self._index
 
     def node(self, node_id: str) -> Node:
-        return self._node(self.index_of(node_id))
+        return self.node_at(self.index_of(node_id))
 
     def first_nodes_named(self, names: Iterable[str]) -> dict[str, str]:
         """Name -> id of the first node added with exactly that name, for each
@@ -258,7 +258,7 @@ class KnowledgeGraph:
 
     def neighbors(self, x: str) -> list[Node]:
         """Nodes sharing an edge with x, deduplicated, in first-edge order."""
-        return [self._node(j) for j in self._neighbors(self.index_of(x))]
+        return [self.node_at(j) for j in self._neighbors(self.index_of(x))]
 
     def k_hop_neighbors(self, x: str, k: int) -> list[list[Node]]:
         """Per-hop node lists: hop h holds nodes at shortest distance exactly h.
@@ -270,7 +270,7 @@ class KnowledgeGraph:
         hops: list[list[Node]] = [[] for _hop in range(k)]
         for j, hop in self.hop_distances(self.index_of(x), k).items():
             if hop:
-                hops[hop - 1].append(self._node(j))
+                hops[hop - 1].append(self.node_at(j))
         return hops
 
     def relation_labels_between(self, x: str, y: str) -> list[tuple[str, Direction]]:
@@ -280,17 +280,7 @@ class KnowledgeGraph:
         Order follows edge insertion order; empty when no edge exists.
         """
         j = self.index_of(y)
-        i = self.index_of(x)
-        csr = self._adjacency()
-        found: list[tuple[str, Direction]] = []
-        p, end = csr.offsets[i], csr.offsets[i + 1]
-        while True:
-            try:
-                p = csr.other.index(j, p, end)
-            except ValueError:
-                return found
-            found.append(self._link(i, csr.edge[p]))
-            p += 1
+        return list(self.links(self.index_of(x), j))
 
     # --- the integer view, for algorithms that walk the adjacency in bulk ---
 
@@ -303,16 +293,20 @@ class KnowledgeGraph:
 
     def node_at(self, i: int) -> Node:
         """The node interned to i."""
-        return self._node(i)
+        return Node(self._ids[i], self._names[i], self._types[i])
 
-    def first_link(self, i: int, j: int) -> tuple[str, Direction]:
-        """Label and direction, relative to i, of the first stored edge
-        between the nodes interned to i and j; the first item of
-        ``relation_labels_between`` for their ids. ValueError when they
-        share no edge."""
+    def links(self, i: int, j: int) -> Iterator[tuple[str, Direction]]:
+        """Label and direction, relative to i, of each stored edge between
+        the nodes interned to i and j, in edge insertion order."""
         csr = self._adjacency()
-        p = csr.other.index(j, csr.offsets[i], csr.offsets[i + 1])
-        return self._link(i, csr.edge[p])
+        p, end = csr.offsets[i], csr.offsets[i + 1]
+        while True:
+            try:
+                p = csr.other.index(j, p, end)
+            except ValueError:
+                return
+            yield self._link(i, csr.edge[p])
+            p += 1
 
     def row(self, i: int) -> array:
         """The other ends of node i's links, in edge insertion order, with a
@@ -340,9 +334,6 @@ class KnowledgeGraph:
         return dist
 
     # --- the core ---
-
-    def _node(self, i: int) -> Node:
-        return Node(self._ids[i], self._names[i], self._types[i])
 
     def _neighbors(self, i: int) -> Iterable[int]:
         """Node i's neighbors: its row deduplicated in first-link order."""

@@ -16,7 +16,7 @@ import json
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, TypeVar
 
 from .atomic import write_atomic, write_jsonl
 from .backend import (
@@ -277,6 +277,11 @@ def validate_config(config: ExperimentConfig, check_paths: bool = True) -> None:
     Single-section rules already held when the sections were built.
     """
     kg = config.kg
+    paths = {"dataset": config.dataset, "kg.path": kg.path, "kg.cache_dir": kg.cache_dir,
+             "out_dir": config.out_dir, "overrides": config.overrides}
+    for key, path in paths.items():
+        if path is not None and "\0" in path:
+            raise ConfigError(f"{key} contains a NUL byte: {path!r}")
     if check_paths:
         _require_file("dataset file", config.dataset)
     if kg.kind in LOCAL_KG_KINDS:
@@ -308,16 +313,10 @@ def _require_file(what: str, path: str) -> None:
 # --- artifact helpers ---
 
 
-def _write_json(path: Path, data: object) -> Path:
+def _write_json(path: Path, data: object) -> None:
     with write_atomic(path) as fh:
         json.dump(data, fh, indent=2, sort_keys=True, ensure_ascii=False)
         fh.write("\n")
-    return path
-
-
-def _write_jsonl(path: Path, records: Iterable[dict]) -> Path:
-    write_jsonl(path, records)
-    return path
 
 
 def _bundle_record(instance_id: str, side: str, bundle: StructureBundle) -> dict:
@@ -456,45 +455,52 @@ class _Run:
     contexts: dict[str, GraphContext] = field(default_factory=dict)
     prompts: dict[str, PromptInstance] = field(default_factory=dict)
     folds: list[tuple[list[str], list[str]]] = field(default_factory=list)
+    written: list[Path] = field(default_factory=list)
 
     def fold_dir(self, i: int) -> Path:
         return self.out / "folds" / f"fold_{i}"
 
+    def artifact(self, path: Path) -> Path:
+        """Record ``path`` as a file this run writes, for the manifest, and
+        return it; every stage write goes to a path wrapped in this."""
+        self.written.append(path)
+        return path
 
-# Each stage reads and fills the run state and returns the files it wrote.
+
+# Each stage reads and fills the run state.
 
 
-def _ingest(run: _Run) -> list[Path]:
+def _ingest(run: _Run) -> None:
     config = run.config
     run.instances = load_dataset_jsonl(config.dataset)
     if config.kg.kind == "remote":
         policy = CachePolicy.READ_ONLY if run.offline else CachePolicy.READ_WRITE
         cache = QueryCache(root_dir=Path(config.kg.cache_dir), policy=policy)
         run.source = _RemoteSource(config.kg.endpoint(), cache)
-        return []
+        return
     loader = load_hetionet_json if config.kg.kind == "hetionet_json" else load_edge_list_jsonl
     kg, report = loader(config.kg.path)
     run.source = _LocalSource(kg)
-    return [_write_json(run.out / "ingest_report.json", _plain(report))]
+    _write_json(run.artifact(run.out / "ingest_report.json"), _plain(report))
 
 
-def _link(run: _Run) -> list[Path]:
+def _link(run: _Run) -> None:
     overrides = load_overrides(run.config.overrides) if run.config.overrides else {}
     run.linkages = link_pairs(run.instances, run.source.names(), overrides)
-    return [_write_jsonl(run.out / "linkage.jsonl", map(_plain, run.linkages))]
+    write_jsonl(run.artifact(run.out / "linkage.jsonl"), map(_plain, run.linkages))
 
 
-def _extract(run: _Run) -> list[Path]:
+def _extract(run: _Run) -> None:
     records = []
     for linkage in run.linkages:
         bundles = run.source.extract(linkage, run.config)
         run.bundles[linkage.instance_id] = bundles
         for side, bundle in bundles:
             records.append(_bundle_record(linkage.instance_id, side, bundle))
-    return [_write_jsonl(run.out / "bundles.jsonl", records)]
+    write_jsonl(run.artifact(run.out / "bundles.jsonl"), records)
 
 
-def _verbalize(run: _Run) -> list[Path]:
+def _verbalize(run: _Run) -> None:
     records = []
     for linkage in run.linkages:
         context = _verbalize_bundles(run.source, run.bundles[linkage.instance_id], run.config)
@@ -508,10 +514,10 @@ def _verbalize(run: _Run) -> list[Path]:
                 "source_nodes": list(context.source_nodes),
             }
         )
-    return [_write_jsonl(run.out / "contexts.jsonl", records)]
+    write_jsonl(run.artifact(run.out / "contexts.jsonl"), records)
 
 
-def _build_prompts(run: _Run) -> list[Path]:
+def _build_prompts(run: _Run) -> None:
     config = run.config
     for instance in run.instances:
         prompt = build_prompt(
@@ -523,57 +529,47 @@ def _build_prompts(run: _Run) -> list[Path]:
             mask_token=config.mask_token,
         )
         run.prompts[instance.instance_id] = truncate_prompt(prompt, config.truncation)
-    path = run.out / "prompts.jsonl"
-    export_prompts_jsonl([run.prompts[i.instance_id] for i in run.instances], path)
-    return [path]
+    prompts = [run.prompts[i.instance_id] for i in run.instances]
+    export_prompts_jsonl(prompts, run.artifact(run.out / "prompts.jsonl"))
 
 
-def _split(run: _Run) -> list[Path]:
+def _split(run: _Run) -> None:
     config = run.config
     folds = config.folds
     plan = make_fold_plan(run.instances, folds.n_folds, folds.seed, folds.stratified)
     run.folds = kfold_split(run.instances, plan)
-    written = [_write_json(run.out / "fold_plan.json", _plain(plan))]
+    _write_json(run.artifact(run.out / "fold_plan.json"), _plain(plan))
     for i, (train_ids, test_ids) in enumerate(run.folds):
-        fold_dir = run.fold_dir(i)
         sample = sample_few_shot(train_ids, run.instances, config.few_shot)
         for name, ids in (("few_shot.jsonl", sample), ("test_prompts.jsonl", test_ids)):
-            export_prompts_jsonl([run.prompts[t] for t in ids], fold_dir / name)
-            written.append(fold_dir / name)
-    return written
+            export_prompts_jsonl([run.prompts[t] for t in ids], run.artifact(run.fold_dir(i) / name))
 
 
-def _predict(run: _Run) -> list[Path]:
+def _predict(run: _Run) -> None:
     config = run.config
     backend = config.backend
-    written = []
     for i, (_train_ids, test_ids) in enumerate(run.folds):
         reqs = [request_for_prompt(run.prompts[t], config.label_mapping) for t in test_ids]
         if isinstance(backend, MockBackend):
             records = [predict_mock(r, config.label_mapping, backend.seed) for r in reqs]
         else:
             records = predict_http_batch(backend, reqs, config.label_mapping)
-        written.append(run.fold_dir(i) / "predictions.jsonl")
-        write_predictions_jsonl(records, written[-1])
-    return written
+        write_predictions_jsonl(records, run.artifact(run.fold_dir(i) / "predictions.jsonl"))
 
 
-def _eval(run: _Run) -> list[Path]:
+def _eval(run: _Run) -> None:
     golds = {inst.instance_id: inst.label for inst in run.instances}
-    written = []
     fold_metrics: list[Metrics] = []
     for i, (_train_ids, test_ids) in enumerate(run.folds):
         records = read_predictions_jsonl(run.fold_dir(i) / "predictions.jsonl")
         check_coverage(records, test_ids, f"fold {i}")
         metrics = compute_metrics(records, golds)
         fold_metrics.append(metrics)
-        written.append(_write_json(run.fold_dir(i) / "metrics.json", _plain(metrics)))
+        _write_json(run.artifact(run.fold_dir(i) / "metrics.json"), _plain(metrics))
     fold_report = aggregate_folds(fold_metrics)
-    written.append(_write_json(run.out / "report.json", _plain(fold_report)))
-    with write_atomic(run.out / "report.txt") as fh:
+    _write_json(run.artifact(run.out / "report.json"), _plain(fold_report))
+    with write_atomic(run.artifact(run.out / "report.txt")) as fh:
         fh.write(format_report(fold_report))
-    written.append(run.out / "report.txt")
-    return written
 
 
 _STAGE_TABLE = (
@@ -595,8 +591,8 @@ def run_experiment(
     """Execute the pipeline through ``until`` (a STAGES name) and write artifacts.
 
     Without a backend the run stops before ``predict``. Returns the output
-    directory. Stage failures are wrapped in StageError with the failing
-    stage's name.
+    directory. Stage failures, an artifact that cannot be written included,
+    are wrapped in StageError with the failing stage's name.
     """
     if until not in STAGES:
         raise ConfigError(f"unknown stage {until!r}; expected one of {STAGES}")
@@ -606,22 +602,25 @@ def run_experiment(
         run.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. out_dir, or one of its parents, is a file
         raise ConfigError(f"cannot create out_dir {config.out_dir}: {exc.strerror}") from exc
-    written: list[Path] = []
     for name, stage in _STAGE_TABLE:
         if name == "predict" and config.backend is None:
             break
         try:
-            written += stage(run)
+            stage(run)
         except KgPromptError as exc:
             raise StageError(name, str(exc)) from exc
+        except OSError as exc:  # an artifact that cannot be written
+            raise StageError(name, _os_failure(exc)) from exc
         if name == until:
             break
-    return _finish(run.out, config, written)
+    _finish(run)
+    return run.out
 
 
-def _finish(out: Path, config: ExperimentConfig, written: list[Path]) -> Path:
+def _finish(run: _Run) -> None:
     """Write the manifest: config, seeds and a sha256 per file this run wrote."""
-    artifacts = {str(path.relative_to(out)): file_sha256(path) for path in written}
+    config = run.config
+    artifacts = {str(path.relative_to(run.out)): file_sha256(path) for path in run.written}
     manifest = {
         "config_hash": config.config_hash(),
         "config": config.to_canonical_dict(),
@@ -633,5 +632,14 @@ def _finish(out: Path, config: ExperimentConfig, written: list[Path]) -> Path:
         },
         "artifacts": artifacts,
     }
-    _write_json(out / "manifest.json", manifest)
-    return out
+    try:
+        _write_json(run.out / "manifest.json", manifest)
+    except OSError as exc:
+        raise KgPromptError(f"cannot write the manifest: {_os_failure(exc)}") from exc
+
+
+def _os_failure(exc: OSError) -> str:
+    """``<path>: <reason>`` for a failed file operation; ``os.replace``
+    names its target, not the temporary file, as ``filename2``."""
+    path = exc.filename2 or exc.filename
+    return f"{path}: {exc.strerror}" if path and exc.strerror else str(exc)

@@ -289,15 +289,18 @@ def fetch_entity_label(endpoint: RemoteEndpoint, cache: QueryCache, entity_id: s
 
 
 def _neighbor_row(direction: Direction, binding: object) -> tuple[str, str, str, str, Direction]:
-    """(property id, neighbor id, property label, neighbor label, direction)."""
+    """(property id, neighbor id, property label, neighbor label, direction);
+    a missing or empty label falls back to the id."""
     property_iri = _binding_value(binding, "property", None)
     neighbor_iri = _binding_value(binding, "neighbor", None)
     if property_iri is None or neighbor_iri is None:
         raise MalformedResponseError("SPARQL binding misses property/neighbor")
     property_id = _last_segment(property_iri)
     neighbor_id = _last_segment(neighbor_iri)
-    property_label = _binding_value(binding, "propertyLabel", property_id)
-    neighbor_label = _binding_value(binding, "neighborLabel", neighbor_id)
+    if not property_id or not neighbor_id:
+        raise MalformedResponseError("SPARQL binding has an empty property or neighbor id")
+    property_label = _binding_value(binding, "propertyLabel", property_id) or property_id
+    neighbor_label = _binding_value(binding, "neighborLabel", neighbor_id) or neighbor_id
     return property_id, neighbor_id, property_label, neighbor_label, direction
 
 

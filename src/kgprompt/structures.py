@@ -338,5 +338,5 @@ class _PathTree:
 def _materialize_path(kg: KnowledgeGraph, path: list[int]) -> Metapath:
     # Parallel edges collapse to the first stored edge for each hop.
     return Metapath(
-        nodes=tuple(map(kg.node_at, path)), edges=tuple(map(kg.first_link, path, path[1:]))
+        nodes=tuple(map(kg.node_at, path)), edges=tuple(map(next, map(kg.links, path, path[1:])))
     )

@@ -109,6 +109,14 @@ def test_response_shape_validation():
         InferenceResponse(request_id="r1", scores={"a": float("nan")})
 
 
+def test_http_retry_schedule_is_checked_without_overflow():
+    # the last wait, backoff * 2**(max_retries - 1), must fit the platform's limit
+    assert HttpEndpoint(base_url="http://127.0.0.1:9", max_retries=10**6, backoff=0).max_retries == 10**6
+    assert HttpEndpoint(base_url="http://127.0.0.1:9", max_retries=0, backoff=1e300).backoff == 1e300
+    with pytest.raises(ValueError, match=r"backoff \* 2\*\*\(max_retries - 1\) must be at most"):
+        HttpEndpoint(base_url="http://127.0.0.1:9", max_retries=10**6, backoff=0.005)
+
+
 def test_request_validation():
     with pytest.raises(ValueError):
         InferenceRequest("p", "[MASK]", (), Architecture.MLM, "r1")

@@ -10,6 +10,7 @@ import pytest
 
 import kgprompt
 from kgprompt.cli import main
+from kgprompt.pipeline import STAGES
 
 from conftest import DATA_DIR
 from stubs import score_response
@@ -207,6 +208,21 @@ _NO_SERVER = "http://127.0.0.1:9"  # the discard port: nothing listens there
              "kg: sparql_url must be an http(s) URL")
             for url in _URLS_HTTP_CLIENT_REJECTS
         ),
+        ({"out_dir": "r\0un"}, "out_dir contains a NUL byte"),
+        (
+            {"kg": {"kind": "remote", "cache_dir": "ca\0che", "sparql_url": _NO_SERVER, "entity_api_url": _NO_SERVER}},
+            "kg.cache_dir contains a NUL byte",
+        ),
+        ({"dataset": "data\0set.jsonl"}, "dataset contains a NUL byte"),
+        ({"backend": {"kind": "http", "base_url": _NO_SERVER, "timeout": 1e10}}, "backend: timeout must be at most"),
+        (
+            {"backend": {"kind": "http", "base_url": _NO_SERVER, "timeout": float("inf")}},
+            "backend: timeout must be at most",
+        ),
+        (
+            {"backend": {"kind": "http", "base_url": _NO_SERVER, "max_retries": 1, "backoff": 1e10}},
+            "backend: backoff * 2**(max_retries - 1) must be at most",
+        ),
     ],
     ids=["kg-path-int", "overrides-int", "http-timeout-0", "remote-ftp-url", "max-neighbors-float",
          "few-shot-k-float", "mp-max-hops-float", "n-folds-float", "selection-seed-bool",
@@ -214,7 +230,9 @@ _NO_SERVER = "http://127.0.0.1:9"  # the discard port: nothing listens there
          "label-mode-unknown", "custom-mode-without-words", "identity-mode-with-words",
          "unknown-top-level-key", "config-null", "config-list",
          "http-url-bad-ipv6", "http-url-no-host", "http-url-port-out-of-range",
-         "remote-url-bad-ipv6", "remote-url-no-host", "remote-url-port-out-of-range"],
+         "remote-url-bad-ipv6", "remote-url-no-host", "remote-url-port-out-of-range",
+         "out-dir-nul", "cache-dir-nul", "dataset-nul", "http-timeout-past-limit", "http-timeout-infinity",
+         "http-backoff-past-limit"],
 )
 def test_bad_config_values_exit_code_2_before_any_artifact(tmp_path, capsys, overrides, message):
     if isinstance(overrides, dict):
@@ -321,6 +339,24 @@ def test_non_utf8_input_exit_code_3_naming_the_file(tmp_path, capsys, input_file
     assert main(["run", "--config", str(config)]) == 3
     err = capsys.readouterr().err
     assert "stage 'ingest'" in err and where in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "blocked, failure",
+    [("folds", "stage 'split'"), ("linkage.jsonl", "stage 'link'"), ("manifest.json", "cannot write the manifest")],
+    ids=["folds-is-a-file", "linkage-is-a-directory", "manifest-is-a-directory"],
+)
+def test_artifact_that_cannot_be_written_exit_code_3_naming_it(tmp_path, capsys, blocked, failure):
+    config = write_config(tmp_path)
+    blocker = tmp_path / "run" / blocked
+    if blocked == "folds":
+        blocker.parent.mkdir()
+        blocker.write_text("", encoding="utf-8")
+    else:
+        blocker.mkdir(parents=True)
+    assert main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert failure in err and str(blocker) in err and ".tmp" not in err and "Traceback" not in err
 
 
 def remote_http_config(tmp_path: Path, wiki_server, predict_server) -> Path:
@@ -507,3 +543,20 @@ def test_override_to_an_invalid_entity_id_exit_code_3_before_any_request_for_it(
     err = capsys.readouterr().err
     assert f"{entity_id!r} is not a valid entity id" in err and "Traceback" not in err
     assert not any(entity_id in value for params in wiki_server.params for value in params.values())
+
+
+@pytest.mark.parametrize("setup", ["mock", "no-backend", "remote-http"])
+def test_manifest_lists_exactly_the_files_each_command_wrote(
+    tmp_path, capsys, wiki_server, predict_server, setup
+):
+    if setup == "remote-http":  # no ingest_report.json
+        predict_server.default = {"status": 200, "body": score_response({"causal": 0.7, "non-causal": 0.3})}
+        config = remote_http_config(tmp_path, wiki_server, predict_server)
+    else:  # without a backend, the run stops before predict
+        config = write_config(tmp_path, **({"backend": None} if setup == "no-backend" else {}))
+    for command in (*STAGES, "run"):
+        out = tmp_path / command  # a fresh out_dir per command
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0, command
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert files - {"manifest.json"} == set(manifest["artifacts"]), command

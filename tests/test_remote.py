@@ -279,6 +279,12 @@ MALFORMED_ANSWERS = {
     ),
     "property-value-number": (_neighbors, _bindings({"property": {"value": 2176}, "neighbor": NEIGHBOR})),
     "neighbor-value-list": (_neighbors, _bindings({"property": PROPERTY, "neighbor": {"value": ["Q412415"]}})),
+    "property-id-empty": (
+        _neighbors, _bindings({"property": {"value": "http://www.wikidata.org/prop/direct/"}, "neighbor": NEIGHBOR})
+    ),
+    "neighbor-id-empty": (
+        _neighbors, _bindings({"property": PROPERTY, "neighbor": {"value": "http://www.wikidata.org/entity/"}})
+    ),
     "search-not-list": (_search, {"search": {"id": "Q181257"}}),
     "search-result-not-object": (_search, {"search": [181257]}),
     "search-label-number": (_search, {"search": [{"id": "Q181257", "label": 5}]}),
@@ -302,6 +308,14 @@ def test_malformed_answer_is_not_cached(wiki_server, tmp_path, case):
     replay = QueryCache(root_dir=cache_dir, policy=CachePolicy.READ_ONLY)
     assert fetch(endpoint, replay) == good
     assert wiki_server.request_count == requests_used
+
+
+def test_empty_neighbor_and_property_labels_read_as_the_ids(wiki_server, tmp_path):
+    wiki_server.neighbors[("Q181257", "out")] = [("P2176", "", "Q412415", "")]
+    links = fetch_neighbors_remote(endpoint_for(wiki_server), cache_in(tmp_path), "Q181257")
+    assert [(n.id, n.name, label, d) for n, label, d in links] == [("Q412415", "Q412415", "P2176", "out")]
+    star = graph_from_remote_neighbors(Node(id="Q181257", name="prostate cancer"), links)
+    assert star.relation_labels_between("Q181257", "Q412415") == [("P2176", "out")]
 
 
 # Deeper than the JSON decoder can follow.
