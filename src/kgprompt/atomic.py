@@ -10,11 +10,16 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Literal
 
+# kgprompt writes and hashes text as UTF-8. A lone surrogate (say, a JSON
+# "\ud800" without its pair) has no UTF-8 form, so it is written as that
+# escape, which reads back as the same string; valid text is unchanged.
+TEXT_ERRORS = "backslashreplace"
+
 
 @contextmanager
 def write_atomic(path: str | Path, mode: Literal["w", "wb"] = "w") -> Iterator[IO]:
     """Open a file that replaces ``path`` when the block succeeds: UTF-8 text
-    for ``mode="w"``, bytes for ``mode="wb"``.
+    (``TEXT_ERRORS``) for ``mode="w"``, bytes for ``mode="wb"``.
 
     The temporary file lives in ``path``'s directory, so ``os.replace`` is a
     rename within one file system. On an error it is removed and ``path``
@@ -27,7 +32,7 @@ def write_atomic(path: str | Path, mode: Literal["w", "wb"] = "w") -> Iterator[I
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         binary = mode == "wb"
-        with tmp.open("xb" if binary else "x", encoding=None if binary else "utf-8") as fh:
+        with tmp.open("xb") if binary else tmp.open("x", encoding="utf-8", errors=TEXT_ERRORS) as fh:
             yield fh
         os.replace(tmp, path)
     finally:

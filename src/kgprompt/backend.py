@@ -17,12 +17,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .atomic import write_jsonl
+from .atomic import TEXT_ERRORS, write_jsonl
 from .dataset import LABELS
 from .errors import ProtocolError, UnmappableOutputError, check_field_types, require_http_url
 from .prompts import Architecture, LabelMapping, PromptInstance, unmap_label
 
 _TRANSIENT_STATUSES = frozenset({429, 500, 502, 503, 504})
+# The longest timeout or retry wait: time.sleep fails once the monotonic clock
+# plus the wait passes threading.TIMEOUT_MAX, so half of it leaves the clock room.
+_WAIT_LIMIT = threading.TIMEOUT_MAX / 2
 
 
 @dataclass(frozen=True)
@@ -39,18 +42,16 @@ class HttpEndpoint:
         require_http_url(self.base_url, "base_url")
         if not self.timeout > 0:
             raise ValueError("timeout must be > 0")
-        if self.timeout > threading.TIMEOUT_MAX:
-            raise ValueError(f"timeout must be at most {threading.TIMEOUT_MAX:.0f} seconds")
+        if self.timeout > _WAIT_LIMIT:
+            raise ValueError(f"timeout must be at most {_WAIT_LIMIT:.0f} seconds")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if not self.backoff >= 0:
             raise ValueError("backoff must be >= 0")
         # The last retry waits backoff * 2**(max_retries - 1); compared as
         # backoff against a scaled-down limit, so no float overflows.
-        if self.max_retries and self.backoff > math.ldexp(threading.TIMEOUT_MAX, 1 - self.max_retries):
-            raise ValueError(
-                f"backoff * 2**(max_retries - 1) must be at most {threading.TIMEOUT_MAX:.0f} seconds"
-            )
+        if self.max_retries and self.backoff > math.ldexp(_WAIT_LIMIT, 1 - self.max_retries):
+            raise ValueError(f"backoff * 2**(max_retries - 1) must be at most {_WAIT_LIMIT:.0f} seconds")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
 
@@ -247,7 +248,7 @@ def predict_http_batch(
 
 def predict_mock(req: InferenceRequest, mapping: LabelMapping, seed: int) -> PredictionRecord:
     """Deterministic offline prediction from a seeded hash of the prompt."""
-    digest = hashlib.sha256(f"{seed}:{req.prompt}".encode("utf-8")).digest()
+    digest = hashlib.sha256(f"{seed}:{req.prompt}".encode("utf-8", TEXT_ERRORS)).digest()
     index = int.from_bytes(digest[:8], "big") % len(req.candidates)
     predicted = unmap_label(mapping, req.candidates[index])
     return PredictionRecord(

@@ -26,6 +26,7 @@ import time
 from typing import NamedTuple
 from urllib.parse import urlencode, urlsplit
 
+from .atomic import TEXT_ERRORS
 from .errors import NetworkError
 
 _idle: dict[tuple[str, str], list[http.client.HTTPConnection]] = {}
@@ -78,7 +79,8 @@ def post(
     if json is not None:
         body, kind = jsonlib.dumps(json, allow_nan=False).encode("utf-8"), "application/json"
     else:
-        body, kind = urlencode(form or {}).encode("ascii"), "application/x-www-form-urlencoded"
+        body = urlencode(form or {}, errors=TEXT_ERRORS).encode("ascii")
+        kind = "application/x-www-form-urlencoded"
     headers = {"Content-Type": kind, **(headers or {})}
 
     with _lock:

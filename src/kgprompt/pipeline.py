@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .atomic import write_atomic, write_jsonl
+from .atomic import TEXT_ERRORS, write_atomic, write_jsonl
 from .backend import (
     HttpEndpoint,
     predict_http_batch,
@@ -213,7 +213,7 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_canonical_dict(), sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return hashlib.sha256(canonical.encode("utf-8", TEXT_ERRORS)).hexdigest()
 
 
 def _section(data: dict, name: str, build: Callable[..., T]) -> T:
@@ -271,7 +271,7 @@ _SECTIONS: dict[str, Callable[..., object]] = {
 }
 
 
-def validate_config(config: ExperimentConfig, check_paths: bool = True) -> None:
+def validate_config(config: ExperimentConfig) -> None:
     """Raise ConfigError for a rule that spans sections or an input that is not a file.
 
     Single-section rules already held when the sections were built.
@@ -282,17 +282,15 @@ def validate_config(config: ExperimentConfig, check_paths: bool = True) -> None:
     for key, path in paths.items():
         if path is not None and "\0" in path:
             raise ConfigError(f"{key} contains a NUL byte: {path!r}")
-    if check_paths:
-        _require_file("dataset file", config.dataset)
+    _require_file("dataset file", config.dataset)
     if kg.kind in LOCAL_KG_KINDS:
         if not kg.path:
             raise ConfigError("local kg sources need kg.path")
-        if check_paths:
-            _require_file("kg dump", kg.path)
+        _require_file("kg dump", kg.path)
     else:
         if not kg.cache_dir:
             raise ConfigError("remote kg sources need kg.cache_dir for reproducibility")
-        if check_paths and Path(kg.cache_dir).exists() and not Path(kg.cache_dir).is_dir():
+        if Path(kg.cache_dir).exists() and not Path(kg.cache_dir).is_dir():
             raise ConfigError(f"kg.cache_dir is not a directory: {kg.cache_dir}")
         if config.structure is not StructureKind.NN:
             raise ConfigError(
@@ -300,7 +298,7 @@ def validate_config(config: ExperimentConfig, check_paths: bool = True) -> None:
             )
     if config.structure is StructureKind.MP and config.limits.max_hops < 2:
         raise ConfigError("metapath extraction requires limits.max_hops >= 2")
-    if config.overrides and check_paths:
+    if config.overrides:
         _require_file("override table", config.overrides)
 
 

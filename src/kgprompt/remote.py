@@ -8,10 +8,12 @@ experiment byte-for-byte with no network access (``read_only`` policy).
 Requests are issued sequentially; public endpoints rate-limit, and
 determinism matters more than throughput here. They are form-encoded POSTs
 through ``kgprompt.http``, which keeps one connection per endpoint host
-alive across them and retries connection failures and 5xx answers with
-backoff. A 429 is not retried: it raises ``RateLimitedError`` carrying the
-``Retry-After`` seconds. Proxies and ``.netrc`` are not read, and redirects
-are not followed.
+alive across them. Each request waits up to ``TIMEOUT`` seconds and is
+retried ``MAX_RETRIES`` times after a connection failure or a 5xx answer,
+waiting ``BACKOFF`` seconds before the first retry and twice as long before
+each next one; nothing configures these. A 429 is not retried: it raises
+``RateLimitedError`` carrying the ``Retry-After`` seconds. Proxies and
+``.netrc`` are not read, and redirects are not followed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from importlib.resources import files as resource_files
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
-from .atomic import write_atomic
+from .atomic import TEXT_ERRORS, write_atomic
 from .errors import (
     CacheError,
     MalformedResponseError,
@@ -44,6 +46,9 @@ from .graph import Direction, KnowledgeGraph, Node
 _ENTITY_ID = re.compile(r"[QP][0-9]+")
 _TRANSIENT_STATUSES = frozenset({500, 502, 503, 504})
 _USER_AGENT = "kgprompt/0.1 (graph-context extraction)"
+TIMEOUT = 30.0
+MAX_RETRIES = 3
+BACKOFF = 1.0
 
 T = TypeVar("T")
 
@@ -52,13 +57,8 @@ T = TypeVar("T")
 class RemoteEndpoint:
     sparql_url: str = "https://query.wikidata.org/sparql"
     entity_api_url: str = "https://www.wikidata.org/w/api.php"
-    timeout: float = 30.0
-    max_retries: int = 3
-    backoff: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
         for name in ("sparql_url", "entity_api_url"):
             require_http_url(getattr(self, name), name)
 
@@ -84,7 +84,7 @@ class QueryCache:
 
     @staticmethod
     def key_for(canonical_query: str) -> str:
-        return hashlib.sha256(canonical_query.encode("utf-8")).hexdigest()
+        return hashlib.sha256(canonical_query.encode("utf-8", TEXT_ERRORS)).hexdigest()
 
     def _entry_path(self, key: str) -> Path:
         return Path(self.root_dir) / key[:2] / f"{key}.json"
@@ -160,9 +160,9 @@ def _fetch_json(
         url,
         what=f"{kind} request",
         transient=_TRANSIENT_STATUSES,
-        retries=endpoint.max_retries,
-        backoff=endpoint.backoff,
-        timeout=endpoint.timeout,
+        retries=MAX_RETRIES,
+        backoff=BACKOFF,
+        timeout=TIMEOUT,
         form=params,
         headers=headers,
     )

@@ -42,3 +42,16 @@ def wiki_server():
     server = StubWikiServer().start()
     yield server
     server.stop()
+
+
+@pytest.fixture
+def remote_timing(monkeypatch):
+    """Sets the remote source's request timing for one test, by keyword:
+    ``timeout``, ``max_retries`` or ``backoff``."""
+    from kgprompt import remote
+
+    def set_timing(**values: float) -> None:
+        for name, value in values.items():
+            monkeypatch.setattr(remote, name.upper(), value)
+
+    return set_timing

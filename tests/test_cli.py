@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -223,6 +225,11 @@ _NO_SERVER = "http://127.0.0.1:9"  # the discard port: nothing listens there
             {"backend": {"kind": "http", "base_url": _NO_SERVER, "max_retries": 1, "backoff": 1e10}},
             "backend: backoff * 2**(max_retries - 1) must be at most",
         ),
+        (
+            {"backend": {"kind": "http", "base_url": _NO_SERVER, "max_retries": 1,
+                         "backoff": threading.TIMEOUT_MAX - 1000}},
+            "backend: backoff * 2**(max_retries - 1) must be at most",
+        ),
     ],
     ids=["kg-path-int", "overrides-int", "http-timeout-0", "remote-ftp-url", "max-neighbors-float",
          "few-shot-k-float", "mp-max-hops-float", "n-folds-float", "selection-seed-bool",
@@ -232,7 +239,7 @@ _NO_SERVER = "http://127.0.0.1:9"  # the discard port: nothing listens there
          "http-url-bad-ipv6", "http-url-no-host", "http-url-port-out-of-range",
          "remote-url-bad-ipv6", "remote-url-no-host", "remote-url-port-out-of-range",
          "out-dir-nul", "cache-dir-nul", "dataset-nul", "http-timeout-past-limit", "http-timeout-infinity",
-         "http-backoff-past-limit"],
+         "http-backoff-past-limit", "http-backoff-near-limit"],
 )
 def test_bad_config_values_exit_code_2_before_any_artifact(tmp_path, capsys, overrides, message):
     if isinstance(overrides, dict):
@@ -560,3 +567,98 @@ def test_manifest_lists_exactly_the_files_each_command_wrote(
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
         assert files - {"manifest.json"} == set(manifest["artifacts"]), command
+
+
+# A lone surrogate: JSON reads "\ud800" without its pair, strict UTF-8 cannot write it.
+_LONE = "\ud800"
+
+
+def _jsonl_records(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _write_jsonl_records(path: Path, records: list[dict]) -> Path:
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")  # escapes as \uXXXX
+    return path
+
+
+def _fixture_kg_renaming(tmp_path: Path, old: str, new: str, hetionet: bool) -> dict:
+    """The ``kg`` section of the fixture graph with node ``old`` named ``new``,
+    as a JSONL graph or as a Hetionet dump."""
+    records = _jsonl_records(DATA_DIR / "fixture_kg.jsonl")
+    nodes = [r["node"] for r in records if "node" in r]
+    for node in nodes:
+        node["name"] = new if node["name"] == old else node["name"]
+    if not hetionet:
+        return {"kind": "jsonl", "path": str(_write_jsonl_records(tmp_path / "kg.jsonl", records))}
+    kind_of = {node["id"]: node["type"] for node in nodes}
+    dump = {
+        "nodes": [{"kind": n["type"], "identifier": n["id"], "name": n["name"]} for n in nodes],
+        "edges": [
+            {"source_id": [kind_of[e["source"]], e["source"]], "target_id": [kind_of[e["target"]], e["target"]],
+             "kind": e["label"], "direction": "forward"}
+            for e in (r["edge"] for r in records if "edge" in r)
+        ],
+    }
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(dump), encoding="utf-8")
+    return {"kind": "hetionet_json", "path": str(path)}
+
+
+def _surrogate_input(tmp_path: Path, case: str, odd: str) -> tuple[dict, str, str]:
+    """(config overrides, artifact, the text it must carry) for ``odd`` in one input."""
+    if case == "dataset-text":
+        records = _jsonl_records(DATA_DIR / "fixture_dataset.jsonl")
+        records[0]["text"] = records[0]["text"].replace("activating", f"activ{odd}ating")
+        dataset = _write_jsonl_records(tmp_path / "dataset.jsonl", records)
+        return {"dataset": str(dataset)}, "prompts.jsonl", f"activ{odd}ating"
+    if case == "mask-token":
+        return {"mask_token": f"[M{odd}]"}, "prompts.jsonl", f"[M{odd}]"
+    if case == "template-word":
+        return {"templates": {"nn_connective": f"is {odd} connected to"}}, "contexts.jsonl", f"is {odd} connected to"
+    kg = _fixture_kg_renaming(tmp_path, "FGFR4", f"FGFR{odd}4", hetionet=case == "hetionet-node-name")
+    return {"kg": kg}, "contexts.jsonl", f"FGFR{odd}4"
+
+
+@pytest.mark.parametrize(
+    "case", ["dataset-text", "mask-token", "template-word", "jsonl-node-name", "hetionet-node-name"]
+)
+def test_lone_surrogate_is_written_as_its_escape_and_reads_back(tmp_path, capsys, case):
+    overrides, artifact, expected = _surrogate_input(tmp_path, case, _LONE)
+    config = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(config)]) == 0
+    out = tmp_path / "run"
+    raw = (out / artifact).read_bytes()
+    assert b"\\ud800" in raw and "\\ud800" in raw.decode("utf-8")  # valid UTF-8 throughout
+    strings = [value for record in _jsonl_records(out / artifact) for value in record.values()]
+    assert any(isinstance(value, str) and expected in value for value in strings)
+    first = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}  # config_hash included
+    shutil.rmtree(out)
+    assert main(["run", "--config", str(config)]) == 0
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == first
+
+
+def test_surrogate_pair_from_json_escapes_is_written_as_utf8(tmp_path, capsys):
+    overrides, artifact, _expected = _surrogate_input(tmp_path, "jsonl-node-name", "\U0001F600")
+    assert b"FGFR\\ud83d\\ude004" in Path(overrides["kg"]["path"]).read_bytes()  # the input holds the pair
+    assert main(["run", "--config", str(write_config(tmp_path, **overrides))]) == 0
+    raw = (tmp_path / "run" / artifact).read_bytes()
+    assert "FGFR\U0001F6004".encode("utf-8") in raw and b"\\ud83d" not in raw
+
+
+def test_remote_name_with_a_lone_surrogate_links_as_unresolved(tmp_path, capsys, wiki_server, predict_server):
+    predict_server.default = {"status": 200, "body": score_response({"causal": 0.7, "non-causal": 0.3})}
+    config = remote_http_config(tmp_path, wiki_server, predict_server)
+    records = _jsonl_records(DATA_DIR / "fixture_dataset.jsonl")
+    assert records[0]["text"].startswith("FGF6 ")
+    records[0]["text"] = f"FG{_LONE}F6" + records[0]["text"][4:]
+    records[0]["e2"] = {key: at + 1 for key, at in records[0]["e2"].items()}
+    records[0]["e1"]["end"] += 1
+    dataset = _write_jsonl_records(tmp_path / "dataset.jsonl", records)
+    data = json.loads(config.read_text(encoding="utf-8"))
+    config.write_text(json.dumps({**data, "dataset": str(dataset)}), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert "FG\\ud800F6" in {params.get("search") for params in wiki_server.params}  # sent as its escape
+    linkage = {r["instance_id"]: r for r in _jsonl_records(tmp_path / "run" / "linkage.jsonl")}
+    assert linkage[records[0]["instance_id"]]["e1_method"] == "unresolved"

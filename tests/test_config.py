@@ -22,7 +22,8 @@ import pytest
 from kgprompt.backend import HttpEndpoint
 from kgprompt.cli import main
 from kgprompt.errors import ConfigError, KgPromptError
-from kgprompt.pipeline import ExperimentConfig, FoldConfig, MockBackend, run_experiment
+from kgprompt.pipeline import ExperimentConfig, FoldConfig, KgSource, MockBackend, run_experiment
+from kgprompt.remote import RemoteEndpoint
 from kgprompt.verbalize import TemplateSet
 
 from conftest import DATA_DIR
@@ -126,6 +127,12 @@ def test_canonical_dict_covers_every_field():
     assert set(full) == names  # every top-level key is given
     for data in (MINIMAL, full):
         assert set(ExperimentConfig.from_dict(data).to_canonical_dict()) == names
+
+
+def test_every_remote_setting_has_a_kg_key():
+    # a RemoteEndpoint field that the kg section lacks is a setting no configuration reaches
+    remote = {f.name for f in dataclasses.fields(RemoteEndpoint)}
+    assert remote - {f.name for f in dataclasses.fields(KgSource)} == set()
 
 
 def test_integer_http_settings_are_stored_as_floats(workdir):

@@ -51,11 +51,11 @@ def test_sequential_requests_share_one_connection(keep_alive_server):
     assert keep_alive_server.connections == 1
 
 
-def test_remote_fetches_share_one_connection(tmp_path):
+def test_remote_fetches_share_one_connection(tmp_path, remote_timing):
+    remote_timing(timeout=5.0, max_retries=0)
     server = StubWikiServer(keep_alive=True).start()
     try:
-        endpoint = RemoteEndpoint(sparql_url=server.sparql_url, entity_api_url=server.api_url,
-                                  timeout=5.0, max_retries=0)
+        endpoint = RemoteEndpoint(sparql_url=server.sparql_url, entity_api_url=server.api_url)
         cache = QueryCache(root_dir=tmp_path / "cache")
         for name in ("a", "b", "c", "d"):
             assert resolve_entity(endpoint, cache, name) == []

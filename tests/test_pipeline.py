@@ -212,12 +212,12 @@ def test_remote_source_requires_nn_and_cache(tmp_path):
         )
     )
     with pytest.raises(ConfigError, match="NN"):
-        validate_config(config, check_paths=False)
+        validate_config(config)
     config2 = ExperimentConfig.from_dict(
         base_config_dict(tmp_path / "run", kg={"kind": "remote"})
     )
     with pytest.raises(ConfigError, match="cache_dir"):
-        validate_config(config2, check_paths=False)
+        validate_config(config2)
 
 
 def test_remote_nn_pipeline_with_stub(tmp_path, wiki_server):

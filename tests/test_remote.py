@@ -26,14 +26,13 @@ from kgprompt.remote import (
 from kgprompt.graph import Node
 
 
+@pytest.fixture(autouse=True)
+def fast_requests(remote_timing):
+    remote_timing(timeout=5.0, max_retries=1, backoff=0.01)
+
+
 def endpoint_for(server) -> RemoteEndpoint:
-    return RemoteEndpoint(
-        sparql_url=server.sparql_url,
-        entity_api_url=server.api_url,
-        timeout=5.0,
-        max_retries=1,
-        backoff=0.01,
-    )
+    return RemoteEndpoint(sparql_url=server.sparql_url, entity_api_url=server.api_url)
 
 
 def cache_in(tmp_path: Path, policy=CachePolicy.READ_WRITE) -> QueryCache:
@@ -95,7 +94,7 @@ def test_fetch_neighbors_invalid_id(wiki_server, tmp_path):
         fetch_neighbors_remote(endpoint_for(wiki_server), cache_in(tmp_path), "not-an-id")
 
 
-def test_cache_replays_without_network(wiki_server, tmp_path):
+def test_cache_replays_without_network(wiki_server, tmp_path, remote_timing):
     seed_prostate(wiki_server)
     cache_dir = tmp_path / "cache"
     endpoint = endpoint_for(wiki_server)
@@ -105,21 +104,17 @@ def test_cache_replays_without_network(wiki_server, tmp_path):
     requests_used = wiki_server.request_count
     wiki_server.stop()
 
-    dead = RemoteEndpoint(
-        sparql_url="http://127.0.0.1:9/sparql",
-        entity_api_url="http://127.0.0.1:9/api",
-        timeout=0.5,
-        max_retries=0,
-        backoff=0.01,
-    )
+    remote_timing(timeout=0.5, max_retries=0, backoff=0.01)
+    dead = RemoteEndpoint(sparql_url="http://127.0.0.1:9/sparql", entity_api_url="http://127.0.0.1:9/api")
     replay = QueryCache(root_dir=cache_dir, policy=CachePolicy.READ_ONLY)
     assert fetch_neighbors_remote(dead, replay, "Q181257") == first
     assert fetch_entity_label(dead, replay, "Q181257") == first_label == "prostate cancer"
     assert wiki_server.request_count == requests_used
 
 
-def test_read_only_cache_miss_is_network_error(tmp_path):
-    dead = RemoteEndpoint(sparql_url="http://127.0.0.1:9/sparql", timeout=0.5, max_retries=0)
+def test_read_only_cache_miss_is_network_error(tmp_path, remote_timing):
+    remote_timing(timeout=0.5, max_retries=0)
+    dead = RemoteEndpoint(sparql_url="http://127.0.0.1:9/sparql")
     cache = cache_in(tmp_path, policy=CachePolicy.READ_ONLY)
     with pytest.raises(NetworkError, match="read_only"):
         fetch_neighbors_remote(dead, cache, "Q1")
