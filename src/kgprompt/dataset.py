@@ -26,6 +26,7 @@ from .errors import (
     require_int,
     require_str,
 )
+from .structures import select_subset
 
 CAUSAL = "causal"
 NON_CAUSAL = "non-causal"
@@ -186,11 +187,10 @@ def sample_few_shot(
         raise TooFewInstancesError(
             f"need {cfg.k} training instances, pool has {len(train_ids)}"
         )
-    rng = Random(cfg.seed)
     if not cfg.stratified:
-        keep = sorted(rng.sample(range(len(train_ids)), cfg.k))
-        return [train_ids[i] for i in keep]
+        return select_subset(train_ids, cfg.k, cfg.seed)
 
+    rng = Random(cfg.seed)
     label_of = {inst.instance_id: inst.label for inst in instances}
     chosen: set[str] = set()
     for label, need in ((CAUSAL, ceil(cfg.k / 2)), (NON_CAUSAL, floor(cfg.k / 2))):

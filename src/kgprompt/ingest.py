@@ -8,25 +8,24 @@ single-threaded; the resulting graph inherits the immutability contract of
 
 **Snapshots.** Both loaders first hash the dump (sha256). A graph parsed from
 a dump is saved as a snapshot under ``$XDG_CACHE_HOME/kgprompt/graphs/``
-(``~/.cache`` when the variable is unset or not an absolute path), keyed by
-that digest, the loader, the snapshot format version, the byte order and the
-sha256 of this module's and :mod:`kgprompt.graph`'s source, so a code change
-never reads an old snapshot. A later load of the same bytes restores the
+(``~/.cache`` when the variable is unset or not an absolute path), one file
+per loader and dump digest. A later load of the same bytes restores the
 graph and its :class:`IngestReport` (warnings included) from the snapshot and
-skips the parse. A snapshot is a fixed header (magic, version, payload
-length, payload sha256) and a payload of a fixed vector of sizes, the
-``marshal``-encoded string tables and report, and the raw integer arrays in
-:data:`kgprompt.graph.ARRAYS` order. The sizes are the tables' length and each
-array's item count; the arrays' names and typecodes are not on disk, since
-``ARRAYS`` states them. The string tables are the node ids, names and types
-and the edge labels; the arrays are the edge columns, the adjacency CSR and
-the normalized-name index (the names' UTF-8 bytes, their offsets and their
-first nodes), so a restore builds neither the CSR nor the index again. The
-marshalled bytes are dropped as soon as they are decoded, before the graph's
-node index is built.
-Any mismatch, truncation or decode error makes the loader parse the dump
-again and rewrite the snapshot. A cache directory that cannot be written
-costs a log warning, not the load.
+skips the parse. A snapshot is a fixed header (magic, format version, code
+digest, payload length, payload sha256) and a payload of a fixed vector of
+sizes, the ``marshal``-encoded string tables and report, and the raw integer
+arrays in :data:`kgprompt.graph.ARRAYS` order. The sizes are the tables'
+length and each array's item count; the arrays' names and typecodes are not
+on disk, since ``ARRAYS`` states them. The string tables are the node ids,
+names and types and the edge labels; the arrays are the edge columns, the
+adjacency CSR and the normalized-name index (the names' UTF-8 bytes, their
+offsets and their first nodes), so a restore builds neither the CSR nor the
+index again. The marshalled bytes are dropped as soon as they are decoded,
+before the graph's node index is built.
+A snapshot of another code digest (byte order, this module's and
+:mod:`kgprompt.graph`'s source), like any mismatch, truncation or decode
+error, makes the loader parse the dump again and write the snapshot over the
+same file. An unwritable cache directory costs a log warning, not the load.
 
 **Parsing.** The parse runs with the cyclic garbage collector paused and
 restores the caller's GC state afterwards, also when it raises: a load makes
@@ -66,10 +65,10 @@ log = logging.getLogger(__name__)
 # Warnings kept verbatim in the report are capped; counts stay exact.
 _MAX_WARNINGS = 50
 
-_SNAPSHOT_VERSION = 6
+_SNAPSHOT_VERSION = 7
 _SNAPSHOT_MAGIC = b"KGPGRAPH"
-# magic, format version, payload length, payload sha256
-_SNAPSHOT_HEADER = struct.Struct("<8sIQ32s")
+# magic, format version, code digest, payload length, payload sha256
+_SNAPSHOT_HEADER = struct.Struct("<8sI32sQ32s")
 # the payload's sizes: the marshalled tables' length, then each array's item count
 _SNAPSHOT_SIZES = struct.Struct(f"<{1 + len(graph_module.ARRAYS)}Q")
 
@@ -283,20 +282,19 @@ def _load(
 def _snapshot_path(kind: str, dump_sha256: str) -> Path:
     """Where the snapshot of a dump with this digest, read by the loader
     ``kind``, lives."""
-    key = "\0".join((kind, str(_SNAPSHOT_VERSION), sys.byteorder, _code_sha256(), dump_sha256))
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):  # unset, empty or relative: the spec says ignore it
         root = os.path.join(os.path.expanduser("~"), ".cache")
-    return Path(root) / "kgprompt" / "graphs" / f"{hashlib.sha256(key.encode()).hexdigest()}.graph"
+    return Path(root) / "kgprompt" / "graphs" / f"{kind}-{dump_sha256}.graph"
 
 
 @functools.cache
-def _code_sha256() -> str:
-    """sha256 of the source of the modules that decide what a snapshot holds."""
-    digest = hashlib.sha256()
+def _code_sha256() -> bytes:
+    """sha256 of the byte order and the modules that decide what a snapshot holds."""
+    digest = hashlib.sha256(sys.byteorder.encode())
     for module_file in (graph_module.__file__, __file__):
         digest.update(Path(module_file).read_bytes())
-    return digest.hexdigest()
+    return digest.digest()
 
 
 def file_sha256(path: Path) -> str:
@@ -326,12 +324,13 @@ def _read_snapshot(path: Path) -> tuple[KnowledgeGraph, IngestReport] | None:
 def _decode_snapshot(fh: BinaryIO) -> tuple[KnowledgeGraph, IngestReport]:
     """Read and check a whole snapshot, then decode it.
 
-    Nothing read is decoded or trusted before the payload's length and
-    checksum match the header; the sizes only say how much to read.
+    Nothing is read past a header of another format version or code, and
+    nothing is decoded or trusted before the payload's length and checksum
+    match the header; the sizes only say how much to read.
     """
-    magic, version, length, checksum = _SNAPSHOT_HEADER.unpack(fh.read(_SNAPSHOT_HEADER.size))
-    if magic != _SNAPSHOT_MAGIC or version != _SNAPSHOT_VERSION:
-        raise ValueError(f"not a version {_SNAPSHOT_VERSION} graph snapshot")
+    magic, version, code, length, checksum = _SNAPSHOT_HEADER.unpack(fh.read(_SNAPSHOT_HEADER.size))
+    if (magic, version, code) != (_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, _code_sha256()):
+        raise ValueError(f"not a version {_SNAPSHOT_VERSION} graph snapshot of this code")
     if os.fstat(fh.fileno()).st_size != _SNAPSHOT_HEADER.size + length:
         raise EOFError("file size does not match the payload length")
     sizes = fh.read(_SNAPSHOT_SIZES.size)
@@ -354,9 +353,9 @@ def _decode_snapshot(fh: BinaryIO) -> tuple[KnowledgeGraph, IngestReport]:
 
 
 def _write_snapshot(path: Path, graph: KnowledgeGraph, report: IngestReport) -> None:
-    """Save a snapshot: the header, then a payload of the sizes, the
-    marshalled string tables and report, and each integer array's bytes in
-    ``ARRAYS`` order."""
+    """Save a snapshot, over any file at ``path``: the header, stamped with
+    this code's digest, then a payload of the sizes, the marshalled string
+    tables and report, and each integer array's bytes in ``ARRAYS`` order."""
     tables, arrays = graph.dump()
     head = marshal.dumps({"graph": tables, "report": asdict(report)})
     columns = [arrays[name] for name in graph_module.ARRAYS]
@@ -367,7 +366,8 @@ def _write_snapshot(path: Path, graph: KnowledgeGraph, report: IngestReport) -> 
     length = sum(memoryview(piece).nbytes for piece in pieces)
     try:
         with write_atomic(path, mode="wb") as fh:
-            fh.write(_SNAPSHOT_HEADER.pack(_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, length, digest.digest()))
+            stamp = (_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, _code_sha256())
+            fh.write(_SNAPSHOT_HEADER.pack(*stamp, length, digest.digest()))
             for piece in pieces:
                 fh.write(piece)
     except OSError as exc:

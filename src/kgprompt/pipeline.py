@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -280,8 +281,14 @@ def validate_config(config: ExperimentConfig) -> None:
     paths = {"dataset": config.dataset, "kg.path": kg.path, "kg.cache_dir": kg.cache_dir,
              "out_dir": config.out_dir, "overrides": config.overrides}
     for key, path in paths.items():
-        if path is not None and "\0" in path:
+        if path is None:
+            continue
+        if "\0" in path:
             raise ConfigError(f"{key} contains a NUL byte: {path!r}")
+        try:
+            os.fsencode(path)
+        except UnicodeEncodeError:
+            raise ConfigError(f"{key} cannot be encoded as a file name: {path!r}") from None
     _require_file("dataset file", config.dataset)
     if kg.kind in LOCAL_KG_KINDS:
         if not kg.path:

@@ -135,7 +135,6 @@ def _delay_seconds(retry_after: str | None) -> float | None:
 
 
 def _fetch_json(
-    endpoint: RemoteEndpoint,
     cache: QueryCache,
     kind: str,
     url: str,
@@ -209,7 +208,6 @@ def _run_sparql(
         return [row(binding) for binding in bindings]
 
     return _fetch_json(
-        endpoint,
         cache,
         kind="sparql",
         url=endpoint.sparql_url,
@@ -264,7 +262,6 @@ def resolve_entity(
     if not name:
         raise ValueError("name must be non-empty")
     return _fetch_json(
-        endpoint,
         cache,
         kind="wbsearchentities",
         url=endpoint.entity_api_url,

@@ -201,6 +201,22 @@ def test_http_error_body_is_protocol_error(predict_server):
         predict_http(endpoint_for(predict_server), make_request(), IDENTITY)
 
 
+@pytest.mark.parametrize(
+    "status, body, message",
+    [
+        (200, ["causal"], "response body must be a JSON object"),
+        (200, {"code": 7, "message": "model not loaded"}, "backend error 7: model not loaded"),
+        (404, {"code": 404}, "unexpected HTTP 404 from "),
+    ],
+    ids=["body-not-object", "error-object-with-200", "error-without-message"],
+)
+def test_http_answer_that_is_no_response_is_protocol_error(predict_server, status, body, message):
+    predict_server.default = {"status": status, "body": body}
+    with pytest.raises(ProtocolError, match=f"^{message}"):
+        predict_http(endpoint_for(predict_server), make_request(), IDENTITY)
+    assert len(predict_server.requests) == 1  # not retried
+
+
 def test_http_request_id_mismatch(predict_server):
     predict_server.default = {"status": 200, "body": lambda req: {"request_id": "other", "scores": {"causal": 1.0, "non-causal": 0.0}}}
     with pytest.raises(ProtocolError, match="request_id"):

@@ -210,6 +210,16 @@ _NO_SERVER = "http://127.0.0.1:9"  # the discard port: nothing listens there
              "kg: sparql_url must be an http(s) URL")
             for url in _URLS_HTTP_CLIENT_REJECTS
         ),
+        ({"kg": {"kind": "jsonl"}}, "local kg sources need kg.path"),
+        *(
+            ({key: f"{key}\ud800"}, f"{key} cannot be encoded as a file name")
+            for key in ("dataset", "out_dir", "overrides")
+        ),
+        ({"kg": {"kind": "jsonl", "path": "kg\ud800.jsonl"}}, "kg.path cannot be encoded as a file name"),
+        (
+            {"kg": {"kind": "remote", "cache_dir": "ca\ud800che", "sparql_url": _NO_SERVER, "entity_api_url": _NO_SERVER}},
+            "kg.cache_dir cannot be encoded as a file name",
+        ),
         ({"out_dir": "r\0un"}, "out_dir contains a NUL byte"),
         (
             {"kg": {"kind": "remote", "cache_dir": "ca\0che", "sparql_url": _NO_SERVER, "entity_api_url": _NO_SERVER}},
@@ -238,6 +248,8 @@ _NO_SERVER = "http://127.0.0.1:9"  # the discard port: nothing listens there
          "unknown-top-level-key", "config-null", "config-list",
          "http-url-bad-ipv6", "http-url-no-host", "http-url-port-out-of-range",
          "remote-url-bad-ipv6", "remote-url-no-host", "remote-url-port-out-of-range",
+         "kg-path-missing", "dataset-unencodable", "out-dir-unencodable", "overrides-unencodable",
+         "kg-path-unencodable", "cache-dir-unencodable",
          "out-dir-nul", "cache-dir-nul", "dataset-nul", "http-timeout-past-limit", "http-timeout-infinity",
          "http-backoff-past-limit", "http-backoff-near-limit"],
 )
@@ -272,8 +284,9 @@ _SPAN_NOT_INT = json.dumps(
         ("dataset", "5", "line 2: record must be a JSON object"),
         ("dataset", _SPAN_NOT_INT, "line 2: e1.start must be an integer, not str"),
         ("kg", '{"edge": 5}', "line 2: edge record must be a JSON object"),
+        ("kg", '{"x": 1}', "line 2: record has neither 'node' nor 'edge' key"),
     ],
-    ids=["dataset-line-not-object", "dataset-span-not-int", "graph-edge-not-object"],
+    ids=["dataset-line-not-object", "dataset-span-not-int", "graph-edge-not-object", "graph-record-no-kind"],
 )
 def test_bad_input_records_exit_code_3_naming_the_line(tmp_path, capsys, input_file, bad_line, message):
     fixture = DATA_DIR / ("fixture_dataset.jsonl" if input_file == "dataset" else "fixture_kg.jsonl")

@@ -644,6 +644,26 @@ def test_changed_dump_is_parsed_again(tmp_path, graph_cache, monkeypatch, fmt):
 
 
 @pytest.mark.parametrize("fmt", sorted(_LOADERS))
+def test_snapshot_of_other_code_is_replaced_in_place(tmp_path, graph_cache, monkeypatch, caplog, fmt):
+    path = _random_dump(tmp_path, fmt, seed=10)
+    expected = _outcome(_FROZEN[fmt], path)
+    _LOADERS[fmt](path)
+    parses = _count_parses(monkeypatch, fmt)
+    other_code = ingest._code_sha256()[::-1]  # another digest of the same form
+    monkeypatch.setattr(ingest, "_code_sha256", lambda: other_code)
+    with caplog.at_level("WARNING", logger="kgprompt.ingest"):
+        assert _outcome(_LOADERS[fmt], path) == expected
+    assert parses == [path]
+    (snapshot,) = (graph_cache / "kgprompt" / "graphs").iterdir()
+    assert [r.getMessage() for r in caplog.records] == [
+        f"graph snapshot {snapshot} is not usable (not a version {ingest._SNAPSHOT_VERSION} graph snapshot"
+        " of this code); parsing the dump again"
+    ]
+    assert _outcome(_LOADERS[fmt], path) == expected
+    assert parses == [path]  # the replaced snapshot restored
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
 def test_cold_load_drops_the_duplicate_check_set_like_a_restore(tmp_path, fmt):
     path = _random_dump(tmp_path, fmt, seed=6)
     for load in ("cold", "warm"):

@@ -197,6 +197,13 @@ def test_k16_on_ten_instances_is_stage_error(tmp_path):
     assert err.value.stage == "split"
 
 
+def test_unknown_stage_is_config_error_before_any_artifact(tmp_path):
+    config = ExperimentConfig.from_dict(base_config_dict(tmp_path / "run"))
+    with pytest.raises(ConfigError, match="unknown stage 'nope'"):
+        run_experiment(config, until="nope")
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_dataset_is_config_error(tmp_path):
     config = ExperimentConfig.from_dict(base_config_dict(tmp_path / "run", dataset="nope.jsonl"))
     with pytest.raises(ConfigError):

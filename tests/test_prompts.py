@@ -9,6 +9,7 @@ from kgprompt.dataset import CAUSAL, Instance, NON_CAUSAL, Span
 from kgprompt.errors import (
     BudgetTooSmallError,
     EmptyPairError,
+    MaskTokenError,
     UnknownArchitectureError,
     UnknownLabelError,
     UnknownLabelWordError,
@@ -85,6 +86,15 @@ def test_generative_suffix():
             LabelMapping.custom("true", "false"),
         )
         assert p.prompt.endswith("shows a causal relation: [MASK].")
+
+
+def test_generative_template_must_end_at_the_mask():
+    for architecture in (Architecture.CLM, Architecture.SEQ2SEQ):
+        with pytest.raises(MaskTokenError, match="'smoking': generative prompts must end at the generation slot"):
+            build_prompt(
+                smoking_instance(), None, ("Smoking", "cancer"), architecture,
+                LabelMapping.custom("true", "false"), template="{text} It shows {mask} relation.",
+            )
 
 
 def test_empty_context_slot_omitted():

@@ -202,6 +202,17 @@ def test_rate_limited_with_http_date_retry_after(wiki_server, tmp_path):
     assert err.value.retry_after is None
 
 
+def test_other_client_error_status_is_network_error_and_not_cached(wiki_server, tmp_path):
+    seed_prostate(wiki_server)
+    wiki_server.script = [{"status": 404, "body": {}}]
+    cache = cache_in(tmp_path)
+    with pytest.raises(NetworkError, match=f"^HTTP 404 from {re.escape(wiki_server.sparql_url)}$"):
+        _label_lookup(endpoint_for(wiki_server), cache)
+    assert wiki_server.request_count == 1  # a 404 is not retried
+    assert not list((tmp_path / "cache").rglob("*.json"))  # nothing cached
+    assert _label_lookup(endpoint_for(wiki_server), cache) == "prostate cancer"
+
+
 def test_env_var_does_not_override_sparql_url(wiki_server, tmp_path, monkeypatch):
     seed_prostate(wiki_server)
     monkeypatch.setenv("KGPROMPT_SPARQL_URL", "http://127.0.0.1:9/sparql")
@@ -280,6 +291,7 @@ MALFORMED_ANSWERS = {
     "neighbor-id-empty": (
         _neighbors, _bindings({"property": PROPERTY, "neighbor": {"value": "http://www.wikidata.org/entity/"}})
     ),
+    "bindings-not-list": (_label_lookup, {"results": {"bindings": {"label": {"value": "prostate cancer"}}}}),
     "search-not-list": (_search, {"search": {"id": "Q181257"}}),
     "search-result-not-object": (_search, {"search": [181257]}),
     "search-label-number": (_search, {"search": [{"id": "Q181257", "label": 5}]}),
