@@ -35,8 +35,9 @@ def write_atomic(path: str | Path, mode: Literal["w", "wb"] = "w") -> Iterator[I
         with tmp.open("xb") if binary else tmp.open("x", encoding="utf-8", errors=TEXT_ERRORS) as fh:
             yield fh
         os.replace(tmp, path)
-    finally:
+    except BaseException:  # after a successful os.replace there is no temporary file left
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_jsonl(path: str | Path, records: Iterable[object]) -> int:

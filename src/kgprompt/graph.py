@@ -148,10 +148,18 @@ class KnowledgeGraph:
             raise ValueError("node id must be non-empty")
         if not node.name:
             raise ValueError(f"node {node.id!r}: name must be non-empty")
-        self._index[node.id] = len(self._ids)
-        self._ids.append(node.id)
-        self._names.append(node.name)
-        self._types.append(node.node_type)
+        return self.add_node_fields(node.id, node.name, node.node_type)
+
+    def add_node_fields(self, node_id: str, name: str, node_type: str) -> bool:
+        """:meth:`add_node` for a loader that has checked that ``node_id``
+        and ``name`` are non-empty strings."""
+        index = self._index
+        if node_id in index:
+            return False
+        index[node_id] = len(self._ids)
+        self._ids.append(node_id)
+        self._names.append(name)
+        self._types.append(node_type)
         self._csr = None
         self._name_index = None
         return True
@@ -167,6 +175,12 @@ class KnowledgeGraph:
             raise UnknownNodeError(target)
         if not label:
             raise ValueError("edge label must be non-empty")
+        return self.add_edge_ints(s, t, label)
+
+    def add_edge_ints(self, s: int, t: int, label: str) -> bool:
+        """:meth:`add_edge` from the node interned to s to the one interned
+        to t, for a loader that has looked both up in :attr:`node_index` and
+        checked that ``label`` is a non-empty string."""
         lab = self._label_index.get(label)
         if lab is None:
             lab = self._label_index[label] = len(self._labels)
@@ -174,7 +188,7 @@ class KnowledgeGraph:
         keys = self._keys
         if keys is None:
             keys = self._keys = set(map(_edge_key, self._sources, self._targets, self._edge_labels))
-        key = _edge_key(s, t, lab)
+        key = (s << 64) | (t << 32) | lab  # _edge_key, inlined: this runs once per edge loaded
         if key in keys:
             return False
         keys.add(key)
@@ -213,6 +227,12 @@ class KnowledgeGraph:
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._index
+
+    @property
+    def node_index(self) -> dict[str, int]:
+        """Node id -> its int: the live index, which a loader reads to intern
+        ids in bulk; only the add methods change it."""
+        return self._index
 
     def node(self, node_id: str) -> Node:
         return self.node_at(self.index_of(node_id))

@@ -32,8 +32,16 @@ restores the caller's GC state afterwards, also when it raises: a load makes
 hundreds of thousands of objects and no cycles, so every collection it would
 trigger is wasted. The Hetionet loader drops each node and edge record of
 the parsed document as soon as it is read, so the document shrinks while the
-graph grows. A file that is not valid UTF-8 is a
-:class:`~kgprompt.errors.ParseError` naming the file and the line.
+graph grows. Each loader reads its records in one loop that checks a record
+with inline type and key tests, looks its endpoints up in the graph's node
+index and adds its node or edges by their ints
+(:meth:`~kgprompt.graph.KnowledgeGraph.add_node_fields`,
+:meth:`~kgprompt.graph.KnowledgeGraph.add_edge_ints`), so a valid record
+makes no per-field helper call; the graph still rejects duplicates. Only a
+record that fails the inline test goes through the helpers, which raise the
+:class:`~kgprompt.errors.SchemaError` that names its first fault, or read it
+when it is valid after all (say, an integer kind). A file that is not valid
+UTF-8 is a :class:`~kgprompt.errors.ParseError` naming the file and the line.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ from .atomic import write_atomic, write_jsonl
 from .errors import (
     ID_TYPES, ParseError, SchemaError, jsonl_records, read_json, require_fields, require_id, require_str
 )
-from .graph import KnowledgeGraph, Node
+from .graph import KnowledgeGraph
 
 log = logging.getLogger(__name__)
 
@@ -134,47 +142,95 @@ def _parse_hetionet_json(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
 
         report = IngestReport()
         graph = KnowledgeGraph()
+        add_node = graph.add_node_fields
         records = data["nodes"]
         for i, record in enumerate(records):
             records[i] = None  # the document shrinks as the graph grows
-            what = f"node record {i}"
-            require_fields(record, ("kind", "identifier", "name"), what)
-            kind = sys.intern(_id_field(record, "kind", what))
-            node_id = hetionet_node_id(kind, _id_field(record, "identifier", what))
-            name = _nonempty(record, "name", what)
-            if not graph.add_node(Node(id=node_id, name=name, node_type=kind)):
+            try:
+                kind, identifier, name = record["kind"], record["identifier"], record["name"]
+            except (KeyError, TypeError):  # not an object, or a field missing
+                kind = None
+            if type(kind) is str and type(identifier) in ID_TYPES and type(name) is str and name:
+                node_id = f"{kind}::{identifier}"  # hetionet_node_id inlined, as for the edges below
+                kind = sys.intern(kind)
+            else:
+                node_id, name, kind = _node_record(record, i)
+            if not add_node(node_id, name, kind):
                 report.warn(f"node record {i}: duplicate node id {node_id!r} skipped")
 
+        node_int = graph.node_index.get
+        add_edge = graph.add_edge_ints
         records = data["edges"]
         for i, record in enumerate(records):
             records[i] = None
-            what = f"edge record {i}"
-            require_fields(record, ("source_id", "target_id", "kind", "direction"), what)
-            source = _endpoint(record, "source_id", what)
-            target = _endpoint(record, "target_id", what)
-            for endpoint in (source, target):
-                if not graph.has_node(endpoint):
-                    raise SchemaError(f"{what}: unknown node id {endpoint!r}")
-            label = _nonempty(record, "kind", what)
-            direction = record["direction"]
+            try:
+                source, target = record["source_id"], record["target_id"]
+                label, direction = record["kind"], record["direction"]
+            except (KeyError, TypeError):  # the helpers below name the fault
+                source = None
+            s = t = None
+            if (
+                type(source) is list and type(target) is list and len(source) == 2 == len(target)
+                and type(label) is str and label
+            ):
+                (source_kind, source_key), (target_kind, target_key) = source, target
+                if (
+                    type(source_kind) is str and type(target_kind) is str
+                    and type(source_key) in ID_TYPES and type(target_key) in ID_TYPES
+                ):
+                    source, target = f"{source_kind}::{source_key}", f"{target_kind}::{target_key}"
+                    s, t = node_int(source), node_int(target)
+            if s is None or t is None:
+                source, target, label, direction = _edge_record(record, i, node_int)
+                s, t = node_int(source), node_int(target)
             if direction == "forward":
-                oriented = ((source, target),)
+                added = add_edge(s, t, label) or _duplicate_edge(report, i, source, target, label)
             elif direction == "backward":
-                oriented = ((target, source),)
+                added = add_edge(t, s, label) or _duplicate_edge(report, i, target, source, label)
             elif direction == "both":
-                oriented = ((source, target), (target, source))
+                forward = add_edge(s, t, label) or _duplicate_edge(report, i, source, target, label)
+                backward = add_edge(t, s, label) or _duplicate_edge(report, i, target, source, label)
+                added = forward or backward
             else:
                 raise SchemaError(f"edge record {i}: unknown direction marker {direction!r}")
-            added = False
-            for src, dst in oriented:
-                if graph.add_edge(src, dst, label):
-                    added = True
-                else:
-                    report.duplicates_rejected += 1
-                    report.warn(f"edge record {i}: duplicate edge {(src, dst, label)!r} skipped")
-            if added:
-                report.edges_loaded += 1
+            report.edges_loaded += added
     return graph, report
+
+
+def _duplicate_edge(report: IngestReport, i: int, source: str, target: str, label: str) -> bool:
+    """Count and warn of a duplicate edge from edge record i; False: nothing was added."""
+    report.duplicates_rejected += 1
+    report.warn(f"edge record {i}: duplicate edge {(source, target, label)!r} skipped")
+    return False
+
+
+# The helpers below check one record in full and raise the error that names
+# its first fault; the loaders call them only for a record that fails their
+# inline test, so a valid record makes no call to them.
+
+
+def _node_record(record: object, i: int) -> tuple[str, str, str]:
+    """A Hetionet node record's node id, name and kind."""
+    what = f"node record {i}"
+    require_fields(record, ("kind", "identifier", "name"), what)
+    kind = sys.intern(_id_field(record, "kind", what))
+    node_id = hetionet_node_id(kind, _id_field(record, "identifier", what))
+    return node_id, _nonempty(record, "name", what), kind
+
+
+def _edge_record(
+    record: object, i: int, node_int: Callable[[str], int | None]
+) -> tuple[str, str, str, object]:
+    """A Hetionet edge record's source and target node ids, label and
+    (unchecked) direction marker; both nodes must exist."""
+    what = f"edge record {i}"
+    require_fields(record, ("source_id", "target_id", "kind", "direction"), what)
+    source = _endpoint(record, "source_id", what)
+    target = _endpoint(record, "target_id", what)
+    for endpoint in (source, target):
+        if node_int(endpoint) is None:
+            raise SchemaError(f"{what}: unknown node id {endpoint!r}")
+    return source, target, _nonempty(record, "kind", what), record["direction"]
 
 
 def _endpoint(record: dict, name: str, what: str) -> str:
@@ -203,45 +259,78 @@ def load_edge_list_jsonl(path: str | Path) -> tuple[KnowledgeGraph, IngestReport
 def _parse_edge_list_jsonl(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
     report = IngestReport()
     graph = KnowledgeGraph()
+    add_node = graph.add_node_fields
+    add_edge = graph.add_edge_ints
+    node_int = graph.node_index.get
 
     with _gc_paused():
         for lineno, record in jsonl_records(path):
-            require_fields(record, (), "record", line=lineno)
-            has_node = "node" in record
-            has_edge = "edge" in record
-            if has_node and has_edge:
-                raise SchemaError("record has both 'node' and 'edge' keys", line=lineno)
-            if not has_node and not has_edge:
-                raise SchemaError("record has neither 'node' nor 'edge' key", line=lineno)
+            node = edge = None
+            if type(record) is dict and len(record) == 1:
+                node, edge = record.get("node"), record.get("edge")
+            if type(node) is not dict and type(edge) is not dict:
+                node, edge = _line_body(record, lineno)
 
-            if has_node:
-                body = require_fields(record["node"], ("id", "name"), "node record", line=lineno)
-                node_id = _id_field(body, "id", "node record", lineno)
-                if not node_id:
-                    raise SchemaError("node record: empty 'id'", line=lineno)
-                node_type = require_str(body.get("type", "unknown"), "node record: 'type'", lineno)
-                node = Node(
-                    id=node_id,
-                    name=_nonempty(body, "name", "node record", lineno),
-                    node_type=sys.intern(node_type),
-                )
-                if not graph.add_node(node):
+            if edge is None:
+                node_id, name, node_type = node.get("id"), node.get("name"), node.get("type", "unknown")
+                if not (
+                    type(node_id) in ID_TYPES and type(name) is str and name and type(node_type) is str
+                    and (node_id := str(node_id))
+                ):
+                    node_id, name, node_type = _node_line(node, lineno)
+                if not add_node(node_id, name, sys.intern(node_type)):
                     report.warn(f"line {lineno}: duplicate node id {node_id!r} skipped")
+                continue
+
+            source, target, label = edge.get("source"), edge.get("target"), edge.get("label")
+            s = t = None
+            if type(source) in ID_TYPES and type(target) in ID_TYPES and type(label) is str and label:
+                source, target = str(source), str(target)
+                s, t = node_int(source), node_int(target)
+            if s is None or t is None:
+                source, target, label = _edge_line(edge, lineno, node_int)
+                s, t = node_int(source), node_int(target)
+            if add_edge(s, t, label):
+                report.edges_loaded += 1
             else:
-                body = require_fields(record["edge"], ("source", "target", "label"), "edge record", line=lineno)
-                source = _id_field(body, "source", "edge record", lineno)
-                target = _id_field(body, "target", "edge record", lineno)
-                for endpoint in (source, target):
-                    if not graph.has_node(endpoint):
-                        raise SchemaError(f"edge references unknown node id {endpoint!r}", line=lineno)
-                label = _nonempty(body, "label", "edge record", lineno)
-                if graph.add_edge(source, target, label):
-                    report.edges_loaded += 1
-                else:
-                    report.duplicates_rejected += 1
-                    key = (source, target, label)
-                    report.warn(f"line {lineno}: duplicate edge {key!r} skipped")
+                report.duplicates_rejected += 1
+                report.warn(f"line {lineno}: duplicate edge {(source, target, label)!r} skipped")
     return graph, report
+
+
+def _line_body(record: object, lineno: int) -> tuple[dict | None, dict | None]:
+    """A JSONL line's node body, or its edge body, as (node, None) or (None, edge)."""
+    require_fields(record, (), "record", line=lineno)
+    has_node = "node" in record
+    has_edge = "edge" in record
+    if has_node and has_edge:
+        raise SchemaError("record has both 'node' and 'edge' keys", line=lineno)
+    if not has_node and not has_edge:
+        raise SchemaError("record has neither 'node' nor 'edge' key", line=lineno)
+    if has_node:
+        return require_fields(record["node"], ("id", "name"), "node record", line=lineno), None
+    return None, require_fields(record["edge"], ("source", "target", "label"), "edge record", line=lineno)
+
+
+def _node_line(body: dict, lineno: int) -> tuple[str, str, str]:
+    """A JSONL node body's id, name and type."""
+    require_fields(body, ("id", "name"), "node record", line=lineno)
+    node_id = _id_field(body, "id", "node record", lineno)
+    if not node_id:
+        raise SchemaError("node record: empty 'id'", line=lineno)
+    node_type = require_str(body.get("type", "unknown"), "node record: 'type'", lineno)
+    return node_id, _nonempty(body, "name", "node record", lineno), node_type
+
+
+def _edge_line(body: dict, lineno: int, node_int: Callable[[str], int | None]) -> tuple[str, str, str]:
+    """A JSONL edge body's source and target node ids and label; both nodes must exist."""
+    require_fields(body, ("source", "target", "label"), "edge record", line=lineno)
+    source = _id_field(body, "source", "edge record", lineno)
+    target = _id_field(body, "target", "edge record", lineno)
+    for endpoint in (source, target):
+        if node_int(endpoint) is None:
+            raise SchemaError(f"edge references unknown node id {endpoint!r}", line=lineno)
+    return source, target, _nonempty(body, "label", "edge record", lineno)
 
 
 @contextmanager

@@ -21,6 +21,7 @@ from kgprompt.dataset import FewShotConfig
 from kgprompt.errors import (
     ConfigError, DuplicateEdgeError, ParseError, SchemaError, UnknownNodeError, require_fields,
 )
+from kgprompt.errors import ID_TYPES, jsonl_records, read_json, require_id, require_str
 from kgprompt.graph import IN, OUT, Direction, Edge, KnowledgeGraph, Node
 from kgprompt.ingest import IngestReport, hetionet_node_id
 from kgprompt.pipeline import FoldConfig, KgSource, MockBackend, _backend, _label_mapping, _section
@@ -471,6 +472,140 @@ def frozen_load_edge_list_jsonl(path: str | Path) -> tuple[FrozenKnowledgeGraph,
                     report.duplicates_rejected += 1
                     key = (source, target, label)
                     report.warn(f"line {lineno}: duplicate edge {key!r} skipped")
+
+    report.nodes_loaded = graph.node_count
+    report.finish()
+    return graph, report
+
+
+# Frozen copies of both loaders' parses from before valid records were checked
+# inline: every record goes through the per-field helpers, which name the
+# first fault of a bad record. The current loaders must give the same report,
+# nodes, edges and adjacency, or raise the same error, also on records their
+# inline test leaves to the helpers. Only the names are changed, the graph is
+# the frozen one above (``add_edge`` takes an ``Edge``), and the report is
+# finished as the snapshot layer finished it; the bodies are otherwise verbatim.
+
+
+def _checked_id_field(record: dict, name: str, what: str, line: int | None = None) -> str:
+    """A field that becomes (part of) a node id, as a string."""
+    return require_id(record[name], f"{what}: {name!r}", line)
+
+
+def _checked_nonempty(record: dict, name: str, what: str, line: int | None = None) -> str:
+    """A name or label field: a non-empty string."""
+    value = require_str(record[name], f"{what}: {name!r}", line)
+    if not value:
+        raise SchemaError(f"{what}: empty {name!r}", line=line)
+    return value
+
+
+def _checked_endpoint(record: dict, name: str, what: str) -> str:
+    """The node id an edge record's ``[kind, identifier]`` field names."""
+    value = record[name]
+    if (
+        not isinstance(value, (list, tuple)) or len(value) != 2
+        or type(value[0]) not in ID_TYPES or type(value[1]) not in ID_TYPES
+    ):
+        raise SchemaError(f"{what}: {name} must be a [kind, identifier] pair of strings or integers")
+    return hetionet_node_id(*value)
+
+
+def frozen_checked_load_hetionet_json(path: str | Path) -> tuple[FrozenKnowledgeGraph, IngestReport]:
+    data = read_json(path)
+    require_fields(data, ("nodes", "edges"), "top-level document")
+    for key in ("nodes", "edges"):
+        if not isinstance(data[key], list):
+            raise SchemaError(f"top-level {key!r} must be an array")
+
+    report = IngestReport()
+    graph = FrozenKnowledgeGraph()
+    records = data["nodes"]
+    for i, record in enumerate(records):
+        records[i] = None  # the document shrinks as the graph grows
+        what = f"node record {i}"
+        require_fields(record, ("kind", "identifier", "name"), what)
+        kind = sys.intern(_checked_id_field(record, "kind", what))
+        node_id = hetionet_node_id(kind, _checked_id_field(record, "identifier", what))
+        name = _checked_nonempty(record, "name", what)
+        if not graph.add_node(Node(id=node_id, name=name, node_type=kind)):
+            report.warn(f"node record {i}: duplicate node id {node_id!r} skipped")
+
+    records = data["edges"]
+    for i, record in enumerate(records):
+        records[i] = None
+        what = f"edge record {i}"
+        require_fields(record, ("source_id", "target_id", "kind", "direction"), what)
+        source = _checked_endpoint(record, "source_id", what)
+        target = _checked_endpoint(record, "target_id", what)
+        for endpoint in (source, target):
+            if not graph.has_node(endpoint):
+                raise SchemaError(f"{what}: unknown node id {endpoint!r}")
+        label = _checked_nonempty(record, "kind", what)
+        direction = record["direction"]
+        if direction == "forward":
+            oriented = ((source, target),)
+        elif direction == "backward":
+            oriented = ((target, source),)
+        elif direction == "both":
+            oriented = ((source, target), (target, source))
+        else:
+            raise SchemaError(f"edge record {i}: unknown direction marker {direction!r}")
+        added = False
+        for src, dst in oriented:
+            if graph.add_edge(Edge(src, dst, label)):
+                added = True
+            else:
+                report.duplicates_rejected += 1
+                report.warn(f"edge record {i}: duplicate edge {(src, dst, label)!r} skipped")
+        if added:
+            report.edges_loaded += 1
+
+    report.nodes_loaded = graph.node_count
+    report.finish()
+    return graph, report
+
+
+def frozen_checked_load_edge_list_jsonl(path: str | Path) -> tuple[FrozenKnowledgeGraph, IngestReport]:
+    report = IngestReport()
+    graph = FrozenKnowledgeGraph()
+
+    for lineno, record in jsonl_records(path):
+        require_fields(record, (), "record", line=lineno)
+        has_node = "node" in record
+        has_edge = "edge" in record
+        if has_node and has_edge:
+            raise SchemaError("record has both 'node' and 'edge' keys", line=lineno)
+        if not has_node and not has_edge:
+            raise SchemaError("record has neither 'node' nor 'edge' key", line=lineno)
+
+        if has_node:
+            body = require_fields(record["node"], ("id", "name"), "node record", line=lineno)
+            node_id = _checked_id_field(body, "id", "node record", lineno)
+            if not node_id:
+                raise SchemaError("node record: empty 'id'", line=lineno)
+            node_type = require_str(body.get("type", "unknown"), "node record: 'type'", lineno)
+            node = Node(
+                id=node_id,
+                name=_checked_nonempty(body, "name", "node record", lineno),
+                node_type=sys.intern(node_type),
+            )
+            if not graph.add_node(node):
+                report.warn(f"line {lineno}: duplicate node id {node_id!r} skipped")
+        else:
+            body = require_fields(record["edge"], ("source", "target", "label"), "edge record", line=lineno)
+            source = _checked_id_field(body, "source", "edge record", lineno)
+            target = _checked_id_field(body, "target", "edge record", lineno)
+            for endpoint in (source, target):
+                if not graph.has_node(endpoint):
+                    raise SchemaError(f"edge references unknown node id {endpoint!r}", line=lineno)
+            label = _checked_nonempty(body, "label", "edge record", lineno)
+            if graph.add_edge(Edge(source, target, label)):
+                report.edges_loaded += 1
+            else:
+                report.duplicates_rejected += 1
+                key = (source, target, label)
+                report.warn(f"line {lineno}: duplicate edge {key!r} skipped")
 
     report.nodes_loaded = graph.node_count
     report.finish()

@@ -18,6 +18,7 @@ from kgprompt.ingest import export_edge_list_jsonl, load_edge_list_jsonl, load_h
 
 from fixtures_kg import ODD_NAMES, name_lookups
 from oracles import frozen_load_edge_list_jsonl, frozen_load_hetionet_json
+from oracles import frozen_checked_load_edge_list_jsonl, frozen_checked_load_hetionet_json
 
 HETIONET_ENV = "KGPROMPT_HETIONET_JSON"
 
@@ -475,6 +476,151 @@ def test_loaders_raise_as_frozen_copies_on_corrupt_dumps(tmp_path):
         r"^line \d+: edge record must be a JSON object", r"^line \d+: node record must be a JSON object",
     ):
         assert any(re.search(pattern, message) for message in messages), pattern
+
+
+
+# --- the inline record test and the per-field helpers ---
+
+# Every function a loader may call to check or read one record; a valid
+# record must reach none of them.
+_RECORD_HELPERS = (
+    "_id_field", "_nonempty", "_endpoint", "_node_record", "_edge_record", "_line_body", "_node_line", "_edge_line",
+)
+
+
+def test_valid_records_call_no_helper(tmp_path, monkeypatch):
+    # int and str identifiers, every direction marker, self-loops, duplicate
+    # edges (one of them half of a "both" record) and a duplicate node id
+    het = write_hetionet(
+        tmp_path / "het.json",
+        nodes=[
+            het_node("Gene", 1, "A"), het_node("Gene", "2", "B"), het_node("Disease", "DOID:9", "C"),
+            het_node("Gene", "1", "A again"),
+        ],
+        edges=[
+            het_edge(["Gene", 1], ["Gene", 2], "interacts"),
+            het_edge(["Gene", "2"], ["Disease", "DOID:9"], "associates", direction="backward"),
+            het_edge(["Gene", 1], ["Disease", "DOID:9"], "associates", direction="both"),
+            het_edge(["Gene", 2], ["Gene", "2"], "regulates"),
+            het_edge(["Gene", "1"], ["Gene", "2"], "interacts"),
+            het_edge(["Disease", "DOID:9"], ["Gene", 1], "associates"),
+            het_edge(["Gene", 1], ["Gene", "1"], "regulates", direction="both"),
+        ],
+    )
+    jsonl = _write_edge_list(tmp_path / "graph.jsonl", [
+        {"node": {"id": 1, "name": "A", "type": "Gene"}},
+        {"node": {"id": "2", "name": "B"}},
+        {"node": {"id": "DOID:9", "name": "C", "type": "Disease"}},
+        {"node": {"id": "1", "name": "A again"}},
+        {"edge": {"source": 1, "target": "2", "label": "interacts"}},
+        {"edge": {"source": "2", "target": "DOID:9", "label": "associates"}},
+        {"edge": {"source": 2, "target": 2, "label": "regulates"}},
+        {"edge": {"source": "1", "target": 2, "label": "interacts"}},
+    ])
+    expected = {
+        "hetionet": _outcome(frozen_load_hetionet_json, het),
+        "jsonl": _outcome(frozen_load_edge_list_jsonl, jsonl),
+    }
+
+    def helper(*args, **kwargs):
+        raise AssertionError("a valid record reached a per-field helper")
+
+    for name in _RECORD_HELPERS:
+        monkeypatch.setattr(ingest, name, helper)
+    monkeypatch.setattr(KnowledgeGraph, "has_node", helper)
+    for fmt, path in (("hetionet", het), ("jsonl", jsonl)):
+        got = _outcome(_LOADERS[fmt], path)
+        assert got == expected[fmt]
+        report = got[0]
+        assert report.duplicates_rejected and any("duplicate node id" in w for w in report.warnings), fmt
+
+
+def _routed_hetionet_dumps() -> dict[str, tuple[list, list]]:
+    """Hetionet documents, by case, with a record that the loader's inline
+    test leaves to the helpers: some load, some raise."""
+    a, b = het_node("Gene", 1, "A"), het_node("Gene", "2", "B")
+    edge = het_edge(["Gene", 1], ["Gene", "2"], "interacts")
+    # the nodes that an endpoint of another type would find if it were read
+    # as a string: "ab" as "a::b", {"Gene": 1, "x": 2} as "Gene::x", true as "True"
+    decoys = [a, b, het_node("a", "b", "AB"), het_node("Gene", "x", "X")]
+    for spelling in ("True", "1.5"):
+        decoys += [het_node(spelling, 1, spelling), het_node("Gene", spelling, spelling)]
+    cases = {}
+    for bad in (True, 1.5):
+        cases[f"node-kind-{bad}"] = [a, het_node(bad, 3, "C")], [edge]
+        cases[f"node-identifier-{bad}"] = [a, b, het_node("Gene", bad, "C")], [edge]
+        cases[f"endpoint-kind-{bad}"] = decoys, [edge, het_edge([bad, 1], ["Gene", 2], "r")]
+        cases[f"endpoint-identifier-{bad}"] = decoys, [edge, het_edge(["Gene", 1], ["Gene", bad], "r")]
+        cases[f"edge-kind-{bad}"] = [a, b], [edge, het_edge(["Gene", 1], ["Gene", 2], bad)]
+    for name, endpoint in (("string", "ab"), ("triple", ["Gene", 1, 2]), ("object", {"Gene": 1, "x": 2})):
+        cases[f"source-{name}"] = decoys, [edge, het_edge(endpoint, ["Gene", 2], "r")]
+        cases[f"target-{name}"] = decoys, [edge, het_edge(["Gene", 2], endpoint, "r")]
+    cases["ids-collide-as-strings"] = (
+        [het_node("a::b", "c", "first"), het_node("a", "b::c", "second"), a],
+        [het_edge(["a::b", "c"], ["a", "b::c"], "same"), het_edge(["a", "b::c"], ["Gene", 1], "r", "both")],
+    )
+    cases["int-kind"] = (
+        [het_node(7, 1, "seven"), het_node("7", 2, "seven too"), a],
+        [het_edge([7, 1], ["7", 2], "r"), het_edge(["7", "1"], [7, "2"], "r", "backward"),
+         het_edge(["Gene", 1], [7, 2], "s", "both")],
+    )
+    cases["empty-identifier"] = (
+        [het_node("Gene", "", "E"), a, b], [het_edge(["Gene", ""], ["Gene", 1], "r", "both"), edge]
+    )
+    cases["extra-keys"] = (
+        [{**a, "extra": [1]}, {"note": None, **b}],
+        [{**edge, "weight": 2.5}, {"sources": 3, **het_edge(["Gene", 2], ["Gene", 1], "r", "both")}],
+    )
+    for bad in (5, None, ["A"]):
+        cases[f"name-{bad!r}"] = [a, het_node("Gene", 2, bad)], []
+    return cases
+
+
+def _routed_edge_lists() -> dict[str, list]:
+    """JSONL edge lists, by case, with a line that the loader's inline test
+    leaves to the helpers: some load, some raise."""
+    a, b = {"node": {"id": "a", "name": "A"}}, {"node": {"id": 2, "name": "B", "type": "Gene"}}
+    edge = {"edge": {"source": "a", "target": 2, "label": "r"}}
+    cases = {}
+    for bad in (True, 1.5, ["a"], {"a": 1}):
+        decoy = {"node": {"id": str(bad), "name": "what str() would find"}}
+        cases[f"id-{bad!r}"] = [a, {"node": {"id": bad, "name": "C"}}, edge]
+        cases[f"source-{bad!r}"] = [a, b, decoy, {"edge": {"source": bad, "target": 2, "label": "r"}}]
+        cases[f"target-{bad!r}"] = [a, b, decoy, {"edge": {"source": "a", "target": bad, "label": "r"}}]
+        cases[f"label-{bad!r}"] = [a, b, {"edge": {"source": "a", "target": 2, "label": bad}}]
+        cases[f"type-{bad!r}"] = [a, {"node": {"id": "c", "name": "C", "type": bad}}]
+    cases["ids-collide-as-strings"] = [
+        a, b, {"node": {"id": "2", "name": "B again"}}, edge, {"edge": {"source": "a", "target": "2", "label": "r"}},
+    ]
+    cases["int-type"] = [a, {"node": {"id": "c", "name": "C", "type": 3}}]
+    cases["empty-id"] = [a, {"node": {"id": "", "name": "E"}}]
+    cases["extra-keys"] = [
+        {"node": {"id": "a", "name": "A", "extra": 1}}, {"meta": None, **b},
+        {"edge": {"source": "a", "target": 2, "label": "r", "weight": 2.5}}, {"line": 4, **edge},
+        {"edge": {"source": 2, "target": "a", "label": "r"}, "note": "x"},
+    ]
+    cases["both-bodies"] = [a, {"node": {"id": "c", "name": "C"}, "edge": edge["edge"]}]
+    cases["null-bodies"] = [a, {"node": None}]
+    cases["null-edge"] = [a, {"edge": None}]
+    for bad in (5, None, ["A"], ""):
+        cases[f"name-{bad!r}"] = [a, {"node": {"id": "c", "name": bad}}]
+    return cases
+
+
+def test_records_left_to_the_helpers_load_or_raise_as_frozen_checked_loaders(tmp_path):
+    outcomes = []
+    for case, (nodes, edges) in _routed_hetionet_dumps().items():
+        path = write_hetionet(tmp_path / f"het-{len(outcomes)}.json", nodes, edges)
+        got = _outcome(load_hetionet_json, path)
+        assert got == _outcome(frozen_checked_load_hetionet_json, path), case
+        outcomes.append(got[0])
+    for case, records in _routed_edge_lists().items():
+        path = _write_edge_list(tmp_path / f"graph-{len(outcomes)}.jsonl", records)
+        got = _outcome(load_edge_list_jsonl, path)
+        assert got == _outcome(frozen_checked_load_edge_list_jsonl, path), case
+        outcomes.append(got[0])
+    # both kinds of outcome occur: loads with their reports, and schema errors
+    assert SchemaError in outcomes and any(isinstance(outcome, ingest.IngestReport) for outcome in outcomes)
 
 
 # --- the GC pause and the released records ---
