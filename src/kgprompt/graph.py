@@ -13,8 +13,16 @@ selection are reproducible run to run.
 
 Storage is an integer core:
 
-- node ids are interned to ints in insertion order, with parallel lists of
-  ids, names and types; labels are interned to small ints;
+- node ids are interned to ints in insertion order, and labels to small ints;
+- a graph that is built holds its node ids, names and types as three lists,
+  with a dict from id to int. :meth:`KnowledgeGraph.dump` packs them, and
+  :meth:`KnowledgeGraph.restore` takes them packed: the ids and the names
+  each become one byte ``array`` of the UTF-8 encoded strings with an
+  ``array`` of their offsets, plus an ``array`` of the node ints in sorted
+  order of the strings, which lookups by id or by exact name bisect; the
+  types become an ``array`` of int codes into a table of the distinct types.
+  A packed graph holds no per-node Python object, so no refcount writes to
+  its pages. A node added after that unpacks the lists and the dict again;
 - the edges are three ``array`` columns (source, target, label) in insertion
   order, and a set of packed integer keys is the duplicate check. The set
   lives until the graph is dumped, and an add after that (or on a restored
@@ -23,15 +31,12 @@ Storage is an integer core:
   built on the first query after an add: per node, the other end and the edge
   position of each link in global edge order, self-loops left out. A node's
   neighbors are the other ends of its row, deduplicated in first-link order;
-- names are looked up without a whole-graph dict:
-  :meth:`KnowledgeGraph.first_nodes_named` finds exact names in one pass over
-  the name list, and :meth:`KnowledgeGraph.first_node_normalized` bisects a
-  compact index of the normalized names (:func:`normalize_name`): the
-  distinct normalized names in sorted order, UTF-8 encoded and joined into one
-  byte ``array``, with an ``array`` of their offsets in it and one of the
-  first node holding each. Like the CSR, the index is built on the first
-  lookup after an add, so a graph that is never asked for a normalized name
-  never builds it.
+- :meth:`KnowledgeGraph.first_node_normalized` bisects a compact index of
+  the normalized names (:func:`normalize_name`): the distinct normalized
+  names in sorted order, packed as the node strings are, with an ``array``
+  of the first node holding each. Like the CSR, the index is built on the
+  first lookup after a node is added, so a graph that is never asked for a
+  normalized name and never dumped never builds it.
 
 ``Node`` and ``Edge`` objects are made only when a query returns them. The
 whole core converts to and from plain values (:meth:`KnowledgeGraph.dump`,
@@ -45,7 +50,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from typing import Iterable, Iterator, Literal, NamedTuple
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .errors import DuplicateEdgeError, UnknownNodeError
 
@@ -68,6 +73,79 @@ class Edge:
     label: str
 
 
+class _NodeLists(NamedTuple):
+    """Node ids, names and types as a graph is built: lists in insertion
+    order and a dict from id to int."""
+
+    position: dict[str, int]
+    ids: list[str]
+    names: list[str]
+    types: list[str]
+
+    def size(self) -> int:
+        return len(self.ids)
+
+    def id_at(self, i: int) -> str:
+        return self.ids[i]
+
+    def name_at(self, i: int) -> str:
+        return self.names[i]
+
+    def type_at(self, i: int) -> str:
+        return self.types[i]
+
+    def find(self, node_id: str) -> int | None:
+        return self.position.get(node_id)
+
+    def first_named(self, names: Iterable[str]) -> dict[str, str]:
+        wanted = frozenset(names)
+        found: dict[str, str] = {}
+        all_names, ids = self.names, self.ids
+        for i in compress(range(len(all_names)), map(wanted.__contains__, all_names)):
+            found.setdefault(all_names[i], ids[i])
+        return found
+
+
+class _NodeColumns(NamedTuple):
+    """Node ids, names and types packed: node i's id is the UTF-8 encoded
+    ``node_ids[node_id_offsets[i]:node_id_offsets[i + 1]]``, and its name
+    likewise; ``id_order`` and ``name_order`` hold the node ints in sorted
+    order of their ids and of their names, equal names in insertion order;
+    node i's type is ``types[node_types[i]]``."""
+
+    node_ids: array
+    node_id_offsets: array
+    id_order: array
+    node_names: array
+    node_name_offsets: array
+    name_order: array
+    node_types: array
+    types: list[str]  # the distinct types: a table, not an array
+
+    def size(self) -> int:
+        return len(self.node_types)
+
+    def id_at(self, i: int) -> str:
+        return _text(self.node_ids, self.node_id_offsets, i)
+
+    def name_at(self, i: int) -> str:
+        return _text(self.node_names, self.node_name_offsets, i)
+
+    def type_at(self, i: int) -> str:
+        return self.types[self.node_types[i]]
+
+    def find(self, node_id: str) -> int | None:
+        return _find(self.node_ids, self.node_id_offsets, self.id_order, node_id)
+
+    def first_named(self, names: Iterable[str]) -> dict[str, str]:
+        found: dict[str, str] = {}
+        for name in dict.fromkeys(names):
+            i = _find(self.node_names, self.node_name_offsets, self.name_order, name)
+            if i is not None:
+                found[name] = self.id_at(i)
+        return found
+
+
 class _Csr(NamedTuple):
     """Adjacency rows: node i's links are ``offsets[i]:offsets[i + 1]`` of
     ``other`` (their other ends) and ``edge`` (their edges' positions)."""
@@ -87,9 +165,11 @@ class _NameIndex(NamedTuple):
     name_nodes: array
 
 
-# The integer arrays of the core, by name, with their typecodes: the one layout
-# that dump() gives, restore() takes and an ingest snapshot stores, in this order.
+# The arrays of the core, by name, with their typecodes: the one layout that
+# dump() gives, restore() takes and an ingest snapshot stores, in this order.
 ARRAYS = {
+    "node_ids": "B", "node_id_offsets": "q", "id_order": "i",
+    "node_names": "B", "node_name_offsets": "q", "name_order": "i", "node_types": "i",
     "sources": "i", "targets": "i", "edge_labels": "i",
     "offsets": "q", "other": "i", "edge": "i",
     "normalized": "B", "name_offsets": "q", "name_nodes": "i",
@@ -119,10 +199,9 @@ class KnowledgeGraph:
     """
 
     def __init__(self, nodes: Iterable[Node] = (), edges: Iterable[Edge] = ()):
-        self._index: dict[str, int] = {}  # node id -> its int
-        self._ids: list[str] = []
-        self._names: list[str] = []
-        self._types: list[str] = []
+        # the node ids, names and types: lists while the graph is built,
+        # packed columns after a dump or restore, until a node is added
+        self._nodes: _NodeLists | _NodeColumns = _NodeLists({}, [], [], [])
         self._label_index: dict[str, int] = {}
         self._labels: list[str] = []
         self._sources = array("i")
@@ -142,7 +221,7 @@ class KnowledgeGraph:
 
     def add_node(self, node: Node) -> bool:
         """Add a node while loading; False (and no change) if its id exists."""
-        if node.id in self._index:
+        if self.has_node(node.id):
             return False
         if not node.id:
             raise ValueError("node id must be non-empty")
@@ -153,13 +232,16 @@ class KnowledgeGraph:
     def add_node_fields(self, node_id: str, name: str, node_type: str) -> bool:
         """:meth:`add_node` for a loader that has checked that ``node_id``
         and ``name`` are non-empty strings."""
-        index = self._index
-        if node_id in index:
+        nodes = self._nodes
+        if type(nodes) is not _NodeLists:
+            nodes = self._unpack()
+        position = nodes.position
+        if node_id in position:
             return False
-        index[node_id] = len(self._ids)
-        self._ids.append(node_id)
-        self._names.append(name)
-        self._types.append(node_type)
+        position[node_id] = len(nodes.ids)
+        nodes.ids.append(node_id)
+        nodes.names.append(name)
+        nodes.types.append(node_type)
         self._csr = None
         self._name_index = None
         return True
@@ -167,10 +249,10 @@ class KnowledgeGraph:
     def add_edge(self, source: str, target: str, label: str) -> bool:
         """Add the edge source->target while loading; False (and no change)
         for a duplicate triple."""
-        s = self._index.get(source)
+        s = self._nodes.find(source)
         if s is None:
             raise UnknownNodeError(source)
-        t = self._index.get(target)
+        t = self._nodes.find(target)
         if t is None:
             raise UnknownNodeError(target)
         if not label:
@@ -203,36 +285,31 @@ class KnowledgeGraph:
     @property
     def nodes(self) -> dict[str, Node]:
         """Node id -> node, in insertion order (a new dict on each call)."""
-        return {
-            node_id: Node(node_id, name, node_type)
-            for node_id, name, node_type in zip(self._ids, self._names, self._types)
-        }
+        return {node.id: node for node in map(self.node_at, range(self.node_count))}
 
     @property
     def edges(self) -> list[Edge]:
         """Every edge once, in insertion order (a new list on each call)."""
-        ids, labels = self._ids, self._labels
-        return [
-            Edge(ids[s], ids[t], labels[lab])
-            for s, t, lab in zip(self._sources, self._targets, self._edge_labels)
-        ]
+        return list(map(self.edge_at, range(self.edge_count)))
 
     @property
     def node_count(self) -> int:
-        return len(self._ids)
+        return self._nodes.size()
 
     @property
     def edge_count(self) -> int:
         return len(self._sources)
 
     def has_node(self, node_id: str) -> bool:
-        return node_id in self._index
+        return self._nodes.find(node_id) is not None
 
     @property
     def node_index(self) -> dict[str, int]:
         """Node id -> its int: the live index, which a loader reads to intern
-        ids in bulk; only the add methods change it."""
-        return self._index
+        ids in bulk; only the add methods change it. A dumped or restored
+        graph unpacks its node lists to give it."""
+        nodes = self._nodes
+        return (nodes if type(nodes) is _NodeLists else self._unpack()).position
 
     def node(self, node_id: str) -> Node:
         return self.node_at(self.index_of(node_id))
@@ -240,24 +317,14 @@ class KnowledgeGraph:
     def first_nodes_named(self, names: Iterable[str]) -> dict[str, str]:
         """Name -> id of the first node added with exactly that name, for each
         of ``names`` that some node has."""
-        wanted = frozenset(names)
-        found: dict[str, str] = {}
-        all_names, ids = self._names, self._ids
-        for i in compress(range(len(all_names)), map(wanted.__contains__, all_names)):
-            found.setdefault(all_names[i], ids[i])
-        return found
+        return self._nodes.first_named(names)
 
     def first_node_normalized(self, key: str) -> str | None:
         """Id of the first node added whose normalized name is ``key``, or
         None; ``key`` is already normalized (:func:`normalize_name`)."""
         normalized, offsets, nodes = self._normalized_names()
-
-        def name(k: int) -> array:
-            return normalized[offsets[k]:offsets[k + 1]]
-
-        target = array("B", _utf8(key))
-        k = bisect_left(range(len(nodes)), target, key=name)
-        return self._ids[nodes[k]] if k < len(nodes) and name(k) == target else None
+        k = _find(normalized, offsets, range(len(nodes)), key)
+        return None if k is None else self._nodes.id_at(nodes[k])
 
     # --- adjacency queries ---
 
@@ -269,12 +336,11 @@ class KnowledgeGraph:
         i = self.index_of(x)
         csr = self._adjacency()
         for p in range(csr.offsets[i], csr.offsets[i + 1]):
-            yield (self._ids[csr.other[p]], *self._link(i, csr.edge[p]))
+            yield (self._nodes.id_at(csr.other[p]), *self._link(i, csr.edge[p]))
 
     def neighbor_ids(self, x: str) -> list[str]:
         """Ids of the nodes sharing an edge with x, deduplicated, in first-edge order."""
-        ids = self._ids
-        return [ids[j] for j in self._neighbors(self.index_of(x))]
+        return list(map(self._nodes.id_at, self._neighbors(self.index_of(x))))
 
     def neighbors(self, x: str) -> list[Node]:
         """Nodes sharing an edge with x, deduplicated, in first-edge order."""
@@ -306,14 +372,20 @@ class KnowledgeGraph:
 
     def index_of(self, node_id: str) -> int:
         """The int node_id is interned to (its insertion position)."""
-        i = self._index.get(node_id)
+        i = self._nodes.find(node_id)
         if i is None:
             raise UnknownNodeError(node_id)
         return i
 
     def node_at(self, i: int) -> Node:
         """The node interned to i."""
-        return Node(self._ids[i], self._names[i], self._types[i])
+        nodes = self._nodes
+        return Node(nodes.id_at(i), nodes.name_at(i), nodes.type_at(i))
+
+    def edge_at(self, e: int) -> Edge:
+        """The edge at position e of the insertion order."""
+        nodes = self._nodes
+        return Edge(nodes.id_at(self._sources[e]), nodes.id_at(self._targets[e]), self._labels[self._edge_labels[e]])
 
     def links(self, i: int, j: int) -> Iterator[tuple[str, Direction]]:
         """Label and direction, relative to i, of each stored edge between
@@ -366,30 +438,45 @@ class KnowledgeGraph:
 
     def _normalized_names(self) -> _NameIndex:
         index = self._name_index
-        if index is None:
-            index = self._name_index = _build_name_index(self._names)
+        if index is None:  # a packed graph always has its index, so the names are lists
+            index = self._name_index = _build_name_index(self._nodes.names)
         return index
 
     def _adjacency(self) -> _Csr:
         csr = self._csr
         if csr is None:
-            csr = self._csr = _build_csr(len(self._ids), self._sources, self._targets)
+            csr = self._csr = _build_csr(self.node_count, self._sources, self._targets)
         return csr
 
+    def _unpack(self) -> _NodeLists:
+        """The node lists and id dict again, from the packed columns, for an add."""
+        columns = self._nodes
+        every = range(columns.size())
+        ids = list(map(columns.id_at, every))
+        nodes = self._nodes = _NodeLists(
+            dict(zip(ids, every)), ids, list(map(columns.name_at, every)), list(map(columns.type_at, every))
+        )
+        return nodes
+
     def dump(self) -> tuple[dict[str, list[str]], dict[str, array]]:
-        """The whole core as plain values: the string tables and the integer
-        arrays (adjacency and the normalized-name index included), each built
-        first if need be."""
+        """The whole core as plain values: the type and label tables and the
+        arrays (packed node strings, adjacency and the normalized-name index
+        included), each built first if need be. The graph keeps its nodes
+        packed from then on."""
         self._keys = None  # the duplicate check is done; an add rebuilds it
-        tables = {"ids": self._ids, "names": self._names, "types": self._types, "labels": self._labels}
-        arrays = {
+        index = self._normalized_names()  # built from the lists, before they go
+        nodes = self._nodes
+        if type(nodes) is _NodeLists:
+            nodes = self._nodes = _pack_nodes(nodes)
+        parts = {
+            **nodes._asdict(),
             "sources": self._sources,
             "targets": self._targets,
             "edge_labels": self._edge_labels,
             **self._adjacency()._asdict(),
-            **self._normalized_names()._asdict(),
+            **index._asdict(),
         }
-        return tables, arrays
+        return {"types": nodes.types, "labels": self._labels}, {name: parts[name] for name in ARRAYS}
 
     @classmethod
     def restore(cls, tables: dict[str, list[str]], arrays: dict[str, array]) -> "KnowledgeGraph":
@@ -399,24 +486,24 @@ class KnowledgeGraph:
         Raises ValueError or TypeError when they do not fit together: other
         names or types, or tables and arrays of mismatched lengths.
         """
-        if set(tables) != {"ids", "names", "types", "labels"} or not all(
-            isinstance(table, list) for table in tables.values()
-        ):
+        if set(tables) != {"types", "labels"} or not all(isinstance(table, list) for table in tables.values()):
             raise TypeError("graph state: wrong string tables")
         if {name: values.typecode for name, values in arrays.items()} != ARRAYS:
             raise TypeError("graph state: wrong integer arrays")
         graph = cls()
-        graph._ids, graph._names, graph._types = tables["ids"], tables["names"], tables["types"]
         graph._labels = tables["labels"]
-        n = len(graph._ids)
-        graph._index = dict(zip(graph._ids, range(n)))
         graph._label_index = dict(zip(graph._labels, range(len(graph._labels))))
+        nodes = _NodeColumns(*(arrays[name] for name in _NodeColumns._fields[:-1]), tables["types"])
         csr = _Csr(*(arrays[name] for name in _Csr._fields))
         index = _NameIndex(*(arrays[name] for name in _NameIndex._fields))
+        n = len(arrays["node_types"])
         edges = len(arrays["sources"])
         if (
-            len(graph._names) != n or len(graph._types) != n or len(graph._index) != n
-            or len(graph._label_index) != len(graph._labels)
+            len(graph._label_index) != len(graph._labels)
+            or not len(nodes.node_id_offsets) == len(nodes.node_name_offsets) == n + 1
+            or not len(nodes.id_order) == len(nodes.name_order) == n
+            or nodes.node_id_offsets[-1] != len(nodes.node_ids)
+            or nodes.node_name_offsets[-1] != len(nodes.node_names)
             or len(arrays["targets"]) != edges or len(arrays["edge_labels"]) != edges
             or len(csr.offsets) != n + 1
             or not len(csr.other) == len(csr.edge) == csr.offsets[-1]
@@ -424,6 +511,7 @@ class KnowledgeGraph:
             or index.name_offsets[-1] != len(index.normalized)
         ):
             raise ValueError("graph state: tables and arrays do not match")
+        graph._nodes = nodes
         graph._sources, graph._targets = arrays["sources"], arrays["targets"]
         graph._edge_labels = arrays["edge_labels"]
         graph._keys = None
@@ -438,6 +526,44 @@ def _utf8(text: str) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
+def _packed(encoded: list[bytes]) -> tuple[array, array]:
+    """Byte strings joined into one byte array, and the array of their offsets in it."""
+    return array("B", b"".join(encoded)), array("q", accumulate(map(len, encoded), initial=0))
+
+
+def _text(data: array, offsets: array, i: int) -> str:
+    """The i-th string of a packed column."""
+    return data[offsets[i]:offsets[i + 1]].tobytes().decode("utf-8", "surrogatepass")
+
+
+def _find(data: array, offsets: array, order: Sequence[int], text: str) -> int | None:
+    """The first item of ``order`` whose string in a packed column is
+    ``text``, or None; ``order`` lists the items in sorted order of their
+    strings."""
+
+    def item_bytes(k: int) -> array:
+        i = order[k]
+        return data[offsets[i]:offsets[i + 1]]
+
+    target = array("B", _utf8(text))
+    k = bisect_left(range(len(order)), target, key=item_bytes)
+    return order[k] if k < len(order) and item_bytes(k) == target else None
+
+
+def _pack_nodes(nodes: _NodeLists) -> _NodeColumns:
+    """The packed columns of these node lists."""
+    ids, names = list(map(_utf8, nodes.ids)), list(map(_utf8, nodes.names))
+    every = range(len(ids))
+    codes = dict.fromkeys(nodes.types)  # each distinct type, in order of first use
+    for code, node_type in enumerate(codes):
+        codes[node_type] = code
+    return _NodeColumns(
+        *_packed(ids), array("i", sorted(every, key=ids.__getitem__)),
+        *_packed(names), array("i", sorted(every, key=names.__getitem__)),
+        array("i", map(codes.__getitem__, nodes.types)), list(codes),
+    )
+
+
 def _build_name_index(names: list[str]) -> _NameIndex:
     """The name index of nodes with these names, in insertion order."""
     # a dict keeps the last value given for a key, so feed it backwards
@@ -445,11 +571,7 @@ def _build_name_index(names: list[str]) -> _NameIndex:
         (_utf8(normalize_name(name)) for name in reversed(names)), range(len(names) - 1, -1, -1)
     ))
     keys = sorted(first)
-    return _NameIndex(
-        array("B", b"".join(keys)),
-        array("q", accumulate(map(len, keys), initial=0)),
-        array("i", map(first.__getitem__, keys)),
-    )
+    return _NameIndex(*_packed(keys), array("i", map(first.__getitem__, keys)))
 
 
 def _build_csr(n: int, sources: array, targets: array) -> _Csr:

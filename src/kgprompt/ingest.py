@@ -13,15 +13,17 @@ per loader and dump digest. A later load of the same bytes restores the
 graph and its :class:`IngestReport` (warnings included) from the snapshot and
 skips the parse. A snapshot is a fixed header (magic, format version, code
 digest, payload length, payload sha256) and a payload of a fixed vector of
-sizes, the ``marshal``-encoded string tables and report, and the raw integer
-arrays in :data:`kgprompt.graph.ARRAYS` order. The sizes are the tables'
+sizes, the ``marshal``-encoded tables and report, and the raw arrays in
+:data:`kgprompt.graph.ARRAYS` order. The sizes are the marshalled bytes'
 length and each array's item count; the arrays' names and typecodes are not
-on disk, since ``ARRAYS`` states them. The string tables are the node ids,
-names and types and the edge labels; the arrays are the edge columns, the
-adjacency CSR and the normalized-name index (the names' UTF-8 bytes, their
-offsets and their first nodes), so a restore builds neither the CSR nor the
-index again. The marshalled bytes are dropped as soon as they are decoded,
-before the graph's node index is built.
+on disk, since ``ARRAYS`` states them. Only the small tables are marshalled:
+the node types, the edge labels and the report. The arrays are the node ids
+and names (UTF-8 bytes, their offsets and the node ints in sorted order of
+each), the node type codes, the edge columns, the adjacency CSR and the
+normalized-name index (the names' UTF-8 bytes, their offsets and their first
+nodes). Each array is read in place into its final buffer. So a restore
+builds neither the CSR nor the index again, and makes no per-node Python
+object: the graph answers from the arrays as read.
 A snapshot of another code digest (byte order, this module's and
 :mod:`kgprompt.graph`'s source), like any mismatch, truncation or decode
 error, makes the loader parse the dump again and write the snapshot over the
@@ -73,11 +75,11 @@ log = logging.getLogger(__name__)
 # Warnings kept verbatim in the report are capped; counts stay exact.
 _MAX_WARNINGS = 50
 
-_SNAPSHOT_VERSION = 7
+_SNAPSHOT_VERSION = 8
 _SNAPSHOT_MAGIC = b"KGPGRAPH"
 # magic, format version, code digest, payload length, payload sha256
 _SNAPSHOT_HEADER = struct.Struct("<8sI32sQ32s")
-# the payload's sizes: the marshalled tables' length, then each array's item count
+# the payload's sizes: the marshalled bytes' length, then each array's item count
 _SNAPSHOT_SIZES = struct.Struct(f"<{1 + len(graph_module.ARRAYS)}Q")
 
 
@@ -424,27 +426,29 @@ def _decode_snapshot(fh: BinaryIO) -> tuple[KnowledgeGraph, IngestReport]:
         raise EOFError("file size does not match the payload length")
     sizes = fh.read(_SNAPSHOT_SIZES.size)
     tables_size, *counts = _SNAPSHOT_SIZES.unpack(sizes)
-    arrays = [array(typecode) for typecode in graph_module.ARRAYS.values()]
-    if len(sizes) + tables_size + sum(n * a.itemsize for n, a in zip(counts, arrays)) != length:
+    typecodes = graph_module.ARRAYS.values()
+    if len(sizes) + tables_size + sum(n * array(t).itemsize for n, t in zip(counts, typecodes)) != length:
         raise EOFError("payload length does not match its parts")
     digest = hashlib.sha256(sizes)  # the tables are hashed apart, so they are never copied
     tables = fh.read(tables_size)
     digest.update(tables)
-    for values, count in zip(arrays, counts):
-        values.fromfile(fh, count)
+    arrays = [array(typecode, [0]) * count for typecode, count in zip(typecodes, counts)]
+    for values in arrays:
+        # read in place: fromfile() would hold each array's bytes twice for a moment
+        if fh.readinto(values) != len(values) * values.itemsize:
+            raise EOFError("snapshot ends early")
         digest.update(values)
     if digest.digest() != checksum:
         raise ValueError("payload checksum mismatch")
     state = marshal.loads(tables)
-    del tables  # megabytes of bytes no longer needed: free them before restore() allocates
     graph = KnowledgeGraph.restore(state["graph"], dict(zip(graph_module.ARRAYS, arrays)))
     return graph, IngestReport(**state["report"])
 
 
 def _write_snapshot(path: Path, graph: KnowledgeGraph, report: IngestReport) -> None:
     """Save a snapshot, over any file at ``path``: the header, stamped with
-    this code's digest, then a payload of the sizes, the marshalled string
-    tables and report, and each integer array's bytes in ``ARRAYS`` order."""
+    this code's digest, then a payload of the sizes, the marshalled type and
+    label tables and report, and each array's bytes in ``ARRAYS`` order."""
     tables, arrays = graph.dump()
     head = marshal.dumps({"graph": tables, "report": asdict(report)})
     columns = [arrays[name] for name in graph_module.ARRAYS]
@@ -468,7 +472,10 @@ def export_edge_list_jsonl(kg: KnowledgeGraph, path: str | Path) -> int:
 
     Nodes are written before edges so the file reloads in a single pass;
     reloading reproduces the graph exactly (node set, edge list, labels).
+    Records are made one at a time, by node and edge position.
     """
-    nodes = ({"node": {"id": n.id, "name": n.name, "type": n.node_type}} for n in kg.nodes.values())
-    edges = ({"edge": {"source": e.source, "target": e.target, "label": e.label}} for e in kg.edges)
-    return write_jsonl(path, itertools.chain(nodes, edges))
+    nodes = map(kg.node_at, range(kg.node_count))
+    edges = map(kg.edge_at, range(kg.edge_count))
+    node_records = ({"node": {"id": n.id, "name": n.name, "type": n.node_type}} for n in nodes)
+    edge_records = ({"edge": {"source": e.source, "target": e.target, "label": e.label}} for e in edges)
+    return write_jsonl(path, itertools.chain(node_records, edge_records))

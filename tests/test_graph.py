@@ -279,7 +279,7 @@ def test_dump_follows_the_one_array_layout():
 def test_restore_rejects_state_that_does_not_fit_together():
     tables, arrays = make_graph([("a", "A", "t"), ("b", "B", "t")], [("a", "b", "r")]).dump()
     with pytest.raises(ValueError):
-        KnowledgeGraph.restore({**tables, "names": ["A"]}, arrays)
+        KnowledgeGraph.restore(tables, {**arrays, "node_name_offsets": arrays["node_name_offsets"][:-1]})
     with pytest.raises(ValueError):
         KnowledgeGraph.restore(tables, {**arrays, "other": arrays["other"][:-1]})
     with pytest.raises(TypeError):
@@ -295,5 +295,88 @@ def test_restore_rejects_a_name_index_that_does_not_fit(name, cut):
         KnowledgeGraph.restore(tables, {**arrays, name: arrays[name][:-cut]})
     with pytest.raises(ValueError):
         KnowledgeGraph.restore(tables, {**arrays, name: arrays[name] + arrays[name][-cut:]})
+    with pytest.raises(TypeError):
+        KnowledgeGraph.restore(tables, {**arrays, name: array("b", arrays[name])})
+
+
+# Names and ids a packed column must give back exactly: a surrogate pair
+# written as two code units (not the astral character it would spell in
+# UTF-16), astral characters, NUL and newline, and repeats.
+_PACKED_ODD = [
+    ("\ud83d\ude00", "\ud83d\ude00"), ("\U0001f600", "\U0001f600"), ("\ud83d", "\ude00\ud83d"),
+    ("a\0b", "a\0b"), ("a\nb", "a\nb"), ("a", "\U0001f600"), ("a\0", "\U0001f600!"),
+    ("\U0010ffff", "n1"), ("n1\0", "Straße"),
+]
+_ABSENT_IDS = ["", "zz", "n", "n1\n", "\U0001f600\0", "\ude00", "\U0001f601", "\ud83d\ude01", "a\0c"]
+
+
+def _packed_test_graph(rng: Random) -> tuple[list[tuple[str, str, str]], list[tuple[str, str, str]]]:
+    nodes, edges = random_graph(rng, max_nodes=30, max_edges=90)
+    odd = [(f"odd-{node_id}", name, "odd") for node_id, name in ODD_NAMES] + [
+        (node_id, name, rng.choice(["odd", "gene"])) for node_id, name in _PACKED_ODD
+    ]
+    nodes = nodes + odd
+    rng.shuffle(nodes)
+    ids = [node_id for node_id, _name, _type in nodes]
+    edges = edges + [(rng.choice(ids), rng.choice(ids), "odd link") for _ in range(20)]
+    return nodes, list(dict.fromkeys(edges))
+
+
+def _answers(kg: KnowledgeGraph, ids: list[str], names: list[str]) -> tuple:
+    """Every answer the node strings feed: node tables, lookups by id and by name."""
+    return (
+        list(kg.nodes.items()),
+        kg.edges,
+        [kg.node_at(i) for i in range(kg.node_count)],
+        [kg.node(x) for x in ids],
+        [kg.index_of(x) for x in ids],
+        [kg.has_node(x) for x in ids + _ABSENT_IDS],
+        [kg.neighbor_ids(x) for x in ids],
+        [list(kg.adjacency(x)) for x in ids],
+        name_lookups(kg, names),
+    )
+
+
+def test_packed_graphs_answer_as_built_ones():
+    rng = Random(22)
+    for case in range(25):
+        nodes, edges = _packed_test_graph(rng)
+        ids = [node_id for node_id, _name, _type in nodes]
+        names = [name for _id, name, _type in nodes] + ["absent", "", "\ud83d", "\U0001f601", "STRASSE", "A\0B"]
+        built = make_graph(nodes, edges)  # never dumped
+        dumped = make_graph(nodes, edges)
+        tables, arrays = dumped.dump()  # packs it, as a cold load's snapshot write does
+        restored = KnowledgeGraph.restore(
+            {name: list(table) for name, table in tables.items()},
+            {name: array(values.typecode, values) for name, values in arrays.items()},
+        )
+        expected = _answers(built, ids, names)
+        for kg in (dumped, restored):
+            assert _answers(kg, ids, names) == expected, case
+            for x in _ABSENT_IDS:
+                with pytest.raises(UnknownNodeError):
+                    kg.index_of(x)
+        source, target, label = edges[0]
+        for kg in (built, dumped, restored):
+            assert not kg.add_node(Node(ids[-1], "another name"))
+            assert not kg.add_edge(source, target, label)
+            assert kg.add_edge(target, source, "added")
+            assert kg.add_node(Node("\U0001f600 new", "a\0b", "new"))
+            assert kg.add_edge("\U0001f600 new", ids[0], "added")
+            assert not kg.add_node(Node("\U0001f600 new", "again"))
+        expected = _answers(built, ids + ["\U0001f600 new"], names)
+        for kg in (dumped, restored):
+            assert _answers(kg, ids + ["\U0001f600 new"], names) == expected, case
+
+
+@pytest.mark.parametrize(
+    "name", ["node_ids", "node_id_offsets", "id_order", "node_names", "node_name_offsets", "name_order", "node_types"]
+)
+def test_restore_rejects_node_columns_that_do_not_fit(name):
+    tables, arrays = make_graph([("a", "A", "t"), ("b", "B", "u")], [("a", "b", "r")]).dump()
+    with pytest.raises(ValueError):
+        KnowledgeGraph.restore(tables, {**arrays, name: arrays[name][:-1]})
+    with pytest.raises(ValueError):
+        KnowledgeGraph.restore(tables, {**arrays, name: arrays[name] + arrays[name][-1:]})
     with pytest.raises(TypeError):
         KnowledgeGraph.restore(tables, {**arrays, name: array("b", arrays[name])})

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import re
+import tracemalloc
 from pathlib import Path
 from random import Random
 
@@ -882,6 +883,60 @@ def test_snapshot_with_a_name_index_that_does_not_fit_is_parsed_again(
     ]
     assert _outcome(_LOADERS[fmt], path) == expected
     assert parses == [path]  # and the rewritten snapshot restored
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+@pytest.mark.parametrize(
+    "name", ["node_ids", "node_id_offsets", "id_order", "node_names", "node_name_offsets", "name_order", "node_types"]
+)
+@pytest.mark.parametrize("extend", [False, True], ids=["cut", "extended"])
+def test_snapshot_with_node_columns_that_do_not_fit_is_parsed_again(
+    tmp_path, graph_cache, monkeypatch, fmt, name, extend
+):
+    path = _random_dump(tmp_path, fmt, seed=922)
+    expected = _outcome(_FROZEN[fmt], path)
+    dump = KnowledgeGraph.dump
+
+    def misfit_dump(graph: KnowledgeGraph):
+        tables, arrays = dump(graph)
+        values = arrays[name]
+        return tables, {**arrays, name: values + values[-1:] if extend else values[:-1]}
+
+    monkeypatch.setattr(KnowledgeGraph, "dump", misfit_dump)
+    assert _outcome(_LOADERS[fmt], path) == expected  # parses, and saves a snapshot that does not fit
+    monkeypatch.setattr(KnowledgeGraph, "dump", dump)
+    parses = _count_parses(monkeypatch, fmt)
+    assert _outcome(_LOADERS[fmt], path) == expected
+    assert parses == [path]
+    assert _outcome(_LOADERS[fmt], path) == expected
+    assert parses == [path]  # the rewritten snapshot restored
+
+
+# Bytes a warm load of the graph below may hold per node. A restore that makes
+# per-node Python objects (an id and a name str each, their list slots and an
+# id -> int dict entry) holds about 290; the packed columns hold about 140.
+_WARM_BYTES_PER_NODE = 200
+
+
+def test_warm_load_holds_no_per_node_objects(tmp_path, graph_cache):
+    rng = Random(20)
+    n = 20_000
+    kinds = ["Gene", "Disease", "Compound", "Anatomy", "Pathway"]
+    nodes = [het_node(kinds[i % 5], i, f"Entity {i}") for i in range(n)]
+    ends = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
+    edges = [het_edge([kinds[s % 5], s], [kinds[t % 5], t], "links") for s, t in ends]
+    path = write_hetionet(tmp_path / "het.json", nodes, edges)
+    del nodes, ends, edges
+    load_hetionet_json(path)  # parses and saves the snapshot
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kg, _report = load_hetionet_json(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (kg.node_count, kg.node(f"Gene::{n - 5}").name) == (n, f"Entity {n - 5}")
+    assert held / n < _WARM_BYTES_PER_NODE
 
 
 @pytest.mark.parametrize("fmt", sorted(_LOADERS))
