@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 from typing import Iterable, Iterator
 from urllib.parse import urlsplit
@@ -65,9 +66,13 @@ def require_str(value: object, what: str, line: int | None = None) -> str:
     return value
 
 
+_NOT_IN_URL = re.compile("[\x00-\x20\x7f]")
+
+
 def require_http_url(url: str, what: str) -> None:
     """Raise ValueError unless ``url`` is an http(s) URL naming a host, whose
-    host and port ``urlsplit`` can read."""
+    host and port ``urlsplit`` can read, made of ASCII characters other than
+    space and the controls (``urlsplit`` would drop tab, CR and LF)."""
     try:
         parts = urlsplit(url)
         parts.port  # ValueError for a port that is not a number in 0..65535
@@ -75,6 +80,8 @@ def require_http_url(url: str, what: str) -> None:
         parts = None
     if not (parts and parts.hostname and url.startswith(("http://", "https://"))):
         raise ValueError(f"{what} must be an http(s) URL")
+    if not url.isascii() or _NOT_IN_URL.search(url):
+        raise ValueError(f"{what} must be an http(s) URL without spaces, controls or non-ASCII")
 
 
 # The only JSON values with one obvious spelling inside an id (a bool is not

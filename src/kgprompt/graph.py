@@ -263,13 +263,17 @@ class KnowledgeGraph:
         """:meth:`add_edge` from the node interned to s to the one interned
         to t, for a loader that has looked both up in :attr:`node_index` and
         checked that ``label`` is a non-empty string."""
+        keys = self._keys
+        if keys is None:  # the first add since a dump or restore: stop sharing its columns
+            self._labels = list(self._labels)
+            self._sources, self._targets, self._edge_labels = (
+                array("i", self._sources), array("i", self._targets), array("i", self._edge_labels)
+            )
+            keys = self._keys = set(map(_edge_key, self._sources, self._targets, self._edge_labels))
         lab = self._label_index.get(label)
         if lab is None:
             lab = self._label_index[label] = len(self._labels)
             self._labels.append(label)
-        keys = self._keys
-        if keys is None:
-            keys = self._keys = set(map(_edge_key, self._sources, self._targets, self._edge_labels))
         key = (s << 64) | (t << 32) | lab  # _edge_key, inlined: this runs once per edge loaded
         if key in keys:
             return False

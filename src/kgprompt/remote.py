@@ -167,7 +167,7 @@ def _fetch_json(
     )
     if raw.status == 429:
         raise RateLimitedError(
-            f"rate limited by {url}", retry_after=_delay_seconds(raw.headers.get("Retry-After"))
+            f"rate limited by {url}", retry_after=_delay_seconds(raw.headers.get("retry-after"))
         )
     if raw.status != 200:
         raise NetworkError(f"HTTP {raw.status} from {url}")

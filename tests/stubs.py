@@ -47,6 +47,10 @@ class _QuietHandler(BaseHTTPRequestHandler):
         sends a line that is no HTTP status line and closes; "close_after"
         answers normally, then closes without a ``Connection: close``
         header, as a server dropping an idle kept-alive connection does.
+
+        {"wire": bytes, "close": bool} sends ``wire`` as the whole answer,
+        status line and headers included, then closes the connection if
+        ``close``.
         """
         fault = plan.get("fault")
         if fault == "drop":
@@ -60,6 +64,10 @@ class _QuietHandler(BaseHTTPRequestHandler):
         elif fault == "bad_status":
             self.wfile.write(b"NOT HTTP AT ALL\r\n\r\n")
             self.close_connection = True
+        elif "wire" in plan:
+            self.wfile.write(plan["wire"])
+            if plan.get("close"):
+                self.close_connection = True
         elif "raw" in plan:
             self.send_response(plan.get("status", 200))
             self.send_header("Content-Length", str(len(plan["raw"])))

@@ -161,6 +161,17 @@ def test_malformed_override_table_exit_code_3(tmp_path, capsys):
 # http(s) URLs that urlsplit or http.client cannot use: an unclosed IPv6
 # bracket, no host, a port past 65535.
 _URLS_HTTP_CLIENT_REJECTS = ("http://[::1", "http://", "http://h:99999")
+# http(s) URLs holding a character no request line may hold; urlsplit drops
+# tab, CR and LF, which would send the request to another path.
+_URLS_WITH_BAD_CHARACTERS = {
+    "space": "http://127.0.0.1:9/a b",
+    "tab": "http://127.0.0.1:9/a\tb",
+    "cr": "http://127.0.0.1:9/a\rb",
+    "lf": "http://127.0.0.1:9/a\nb",
+    "nul": "http://127.0.0.1:9/a\0b",
+    "del": "http://127.0.0.1:9/a\x7fb",
+    "non-ascii": "http://127.0.0.1:9/\u00e9",
+}
 _NO_SERVER = "http://127.0.0.1:9"  # the discard port: nothing listens there
 
 
@@ -261,6 +272,21 @@ def test_bad_config_values_exit_code_2_before_any_artifact(tmp_path, capsys, ove
         config.write_text(json.dumps(overrides), encoding="utf-8")
     assert main(["run", "--config", str(config)]) == 2
     assert message in capsys.readouterr().err
+    out_dir = tmp_path / "run"
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("url", list(_URLS_WITH_BAD_CHARACTERS.values()), ids=list(_URLS_WITH_BAD_CHARACTERS))
+@pytest.mark.parametrize("key", ["backend.base_url", "kg.sparql_url", "kg.entity_api_url"])
+def test_url_with_a_bad_character_exit_code_2_naming_the_key(tmp_path, capsys, key, url):
+    section, name = key.split(".")
+    if section == "backend":
+        config = write_config(tmp_path, backend={"kind": "http", "base_url": url})
+    else:
+        kg = {"kind": "remote", "cache_dir": "cache", "sparql_url": _NO_SERVER, "entity_api_url": _NO_SERVER}
+        config = write_config(tmp_path, kg={**kg, name: url})
+    assert main(["run", "--config", str(config)]) == 2
+    assert f"{section}: {name} must be an http(s) URL without spaces, controls or non-ASCII" in capsys.readouterr().err
     out_dir = tmp_path / "run"
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
@@ -413,6 +439,27 @@ def test_remote_http_run_succeeds_without_requests(
     assert (Path(capsys.readouterr().out.strip()) / "report.json").exists()
     assert len(predict_server.requests) == 10  # one per test prompt over the five folds
     assert wiki_server.request_count > 0
+
+
+def test_remote_http_run_loads_no_http_client_email_or_tls_module(tmp_path, wiki_server, predict_server):
+    # the transport speaks HTTP/1.1 over plain sockets; ssl is for https only
+    predict_server.default = {"status": 200, "body": score_response({"causal": 0.7, "non-causal": 0.3})}
+    config = remote_http_config(tmp_path, wiki_server, predict_server)
+    src = Path(kgprompt.__file__).parent.parent
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys; from kgprompt.cli import main; code = main(['run', '--config', CONFIG]); "
+        "print(code, sorted(m for m in sys.modules if m in ('http.client', 'ssl') or m.split('.')[0] == 'email'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe.replace("CONFIG", repr(str(config)))],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
+    assert len(predict_server.requests) == 10 and wiki_server.request_count > 0
 
 
 @pytest.mark.parametrize("fault", ["truncate", "bad_status", "drop"])

@@ -220,6 +220,25 @@ def test_restored_graph_answers_as_the_dumped_one_and_still_dedups():
         assert copy.edge_count == kg.edge_count + 1
 
 
+def test_a_graph_and_its_restored_copy_take_adds_apart():
+    # restore takes the dumped columns over without a copy; an add must not
+    # reach the other graph
+    nodes = [("a", "A", "t"), ("b", "B", "t"), ("c", "C", "u")]
+    edges = [("a", "b", "r"), ("b", "c", "r")]
+    kg = make_graph(nodes, edges)
+    copy = KnowledgeGraph.restore(*kg.dump())
+    added = {id(kg): ("a", "c", "new in kg"), id(copy): ("c", "a", "new in copy")}
+    for graph in (kg, copy):
+        assert graph.add_edge(*added[id(graph)])
+    for graph in (kg, copy):
+        built = make_graph(nodes, [*edges, added[id(graph)]])  # never dumped
+        assert graph.edges == built.edges
+        assert graph.edge_count == built.edge_count == 3
+        for x in "abc":
+            assert list(graph.adjacency(x)) == list(built.adjacency(x))
+        assert graph.dump() == built.dump()
+
+
 def test_name_tables_first_node_wins_and_survive_a_restore():
     kg = make_graph(
         [("a", "Beta-Carotene", "t"), ("b", "beta carotene", "t"), ("c", "Beta-Carotene", "t")], []

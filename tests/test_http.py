@@ -3,6 +3,7 @@ that count the connections they accept."""
 
 from __future__ import annotations
 
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,7 +11,7 @@ import pytest
 
 from kgprompt import http
 from kgprompt.backend import HttpEndpoint, InferenceRequest, predict_http, predict_http_batch
-from kgprompt.errors import NetworkError
+from kgprompt.errors import NetworkError, RateLimitedError
 from kgprompt.prompts import Architecture, LabelMapping
 from kgprompt.remote import QueryCache, RemoteEndpoint, resolve_entity
 
@@ -169,3 +170,112 @@ def test_transport_module_reads_no_proxy_settings(monkeypatch, keep_alive_server
     record = predict_http(endpoint_for(keep_alive_server, max_retries=0), request(), IDENTITY)
     assert record.instance_id == "r0"
 
+
+
+# --- framing that the transport reads itself ---
+
+def _post(server, **kw) -> http.Response:
+    return http.post(f"{server.base_url}/predict", json={"request_id": "r0"}, timeout=5.0, **kw)
+
+
+def _post_once(server) -> http.Response:
+    return http.post_retrying(f"{server.base_url}/predict", what="request", transient=frozenset(),
+                              retries=0, backoff=0.01, timeout=5.0, json={"request_id": "r0"})
+
+
+def test_chunked_body_with_extension_and_trailer_keeps_the_connection(keep_alive_server):
+    keep_alive_server.script = [{"wire": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                                         b"5;name=value\r\nhello\r\n6\r\n world\r\n0\r\nX-Trailer: t\r\n\r\n"}]
+    response = _post(keep_alive_server)
+    assert (response.status, response.body) == (200, b"hello world")
+    assert response.headers == {"transfer-encoding": "chunked"}
+    assert _post(keep_alive_server).status == 200
+    assert keep_alive_server.connections == 1
+
+
+def test_http10_answer_without_length_is_read_to_close_and_not_reused(keep_alive_server):
+    keep_alive_server.script = [{"wire": b"HTTP/1.0 200 OK\r\nContent-Type: text/plain\r\n\r\nall of it",
+                                 "close": True}]
+    response = _post(keep_alive_server)
+    assert (response.status, response.body) == (200, b"all of it")
+    assert _post(keep_alive_server).status == 200
+    assert keep_alive_server.connections == 2
+
+
+def test_100_continue_is_skipped(keep_alive_server):
+    keep_alive_server.script = [{"wire": b"HTTP/1.1 100 Continue\r\nX-Interim: 1\r\n\r\n"
+                                         b"HTTP/1.1 201 Created\r\nContent-Length: 2\r\n\r\nok"}]
+    response = _post(keep_alive_server)
+    assert (response.status, response.headers, response.body) == (201, {"content-length": "2"}, b"ok")
+    assert _post(keep_alive_server).status == 200
+    assert keep_alive_server.connections == 1
+
+
+@pytest.mark.parametrize(
+    "head, error",
+    [
+        (b"X-Long: " + b"a" * 65_536 + b"\r\nContent-Length: 2\r\n",
+         "HTTPException('header line longer than 65536 bytes')"),
+        (b"".join(b"X-%d: v\r\n" % i for i in range(100)) + b"Content-Length: 2\r\n",
+         "HTTPException('more than 100 header lines')"),
+        (b"Content-Length: -2\r\n", "HTTPException(\"bad Content-Length '-2'\")"),
+        (b"Content-Length: 2, 2\r\n", "HTTPException(\"bad Content-Length '2, 2'\")"),
+    ],
+    ids=["line-over-64k", "101-header-lines", "negative-length", "listed-length"],
+)
+def test_oversized_or_bad_header_costs_one_attempt_and_closes(keep_alive_server, head, error):
+    keep_alive_server.script = [{"wire": b"HTTP/1.1 200 OK\r\n" + head + b"\r\n{}"}]
+    with pytest.raises(NetworkError, match=f"failed after 1 attempts: {re.escape(error)}"):
+        _post_once(keep_alive_server)
+    assert _post_once(keep_alive_server).status == 200
+    assert len(keep_alive_server.requests) == 2
+    assert keep_alive_server.connections == 2
+
+
+def test_100_header_lines_are_read(keep_alive_server):
+    head = b"".join(b"X-%d: v\r\n" % i for i in range(99)) + b"Content-Length: 2\r\n"
+    keep_alive_server.script = [{"wire": b"HTTP/1.1 200 OK\r\n" + head + b"\r\n{}"}]
+    response = _post(keep_alive_server)
+    assert (len(response.headers), response.body) == (100, b"{}")
+
+
+def test_429_retry_after_is_read_case_blind_and_the_first_one_wins(tmp_path):
+    server = StubWikiServer(keep_alive=True).start()
+    server.script = [{"wire": b"HTTP/1.1 429 Too Many Requests\r\nretry-after: 7\r\nRetry-After: 30\r\n"
+                              b"Content-Length: 2\r\n\r\n{}"}]
+    try:
+        endpoint = RemoteEndpoint(sparql_url=server.sparql_url, entity_api_url=server.api_url)
+        with pytest.raises(RateLimitedError) as err:
+            resolve_entity(endpoint, QueryCache(root_dir=tmp_path / "cache"), "a")
+        assert err.value.retry_after == 7.0
+    finally:
+        http.close_idle()
+        server.stop()
+
+
+def test_https_to_a_plain_keep_alive_server_costs_each_attempt(keep_alive_server):
+    endpoint = HttpEndpoint(base_url=keep_alive_server.base_url.replace("http:", "https:"),
+                            max_retries=1, backoff=0.01, timeout=5.0)
+    with pytest.raises(NetworkError, match="failed after 2 attempts: SSL"):
+        predict_http(endpoint, request(), IDENTITY)
+    assert keep_alive_server.connections == 2
+
+
+@pytest.mark.parametrize(
+    "path, headers",
+    [
+        ("/pre dict", {}),
+        ("/pre\tdict", {}),
+        ("/predict\r\n", {}),
+        ("/prédict", {}),
+        ("/predict", {"X-A": "a\r\nX-B: b"}),
+        ("/predict", {"X-A\n": "a"}),
+    ],
+    ids=["space", "tab", "crlf", "non-ascii", "crlf-in-value", "lf-in-name"],
+)
+def test_bad_url_or_header_is_refused_unsent_and_not_retried(keep_alive_server, path, headers):
+    with pytest.raises(NetworkError) as err:
+        http.post_retrying(keep_alive_server.base_url + path, what="request", transient=frozenset(),
+                           retries=2, backoff=0.01, timeout=5.0, json={}, headers=headers)
+    assert "attempts" not in str(err.value)
+    assert keep_alive_server.connections == 0
