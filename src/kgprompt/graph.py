@@ -23,14 +23,23 @@ Storage is an integer core:
   types become an ``array`` of int codes into a table of the distinct types.
   A packed graph holds no per-node Python object, so no refcount writes to
   its pages. A node added after that unpacks the lists and the dict again;
-- the edges are three ``array`` columns (source, target, label) in insertion
-  order, and a set of packed integer keys is the duplicate check. The set
-  lives until the graph is dumped, and an add after that (or on a restored
-  graph) rebuilds it from the columns;
-- adjacency is a CSR (compressed sparse rows) that indexes the edge columns,
-  built on the first query after an add: per node, the other end and the edge
-  position of each link in global edge order, self-loops left out. A node's
-  neighbors are the other ends of its row, deduplicated in first-link order;
+- each edge's label is an ``array`` column in insertion order, so an edge's
+  position is its index there;
+- adjacency is a CSR (compressed sparse rows), built on the first query after
+  an add: per node, the other end and the signed edge code of each link in
+  global edge order. The code is the edge's position ``e`` in its source's
+  row and ``~e`` in its target's, so a link gives its label and direction
+  without a look at the edge's ends. The CSR leaves self-loops out; they are
+  two ``array`` columns of their own, the loop edges' positions and nodes. A
+  node's neighbors are the other ends of its row, deduplicated in first-link
+  order;
+- a graph that is built also holds its edges' source and target columns, in
+  insertion order, and a set of packed integer keys as the duplicate check.
+  :meth:`KnowledgeGraph.dump` drops both, and a restored graph has neither,
+  so each edge's ends are stored once, in the CSR. The columns come back in
+  one pass over the CSR and the loops when something asks for them
+  (:meth:`KnowledgeGraph.edge_at`, :attr:`KnowledgeGraph.edges`), and the
+  first add after a dump or restore also rebuilds the key set from them;
 - :meth:`KnowledgeGraph.first_node_normalized` bisects a compact index of
   the normalized names (:func:`normalize_name`): the distinct normalized
   names in sorted order, packed as the node strings are, with an ``array``
@@ -148,11 +157,15 @@ class _NodeColumns(NamedTuple):
 
 class _Csr(NamedTuple):
     """Adjacency rows: node i's links are ``offsets[i]:offsets[i + 1]`` of
-    ``other`` (their other ends) and ``edge`` (their edges' positions)."""
+    ``other`` (their other ends) and ``edge`` (their edge codes: the edge's
+    position where i is its source, its complement where i is its target).
+    The self-loop at position ``loop_edges[k]`` is on node ``loop_nodes[k]``."""
 
     offsets: array
     other: array
     edge: array
+    loop_edges: array
+    loop_nodes: array
 
 
 class _NameIndex(NamedTuple):
@@ -167,12 +180,13 @@ class _NameIndex(NamedTuple):
 
 # The arrays of the core, by name, with their typecodes: the one layout that
 # dump() gives, restore() takes and an ingest snapshot stores, in this order.
+# Edge positions are "i", so a link count (at most twice the edges) fits "I".
 ARRAYS = {
-    "node_ids": "B", "node_id_offsets": "q", "id_order": "i",
-    "node_names": "B", "node_name_offsets": "q", "name_order": "i", "node_types": "i",
-    "sources": "i", "targets": "i", "edge_labels": "i",
-    "offsets": "q", "other": "i", "edge": "i",
-    "normalized": "B", "name_offsets": "q", "name_nodes": "i",
+    "node_ids": "B", "node_id_offsets": "I", "id_order": "i",
+    "node_names": "B", "node_name_offsets": "I", "name_order": "i", "node_types": "i",
+    "edge_labels": "i",
+    "offsets": "I", "other": "i", "edge": "i", "loop_edges": "i", "loop_nodes": "i",
+    "normalized": "B", "name_offsets": "I", "name_nodes": "i",
 }
 
 
@@ -204,9 +218,11 @@ class KnowledgeGraph:
         self._nodes: _NodeLists | _NodeColumns = _NodeLists({}, [], [], [])
         self._label_index: dict[str, int] = {}
         self._labels: list[str] = []
-        self._sources = array("i")
-        self._targets = array("i")
         self._edge_labels = array("i")
+        # the edges' ends: None after a dump or restore, until something asks
+        # for them; the CSR is never None while they are
+        self._sources: array | None = array("i")
+        self._targets: array | None = array("i")
         # packed edge keys; None after a dump or restore, until an add needs them
         self._keys: set[int] | None = set()
         self._csr: _Csr | None = None  # None until the first query after an add
@@ -232,6 +248,8 @@ class KnowledgeGraph:
     def add_node_fields(self, node_id: str, name: str, node_type: str) -> bool:
         """:meth:`add_node` for a loader that has checked that ``node_id``
         and ``name`` are non-empty strings."""
+        if self._keys is None:  # the CSR is about to go: keep the edges
+            self._thaw()
         nodes = self._nodes
         if type(nodes) is not _NodeLists:
             nodes = self._unpack()
@@ -264,12 +282,8 @@ class KnowledgeGraph:
         to t, for a loader that has looked both up in :attr:`node_index` and
         checked that ``label`` is a non-empty string."""
         keys = self._keys
-        if keys is None:  # the first add since a dump or restore: stop sharing its columns
-            self._labels = list(self._labels)
-            self._sources, self._targets, self._edge_labels = (
-                array("i", self._sources), array("i", self._targets), array("i", self._edge_labels)
-            )
-            keys = self._keys = set(map(_edge_key, self._sources, self._targets, self._edge_labels))
+        if keys is None:
+            keys = self._thaw()
         lab = self._label_index.get(label)
         if lab is None:
             lab = self._label_index[label] = len(self._labels)
@@ -302,7 +316,7 @@ class KnowledgeGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._sources)
+        return len(self._edge_labels)
 
     def has_node(self, node_id: str) -> bool:
         return self._nodes.find(node_id) is not None
@@ -340,7 +354,7 @@ class KnowledgeGraph:
         i = self.index_of(x)
         csr = self._adjacency()
         for p in range(csr.offsets[i], csr.offsets[i + 1]):
-            yield (self._nodes.id_at(csr.other[p]), *self._link(i, csr.edge[p]))
+            yield (self._nodes.id_at(csr.other[p]), *self._link(csr.edge[p]))
 
     def neighbor_ids(self, x: str) -> list[str]:
         """Ids of the nodes sharing an edge with x, deduplicated, in first-edge order."""
@@ -388,8 +402,9 @@ class KnowledgeGraph:
 
     def edge_at(self, e: int) -> Edge:
         """The edge at position e of the insertion order."""
+        sources, targets = self._edge_columns()
         nodes = self._nodes
-        return Edge(nodes.id_at(self._sources[e]), nodes.id_at(self._targets[e]), self._labels[self._edge_labels[e]])
+        return Edge(nodes.id_at(sources[e]), nodes.id_at(targets[e]), self._labels[self._edge_labels[e]])
 
     def links(self, i: int, j: int) -> Iterator[tuple[str, Direction]]:
         """Label and direction, relative to i, of each stored edge between
@@ -401,7 +416,7 @@ class KnowledgeGraph:
                 p = csr.other.index(j, p, end)
             except ValueError:
                 return
-            yield self._link(i, csr.edge[p])
+            yield self._link(csr.edge[p])
             p += 1
 
     def row(self, i: int) -> array:
@@ -435,10 +450,13 @@ class KnowledgeGraph:
         """Node i's neighbors: its row deduplicated in first-link order."""
         return dict.fromkeys(self.row(i))
 
-    def _link(self, i: int, e: int) -> tuple[str, Direction]:
-        """Label and direction, relative to node i, of i's link along the edge
-        at position e: the edge's label, OUT exactly when i is its source."""
-        return self._labels[self._edge_labels[e]], OUT if self._sources[e] == i else IN
+    def _link(self, code: int) -> tuple[str, Direction]:
+        """Label and direction of the link with this edge code, relative to
+        the node whose row holds it: OUT exactly when the node is the edge's
+        source."""
+        if code >= 0:
+            return self._labels[self._edge_labels[code]], OUT
+        return self._labels[self._edge_labels[~code]], IN
 
     def _normalized_names(self) -> _NameIndex:
         index = self._name_index
@@ -451,6 +469,22 @@ class KnowledgeGraph:
         if csr is None:
             csr = self._csr = _build_csr(self.node_count, self._sources, self._targets)
         return csr
+
+    def _edge_columns(self) -> tuple[array, array]:
+        """The edges' source and target columns, rebuilt from the CSR and the
+        loops if the graph was dumped or restored since it last had them."""
+        if self._sources is None:
+            self._sources, self._targets = _edge_ends(self._csr, self.edge_count)
+        return self._sources, self._targets
+
+    def _thaw(self) -> set[int]:
+        """Ready a dumped or restored graph for its first add: take the label
+        table and column over from the dump it may share them with, get the
+        edge columns back and rebuild the duplicate check from them."""
+        self._labels = list(self._labels)
+        self._edge_labels = array("i", self._edge_labels)
+        keys = self._keys = set(map(_edge_key, *self._edge_columns(), self._edge_labels))
+        return keys
 
     def _unpack(self) -> _NodeLists:
         """The node lists and id dict again, from the packed columns, for an add."""
@@ -465,21 +499,25 @@ class KnowledgeGraph:
     def dump(self) -> tuple[dict[str, list[str]], dict[str, array]]:
         """The whole core as plain values: the type and label tables and the
         arrays (packed node strings, adjacency and the normalized-name index
-        included), each built first if need be. The graph keeps its nodes
-        packed from then on."""
-        self._keys = None  # the duplicate check is done; an add rebuilds it
+        included), each built first if need be. From then on the graph keeps
+        its nodes packed and its edges in the CSR alone, without the edge
+        columns and the duplicate check, as a restored graph does.
+
+        Raises OverflowError when the graph's node ids, names or normalized
+        names take more bytes than a 4-byte offset can count. The graph then
+        keeps its node lists and edge columns, and answers as before.
+        """
+        # the duplicate check goes first, so it is not held while the CSR is
+        # built; an add rebuilds it from the edge columns
+        self._keys = None
         index = self._normalized_names()  # built from the lists, before they go
+        csr = self._adjacency()
         nodes = self._nodes
         if type(nodes) is _NodeLists:
-            nodes = self._nodes = _pack_nodes(nodes)
-        parts = {
-            **nodes._asdict(),
-            "sources": self._sources,
-            "targets": self._targets,
-            "edge_labels": self._edge_labels,
-            **self._adjacency()._asdict(),
-            **index._asdict(),
-        }
+            nodes = _pack_nodes(nodes)
+        self._nodes = nodes
+        self._sources = self._targets = None
+        parts = {**nodes._asdict(), "edge_labels": self._edge_labels, **csr._asdict(), **index._asdict()}
         return {"types": nodes.types, "labels": self._labels}, {name: parts[name] for name in ARRAYS}
 
     @classmethod
@@ -501,22 +539,23 @@ class KnowledgeGraph:
         csr = _Csr(*(arrays[name] for name in _Csr._fields))
         index = _NameIndex(*(arrays[name] for name in _NameIndex._fields))
         n = len(arrays["node_types"])
-        edges = len(arrays["sources"])
+        edges = len(arrays["edge_labels"])
         if (
             len(graph._label_index) != len(graph._labels)
             or not len(nodes.node_id_offsets) == len(nodes.node_name_offsets) == n + 1
             or not len(nodes.id_order) == len(nodes.name_order) == n
             or nodes.node_id_offsets[-1] != len(nodes.node_ids)
             or nodes.node_name_offsets[-1] != len(nodes.node_names)
-            or len(arrays["targets"]) != edges or len(arrays["edge_labels"]) != edges
             or len(csr.offsets) != n + 1
             or not len(csr.other) == len(csr.edge) == csr.offsets[-1]
+            or len(csr.loop_edges) != len(csr.loop_nodes)
+            or csr.offsets[-1] != 2 * (edges - len(csr.loop_edges))
             or not len(index.name_offsets) == len(index.name_nodes) + 1 <= n + 1
             or index.name_offsets[-1] != len(index.normalized)
         ):
             raise ValueError("graph state: tables and arrays do not match")
         graph._nodes = nodes
-        graph._sources, graph._targets = arrays["sources"], arrays["targets"]
+        graph._sources = graph._targets = None
         graph._edge_labels = arrays["edge_labels"]
         graph._keys = None
         graph._csr = csr
@@ -532,7 +571,7 @@ def _utf8(text: str) -> bytes:
 
 def _packed(encoded: list[bytes]) -> tuple[array, array]:
     """Byte strings joined into one byte array, and the array of their offsets in it."""
-    return array("B", b"".join(encoded)), array("q", accumulate(map(len, encoded), initial=0))
+    return array("B", b"".join(encoded)), array("I", accumulate(map(len, encoded), initial=0))
 
 
 def _text(data: array, offsets: array, i: int) -> str:
@@ -580,19 +619,23 @@ def _build_name_index(names: list[str]) -> _NameIndex:
 
 def _build_csr(n: int, sources: array, targets: array) -> _Csr:
     """Adjacency rows of n nodes from the edge columns, in two passes: count
-    each node's links, then fill its row in global edge order."""
+    each node's links, then fill its row in global edge order; the second
+    pass sets the self-loops apart."""
     degree = [0] * n
     for s, t in zip(sources, targets):
         if s != t:  # a self-loop makes no link
             degree[s] += 1
             degree[t] += 1
-    offsets = array("q", accumulate(degree, initial=0))
+    offsets = array("I", accumulate(degree, initial=0))
     links = offsets[-1]
     other = array("i", [0]) * links
     edge = array("i", [0]) * links
+    loop_edges, loop_nodes = array("i"), array("i")
     free = offsets.tolist()  # the next free slot of each row
     for e, (s, t) in enumerate(zip(sources, targets)):
         if s == t:
+            loop_edges.append(e)
+            loop_nodes.append(s)
             continue
         p = free[s]
         free[s] = p + 1
@@ -601,5 +644,24 @@ def _build_csr(n: int, sources: array, targets: array) -> _Csr:
         p = free[t]
         free[t] = p + 1
         other[p] = s
-        edge[p] = e
-    return _Csr(offsets, other, edge)
+        edge[p] = ~e
+    return _Csr(offsets, other, edge, loop_edges, loop_nodes)
+
+
+def _edge_ends(csr: _Csr, edges: int) -> tuple[array, array]:
+    """The source and target columns of ``edges`` edges, from their CSR: an
+    edge's source is the node whose row holds the edge's position as a code,
+    and its target is the other end of that link; a self-loop's ends are its
+    node."""
+    sources = array("i", [0]) * edges
+    targets = array("i", [0]) * edges
+    offsets, other, edge = csr.offsets, csr.other, csr.edge
+    for s in range(len(offsets) - 1):
+        a, b = offsets[s], offsets[s + 1]
+        for e, t in zip(edge[a:b], other[a:b]):
+            if e >= 0:
+                sources[e] = s
+                targets[e] = t
+    for e, s in zip(csr.loop_edges, csr.loop_nodes):
+        sources[e] = targets[e] = s
+    return sources, targets

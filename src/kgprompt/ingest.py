@@ -17,17 +17,25 @@ sizes, the ``marshal``-encoded tables and report, and the raw arrays in
 :data:`kgprompt.graph.ARRAYS` order. The sizes are the marshalled bytes'
 length and each array's item count; the arrays' names and typecodes are not
 on disk, since ``ARRAYS`` states them. Only the small tables are marshalled:
-the node types, the edge labels and the report. The arrays are the node ids
-and names (UTF-8 bytes, their offsets and the node ints in sorted order of
-each), the node type codes, the edge columns, the adjacency CSR and the
+the node types, the edge labels and the report. In format 9 the arrays are
+the node ids and names (UTF-8 bytes, their 4-byte offsets and the node ints
+in sorted order of each: ``node_ids``, ``node_id_offsets``, ``id_order``,
+``node_names``, ``node_name_offsets``, ``name_order``), the node type codes
+(``node_types``), the edge label codes (``edge_labels``), the adjacency CSR
+(``offsets``, ``other`` and the signed edge codes ``edge``) with the
+self-loops it leaves out (``loop_edges``, ``loop_nodes``), and the
 normalized-name index (the names' UTF-8 bytes, their offsets and their first
-nodes). Each array is read in place into its final buffer. So a restore
-builds neither the CSR nor the index again, and makes no per-node Python
-object: the graph answers from the arrays as read.
+nodes: ``normalized``, ``name_offsets``, ``name_nodes``). The edges' source
+and target columns are not stored: the CSR holds each edge's ends once. Each
+array is read in place into its final buffer. So a restore builds neither
+the CSR nor the index again, and makes no per-node Python object: the graph
+answers from the arrays as read.
 A snapshot of another code digest (byte order, this module's and
 :mod:`kgprompt.graph`'s source), like any mismatch, truncation or decode
 error, makes the loader parse the dump again and write the snapshot over the
-same file. An unwritable cache directory costs a log warning, not the load.
+same file. An unwritable cache directory, or a graph whose node strings
+overflow the 4-byte offsets, costs a log warning and no snapshot, not the
+load.
 
 **Parsing.** The parse runs with the cyclic garbage collector paused and
 restores the caller's GC state afterwards, also when it raises: a load makes
@@ -75,7 +83,7 @@ log = logging.getLogger(__name__)
 # Warnings kept verbatim in the report are capped; counts stay exact.
 _MAX_WARNINGS = 50
 
-_SNAPSHOT_VERSION = 8
+_SNAPSHOT_VERSION = 9
 _SNAPSHOT_MAGIC = b"KGPGRAPH"
 # magic, format version, code digest, payload length, payload sha256
 _SNAPSHOT_HEADER = struct.Struct("<8sI32sQ32s")
@@ -448,22 +456,24 @@ def _decode_snapshot(fh: BinaryIO) -> tuple[KnowledgeGraph, IngestReport]:
 def _write_snapshot(path: Path, graph: KnowledgeGraph, report: IngestReport) -> None:
     """Save a snapshot, over any file at ``path``: the header, stamped with
     this code's digest, then a payload of the sizes, the marshalled type and
-    label tables and report, and each array's bytes in ``ARRAYS`` order."""
-    tables, arrays = graph.dump()
-    head = marshal.dumps({"graph": tables, "report": asdict(report)})
-    columns = [arrays[name] for name in graph_module.ARRAYS]
-    pieces = [_SNAPSHOT_SIZES.pack(len(head), *map(len, columns)), head, *columns]
-    digest = hashlib.sha256()
-    for piece in pieces:
-        digest.update(piece)
-    length = sum(memoryview(piece).nbytes for piece in pieces)
+    label tables and report, and each array's bytes in ``ARRAYS`` order. A
+    graph too big for the snapshot's offsets is not saved, and stays as it
+    was."""
     try:
+        tables, arrays = graph.dump()
+        head = marshal.dumps({"graph": tables, "report": asdict(report)})
+        columns = [arrays[name] for name in graph_module.ARRAYS]
+        pieces = [_SNAPSHOT_SIZES.pack(len(head), *map(len, columns)), head, *columns]
+        digest = hashlib.sha256()
+        for piece in pieces:
+            digest.update(piece)
+        length = sum(memoryview(piece).nbytes for piece in pieces)
         with write_atomic(path, mode="wb") as fh:
             stamp = (_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, _code_sha256())
             fh.write(_SNAPSHOT_HEADER.pack(*stamp, length, digest.digest()))
             for piece in pieces:
                 fh.write(piece)
-    except OSError as exc:
+    except (OSError, OverflowError) as exc:  # an unwritable cache, or a graph too big for the offsets
         log.warning("graph snapshot not saved (%s); the next load parses the dump again", exc)
 
 

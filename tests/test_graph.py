@@ -5,8 +5,10 @@ from random import Random
 
 import pytest
 
+import kgprompt.graph as graph_module
 from kgprompt.errors import DuplicateEdgeError, UnknownNodeError
 from kgprompt.graph import ARRAYS, Edge, KnowledgeGraph, Node, normalize_name
+from kgprompt.ingest import export_edge_list_jsonl
 
 from fixtures_kg import ODD_NAMES, gene_hop_graph, make_graph, name_lookups, prostate_star_graph
 from oracles import (
@@ -399,3 +401,108 @@ def test_restore_rejects_node_columns_that_do_not_fit(name):
         KnowledgeGraph.restore(tables, {**arrays, name: arrays[name] + arrays[name][-1:]})
     with pytest.raises(TypeError):
         KnowledgeGraph.restore(tables, {**arrays, name: array("b", arrays[name])})
+
+
+def _edge_test_graph(rng: Random) -> tuple[list[tuple[str, str, str]], list[tuple[str, str, str]]]:
+    """A random graph with self-loops, parallel labels, edges both ways
+    between a pair and isolated nodes; sometimes empty, sometimes edgeless."""
+    n = rng.choice([0, 1, rng.randint(2, 25)])
+    nodes = [(f"n{i}", f"node {i}", rng.choice(["gene", "disease"])) for i in range(n)]
+    used = rng.randint(1, n) if n else 0  # the nodes past these stay isolated
+    edges = []
+    for _ in range(rng.randint(0, 80) if used else 0):
+        s, t = rng.randrange(used), rng.randrange(used)  # s == t is a self-loop
+        edges.append((f"n{s}", f"n{t}", rng.choice(["binds", "treats", "regulates"])))
+        if rng.random() < 0.2:
+            edges.append((f"n{t}", f"n{s}", rng.choice(["binds", "treats"])))
+    return nodes, list(dict.fromkeys(edges))
+
+
+def _edge_answers(kg: KnowledgeGraph, ids: list[str], export) -> tuple:
+    """Every answer the edges feed; the CSR queries first, so that a dumped
+    or restored graph gives them before anything rebuilds its edge columns."""
+    answers = (
+        kg.edge_count,
+        [list(kg.adjacency(x)) for x in ids],
+        [kg.relation_labels_between(x, y) for x in ids for y in ids],
+        [kg.row(i).tolist() for i in range(len(ids))],
+        kg.edges,
+        [kg.edge_at(e) for e in range(kg.edge_count)],
+    )
+    export_edge_list_jsonl(kg, export)
+    return (*answers, export.read_bytes())
+
+
+def _state_bytes(state: tuple[dict, dict]) -> tuple:
+    """A dump as the bytes a snapshot stores of it."""
+    tables, arrays = state
+    return tables, [(name, values.tobytes()) for name, values in arrays.items()]
+
+
+def test_dumped_and_restored_graphs_rebuild_their_edge_columns_exactly(tmp_path):
+    rng = Random(25)
+    export = tmp_path / "export.jsonl"
+    for case in range(80):
+        nodes, edges = _edge_test_graph(rng)
+        ids = [node_id for node_id, _name, _type in nodes]
+        built = make_graph(nodes, edges)  # never dumped
+        dumped = make_graph(nodes, edges)
+        state = dumped.dump()
+        restored = KnowledgeGraph.restore(
+            {name: list(table) for name, table in state[0].items()},
+            {name: array(values.typecode, values) for name, values in state[1].items()},
+        )
+        assert _state_bytes(KnowledgeGraph.restore(*restored.dump()).dump()) == _state_bytes(state), case
+        expected = _edge_answers(built, ids, export)
+        for kg in (dumped, restored):
+            assert _edge_answers(kg, ids, export) == expected, case
+        if not ids:
+            continue
+        for kg in (built, dumped, restored):
+            for edge in edges:
+                assert not kg.add_edge(*edge)
+            assert kg.add_edge(ids[-1], ids[0], "added")
+            assert kg.add_node(Node("new", "new node"))
+            assert kg.add_edge("new", "new", "added loop")
+            assert kg.add_edge(ids[0], "new", "added")
+            assert not kg.add_edge(ids[-1], ids[0], "added")
+        expected = _edge_answers(built, ids + ["new"], export)
+        for kg in (dumped, restored):
+            assert _edge_answers(kg, ids + ["new"], export) == expected, case
+
+
+def test_a_dump_that_overflows_leaves_the_graph_as_it_was(monkeypatch):
+    nodes, edges = random_graph(Random(26), max_nodes=20, max_edges=60)
+    edges = [*edges, (nodes[0][0], nodes[0][0], "loop")]
+    kg, built = make_graph(nodes, edges), make_graph(nodes, edges)
+
+    def too_big(_nodes):
+        raise OverflowError("unsigned int is greater than maximum")
+
+    monkeypatch.setattr(graph_module, "_pack_nodes", too_big)
+    with pytest.raises(OverflowError):
+        kg.dump()
+    monkeypatch.undo()
+    ids = [node_id for node_id, _name, _type in nodes]
+    assert kg.edges == built.edges
+    assert [list(kg.adjacency(x)) for x in ids] == [list(built.adjacency(x)) for x in ids]
+    for graph in (kg, built):
+        assert not graph.add_edge(*edges[0])
+        assert graph.add_node(Node("new", "new node"))
+        assert graph.add_edge("new", ids[0], "added")
+    assert _state_bytes(kg.dump()) == _state_bytes(built.dump())
+
+
+def test_restore_rejects_loops_and_links_that_do_not_fit_the_edges():
+    tables, arrays = make_graph(
+        [("a", "A", "t"), ("b", "B", "t")], [("a", "b", "r"), ("b", "b", "r"), ("b", "a", "r")]
+    ).dump()
+    assert (list(arrays["loop_edges"]), list(arrays["loop_nodes"])) == ([1], [1])
+    assert list(arrays["edge"]) == [0, ~2, ~0, 2]  # a's row, then b's: ~e where the node is the target
+    for name in ("loop_edges", "loop_nodes", "edge_labels"):
+        with pytest.raises(ValueError):
+            KnowledgeGraph.restore(tables, {**arrays, name: arrays[name][:-1]})
+        with pytest.raises(ValueError):
+            KnowledgeGraph.restore(tables, {**arrays, name: arrays[name] + arrays[name][-1:]})
+    with pytest.raises(ValueError):  # every loop moved into the CSR's count, or out of it
+        KnowledgeGraph.restore(tables, {**arrays, "loop_edges": array("i"), "loop_nodes": array("i")})

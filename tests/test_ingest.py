@@ -939,6 +939,51 @@ def test_warm_load_holds_no_per_node_objects(tmp_path, graph_cache):
     assert held / n < _WARM_BYTES_PER_NODE
 
 
+# Bytes a warm load of the graph below may hold per edge. Edge source and
+# target columns beside the CSR, with 8-byte offsets, hold about 30.5; the CSR
+# alone, with signed edge codes and 4-byte offsets, holds about 22.
+_WARM_BYTES_PER_EDGE = 24
+
+
+def test_warm_load_stores_each_edge_once(tmp_path):
+    rng = Random(25)
+    n, m = 2_000, 60_000
+    nodes = [{"node": {"id": f"n{i}", "name": f"Entity {i}", "type": f"T{i % 5}"}} for i in range(n)]
+    ends = dict.fromkeys((rng.randrange(n), rng.randrange(n), rng.randrange(8)) for _ in range(m))
+    edges = [{"edge": {"source": f"n{s}", "target": f"n{t}", "label": f"R{r}"}} for s, t, r in ends]
+    path = _write_edge_list(tmp_path / "graph.jsonl", nodes + edges)
+    del nodes, edges
+    load_edge_list_jsonl(path)  # parses and saves the snapshot
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kg, _report = load_edge_list_jsonl(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kg.edge_count == len(ends) > 0.99 * m
+    assert held / kg.edge_count < _WARM_BYTES_PER_EDGE
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+def test_graph_too_big_for_the_snapshot_offsets_loads_without_a_snapshot(
+    tmp_path, graph_cache, monkeypatch, caplog, fmt
+):
+    path = _random_dump(tmp_path, fmt, seed=25)
+    expected = _outcome(_FROZEN[fmt], path)
+
+    def overflow(_graph: KnowledgeGraph):
+        raise OverflowError("unsigned int is greater than maximum")
+
+    monkeypatch.setattr(KnowledgeGraph, "dump", overflow)
+    with caplog.at_level("WARNING", logger="kgprompt.ingest"):
+        assert _outcome(_LOADERS[fmt], path) == expected
+    assert [r.getMessage() for r in caplog.records] == [
+        "graph snapshot not saved (unsigned int is greater than maximum); the next load parses the dump again"
+    ]
+    assert not list(graph_cache.rglob("*.graph"))
+
+
 @pytest.mark.parametrize("fmt", sorted(_LOADERS))
 def test_unwritable_cache_still_loads_with_one_warning(tmp_path, monkeypatch, caplog, fmt):
     blocker = tmp_path / "not-a-directory"

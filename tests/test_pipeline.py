@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgprompt.graph as graph_module
 import kgprompt.ingest as ingest
 from kgprompt.dataset import load_dataset_jsonl, make_fold_plan
 from kgprompt.errors import ConfigError, StageError
@@ -402,6 +403,21 @@ def test_unwritable_graph_cache_gives_the_same_artifacts(tmp_path, monkeypatch):
     blocker.write_text("", encoding="utf-8")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
     assert tree_bytes(run_experiment(config)) == expected
+
+
+@pytest.mark.parametrize("structure", ["NN", "CNN", "MP"])
+def test_cold_and_warm_runs_never_rebuild_the_edge_columns(tmp_path, monkeypatch, structure):
+    # the loaded graph is dumped or restored, and answers every query of the
+    # pipeline from its CSR alone
+
+    def rebuilt(*_args):
+        raise AssertionError("the graph's edge columns were rebuilt")
+
+    monkeypatch.setattr(graph_module, "_edge_ends", rebuilt)
+    config = ExperimentConfig.from_dict(base_config_dict(tmp_path / "run", structure=structure))
+    cold = tree_bytes(run_experiment(config))
+    shutil.rmtree(tmp_path / "run")
+    assert tree_bytes(run_experiment(config)) == cold
 
 
 def test_bundle_records_and_contexts_match_the_frozen_writers():
