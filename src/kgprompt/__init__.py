@@ -28,7 +28,7 @@ from .dataset import (
     make_fold_plan,
     sample_few_shot,
 )
-from .graph import Edge, KnowledgeGraph, Node
+from .graph import Edge, GraphBuilder, KnowledgeGraph, Node
 from .ingest import IngestReport, export_edge_list_jsonl, load_edge_list_jsonl, load_hetionet_json
 from .linking import PairLinkage, link_pairs
 from .metrics import (
@@ -85,6 +85,7 @@ __all__ = [
     "FoldConfig",
     "FoldPlan",
     "FoldReport",
+    "GraphBuilder",
     "GraphContext",
     "HttpEndpoint",
     "InferenceRequest",

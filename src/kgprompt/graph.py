@@ -1,11 +1,12 @@
-"""In-memory directed labeled knowledge graph with adjacency queries.
+"""Directed labeled knowledge graph: built once, then only queried.
 
-A loader builds the graph once, node by node and edge by edge, and the graph
-is the single place that rejects duplicates; afterwards it is treated as
-immutable, so any number of workers may query it concurrently. Edges are
-directed, but adjacency queries treat them as undirected because relational
-evidence flows both ways for the extraction queries built on top of this
-module.
+A graph is made in two steps. A :class:`GraphBuilder` takes the nodes and
+edges one by one, as a loader reads them, and is the single place that
+rejects duplicates. :meth:`GraphBuilder.freeze` turns what it holds into a
+:class:`KnowledgeGraph`, which has no add and changes no state of its own,
+so any number of workers may query it concurrently. Edges are directed, but
+adjacency queries treat them as undirected because relational evidence flows
+both ways for the extraction queries built on top of this module.
 
 All query results are deterministically ordered by the insertion order of
 the first contributing edge, so downstream verbalization and seeded subset
@@ -14,51 +15,45 @@ selection are reproducible run to run.
 Storage is an integer core:
 
 - node ids are interned to ints in insertion order, and labels to small ints;
-- a graph that is built holds its node ids, names and types as three lists,
-  with a dict from id to int. :meth:`KnowledgeGraph.dump` packs them, and
-  :meth:`KnowledgeGraph.restore` takes them packed: the ids and the names
-  each become one byte ``array`` of the UTF-8 encoded strings with an
-  ``array`` of their offsets, plus an ``array`` of the node ints in sorted
-  order of the strings, which lookups by id or by exact name bisect; the
-  types become an ``array`` of int codes into a table of the distinct types.
-  A packed graph holds no per-node Python object, so no refcount writes to
-  its pages. A node added after that unpacks the lists and the dict again;
-- each edge's label is an ``array`` column in insertion order, so an edge's
-  position is its index there;
-- adjacency is a CSR (compressed sparse rows), built on the first query after
-  an add: per node, the other end and the signed edge code of each link in
-  global edge order. The code is the edge's position ``e`` in its source's
-  row and ``~e`` in its target's, so a link gives its label and direction
-  without a look at the edge's ends. The CSR leaves self-loops out; they are
-  two ``array`` columns of their own, the loop edges' positions and nodes. A
-  node's neighbors are the other ends of its row, deduplicated in first-link
-  order;
-- a graph that is built also holds its edges' source and target columns, in
-  insertion order, and a set of packed integer keys as the duplicate check.
-  :meth:`KnowledgeGraph.dump` drops both, and a restored graph has neither,
-  so each edge's ends are stored once, in the CSR. The columns come back in
-  one pass over the CSR and the loops when something asks for them
-  (:meth:`KnowledgeGraph.edge_at`, :attr:`KnowledgeGraph.edges`), and the
-  first add after a dump or restore also rebuilds the key set from them;
+- a builder holds its node ids, names and types as three lists, with a dict
+  from id to int; its edges as source, target and label ``array`` columns in
+  insertion order; and a set of packed integer keys as the duplicate check;
+- a frozen graph holds its nodes packed: the ids and the names each become
+  one byte ``array`` of the UTF-8 encoded strings with an ``array`` of their
+  offsets, plus an ``array`` of the node ints in sorted order of the strings,
+  which lookups by id or by exact name bisect; the types become an ``array``
+  of int codes into a table of the distinct types. It holds no per-node
+  Python object, so no refcount writes to its pages;
+- a frozen graph holds its edges as the label column and a CSR (compressed
+  sparse rows): per node, the other end and the signed edge code of each
+  link in global edge order. The code is the edge's position ``e`` in its
+  source's row and ``~e`` in its target's, so a link gives its label and
+  direction without a look at the edge's ends. The CSR leaves self-loops
+  out; they are two ``array`` columns of their own, the loop edges'
+  positions and nodes. Each edge's ends are so stored once, and
+  :attr:`KnowledgeGraph.edges` and :meth:`KnowledgeGraph.edge_at` read them
+  off the CSR. A node's neighbors are the other ends of its row,
+  deduplicated in first-link order;
 - :meth:`KnowledgeGraph.first_node_normalized` bisects a compact index of
   the normalized names (:func:`normalize_name`): the distinct normalized
   names in sorted order, packed as the node strings are, with an ``array``
-  of the first node holding each. Like the CSR, the index is built on the
-  first lookup after a node is added, so a graph that is never asked for a
-  normalized name and never dumped never builds it.
+  of the first node holding each.
 
-``Node`` and ``Edge`` objects are made only when a query returns them. The
-whole core converts to and from plain values (:meth:`KnowledgeGraph.dump`,
-:meth:`KnowledgeGraph.restore`), which is what an ingest snapshot stores.
+The string offsets take 4 bytes each, or 8 in a graph whose node ids, names
+or normalized names take more than 4 GiB; such a graph answers every query
+but has no plain-value form. ``Node`` and ``Edge`` objects are made only
+when a query returns them. A frozen graph converts to and from plain values
+(:meth:`KnowledgeGraph.dump`, :meth:`KnowledgeGraph.restore`), which is what
+an ingest snapshot stores.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .errors import DuplicateEdgeError, UnknownNodeError
@@ -82,39 +77,6 @@ class Edge:
     label: str
 
 
-class _NodeLists(NamedTuple):
-    """Node ids, names and types as a graph is built: lists in insertion
-    order and a dict from id to int."""
-
-    position: dict[str, int]
-    ids: list[str]
-    names: list[str]
-    types: list[str]
-
-    def size(self) -> int:
-        return len(self.ids)
-
-    def id_at(self, i: int) -> str:
-        return self.ids[i]
-
-    def name_at(self, i: int) -> str:
-        return self.names[i]
-
-    def type_at(self, i: int) -> str:
-        return self.types[i]
-
-    def find(self, node_id: str) -> int | None:
-        return self.position.get(node_id)
-
-    def first_named(self, names: Iterable[str]) -> dict[str, str]:
-        wanted = frozenset(names)
-        found: dict[str, str] = {}
-        all_names, ids = self.names, self.ids
-        for i in compress(range(len(all_names)), map(wanted.__contains__, all_names)):
-            found.setdefault(all_names[i], ids[i])
-        return found
-
-
 class _NodeColumns(NamedTuple):
     """Node ids, names and types packed: node i's id is the UTF-8 encoded
     ``node_ids[node_id_offsets[i]:node_id_offsets[i + 1]]``, and its name
@@ -131,28 +93,14 @@ class _NodeColumns(NamedTuple):
     node_types: array
     types: list[str]  # the distinct types: a table, not an array
 
-    def size(self) -> int:
-        return len(self.node_types)
-
     def id_at(self, i: int) -> str:
         return _text(self.node_ids, self.node_id_offsets, i)
 
     def name_at(self, i: int) -> str:
         return _text(self.node_names, self.node_name_offsets, i)
 
-    def type_at(self, i: int) -> str:
-        return self.types[self.node_types[i]]
-
     def find(self, node_id: str) -> int | None:
         return _find(self.node_ids, self.node_id_offsets, self.id_order, node_id)
-
-    def first_named(self, names: Iterable[str]) -> dict[str, str]:
-        found: dict[str, str] = {}
-        for name in dict.fromkeys(names):
-            i = _find(self.node_names, self.node_name_offsets, self.name_order, name)
-            if i is not None:
-                found[name] = self.id_at(i)
-        return found
 
 
 class _Csr(NamedTuple):
@@ -189,6 +137,9 @@ ARRAYS = {
     "normalized": "B", "name_offsets": "I", "name_nodes": "i",
 }
 
+# The largest string offset a 4-byte "I" array holds; past it, "Q" is used.
+_OFFSET_LIMIT = 0xFFFFFFFF
+
 
 _NON_WORD = re.compile(r"\W+")
 
@@ -200,44 +151,32 @@ def normalize_name(name: str) -> str:
     return _NON_WORD.sub(" ", name.casefold()).strip()
 
 
-def _edge_key(source: int, target: int, label: int) -> int:
-    return (source << 64) | (target << 32) | label
-
-
-class KnowledgeGraph:
-    """Directed labeled graph over string node ids.
+class GraphBuilder:
+    """Takes a graph's nodes and edges one by one and rejects duplicates;
+    :meth:`freeze` makes the :class:`KnowledgeGraph`.
 
     Parallel edges between the same pair are allowed as long as their labels
     differ; exact duplicate (source, target, label) triples are rejected so
     they cannot silently inflate common-neighbor counts.
     """
 
-    def __init__(self, nodes: Iterable[Node] = (), edges: Iterable[Edge] = ()):
-        # the node ids, names and types: lists while the graph is built,
-        # packed columns after a dump or restore, until a node is added
-        self._nodes: _NodeLists | _NodeColumns = _NodeLists({}, [], [], [])
+    def __init__(self) -> None:
+        # node id -> its int: a loader reads it to intern ids in bulk; only
+        # the add methods change it
+        self.node_index: dict[str, int] = {}
+        self._ids: list[str] = []
+        self._names: list[str] = []
+        self._types: list[str] = []
         self._label_index: dict[str, int] = {}
         self._labels: list[str] = []
+        self._sources = array("i")
+        self._targets = array("i")
         self._edge_labels = array("i")
-        # the edges' ends: None after a dump or restore, until something asks
-        # for them; the CSR is never None while they are
-        self._sources: array | None = array("i")
-        self._targets: array | None = array("i")
-        # packed edge keys; None after a dump or restore, until an add needs them
-        self._keys: set[int] | None = set()
-        self._csr: _Csr | None = None  # None until the first query after an add
-        self._name_index: _NameIndex | None = None  # None until the first lookup after an add
-        for node in nodes:
-            if not self.add_node(node):
-                raise ValueError(f"duplicate node id: {node.id!r}")
-        for edge in edges:
-            if not self.add_edge(edge.source, edge.target, edge.label):
-                key = (edge.source, edge.target, edge.label)
-                raise DuplicateEdgeError(f"duplicate edge: {key!r}")
+        self._keys: set[int] = set()  # each edge as (source << 64) | (target << 32) | label
 
     def add_node(self, node: Node) -> bool:
-        """Add a node while loading; False (and no change) if its id exists."""
-        if self.has_node(node.id):
+        """Add a node; False (and no change) if its id exists."""
+        if node.id in self.node_index:
             return False
         if not node.id:
             raise ValueError("node id must be non-empty")
@@ -248,29 +187,22 @@ class KnowledgeGraph:
     def add_node_fields(self, node_id: str, name: str, node_type: str) -> bool:
         """:meth:`add_node` for a loader that has checked that ``node_id``
         and ``name`` are non-empty strings."""
-        if self._keys is None:  # the CSR is about to go: keep the edges
-            self._thaw()
-        nodes = self._nodes
-        if type(nodes) is not _NodeLists:
-            nodes = self._unpack()
-        position = nodes.position
+        position = self.node_index
         if node_id in position:
             return False
-        position[node_id] = len(nodes.ids)
-        nodes.ids.append(node_id)
-        nodes.names.append(name)
-        nodes.types.append(node_type)
-        self._csr = None
-        self._name_index = None
+        position[node_id] = len(self._ids)
+        self._ids.append(node_id)
+        self._names.append(name)
+        self._types.append(node_type)
         return True
 
     def add_edge(self, source: str, target: str, label: str) -> bool:
-        """Add the edge source->target while loading; False (and no change)
-        for a duplicate triple."""
-        s = self._nodes.find(source)
+        """Add the edge source->target; False (and no change) for a
+        duplicate triple."""
+        s = self.node_index.get(source)
         if s is None:
             raise UnknownNodeError(source)
-        t = self._nodes.find(target)
+        t = self.node_index.get(target)
         if t is None:
             raise UnknownNodeError(target)
         if not label:
@@ -281,22 +213,63 @@ class KnowledgeGraph:
         """:meth:`add_edge` from the node interned to s to the one interned
         to t, for a loader that has looked both up in :attr:`node_index` and
         checked that ``label`` is a non-empty string."""
-        keys = self._keys
-        if keys is None:
-            keys = self._thaw()
         lab = self._label_index.get(label)
         if lab is None:
             lab = self._label_index[label] = len(self._labels)
             self._labels.append(label)
-        key = (s << 64) | (t << 32) | lab  # _edge_key, inlined: this runs once per edge loaded
+        key = (s << 64) | (t << 32) | lab  # this runs once per edge loaded
+        keys = self._keys
         if key in keys:
             return False
         keys.add(key)
         self._sources.append(s)
         self._targets.append(t)
         self._edge_labels.append(lab)
-        self._csr = None
         return True
+
+    def freeze(self) -> KnowledgeGraph:
+        """The graph built so far, read-only; the builder is left empty."""
+        return object.__new__(KnowledgeGraph)._set(*self._frozen())
+
+    def _frozen(self) -> tuple[_NodeColumns, list[str], array, _Csr, _NameIndex]:
+        """What a frozen graph holds, built from this builder's state, which
+        is then released."""
+        self._keys = set()  # the duplicate check goes first, so it is not held while the CSR is built
+        index = _build_name_index(self._names)
+        csr = _build_csr(len(self._ids), self._sources, self._targets)
+        nodes = _pack_nodes(self._ids, self._names, self._types)
+        frozen = (nodes, self._labels, self._edge_labels, csr, index)
+        self.__init__()  # the lists go; what was frozen is no longer the builder's
+        return frozen
+
+
+class KnowledgeGraph:
+    """A frozen directed labeled graph over string node ids: every query,
+    no add. :class:`GraphBuilder` makes one; so do the constructor, from
+    whole nodes and edges, and :meth:`restore`, from a :meth:`dump`."""
+
+    __slots__ = ("_nodes", "_labels", "_edge_labels", "_csr", "_name_index")
+
+    def __init__(self, nodes: Iterable[Node] = (), edges: Iterable[Edge] = ()):
+        builder = GraphBuilder()
+        for node in nodes:
+            if not builder.add_node(node):
+                raise ValueError(f"duplicate node id: {node.id!r}")
+        for edge in edges:
+            if not builder.add_edge(edge.source, edge.target, edge.label):
+                key = (edge.source, edge.target, edge.label)
+                raise DuplicateEdgeError(f"duplicate edge: {key!r}")
+        self._set(*builder._frozen())
+
+    def _set(
+        self, nodes: _NodeColumns, labels: list[str], edge_labels: array, csr: _Csr, index: _NameIndex
+    ) -> KnowledgeGraph:
+        self._nodes = nodes
+        self._labels = labels
+        self._edge_labels = edge_labels
+        self._csr = csr
+        self._name_index = index
+        return self
 
     # --- basic accessors ---
 
@@ -308,11 +281,19 @@ class KnowledgeGraph:
     @property
     def edges(self) -> list[Edge]:
         """Every edge once, in insertion order (a new list on each call)."""
-        return list(map(self.edge_at, range(self.edge_count)))
+        return list(self.iter_edges())
+
+    def iter_edges(self) -> Iterator[Edge]:
+        """Every edge once, in insertion order, made one at a time from the
+        ends that one pass over the CSR and the loops gives."""
+        sources, targets = _edge_ends(self._csr, self.edge_count)
+        id_at, labels = self._nodes.id_at, self._labels
+        for s, t, lab in zip(sources, targets, self._edge_labels):
+            yield Edge(id_at(s), id_at(t), labels[lab])
 
     @property
     def node_count(self) -> int:
-        return self._nodes.size()
+        return len(self._nodes.node_types)
 
     @property
     def edge_count(self) -> int:
@@ -321,26 +302,24 @@ class KnowledgeGraph:
     def has_node(self, node_id: str) -> bool:
         return self._nodes.find(node_id) is not None
 
-    @property
-    def node_index(self) -> dict[str, int]:
-        """Node id -> its int: the live index, which a loader reads to intern
-        ids in bulk; only the add methods change it. A dumped or restored
-        graph unpacks its node lists to give it."""
-        nodes = self._nodes
-        return (nodes if type(nodes) is _NodeLists else self._unpack()).position
-
     def node(self, node_id: str) -> Node:
         return self.node_at(self.index_of(node_id))
 
     def first_nodes_named(self, names: Iterable[str]) -> dict[str, str]:
         """Name -> id of the first node added with exactly that name, for each
         of ``names`` that some node has."""
-        return self._nodes.first_named(names)
+        nodes = self._nodes
+        found: dict[str, str] = {}
+        for name in dict.fromkeys(names):
+            i = _find(nodes.node_names, nodes.node_name_offsets, nodes.name_order, name)
+            if i is not None:
+                found[name] = nodes.id_at(i)
+        return found
 
     def first_node_normalized(self, key: str) -> str | None:
         """Id of the first node added whose normalized name is ``key``, or
         None; ``key`` is already normalized (:func:`normalize_name`)."""
-        normalized, offsets, nodes = self._normalized_names()
+        normalized, offsets, nodes = self._name_index
         k = _find(normalized, offsets, range(len(nodes)), key)
         return None if k is None else self._nodes.id_at(nodes[k])
 
@@ -352,7 +331,7 @@ class KnowledgeGraph:
         Self-loops are skipped: a node is never its own neighbor.
         """
         i = self.index_of(x)
-        csr = self._adjacency()
+        csr = self._csr
         for p in range(csr.offsets[i], csr.offsets[i + 1]):
             yield (self._nodes.id_at(csr.other[p]), *self._link(csr.edge[p]))
 
@@ -398,18 +377,26 @@ class KnowledgeGraph:
     def node_at(self, i: int) -> Node:
         """The node interned to i."""
         nodes = self._nodes
-        return Node(nodes.id_at(i), nodes.name_at(i), nodes.type_at(i))
+        return Node(nodes.id_at(i), nodes.name_at(i), nodes.types[nodes.node_types[i]])
 
     def edge_at(self, e: int) -> Edge:
-        """The edge at position e of the insertion order."""
-        sources, targets = self._edge_columns()
+        """The edge at position e of the insertion order: its source holds
+        the code e in its row, found by a scan of the CSR's codes."""
+        e = range(self.edge_count)[e]
+        csr = self._csr
+        try:
+            p = csr.edge.index(e)
+        except ValueError:  # a self-loop
+            s = t = csr.loop_nodes[csr.loop_edges.index(e)]
+        else:
+            s, t = bisect_right(csr.offsets, p) - 1, csr.other[p]
         nodes = self._nodes
-        return Edge(nodes.id_at(sources[e]), nodes.id_at(targets[e]), self._labels[self._edge_labels[e]])
+        return Edge(nodes.id_at(s), nodes.id_at(t), self._labels[self._edge_labels[e]])
 
     def links(self, i: int, j: int) -> Iterator[tuple[str, Direction]]:
         """Label and direction, relative to i, of each stored edge between
         the nodes interned to i and j, in edge insertion order."""
-        csr = self._adjacency()
+        csr = self._csr
         p, end = csr.offsets[i], csr.offsets[i + 1]
         while True:
             try:
@@ -422,7 +409,7 @@ class KnowledgeGraph:
     def row(self, i: int) -> array:
         """The other ends of node i's links, in edge insertion order, with a
         repeat per parallel edge and no self-loops."""
-        csr = self._adjacency()
+        csr = self._csr
         return csr.other[csr.offsets[i]:csr.offsets[i + 1]]
 
     def hop_distances(self, i: int, depth: int, avoid: int = -1) -> dict[int, int]:
@@ -458,70 +445,24 @@ class KnowledgeGraph:
             return self._labels[self._edge_labels[code]], OUT
         return self._labels[self._edge_labels[~code]], IN
 
-    def _normalized_names(self) -> _NameIndex:
-        index = self._name_index
-        if index is None:  # a packed graph always has its index, so the names are lists
-            index = self._name_index = _build_name_index(self._nodes.names)
-        return index
-
-    def _adjacency(self) -> _Csr:
-        csr = self._csr
-        if csr is None:
-            csr = self._csr = _build_csr(self.node_count, self._sources, self._targets)
-        return csr
-
-    def _edge_columns(self) -> tuple[array, array]:
-        """The edges' source and target columns, rebuilt from the CSR and the
-        loops if the graph was dumped or restored since it last had them."""
-        if self._sources is None:
-            self._sources, self._targets = _edge_ends(self._csr, self.edge_count)
-        return self._sources, self._targets
-
-    def _thaw(self) -> set[int]:
-        """Ready a dumped or restored graph for its first add: take the label
-        table and column over from the dump it may share them with, get the
-        edge columns back and rebuild the duplicate check from them."""
-        self._labels = list(self._labels)
-        self._edge_labels = array("i", self._edge_labels)
-        keys = self._keys = set(map(_edge_key, *self._edge_columns(), self._edge_labels))
-        return keys
-
-    def _unpack(self) -> _NodeLists:
-        """The node lists and id dict again, from the packed columns, for an add."""
-        columns = self._nodes
-        every = range(columns.size())
-        ids = list(map(columns.id_at, every))
-        nodes = self._nodes = _NodeLists(
-            dict(zip(ids, every)), ids, list(map(columns.name_at, every)), list(map(columns.type_at, every))
-        )
-        return nodes
-
     def dump(self) -> tuple[dict[str, list[str]], dict[str, array]]:
-        """The whole core as plain values: the type and label tables and the
-        arrays (packed node strings, adjacency and the normalized-name index
-        included), each built first if need be. From then on the graph keeps
-        its nodes packed and its edges in the CSR alone, without the edge
-        columns and the duplicate check, as a restored graph does.
+        """The graph as plain values: the type and label tables and the
+        arrays of :data:`ARRAYS`, the graph's own, not copies.
 
-        Raises OverflowError when the graph's node ids, names or normalized
-        names take more bytes than a 4-byte offset can count. The graph then
-        keeps its node lists and edge columns, and answers as before.
+        Raises OverflowError for a graph frozen with 8-byte offsets, whose
+        node ids, names or normalized names take more bytes than a 4-byte
+        offset can count.
         """
-        # the duplicate check goes first, so it is not held while the CSR is
-        # built; an add rebuilds it from the edge columns
-        self._keys = None
-        index = self._normalized_names()  # built from the lists, before they go
-        csr = self._adjacency()
-        nodes = self._nodes
-        if type(nodes) is _NodeLists:
-            nodes = _pack_nodes(nodes)
-        self._nodes = nodes
-        self._sources = self._targets = None
+        nodes, csr, index = self._nodes, self._csr, self._name_index
         parts = {**nodes._asdict(), "edge_labels": self._edge_labels, **csr._asdict(), **index._asdict()}
-        return {"types": nodes.types, "labels": self._labels}, {name: parts[name] for name in ARRAYS}
+        arrays = {name: parts[name] for name in ARRAYS}
+        for name, values in arrays.items():
+            if values.typecode != ARRAYS[name]:
+                raise OverflowError(f"{name}: the strings take more bytes than 4-byte offsets count")
+        return {"types": nodes.types, "labels": self._labels}, arrays
 
     @classmethod
-    def restore(cls, tables: dict[str, list[str]], arrays: dict[str, array]) -> "KnowledgeGraph":
+    def restore(cls, tables: dict[str, list[str]], arrays: dict[str, array]) -> KnowledgeGraph:
         """The graph whose :meth:`dump` gave ``tables`` and ``arrays``; it
         takes them over without a copy.
 
@@ -532,16 +473,14 @@ class KnowledgeGraph:
             raise TypeError("graph state: wrong string tables")
         if {name: values.typecode for name, values in arrays.items()} != ARRAYS:
             raise TypeError("graph state: wrong integer arrays")
-        graph = cls()
-        graph._labels = tables["labels"]
-        graph._label_index = dict(zip(graph._labels, range(len(graph._labels))))
+        labels = tables["labels"]
         nodes = _NodeColumns(*(arrays[name] for name in _NodeColumns._fields[:-1]), tables["types"])
         csr = _Csr(*(arrays[name] for name in _Csr._fields))
         index = _NameIndex(*(arrays[name] for name in _NameIndex._fields))
-        n = len(arrays["node_types"])
+        n = len(nodes.node_types)
         edges = len(arrays["edge_labels"])
         if (
-            len(graph._label_index) != len(graph._labels)
+            len(set(labels)) != len(labels)
             or not len(nodes.node_id_offsets) == len(nodes.node_name_offsets) == n + 1
             or not len(nodes.id_order) == len(nodes.name_order) == n
             or nodes.node_id_offsets[-1] != len(nodes.node_ids)
@@ -554,13 +493,7 @@ class KnowledgeGraph:
             or index.name_offsets[-1] != len(index.normalized)
         ):
             raise ValueError("graph state: tables and arrays do not match")
-        graph._nodes = nodes
-        graph._sources = graph._targets = None
-        graph._edge_labels = arrays["edge_labels"]
-        graph._keys = None
-        graph._csr = csr
-        graph._name_index = index
-        return graph
+        return object.__new__(cls)._set(nodes, labels, arrays["edge_labels"], csr, index)
 
 
 def _utf8(text: str) -> bytes:
@@ -570,8 +503,11 @@ def _utf8(text: str) -> bytes:
 
 
 def _packed(encoded: list[bytes]) -> tuple[array, array]:
-    """Byte strings joined into one byte array, and the array of their offsets in it."""
-    return array("B", b"".join(encoded)), array("I", accumulate(map(len, encoded), initial=0))
+    """Byte strings joined into one byte array, and the array of their
+    offsets in it: 4-byte offsets if they fit, else 8-byte."""
+    data = b"".join(encoded)
+    typecode = "I" if len(data) <= _OFFSET_LIMIT else "Q"
+    return array("B", data), array(typecode, accumulate(map(len, encoded), initial=0))
 
 
 def _text(data: array, offsets: array, i: int) -> str:
@@ -593,17 +529,17 @@ def _find(data: array, offsets: array, order: Sequence[int], text: str) -> int |
     return order[k] if k < len(order) and item_bytes(k) == target else None
 
 
-def _pack_nodes(nodes: _NodeLists) -> _NodeColumns:
-    """The packed columns of these node lists."""
-    ids, names = list(map(_utf8, nodes.ids)), list(map(_utf8, nodes.names))
+def _pack_nodes(ids: list[str], names: list[str], types: list[str]) -> _NodeColumns:
+    """The packed columns of nodes with these ids, names and types."""
+    ids, names = list(map(_utf8, ids)), list(map(_utf8, names))
     every = range(len(ids))
-    codes = dict.fromkeys(nodes.types)  # each distinct type, in order of first use
+    codes = dict.fromkeys(types)  # each distinct type, in order of first use
     for code, node_type in enumerate(codes):
         codes[node_type] = code
     return _NodeColumns(
         *_packed(ids), array("i", sorted(every, key=ids.__getitem__)),
         *_packed(names), array("i", sorted(every, key=names.__getitem__)),
-        array("i", map(codes.__getitem__, nodes.types)), list(codes),
+        array("i", map(codes.__getitem__, types)), list(codes),
     )
 
 

@@ -3,8 +3,11 @@
 Two formats are supported: the published Hetionet JSON dump (single JSON
 document with ``nodes`` and ``edges`` arrays) and a line-delimited JSON
 edge-list format used for fixtures and third-party graphs. Loading is
-single-threaded; the resulting graph inherits the immutability contract of
-:mod:`kgprompt.graph`.
+single-threaded: a loader adds what it reads to a
+:class:`~kgprompt.graph.GraphBuilder` and returns the frozen
+:class:`~kgprompt.graph.KnowledgeGraph` that the builder's
+:meth:`~kgprompt.graph.GraphBuilder.freeze` makes, which only answers
+queries. A parsed graph and a restored one so hold the same structure.
 
 **Snapshots.** Both loaders first hash the dump (sha256). A graph parsed from
 a dump is saved as a snapshot under ``$XDG_CACHE_HOME/kgprompt/graphs/``
@@ -34,8 +37,9 @@ A snapshot of another code digest (byte order, this module's and
 :mod:`kgprompt.graph`'s source), like any mismatch, truncation or decode
 error, makes the loader parse the dump again and write the snapshot over the
 same file. An unwritable cache directory, or a graph whose node strings
-overflow the 4-byte offsets, costs a log warning and no snapshot, not the
-load.
+overflow the 4-byte offsets (frozen with 8-byte ones, it has no
+:meth:`~kgprompt.graph.KnowledgeGraph.dump`), costs a log warning and no
+snapshot, not the load.
 
 **Parsing.** The parse runs with the cyclic garbage collector paused and
 restores the caller's GC state afterwards, also when it raises: a load makes
@@ -43,11 +47,11 @@ hundreds of thousands of objects and no cycles, so every collection it would
 trigger is wasted. The Hetionet loader drops each node and edge record of
 the parsed document as soon as it is read, so the document shrinks while the
 graph grows. Each loader reads its records in one loop that checks a record
-with inline type and key tests, looks its endpoints up in the graph's node
+with inline type and key tests, looks its endpoints up in the builder's node
 index and adds its node or edges by their ints
-(:meth:`~kgprompt.graph.KnowledgeGraph.add_node_fields`,
-:meth:`~kgprompt.graph.KnowledgeGraph.add_edge_ints`), so a valid record
-makes no per-field helper call; the graph still rejects duplicates. Only a
+(:meth:`~kgprompt.graph.GraphBuilder.add_node_fields`,
+:meth:`~kgprompt.graph.GraphBuilder.add_edge_ints`), so a valid record
+makes no per-field helper call; the builder still rejects duplicates. Only a
 record that fails the inline test goes through the helpers, which raise the
 :class:`~kgprompt.errors.SchemaError` that names its first fault, or read it
 when it is valid after all (say, an integer kind). A file that is not valid
@@ -76,7 +80,7 @@ from .atomic import write_atomic, write_jsonl
 from .errors import (
     ID_TYPES, ParseError, SchemaError, jsonl_records, read_json, require_fields, require_id, require_str
 )
-from .graph import KnowledgeGraph
+from .graph import GraphBuilder, KnowledgeGraph
 
 log = logging.getLogger(__name__)
 
@@ -151,8 +155,8 @@ def _parse_hetionet_json(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
                 raise SchemaError(f"top-level {key!r} must be an array")
 
         report = IngestReport()
-        graph = KnowledgeGraph()
-        add_node = graph.add_node_fields
+        builder = GraphBuilder()
+        add_node = builder.add_node_fields
         records = data["nodes"]
         for i, record in enumerate(records):
             records[i] = None  # the document shrinks as the graph grows
@@ -168,8 +172,8 @@ def _parse_hetionet_json(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
             if not add_node(node_id, name, kind):
                 report.warn(f"node record {i}: duplicate node id {node_id!r} skipped")
 
-        node_int = graph.node_index.get
-        add_edge = graph.add_edge_ints
+        node_int = builder.node_index.get
+        add_edge = builder.add_edge_ints
         records = data["edges"]
         for i, record in enumerate(records):
             records[i] = None
@@ -204,7 +208,8 @@ def _parse_hetionet_json(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
             else:
                 raise SchemaError(f"edge record {i}: unknown direction marker {direction!r}")
             report.edges_loaded += added
-    return graph, report
+        del data, records  # the emptied document goes before the freeze
+    return builder.freeze(), report
 
 
 def _duplicate_edge(report: IngestReport, i: int, source: str, target: str, label: str) -> bool:
@@ -268,10 +273,10 @@ def load_edge_list_jsonl(path: str | Path) -> tuple[KnowledgeGraph, IngestReport
 
 def _parse_edge_list_jsonl(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
     report = IngestReport()
-    graph = KnowledgeGraph()
-    add_node = graph.add_node_fields
-    add_edge = graph.add_edge_ints
-    node_int = graph.node_index.get
+    builder = GraphBuilder()
+    add_node = builder.add_node_fields
+    add_edge = builder.add_edge_ints
+    node_int = builder.node_index.get
 
     with _gc_paused():
         for lineno, record in jsonl_records(path):
@@ -305,7 +310,7 @@ def _parse_edge_list_jsonl(path: Path) -> tuple[KnowledgeGraph, IngestReport]:
             else:
                 report.duplicates_rejected += 1
                 report.warn(f"line {lineno}: duplicate edge {(source, target, label)!r} skipped")
-    return graph, report
+    return builder.freeze(), report
 
 
 def _line_body(record: object, lineno: int) -> tuple[dict | None, dict | None]:
@@ -457,8 +462,7 @@ def _write_snapshot(path: Path, graph: KnowledgeGraph, report: IngestReport) -> 
     """Save a snapshot, over any file at ``path``: the header, stamped with
     this code's digest, then a payload of the sizes, the marshalled type and
     label tables and report, and each array's bytes in ``ARRAYS`` order. A
-    graph too big for the snapshot's offsets is not saved, and stays as it
-    was."""
+    graph too big for the snapshot's offsets is not saved."""
     try:
         tables, arrays = graph.dump()
         head = marshal.dumps({"graph": tables, "report": asdict(report)})
@@ -482,10 +486,10 @@ def export_edge_list_jsonl(kg: KnowledgeGraph, path: str | Path) -> int:
 
     Nodes are written before edges so the file reloads in a single pass;
     reloading reproduces the graph exactly (node set, edge list, labels).
-    Records are made one at a time, by node and edge position.
+    Records are made one at a time, the edges' from one pass over the CSR.
     """
     nodes = map(kg.node_at, range(kg.node_count))
-    edges = map(kg.edge_at, range(kg.edge_count))
+    edges = kg.iter_edges()
     node_records = ({"node": {"id": n.id, "name": n.name, "type": n.node_type}} for n in nodes)
     edge_records = ({"edge": {"source": e.source, "target": e.target, "label": e.label}} for e in edges)
     return write_jsonl(path, itertools.chain(node_records, edge_records))

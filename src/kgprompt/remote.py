@@ -41,7 +41,7 @@ from .errors import (
     read_json,
     require_http_url,
 )
-from .graph import Direction, KnowledgeGraph, Node
+from .graph import Direction, GraphBuilder, KnowledgeGraph, Node
 
 _ENTITY_ID = re.compile(r"[QP][0-9]+")
 _TRANSIENT_STATUSES = frozenset({500, 502, 503, 504})
@@ -327,9 +327,10 @@ def graph_from_remote_neighbors(
 
     A neighbor or link seen twice is kept once, at its first appearance.
     """
-    graph = KnowledgeGraph([x])
+    builder = GraphBuilder()
+    builder.add_node(x)
     for neighbor, label, direction in links:
-        graph.add_node(neighbor)
+        builder.add_node(neighbor)
         source, target = (x.id, neighbor.id) if direction == "out" else (neighbor.id, x.id)
-        graph.add_edge(source, target, label)
-    return graph
+        builder.add_edge(source, target, label)
+    return builder.freeze()

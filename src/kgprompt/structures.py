@@ -145,12 +145,10 @@ def extract_neighbors(
     kg: KnowledgeGraph, x: str, limits: ExtractionLimits, seed: int
 ) -> StructureBundle:
     """Up to ``max_neighbors`` 1-hop neighbors of x with relation labels."""
-    candidates = kg.neighbor_ids(x)
+    i = kg.index_of(x)
+    candidates = list(dict.fromkeys(kg.row(i)))
     chosen = select_subset(candidates, limits.max_neighbors, derive_seed(seed, "NN", x))
-    payload = tuple(
-        NeighborLink(node=kg.node(n), labels=tuple(kg.relation_labels_between(x, n)))
-        for n in chosen
-    )
+    payload = tuple(NeighborLink(node=kg.node_at(j), labels=tuple(kg.links(i, j))) for j in chosen)
     return StructureBundle(
         kind=StructureKind.NN,
         pair=(x, None),
@@ -170,13 +168,13 @@ def extract_common_neighbors(
     """
     if x == y:
         raise SamePairError(f"common neighbors need two distinct nodes, got {x!r} twice")
-    y_neighbor_ids = set(kg.neighbor_ids(y))
-    common = [n for n in kg.neighbor_ids(x) if n in y_neighbor_ids]
+    near_y = set(kg.row(kg.index_of(y)))
+    common = [j for j in dict.fromkeys(kg.row(kg.index_of(x))) if j in near_y]
     chosen = select_subset(common, limits.max_common_neighbors, derive_seed(seed, "CNN", x, y))
     return StructureBundle(
         kind=StructureKind.CNN,
         pair=(x, y),
-        payload=tuple(kg.node(n) for n in chosen),
+        payload=tuple(map(kg.node_at, chosen)),
         selection_seed=seed,
         candidate_count=len(common),
     )

@@ -7,7 +7,7 @@ import pytest
 
 import kgprompt.graph as graph_module
 from kgprompt.errors import DuplicateEdgeError, UnknownNodeError
-from kgprompt.graph import ARRAYS, Edge, KnowledgeGraph, Node, normalize_name
+from kgprompt.graph import ARRAYS, Edge, GraphBuilder, KnowledgeGraph, Node, normalize_name
 from kgprompt.ingest import export_edge_list_jsonl
 
 from fixtures_kg import ODD_NAMES, gene_hop_graph, make_graph, name_lookups, prostate_star_graph
@@ -161,13 +161,24 @@ def test_duplicate_edge_rejected():
         make_graph([("a", "A", "t"), ("b", "B", "t")], [("a", "b", "r"), ("a", "b", "r")])
 
 
+def _builder(nodes: list[tuple[str, str, str]], edges: list[tuple[str, str, str]]) -> GraphBuilder:
+    """A builder that has added these nodes and edges, as ``make_graph`` does."""
+    builder = GraphBuilder()
+    for node_id, name, node_type in nodes:
+        assert builder.add_node(Node(node_id, name, node_type))
+    for edge in edges:
+        assert builder.add_edge(*edge)
+    return builder
+
+
 def test_loader_adds_report_duplicates_without_changing_the_graph():
-    kg = KnowledgeGraph()
-    assert kg.add_node(Node("a", "A")) and kg.add_node(Node("b", "B"))
-    assert not kg.add_node(Node("a", "other name"))
-    assert kg.add_edge("a", "b", "r")
-    assert not kg.add_edge("a", "b", "r")
-    assert kg.add_edge("b", "a", "r")
+    builder = GraphBuilder()
+    assert builder.add_node(Node("a", "A")) and builder.add_node(Node("b", "B"))
+    assert not builder.add_node(Node("a", "other name"))
+    assert builder.add_edge("a", "b", "r")
+    assert not builder.add_edge("a", "b", "r")
+    assert builder.add_edge("b", "a", "r")
+    kg = builder.freeze()
     assert kg.node("a").name == "A"
     assert kg.edges == [Edge("a", "b", "r"), Edge("b", "a", "r")]
     assert kg.relation_labels_between("a", "b") == [("r", "out"), ("r", "in")]
@@ -193,8 +204,10 @@ def test_queries_after_further_adds_see_them():
     kg = make_graph([("a", "A", "t"), ("b", "B", "t")], [("a", "b", "r")])
     assert kg.neighbor_ids("a") == ["b"]
     assert len(kg.nodes) == 2
-    assert kg.add_node(Node("c", "C"))
-    assert kg.add_edge("c", "a", "s")
+    builder = _builder([("a", "A", "t"), ("b", "B", "t")], [("a", "b", "r")])
+    assert builder.add_node(Node("c", "C"))
+    assert builder.add_edge("c", "a", "s")
+    kg = builder.freeze()
     assert kg.neighbor_ids("a") == ["b", "c"]
     assert kg.relation_labels_between("a", "c") == [("s", "in")]
     assert list(kg.nodes) == ["a", "b", "c"]
@@ -217,28 +230,40 @@ def test_restored_graph_answers_as_the_dumped_one_and_still_dedups():
             assert list(copy.adjacency(x)) == list(kg.adjacency(x))
             assert copy.neighbor_ids(x) == kg.neighbor_ids(x)
         source, target, label = edges[0]
-        assert not copy.add_edge(source, target, label)
-        assert copy.add_edge(source, target, label + " again")
-        assert copy.edge_count == kg.edge_count + 1
+        builder = _builder(nodes, edges)
+        assert not builder.add_edge(source, target, label)
+        assert builder.add_edge(source, target, label + " again")
+        added = builder.freeze()
+        assert added.edge_count == kg.edge_count + 1
+        built = make_graph(nodes, [*edges, (source, target, label + " again")])  # never dumped
+        assert added.edges == built.edges
+        assert [list(added.adjacency(x)) for x in ids] == [list(built.adjacency(x)) for x in ids]
 
 
-def test_a_graph_and_its_restored_copy_take_adds_apart():
-    # restore takes the dumped columns over without a copy; an add must not
-    # reach the other graph
+def test_a_restored_copy_and_its_source_share_no_mutable_state_and_neither_has_an_add():
+    # restore takes the dumped arrays over without a copy, so neither graph
+    # may change them: neither has an add. The adds go to builders, each
+    # frozen apart, and a builder's adds after its freeze reach no graph.
     nodes = [("a", "A", "t"), ("b", "B", "t"), ("c", "C", "u")]
     edges = [("a", "b", "r"), ("b", "c", "r")]
     kg = make_graph(nodes, edges)
     copy = KnowledgeGraph.restore(*kg.dump())
-    added = {id(kg): ("a", "c", "new in kg"), id(copy): ("c", "a", "new in copy")}
     for graph in (kg, copy):
-        assert graph.add_edge(*added[id(graph)])
-    for graph in (kg, copy):
-        built = make_graph(nodes, [*edges, added[id(graph)]])  # never dumped
+        assert not [name for name in dir(graph) if name.startswith("add_")]
+        assert not hasattr(graph, "node_index") and not hasattr(graph, "__dict__")
+    for added in (("a", "c", "new in kg"), ("c", "a", "new in copy")):
+        builder = _builder(nodes, edges)
+        assert builder.add_edge(*added)
+        graph = builder.freeze()
+        assert builder.add_node(Node("d", "D")) and builder.add_edge("d", "d", "after the freeze")
+        built = make_graph(nodes, [*edges, added])  # never dumped
         assert graph.edges == built.edges
         assert graph.edge_count == built.edge_count == 3
         for x in "abc":
             assert list(graph.adjacency(x)) == list(built.adjacency(x))
         assert graph.dump() == built.dump()
+    for graph in (kg, copy):
+        assert graph.edges == [Edge(*edge) for edge in edges]
 
 
 def test_name_tables_first_node_wins_and_survive_a_restore():
@@ -252,7 +277,9 @@ def test_name_tables_first_node_wins_and_survive_a_restore():
     }
     assert name_lookups(kg, names) == found
     assert name_lookups(KnowledgeGraph.restore(*kg.dump()), names) == found
-    assert kg.add_node(Node("d", "  Zeta! "))
+    builder = _builder([("a", "Beta-Carotene", "t"), ("b", "beta carotene", "t"), ("c", "Beta-Carotene", "t")], [])
+    assert builder.add_node(Node("d", "  Zeta! "))
+    kg = builder.freeze()
     assert name_lookups(kg, names) == {**found, "  Zeta! ": ("d", "d"), "zeta": (None, "d")}
 
 
@@ -378,15 +405,20 @@ def test_packed_graphs_answer_as_built_ones():
                 with pytest.raises(UnknownNodeError):
                     kg.index_of(x)
         source, target, label = edges[0]
-        for kg in (built, dumped, restored):
-            assert not kg.add_node(Node(ids[-1], "another name"))
-            assert not kg.add_edge(source, target, label)
-            assert kg.add_edge(target, source, "added")
-            assert kg.add_node(Node("\U0001f600 new", "a\0b", "new"))
-            assert kg.add_edge("\U0001f600 new", ids[0], "added")
-            assert not kg.add_node(Node("\U0001f600 new", "again"))
+        builder = _builder(nodes, edges)
+        assert not builder.add_node(Node(ids[-1], "another name"))
+        assert not builder.add_edge(source, target, label)
+        assert builder.add_edge(target, source, "added")
+        assert builder.add_node(Node("\U0001f600 new", "a\0b", "new"))
+        assert builder.add_edge("\U0001f600 new", ids[0], "added")
+        assert not builder.add_node(Node("\U0001f600 new", "again"))
+        built = make_graph(  # never dumped
+            [*nodes, ("\U0001f600 new", "a\0b", "new")],
+            [*edges, (target, source, "added"), ("\U0001f600 new", ids[0], "added")],
+        )
         expected = _answers(built, ids + ["\U0001f600 new"], names)
-        for kg in (dumped, restored):
+        frozen = builder.freeze()
+        for kg in (frozen, KnowledgeGraph.restore(*frozen.dump())):
             assert _answers(kg, ids + ["\U0001f600 new"], names) == expected, case
 
 
@@ -458,39 +490,61 @@ def test_dumped_and_restored_graphs_rebuild_their_edge_columns_exactly(tmp_path)
             assert _edge_answers(kg, ids, export) == expected, case
         if not ids:
             continue
-        for kg in (built, dumped, restored):
-            for edge in edges:
-                assert not kg.add_edge(*edge)
-            assert kg.add_edge(ids[-1], ids[0], "added")
-            assert kg.add_node(Node("new", "new node"))
-            assert kg.add_edge("new", "new", "added loop")
-            assert kg.add_edge(ids[0], "new", "added")
-            assert not kg.add_edge(ids[-1], ids[0], "added")
+        builder = _builder(nodes, edges)
+        for edge in edges:
+            assert not builder.add_edge(*edge)
+        assert builder.add_edge(ids[-1], ids[0], "added")
+        assert builder.add_node(Node("new", "new node"))
+        assert builder.add_edge("new", "new", "added loop")
+        assert builder.add_edge(ids[0], "new", "added")
+        assert not builder.add_edge(ids[-1], ids[0], "added")
+        built = make_graph(  # never dumped
+            [*nodes, ("new", "new node", "unknown")],
+            [*edges, (ids[-1], ids[0], "added"), ("new", "new", "added loop"), (ids[0], "new", "added")],
+        )
         expected = _edge_answers(built, ids + ["new"], export)
-        for kg in (dumped, restored):
+        frozen = builder.freeze()
+        for kg in (frozen, KnowledgeGraph.restore(*frozen.dump())):
             assert _edge_answers(kg, ids + ["new"], export) == expected, case
 
 
 def test_a_dump_that_overflows_leaves_the_graph_as_it_was(monkeypatch):
     nodes, edges = random_graph(Random(26), max_nodes=20, max_edges=60)
     edges = [*edges, (nodes[0][0], nodes[0][0], "loop")]
-    kg, built = make_graph(nodes, edges), make_graph(nodes, edges)
-
-    def too_big(_nodes):
-        raise OverflowError("unsigned int is greater than maximum")
-
-    monkeypatch.setattr(graph_module, "_pack_nodes", too_big)
+    ids = [node_id for node_id, _name, _type in nodes]
+    built = make_graph(nodes, edges)
+    monkeypatch.setattr(graph_module, "_OFFSET_LIMIT", 8)  # as if the strings took more than 4 GiB
+    kg = make_graph(nodes, edges)
+    builder = _builder(nodes, edges)
     with pytest.raises(OverflowError):
         kg.dump()
     monkeypatch.undo()
-    ids = [node_id for node_id, _name, _type in nodes]
+    with pytest.raises(OverflowError):  # the offsets' width is the freeze's
+        kg.dump()
     assert kg.edges == built.edges
     assert [list(kg.adjacency(x)) for x in ids] == [list(built.adjacency(x)) for x in ids]
-    for graph in (kg, built):
-        assert not graph.add_edge(*edges[0])
-        assert graph.add_node(Node("new", "new node"))
-        assert graph.add_edge("new", ids[0], "added")
-    assert _state_bytes(kg.dump()) == _state_bytes(built.dump())
+    assert not builder.add_edge(*edges[0])
+    assert builder.add_node(Node("new", "new node"))
+    assert builder.add_edge("new", ids[0], "added")
+    added = make_graph([*nodes, ("new", "new node", "unknown")], [*edges, ("new", ids[0], "added")])
+    assert _state_bytes(builder.freeze().dump()) == _state_bytes(added.dump())
+
+
+def test_a_graph_past_the_offset_limit_answers_every_query(monkeypatch, tmp_path):
+    rng = Random(27)
+    export = tmp_path / "export.jsonl"
+    for case in range(15):
+        nodes, edges = _packed_test_graph(rng)
+        ids = [node_id for node_id, _name, _type in nodes]
+        names = [name for _id, name, _type in nodes] + ["absent", "", "\ud83d", "STRASSE", "A\0B"]
+        built = make_graph(nodes, edges)
+        expected = (_answers(built, ids, names), _edge_answers(built, ids, export))
+        monkeypatch.setattr(graph_module, "_OFFSET_LIMIT", rng.choice([0, 5, 40]))
+        for kg in (make_graph(nodes, edges), _builder(nodes, edges).freeze()):
+            assert (_answers(kg, ids, names), _edge_answers(kg, ids, export)) == expected, case
+            with pytest.raises(OverflowError):
+                kg.dump()
+        monkeypatch.undo()
 
 
 def test_restore_rejects_loops_and_links_that_do_not_fit_the_edges():

@@ -14,7 +14,7 @@ import pytest
 import kgprompt.graph as graph_module
 import kgprompt.ingest as ingest
 from kgprompt.errors import ParseError, SchemaError
-from kgprompt.graph import KnowledgeGraph, normalize_name
+from kgprompt.graph import GraphBuilder, KnowledgeGraph, normalize_name
 from kgprompt.ingest import export_edge_list_jsonl, load_edge_list_jsonl, load_hetionet_json
 
 from fixtures_kg import ODD_NAMES, name_lookups
@@ -815,10 +815,15 @@ def test_cold_load_drops_the_duplicate_check_set_like_a_restore(tmp_path, fmt):
     path = _random_dump(tmp_path, fmt, seed=6)
     for load in ("cold", "warm"):
         kg, _report = _LOADERS[fmt](path)
-        assert kg._keys is None, load
+        assert not hasattr(kg, "_keys") and not hasattr(kg, "add_edge"), load
+        builder = GraphBuilder()  # the duplicate check lives in a builder alone
+        for node in kg.nodes.values():
+            assert builder.add_node(node)
+        for edge in kg.edges:
+            assert builder.add_edge(edge.source, edge.target, edge.label)
         count, edge = kg.edge_count, kg.edges[0]
-        assert kg.add_edge(edge.source, edge.target, edge.label) is False  # the set is rebuilt
-        assert kg.edge_count == count
+        assert builder.add_edge(edge.source, edge.target, edge.label) is False
+        assert builder.freeze().edge_count == count
 
 
 def _odd_names_dump(tmp_path: Path, fmt: str) -> Path:
@@ -982,6 +987,54 @@ def test_graph_too_big_for_the_snapshot_offsets_loads_without_a_snapshot(
         "graph snapshot not saved (unsigned int is greater than maximum); the next load parses the dump again"
     ]
     assert not list(graph_cache.rglob("*.graph"))
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+def test_graph_past_the_offset_limit_loads_and_answers_without_a_snapshot(
+    tmp_path, graph_cache, monkeypatch, caplog, fmt
+):
+    path = _random_dump(tmp_path, fmt, seed=26)
+    expected = _outcome(_FROZEN[fmt], path)
+    monkeypatch.setattr(graph_module, "_OFFSET_LIMIT", 40)  # as if the node strings took more than 4 GiB
+    with caplog.at_level("WARNING", logger="kgprompt.ingest"):
+        assert _outcome(_LOADERS[fmt], path) == expected
+    (message,) = [r.getMessage() for r in caplog.records]
+    assert message.startswith("graph snapshot not saved (") and "4-byte offsets" in message
+    assert not list(graph_cache.rglob("*.graph"))
+    kg, _report = _LOADERS[fmt](path)
+    names = [node.name for node in kg.nodes.values()]
+    monkeypatch.undo()
+    assert name_lookups(kg, names) == name_lookups(_LOADERS[fmt](path)[0], names)
+
+
+def _shape_faults(kg: KnowledgeGraph) -> list[str]:
+    """A graph's slots that are unset or None (or hold a None part), and
+    what it has that a frozen graph must not."""
+    faults = []
+    for name in KnowledgeGraph.__slots__:
+        value = getattr(kg, name, None)
+        if value is None or (isinstance(value, tuple) and None in value):
+            faults.append(name)
+    unwanted = ("node_index", "_thaw", "_unpack", "__dict__")
+    return faults + [name for name in dir(kg) if name.startswith("add_") or name in unwanted]
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+def test_every_graph_has_all_its_slots_set_and_no_add(tmp_path, fmt):
+    path = _random_dump(tmp_path, fmt, seed=28)
+    cold, _report = _LOADERS[fmt](path)
+    warm, _report = _LOADERS[fmt](path)
+    builder = GraphBuilder()
+    for node in cold.nodes.values():
+        builder.add_node(node)
+    for edge in cold.edges:
+        builder.add_edge(edge.source, edge.target, edge.label)
+    graphs = {
+        "constructor": KnowledgeGraph(cold.nodes.values(), cold.edges), "empty": KnowledgeGraph(),
+        "freeze": builder.freeze(), "empty freeze": GraphBuilder().freeze(),
+        "restore": KnowledgeGraph.restore(*cold.dump()), "cold": cold, "warm": warm,
+    }
+    assert {how: _shape_faults(kg) for how, kg in graphs.items()} == dict.fromkeys(graphs, [])
 
 
 @pytest.mark.parametrize("fmt", sorted(_LOADERS))
