@@ -40,6 +40,8 @@ class HttpEndpoint:
     def __post_init__(self) -> None:
         check_field_types(self)
         require_http_url(self.base_url, "base_url")
+        if "?" in self.base_url or "#" in self.base_url:  # "/predict" is appended to the path
+            raise ValueError("base_url must be an http(s) URL without a query or fragment")
         if not self.timeout > 0:
             raise ValueError("timeout must be > 0")
         if self.timeout > _WAIT_LIMIT:
@@ -205,15 +207,17 @@ def predict_http(
         json=body,
     )
     try:
-        payload = json.loads(raw.body)
+        payload, fault = json.loads(raw.body), None
     except (ValueError, RecursionError) as exc:
-        raise ProtocolError(f"response is not valid JSON: {exc}") from exc
-    if raw.status != 200:
+        payload, fault = None, exc
+    if raw.status != 200:  # checked first, so an error page that is not JSON still names its status
         if isinstance(payload, dict) and "message" in payload:
             raise ProtocolError(
                 f"backend error {payload.get('code', raw.status)}: {payload['message']}"
             )
         raise ProtocolError(f"unexpected HTTP {raw.status} from {url}")
+    if fault is not None:
+        raise ProtocolError(f"response is not valid JSON: {fault}") from fault
     response = _parse_response_payload(payload, req)
     predicted, score = resolve_response(response, req, mapping)
     return PredictionRecord(

@@ -12,37 +12,19 @@ All query results are deterministically ordered by the insertion order of
 the first contributing edge, so downstream verbalization and seeded subset
 selection are reproducible run to run.
 
-Storage is an integer core:
-
-- node ids are interned to ints in insertion order, and labels to small ints;
-- a builder holds its node ids, names and types as three lists, with a dict
-  from id to int; its edges as source, target and label ``array`` columns in
-  insertion order; and a set of packed integer keys as the duplicate check;
-- a frozen graph holds its nodes packed: the ids and the names each become
-  one byte ``array`` of the UTF-8 encoded strings with an ``array`` of their
-  offsets, plus an ``array`` of the node ints in sorted order of the strings,
-  which lookups by id or by exact name bisect; the types become an ``array``
-  of int codes into a table of the distinct types. It holds no per-node
-  Python object, so no refcount writes to its pages;
-- a frozen graph holds its edges as the label column and a CSR (compressed
-  sparse rows): per node, the other end and the signed edge code of each
-  link in global edge order. The code is the edge's position ``e`` in its
-  source's row and ``~e`` in its target's, so a link gives its label and
-  direction without a look at the edge's ends. The CSR leaves self-loops
-  out; they are two ``array`` columns of their own, the loop edges'
-  positions and nodes. Each edge's ends are so stored once, and
-  :attr:`KnowledgeGraph.edges` and :meth:`KnowledgeGraph.edge_at` read them
-  off the CSR. A node's neighbors are the other ends of its row,
-  deduplicated in first-link order;
-- :meth:`KnowledgeGraph.first_node_normalized` bisects a compact index of
-  the normalized names (:func:`normalize_name`): the distinct normalized
-  names in sorted order, packed as the node strings are, with an ``array``
-  of the first node holding each.
+Storage is an integer core. Node ids are interned to ints in insertion
+order, and labels to small ints. A builder holds its node ids, names and
+types as three lists, with a dict from id to int; its edges as source,
+target and label ``array`` columns in insertion order; and a set of packed
+integer keys as the duplicate check. A frozen graph holds the table of the
+distinct node types, the label table and the arrays of :data:`ARRAYS`, one
+slot each; the comment above ``ARRAYS`` describes them. It holds no per-node
+Python object, so no refcount writes to its pages. ``Node`` and ``Edge``
+objects are made only when a query returns them.
 
 The string offsets take 4 bytes each, or 8 in a graph whose node ids, names
 or normalized names take more than 4 GiB; such a graph answers every query
-but has no plain-value form. ``Node`` and ``Edge`` objects are made only
-when a query returns them. A frozen graph converts to and from plain values
+but has no plain-value form. A frozen graph converts to and from plain values
 (:meth:`KnowledgeGraph.dump`, :meth:`KnowledgeGraph.restore`), which is what
 an ingest snapshot stores.
 """
@@ -54,7 +36,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import DuplicateEdgeError, UnknownNodeError
 
@@ -77,57 +59,25 @@ class Edge:
     label: str
 
 
-class _NodeColumns(NamedTuple):
-    """Node ids, names and types packed: node i's id is the UTF-8 encoded
-    ``node_ids[node_id_offsets[i]:node_id_offsets[i + 1]]``, and its name
-    likewise; ``id_order`` and ``name_order`` hold the node ints in sorted
-    order of their ids and of their names, equal names in insertion order;
-    node i's type is ``types[node_types[i]]``."""
-
-    node_ids: array
-    node_id_offsets: array
-    id_order: array
-    node_names: array
-    node_name_offsets: array
-    name_order: array
-    node_types: array
-    types: list[str]  # the distinct types: a table, not an array
-
-    def id_at(self, i: int) -> str:
-        return _text(self.node_ids, self.node_id_offsets, i)
-
-    def name_at(self, i: int) -> str:
-        return _text(self.node_names, self.node_name_offsets, i)
-
-    def find(self, node_id: str) -> int | None:
-        return _find(self.node_ids, self.node_id_offsets, self.id_order, node_id)
-
-
-class _Csr(NamedTuple):
-    """Adjacency rows: node i's links are ``offsets[i]:offsets[i + 1]`` of
-    ``other`` (their other ends) and ``edge`` (their edge codes: the edge's
-    position where i is its source, its complement where i is its target).
-    The self-loop at position ``loop_edges[k]`` is on node ``loop_nodes[k]``."""
-
-    offsets: array
-    other: array
-    edge: array
-    loop_edges: array
-    loop_nodes: array
-
-
-class _NameIndex(NamedTuple):
-    """The distinct normalized names, UTF-8 encoded, in sorted order: the
-    k-th is ``normalized[name_offsets[k]:name_offsets[k + 1]]`` and the first
-    node added with it is ``name_nodes[k]``."""
-
-    normalized: array
-    name_offsets: array
-    name_nodes: array
-
-
-# The arrays of the core, by name, with their typecodes: the one layout that
+# A frozen graph's arrays, by name, with their typecodes: the one layout that
+# its slots hold (one "_<name>" each, beside the type and label tables), that
 # dump() gives, restore() takes and an ingest snapshot stores, in this order.
+# - Nodes, packed: node i's id is the UTF-8 encoded
+#   node_ids[node_id_offsets[i]:node_id_offsets[i + 1]], and its name likewise
+#   in node_names; id_order and name_order hold the node ints in sorted order
+#   of their ids and of their names, equal names in insertion order, for
+#   lookups to bisect; node i's type is types[node_types[i]].
+# - Edges: edge e's label is labels[edge_labels[e]]. Its ends are in the CSR
+#   (compressed sparse rows): node i's links are offsets[i]:offsets[i + 1] of
+#   other (their other ends) and edge (their edge codes: e where i is the
+#   edge's source, ~e where i is its target), in global edge order, so a link
+#   gives its label and direction without a look at the edge's ends. The CSR
+#   leaves self-loops out: the loop at position loop_edges[k] is on node
+#   loop_nodes[k]. Each edge's ends are so stored once.
+# - The name index: the distinct normalized names (normalize_name), UTF-8
+#   encoded, in sorted order; the k-th is
+#   normalized[name_offsets[k]:name_offsets[k + 1]] and the first node added
+#   with it is name_nodes[k].
 # Edge positions are "i", so a link count (at most twice the edges) fits "I".
 ARRAYS = {
     "node_ids": "B", "node_id_offsets": "I", "id_order": "i",
@@ -231,16 +181,17 @@ class GraphBuilder:
         """The graph built so far, read-only; the builder is left empty."""
         return object.__new__(KnowledgeGraph)._set(*self._frozen())
 
-    def _frozen(self) -> tuple[_NodeColumns, list[str], array, _Csr, _NameIndex]:
-        """What a frozen graph holds, built from this builder's state, which
-        is then released."""
+    def _frozen(self) -> tuple[dict[str, list[str]], dict[str, array]]:
+        """The tables and arrays of a frozen graph, built from this builder's
+        state, which is then released."""
         self._keys = set()  # the duplicate check goes first, so it is not held while the CSR is built
         index = _build_name_index(self._names)
         csr = _build_csr(len(self._ids), self._sources, self._targets)
-        nodes = _pack_nodes(self._ids, self._names, self._types)
-        frozen = (nodes, self._labels, self._edge_labels, csr, index)
+        types, nodes = _pack_nodes(self._ids, self._names, self._types)
+        tables = {"types": types, "labels": self._labels}
+        arrays = {**nodes, "edge_labels": self._edge_labels, **csr, **index}
         self.__init__()  # the lists go; what was frozen is no longer the builder's
-        return frozen
+        return tables, arrays
 
 
 class KnowledgeGraph:
@@ -248,7 +199,7 @@ class KnowledgeGraph:
     no add. :class:`GraphBuilder` makes one; so do the constructor, from
     whole nodes and edges, and :meth:`restore`, from a :meth:`dump`."""
 
-    __slots__ = ("_nodes", "_labels", "_edge_labels", "_csr", "_name_index")
+    __slots__ = ("_types", "_labels", *(f"_{name}" for name in ARRAYS))
 
     def __init__(self, nodes: Iterable[Node] = (), edges: Iterable[Edge] = ()):
         builder = GraphBuilder()
@@ -261,14 +212,11 @@ class KnowledgeGraph:
                 raise DuplicateEdgeError(f"duplicate edge: {key!r}")
         self._set(*builder._frozen())
 
-    def _set(
-        self, nodes: _NodeColumns, labels: list[str], edge_labels: array, csr: _Csr, index: _NameIndex
-    ) -> KnowledgeGraph:
-        self._nodes = nodes
-        self._labels = labels
-        self._edge_labels = edge_labels
-        self._csr = csr
-        self._name_index = index
+    def _set(self, tables: dict[str, list[str]], arrays: dict[str, array]) -> KnowledgeGraph:
+        self._types = tables["types"]
+        self._labels = tables["labels"]
+        for name in ARRAYS:
+            setattr(self, f"_{name}", arrays[name])
         return self
 
     # --- basic accessors ---
@@ -286,21 +234,21 @@ class KnowledgeGraph:
     def iter_edges(self) -> Iterator[Edge]:
         """Every edge once, in insertion order, made one at a time from the
         ends that one pass over the CSR and the loops gives."""
-        sources, targets = _edge_ends(self._csr, self.edge_count)
-        id_at, labels = self._nodes.id_at, self._labels
+        sources, targets = _edge_ends(self)
+        id_at, labels = self._id_at, self._labels
         for s, t, lab in zip(sources, targets, self._edge_labels):
             yield Edge(id_at(s), id_at(t), labels[lab])
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes.node_types)
+        return len(self._node_types)
 
     @property
     def edge_count(self) -> int:
         return len(self._edge_labels)
 
     def has_node(self, node_id: str) -> bool:
-        return self._nodes.find(node_id) is not None
+        return _find(self._node_ids, self._node_id_offsets, self._id_order, node_id) is not None
 
     def node(self, node_id: str) -> Node:
         return self.node_at(self.index_of(node_id))
@@ -308,20 +256,19 @@ class KnowledgeGraph:
     def first_nodes_named(self, names: Iterable[str]) -> dict[str, str]:
         """Name -> id of the first node added with exactly that name, for each
         of ``names`` that some node has."""
-        nodes = self._nodes
         found: dict[str, str] = {}
         for name in dict.fromkeys(names):
-            i = _find(nodes.node_names, nodes.node_name_offsets, nodes.name_order, name)
+            i = _find(self._node_names, self._node_name_offsets, self._name_order, name)
             if i is not None:
-                found[name] = nodes.id_at(i)
+                found[name] = self._id_at(i)
         return found
 
     def first_node_normalized(self, key: str) -> str | None:
         """Id of the first node added whose normalized name is ``key``, or
         None; ``key`` is already normalized (:func:`normalize_name`)."""
-        normalized, offsets, nodes = self._name_index
-        k = _find(normalized, offsets, range(len(nodes)), key)
-        return None if k is None else self._nodes.id_at(nodes[k])
+        nodes = self._name_nodes
+        k = _find(self._normalized, self._name_offsets, range(len(nodes)), key)
+        return None if k is None else self._id_at(nodes[k])
 
     # --- adjacency queries ---
 
@@ -331,13 +278,12 @@ class KnowledgeGraph:
         Self-loops are skipped: a node is never its own neighbor.
         """
         i = self.index_of(x)
-        csr = self._csr
-        for p in range(csr.offsets[i], csr.offsets[i + 1]):
-            yield (self._nodes.id_at(csr.other[p]), *self._link(csr.edge[p]))
+        for p in range(self._offsets[i], self._offsets[i + 1]):
+            yield (self._id_at(self._other[p]), *self._link(self._edge[p]))
 
     def neighbor_ids(self, x: str) -> list[str]:
         """Ids of the nodes sharing an edge with x, deduplicated, in first-edge order."""
-        return list(map(self._nodes.id_at, self._neighbors(self.index_of(x))))
+        return list(map(self._id_at, self._neighbors(self.index_of(x))))
 
     def neighbors(self, x: str) -> list[Node]:
         """Nodes sharing an edge with x, deduplicated, in first-edge order."""
@@ -369,48 +315,45 @@ class KnowledgeGraph:
 
     def index_of(self, node_id: str) -> int:
         """The int node_id is interned to (its insertion position)."""
-        i = self._nodes.find(node_id)
+        i = _find(self._node_ids, self._node_id_offsets, self._id_order, node_id)
         if i is None:
             raise UnknownNodeError(node_id)
         return i
 
     def node_at(self, i: int) -> Node:
         """The node interned to i."""
-        nodes = self._nodes
-        return Node(nodes.id_at(i), nodes.name_at(i), nodes.types[nodes.node_types[i]])
+        name = _text(self._node_names, self._node_name_offsets, i)
+        return Node(self._id_at(i), name, self._types[self._node_types[i]])
 
     def edge_at(self, e: int) -> Edge:
         """The edge at position e of the insertion order: its source holds
         the code e in its row, found by a scan of the CSR's codes."""
         e = range(self.edge_count)[e]
-        csr = self._csr
         try:
-            p = csr.edge.index(e)
+            p = self._edge.index(e)
         except ValueError:  # a self-loop
-            s = t = csr.loop_nodes[csr.loop_edges.index(e)]
+            s = t = self._loop_nodes[self._loop_edges.index(e)]
         else:
-            s, t = bisect_right(csr.offsets, p) - 1, csr.other[p]
-        nodes = self._nodes
-        return Edge(nodes.id_at(s), nodes.id_at(t), self._labels[self._edge_labels[e]])
+            s, t = bisect_right(self._offsets, p) - 1, self._other[p]
+        return Edge(self._id_at(s), self._id_at(t), self._labels[self._edge_labels[e]])
 
     def links(self, i: int, j: int) -> Iterator[tuple[str, Direction]]:
         """Label and direction, relative to i, of each stored edge between
         the nodes interned to i and j, in edge insertion order."""
-        csr = self._csr
-        p, end = csr.offsets[i], csr.offsets[i + 1]
+        other = self._other
+        p, end = self._offsets[i], self._offsets[i + 1]
         while True:
             try:
-                p = csr.other.index(j, p, end)
+                p = other.index(j, p, end)
             except ValueError:
                 return
-            yield self._link(csr.edge[p])
+            yield self._link(self._edge[p])
             p += 1
 
     def row(self, i: int) -> array:
         """The other ends of node i's links, in edge insertion order, with a
         repeat per parallel edge and no self-loops."""
-        csr = self._csr
-        return csr.other[csr.offsets[i]:csr.offsets[i + 1]]
+        return self._other[self._offsets[i]:self._offsets[i + 1]]
 
     def hop_distances(self, i: int, depth: int, avoid: int = -1) -> dict[int, int]:
         """Node -> hop distance from node i, for every node within ``depth``
@@ -433,6 +376,10 @@ class KnowledgeGraph:
 
     # --- the core ---
 
+    def _id_at(self, i: int) -> str:
+        """The id of the node interned to i."""
+        return _text(self._node_ids, self._node_id_offsets, i)
+
     def _neighbors(self, i: int) -> Iterable[int]:
         """Node i's neighbors: its row deduplicated in first-link order."""
         return dict.fromkeys(self.row(i))
@@ -453,13 +400,11 @@ class KnowledgeGraph:
         node ids, names or normalized names take more bytes than a 4-byte
         offset can count.
         """
-        nodes, csr, index = self._nodes, self._csr, self._name_index
-        parts = {**nodes._asdict(), "edge_labels": self._edge_labels, **csr._asdict(), **index._asdict()}
-        arrays = {name: parts[name] for name in ARRAYS}
+        arrays = {name: getattr(self, f"_{name}") for name in ARRAYS}
         for name, values in arrays.items():
             if values.typecode != ARRAYS[name]:
                 raise OverflowError(f"{name}: the strings take more bytes than 4-byte offsets count")
-        return {"types": nodes.types, "labels": self._labels}, arrays
+        return {"types": self._types, "labels": self._labels}, arrays
 
     @classmethod
     def restore(cls, tables: dict[str, list[str]], arrays: dict[str, array]) -> KnowledgeGraph:
@@ -473,27 +418,21 @@ class KnowledgeGraph:
             raise TypeError("graph state: wrong string tables")
         if {name: values.typecode for name, values in arrays.items()} != ARRAYS:
             raise TypeError("graph state: wrong integer arrays")
-        labels = tables["labels"]
-        nodes = _NodeColumns(*(arrays[name] for name in _NodeColumns._fields[:-1]), tables["types"])
-        csr = _Csr(*(arrays[name] for name in _Csr._fields))
-        index = _NameIndex(*(arrays[name] for name in _NameIndex._fields))
-        n = len(nodes.node_types)
-        edges = len(arrays["edge_labels"])
+        labels, a = tables["labels"], arrays
+        n, edges, loops = len(a["node_types"]), len(a["edge_labels"]), len(a["loop_edges"])
         if (
             len(set(labels)) != len(labels)
-            or not len(nodes.node_id_offsets) == len(nodes.node_name_offsets) == n + 1
-            or not len(nodes.id_order) == len(nodes.name_order) == n
-            or nodes.node_id_offsets[-1] != len(nodes.node_ids)
-            or nodes.node_name_offsets[-1] != len(nodes.node_names)
-            or len(csr.offsets) != n + 1
-            or not len(csr.other) == len(csr.edge) == csr.offsets[-1]
-            or len(csr.loop_edges) != len(csr.loop_nodes)
-            or csr.offsets[-1] != 2 * (edges - len(csr.loop_edges))
-            or not len(index.name_offsets) == len(index.name_nodes) + 1 <= n + 1
-            or index.name_offsets[-1] != len(index.normalized)
+            or not len(a["node_id_offsets"]) == len(a["node_name_offsets"]) == len(a["offsets"]) == n + 1
+            or not len(a["id_order"]) == len(a["name_order"]) == n
+            or a["node_id_offsets"][-1] != len(a["node_ids"])
+            or a["node_name_offsets"][-1] != len(a["node_names"])
+            or not len(a["other"]) == len(a["edge"]) == a["offsets"][-1] == 2 * (edges - loops)
+            or len(a["loop_nodes"]) != loops
+            or not len(a["name_offsets"]) == len(a["name_nodes"]) + 1 <= n + 1
+            or a["name_offsets"][-1] != len(a["normalized"])
         ):
             raise ValueError("graph state: tables and arrays do not match")
-        return object.__new__(cls)._set(nodes, labels, arrays["edge_labels"], csr, index)
+        return object.__new__(cls)._set(tables, arrays)
 
 
 def _utf8(text: str) -> bytes:
@@ -529,31 +468,38 @@ def _find(data: array, offsets: array, order: Sequence[int], text: str) -> int |
     return order[k] if k < len(order) and item_bytes(k) == target else None
 
 
-def _pack_nodes(ids: list[str], names: list[str], types: list[str]) -> _NodeColumns:
-    """The packed columns of nodes with these ids, names and types."""
+def _pack_nodes(ids: list[str], names: list[str], types: list[str]) -> tuple[list[str], dict[str, array]]:
+    """The type table and the packed node arrays of nodes with these ids,
+    names and types."""
     ids, names = list(map(_utf8, ids)), list(map(_utf8, names))
     every = range(len(ids))
     codes = dict.fromkeys(types)  # each distinct type, in order of first use
     for code, node_type in enumerate(codes):
         codes[node_type] = code
-    return _NodeColumns(
-        *_packed(ids), array("i", sorted(every, key=ids.__getitem__)),
-        *_packed(names), array("i", sorted(every, key=names.__getitem__)),
-        array("i", map(codes.__getitem__, types)), list(codes),
-    )
+    node_ids, node_id_offsets = _packed(ids)
+    node_names, node_name_offsets = _packed(names)
+    return list(codes), {
+        "node_ids": node_ids, "node_id_offsets": node_id_offsets,
+        "id_order": array("i", sorted(every, key=ids.__getitem__)),
+        "node_names": node_names, "node_name_offsets": node_name_offsets,
+        "name_order": array("i", sorted(every, key=names.__getitem__)),
+        "node_types": array("i", map(codes.__getitem__, types)),
+    }
 
 
-def _build_name_index(names: list[str]) -> _NameIndex:
+def _build_name_index(names: list[str]) -> dict[str, array]:
     """The name index of nodes with these names, in insertion order."""
     # a dict keeps the last value given for a key, so feed it backwards
     first = dict(zip(
         (_utf8(normalize_name(name)) for name in reversed(names)), range(len(names) - 1, -1, -1)
     ))
     keys = sorted(first)
-    return _NameIndex(*_packed(keys), array("i", map(first.__getitem__, keys)))
+    normalized, name_offsets = _packed(keys)
+    name_nodes = array("i", map(first.__getitem__, keys))
+    return {"normalized": normalized, "name_offsets": name_offsets, "name_nodes": name_nodes}
 
 
-def _build_csr(n: int, sources: array, targets: array) -> _Csr:
+def _build_csr(n: int, sources: array, targets: array) -> dict[str, array]:
     """Adjacency rows of n nodes from the edge columns, in two passes: count
     each node's links, then fill its row in global edge order; the second
     pass sets the self-loops apart."""
@@ -581,23 +527,24 @@ def _build_csr(n: int, sources: array, targets: array) -> _Csr:
         free[t] = p + 1
         other[p] = s
         edge[p] = ~e
-    return _Csr(offsets, other, edge, loop_edges, loop_nodes)
+    return {
+        "offsets": offsets, "other": other, "edge": edge, "loop_edges": loop_edges, "loop_nodes": loop_nodes
+    }
 
 
-def _edge_ends(csr: _Csr, edges: int) -> tuple[array, array]:
-    """The source and target columns of ``edges`` edges, from their CSR: an
-    edge's source is the node whose row holds the edge's position as a code,
-    and its target is the other end of that link; a self-loop's ends are its
-    node."""
-    sources = array("i", [0]) * edges
-    targets = array("i", [0]) * edges
-    offsets, other, edge = csr.offsets, csr.other, csr.edge
+def _edge_ends(graph: KnowledgeGraph) -> tuple[array, array]:
+    """A graph's source and target columns, from its CSR: an edge's source
+    is the node whose row holds the edge's position as a code, and its
+    target is the other end of that link; a self-loop's ends are its node."""
+    sources = array("i", [0]) * graph.edge_count
+    targets = array("i", [0]) * graph.edge_count
+    offsets, other, edge = graph._offsets, graph._other, graph._edge
     for s in range(len(offsets) - 1):
         a, b = offsets[s], offsets[s + 1]
         for e, t in zip(edge[a:b], other[a:b]):
             if e >= 0:
                 sources[e] = s
                 targets[e] = t
-    for e, s in zip(csr.loop_edges, csr.loop_nodes):
+    for e, s in zip(graph._loop_edges, graph._loop_nodes):
         sources[e] = targets[e] = s
     return sources, targets

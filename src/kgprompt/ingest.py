@@ -19,20 +19,13 @@ digest, payload length, payload sha256) and a payload of a fixed vector of
 sizes, the ``marshal``-encoded tables and report, and the raw arrays in
 :data:`kgprompt.graph.ARRAYS` order. The sizes are the marshalled bytes'
 length and each array's item count; the arrays' names and typecodes are not
-on disk, since ``ARRAYS`` states them. Only the small tables are marshalled:
-the node types, the edge labels and the report. In format 9 the arrays are
-the node ids and names (UTF-8 bytes, their 4-byte offsets and the node ints
-in sorted order of each: ``node_ids``, ``node_id_offsets``, ``id_order``,
-``node_names``, ``node_name_offsets``, ``name_order``), the node type codes
-(``node_types``), the edge label codes (``edge_labels``), the adjacency CSR
-(``offsets``, ``other`` and the signed edge codes ``edge``) with the
-self-loops it leaves out (``loop_edges``, ``loop_nodes``), and the
-normalized-name index (the names' UTF-8 bytes, their offsets and their first
-nodes: ``normalized``, ``name_offsets``, ``name_nodes``). The edges' source
-and target columns are not stored: the CSR holds each edge's ends once. Each
-array is read in place into its final buffer. So a restore builds neither
-the CSR nor the index again, and makes no per-node Python object: the graph
-answers from the arrays as read.
+on disk, since ``ARRAYS`` states them, and the comment above it says what
+each array holds. Only the small tables are marshalled: the node types, the
+edge labels and the report. The edges' source and target columns are not
+stored: the CSR holds each edge's ends once. Each array is read in place
+into its final buffer. So a restore builds neither the CSR nor the index
+again, and makes no per-node Python object: the graph answers from the
+arrays as read.
 A snapshot of another code digest (byte order, this module's and
 :mod:`kgprompt.graph`'s source), like any mismatch, truncation or decode
 error, makes the loader parse the dump again and write the snapshot over the

@@ -7,9 +7,10 @@ empty graph context instead of dropping the instance.
 
 The first two steps ask a name lookup: a local graph, or a remote entity
 search (:func:`search_lookup`). Either way each distinct name is looked up
-once, in first-appearance order. A graph answers the exact step for all the
-pair names in one pass over its node names, and the normalized step by a
-bisect of its normalized-name index; it builds no table of all its names.
+once, in first-appearance order. A graph answers both steps by a bisect of
+arrays it already holds (:data:`kgprompt.graph.ARRAYS`): the exact step of
+its node names in sorted order (``name_order``), the normalized step of its
+normalized-name index.
 """
 
 from __future__ import annotations

@@ -270,6 +270,15 @@ def test_http_nested_answer_is_protocol_error(predict_server):
         predict_http(endpoint_for(predict_server, max_retries=0), make_request(), IDENTITY)
 
 
+def test_http_error_page_that_is_not_json_names_its_status(predict_server):
+    predict_server.default = {"status": 404, "raw": b"<html>Not Found</html>"}
+    endpoint = endpoint_for(predict_server, max_retries=2)
+    with pytest.raises(ProtocolError) as raised:
+        predict_http(endpoint, make_request(), IDENTITY)
+    assert str(raised.value) == f"unexpected HTTP 404 from {endpoint.base_url}/predict"
+    assert len(predict_server.requests) == 1
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

@@ -217,6 +217,11 @@ _NO_SERVER = "http://127.0.0.1:9"  # the discard port: nothing listens there
             for url in _URLS_HTTP_CLIENT_REJECTS
         ),
         *(
+            ({"backend": {"kind": "http", "base_url": _NO_SERVER + tail}},
+             "backend: base_url must be an http(s) URL without a query or fragment")
+            for tail in ("/api#frag", "/api?key=abc", "/api?")
+        ),
+        *(
             ({"kg": {"kind": "remote", "cache_dir": "cache", "sparql_url": url, "entity_api_url": _NO_SERVER}},
              "kg: sparql_url must be an http(s) URL")
             for url in _URLS_HTTP_CLIENT_REJECTS
@@ -258,6 +263,7 @@ _NO_SERVER = "http://127.0.0.1:9"  # the discard port: nothing listens there
          "label-mode-unknown", "custom-mode-without-words", "identity-mode-with-words",
          "unknown-top-level-key", "config-null", "config-list",
          "http-url-bad-ipv6", "http-url-no-host", "http-url-port-out-of-range",
+         "http-url-fragment", "http-url-query", "http-url-empty-query",
          "remote-url-bad-ipv6", "remote-url-no-host", "remote-url-port-out-of-range",
          "kg-path-missing", "dataset-unencodable", "out-dir-unencodable", "overrides-unencodable",
          "kg-path-unencodable", "cache-dir-unencodable",

@@ -324,6 +324,26 @@ def test_dump_follows_the_one_array_layout():
         assert [(name, values.typecode) for name, values in arrays.items()] == list(ARRAYS.items())
 
 
+def test_dump_and_restore_share_the_tables_and_arrays_without_a_copy():
+    nodes, edges = random_graph(Random(27), max_nodes=30, max_edges=90)
+    tables, arrays = make_graph(nodes, edges).dump()
+    got_tables, got_arrays = KnowledgeGraph.restore(tables, arrays).dump()
+    assert list(got_tables) == ["types", "labels"] and list(got_arrays) == list(ARRAYS)
+    assert all(got_tables[name] is tables[name] for name in tables)
+    assert all(got_arrays[name] is arrays[name] for name in ARRAYS)
+
+
+def test_a_frozen_graph_holds_its_two_tables_and_one_slot_per_array():
+    assert sorted(KnowledgeGraph.__slots__) == sorted(["_types", "_labels", *(f"_{name}" for name in ARRAYS)])
+    nodes, edges = random_graph(Random(27), max_nodes=30, max_edges=90)
+    built = make_graph(nodes, edges)
+    for kg in (built, KnowledgeGraph(), KnowledgeGraph.restore(*built.dump())):
+        assert not hasattr(kg, "__dict__")
+        tables, arrays = kg.dump()
+        state = {f"_{name}": value for name, value in {**tables, **arrays}.items()}
+        assert all(getattr(kg, slot) is state[slot] for slot in KnowledgeGraph.__slots__)
+
+
 def test_restore_rejects_state_that_does_not_fit_together():
     tables, arrays = make_graph([("a", "A", "t"), ("b", "B", "t")], [("a", "b", "r")]).dump()
     with pytest.raises(ValueError):
