@@ -22,9 +22,10 @@ slot each; the comment above ``ARRAYS`` describes them. It holds no per-node
 Python object, so no refcount writes to its pages. ``Node`` and ``Edge``
 objects are made only when a query returns them.
 
-The string offsets take 4 bytes each, or 8 in a graph whose node ids, names
-or normalized names take more than 4 GiB; such a graph answers every query
-but has no plain-value form. A frozen graph converts to and from plain values
+Each array takes the narrowest typecode that its range allows, chosen at the
+freeze from the counts the builder has, so a graph of Hetionet's size holds
+a node int in 2 bytes and a label code in 1, and a graph of any size holds
+what it needs. A frozen graph converts to and from plain values
 (:meth:`KnowledgeGraph.dump`, :meth:`KnowledgeGraph.restore`), which is what
 an ingest snapshot stores.
 """
@@ -59,7 +60,7 @@ class Edge:
     label: str
 
 
-# A frozen graph's arrays, by name, with their typecodes: the one layout that
+# A frozen graph's arrays, by name, with their ranges: the one layout that
 # its slots hold (one "_<name>" each, beside the type and label tables), that
 # dump() gives, restore() takes and an ingest snapshot stores, in this order.
 # - Nodes, packed: node i's id is the UTF-8 encoded
@@ -78,17 +79,37 @@ class Edge:
 #   encoded, in sorted order; the k-th is
 #   normalized[name_offsets[k]:name_offsets[k + 1]] and the first node added
 #   with it is name_nodes[k].
-# Edge positions are "i", so a link count (at most twice the edges) fits "I".
+# Each array's range decides its typecode when the graph is frozen: the
+# narrowest integer typecode whose items hold the count that the range names
+# (_typecode), and so every value of the array. "nodes" is the node count,
+# "types" and "labels" the sizes of the type and label tables, "links" the
+# CSR's link count, a byte array's name its length (for its offsets), and
+# "edges" the edge count, signed, for the edge codes and the loop positions.
+# A "bytes" array is "B".
 ARRAYS = {
-    "node_ids": "B", "node_id_offsets": "I", "id_order": "i",
-    "node_names": "B", "node_name_offsets": "I", "name_order": "i", "node_types": "i",
-    "edge_labels": "i",
-    "offsets": "I", "other": "i", "edge": "i", "loop_edges": "i", "loop_nodes": "i",
-    "normalized": "B", "name_offsets": "I", "name_nodes": "i",
+    "node_ids": "bytes", "node_id_offsets": "node_ids", "id_order": "nodes",
+    "node_names": "bytes", "node_name_offsets": "node_names", "name_order": "nodes", "node_types": "types",
+    "edge_labels": "labels",
+    "offsets": "links", "other": "nodes", "edge": "edges", "loop_edges": "edges", "loop_nodes": "nodes",
+    "normalized": "bytes", "name_offsets": "normalized", "name_nodes": "nodes",
 }
 
-# The largest string offset a 4-byte "I" array holds; past it, "Q" is used.
-_OFFSET_LIMIT = 0xFFFFFFFF
+
+# The integer typecodes, narrowest first, each with the least count its items
+# do not hold; the signed ones are under True.
+_LIMITS = {
+    signed: [(code, 1 << (8 * array(code).itemsize - signed)) for code in ("bhiq" if signed else "BHIQ")]
+    for signed in (False, True)
+}
+
+
+def _typecode(count: int, signed: bool = False) -> str:
+    """The narrowest integer typecode whose items hold ``count``, and so
+    every int from 0 to it (and, signed, from ``~count``)."""
+    for code, limit in _LIMITS[signed]:
+        if count < limit:
+            return code
+    raise OverflowError(f"no integer typecode holds {count}")
 
 
 _NON_WORD = re.compile(r"\W+")
@@ -185,6 +206,8 @@ class GraphBuilder:
         """The tables and arrays of a frozen graph, built from this builder's
         state, which is then released."""
         self._keys = set()  # the duplicate check goes first, so it is not held while the CSR is built
+        # the one column built before the label count was known: converted once, to its final width
+        self._edge_labels = array(_typecode(len(self._labels)), self._edge_labels)
         index = _build_name_index(self._names)
         csr = _build_csr(len(self._ids), self._sources, self._targets)
         types, nodes = _pack_nodes(self._ids, self._names, self._types)
@@ -394,16 +417,8 @@ class KnowledgeGraph:
 
     def dump(self) -> tuple[dict[str, list[str]], dict[str, array]]:
         """The graph as plain values: the type and label tables and the
-        arrays of :data:`ARRAYS`, the graph's own, not copies.
-
-        Raises OverflowError for a graph frozen with 8-byte offsets, whose
-        node ids, names or normalized names take more bytes than a 4-byte
-        offset can count.
-        """
+        arrays of :data:`ARRAYS`, the graph's own, not copies."""
         arrays = {name: getattr(self, f"_{name}") for name in ARRAYS}
-        for name, values in arrays.items():
-            if values.typecode != ARRAYS[name]:
-                raise OverflowError(f"{name}: the strings take more bytes than 4-byte offsets count")
         return {"types": self._types, "labels": self._labels}, arrays
 
     @classmethod
@@ -412,11 +427,12 @@ class KnowledgeGraph:
         takes them over without a copy.
 
         Raises ValueError or TypeError when they do not fit together: other
-        names or types, or tables and arrays of mismatched lengths.
+        names, tables and arrays of mismatched lengths, or an array of
+        another typecode than its range's count gives it.
         """
         if set(tables) != {"types", "labels"} or not all(isinstance(table, list) for table in tables.values()):
             raise TypeError("graph state: wrong string tables")
-        if {name: values.typecode for name, values in arrays.items()} != ARRAYS:
+        if arrays.keys() != ARRAYS.keys():
             raise TypeError("graph state: wrong integer arrays")
         labels, a = tables["labels"], arrays
         n, edges, loops = len(a["node_types"]), len(a["edge_labels"]), len(a["loop_edges"])
@@ -432,6 +448,14 @@ class KnowledgeGraph:
             or a["name_offsets"][-1] != len(a["normalized"])
         ):
             raise ValueError("graph state: tables and arrays do not match")
+        counts = {
+            "nodes": n, "types": len(tables["types"]), "labels": len(labels), "edges": edges, "links": len(a["other"]),
+            **{name: len(a[name]) for name, what in ARRAYS.items() if what == "bytes"},
+        }
+        for name, what in ARRAYS.items():
+            typecode = "B" if what == "bytes" else _typecode(counts[what], signed=what == "edges")
+            if a[name].typecode != typecode:
+                raise TypeError(f"graph state: {name} is of typecode {a[name].typecode!r}, not {typecode!r}")
         return object.__new__(cls)._set(tables, arrays)
 
 
@@ -443,10 +467,9 @@ def _utf8(text: str) -> bytes:
 
 def _packed(encoded: list[bytes]) -> tuple[array, array]:
     """Byte strings joined into one byte array, and the array of their
-    offsets in it: 4-byte offsets if they fit, else 8-byte."""
+    offsets in it."""
     data = b"".join(encoded)
-    typecode = "I" if len(data) <= _OFFSET_LIMIT else "Q"
-    return array("B", data), array(typecode, accumulate(map(len, encoded), initial=0))
+    return array("B", data), array(_typecode(len(data)), accumulate(map(len, encoded), initial=0))
 
 
 def _text(data: array, offsets: array, i: int) -> str:
@@ -472,7 +495,7 @@ def _pack_nodes(ids: list[str], names: list[str], types: list[str]) -> tuple[lis
     """The type table and the packed node arrays of nodes with these ids,
     names and types."""
     ids, names = list(map(_utf8, ids)), list(map(_utf8, names))
-    every = range(len(ids))
+    every, node = range(len(ids)), _typecode(len(ids))
     codes = dict.fromkeys(types)  # each distinct type, in order of first use
     for code, node_type in enumerate(codes):
         codes[node_type] = code
@@ -480,10 +503,10 @@ def _pack_nodes(ids: list[str], names: list[str], types: list[str]) -> tuple[lis
     node_names, node_name_offsets = _packed(names)
     return list(codes), {
         "node_ids": node_ids, "node_id_offsets": node_id_offsets,
-        "id_order": array("i", sorted(every, key=ids.__getitem__)),
+        "id_order": array(node, sorted(every, key=ids.__getitem__)),
         "node_names": node_names, "node_name_offsets": node_name_offsets,
-        "name_order": array("i", sorted(every, key=names.__getitem__)),
-        "node_types": array("i", map(codes.__getitem__, types)),
+        "name_order": array(node, sorted(every, key=names.__getitem__)),
+        "node_types": array(_typecode(len(codes)), map(codes.__getitem__, types)),
     }
 
 
@@ -495,7 +518,7 @@ def _build_name_index(names: list[str]) -> dict[str, array]:
     ))
     keys = sorted(first)
     normalized, name_offsets = _packed(keys)
-    name_nodes = array("i", map(first.__getitem__, keys))
+    name_nodes = array(_typecode(len(names)), map(first.__getitem__, keys))
     return {"normalized": normalized, "name_offsets": name_offsets, "name_nodes": name_nodes}
 
 
@@ -508,12 +531,13 @@ def _build_csr(n: int, sources: array, targets: array) -> dict[str, array]:
         if s != t:  # a self-loop makes no link
             degree[s] += 1
             degree[t] += 1
-    offsets = array("I", accumulate(degree, initial=0))
-    links = offsets[-1]
-    other = array("i", [0]) * links
-    edge = array("i", [0]) * links
-    loop_edges, loop_nodes = array("i"), array("i")
-    free = offsets.tolist()  # the next free slot of each row
+    free = list(accumulate(degree, initial=0))  # the next free slot of each row
+    links = free[-1]
+    node, code = _typecode(n), _typecode(len(sources), signed=True)
+    offsets = array(_typecode(links), free)
+    other = array(node, [0]) * links
+    edge = array(code, [0]) * links
+    loop_edges, loop_nodes = array(code), array(node)
     for e, (s, t) in enumerate(zip(sources, targets)):
         if s == t:
             loop_edges.append(e)
@@ -536,9 +560,9 @@ def _edge_ends(graph: KnowledgeGraph) -> tuple[array, array]:
     """A graph's source and target columns, from its CSR: an edge's source
     is the node whose row holds the edge's position as a code, and its
     target is the other end of that link; a self-loop's ends are its node."""
-    sources = array("i", [0]) * graph.edge_count
-    targets = array("i", [0]) * graph.edge_count
     offsets, other, edge = graph._offsets, graph._other, graph._edge
+    sources = array(other.typecode, [0]) * graph.edge_count
+    targets = array(other.typecode, [0]) * graph.edge_count
     for s in range(len(offsets) - 1):
         a, b = offsets[s], offsets[s + 1]
         for e, t in zip(edge[a:b], other[a:b]):

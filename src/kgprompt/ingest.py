@@ -16,23 +16,23 @@ per loader and dump digest. A later load of the same bytes restores the
 graph and its :class:`IngestReport` (warnings included) from the snapshot and
 skips the parse. A snapshot is a fixed header (magic, format version, code
 digest, payload length, payload sha256) and a payload of a fixed vector of
-sizes, the ``marshal``-encoded tables and report, and the raw arrays in
-:data:`kgprompt.graph.ARRAYS` order. The sizes are the marshalled bytes'
-length and each array's item count; the arrays' names and typecodes are not
-on disk, since ``ARRAYS`` states them, and the comment above it says what
-each array holds. Only the small tables are marshalled: the node types, the
-edge labels and the report. The edges' source and target columns are not
-stored: the CSR holds each edge's ends once. Each array is read in place
-into its final buffer. So a restore builds neither the CSR nor the index
-again, and makes no per-node Python object: the graph answers from the
-arrays as read.
+typecodes and sizes, the ``marshal``-encoded tables and report, and the raw
+arrays in :data:`kgprompt.graph.ARRAYS` order. The typecodes are each
+array's, the narrowest its range allows in this graph; the sizes are the
+marshalled bytes' length and each array's item count. The arrays' names are
+not on disk, since ``ARRAYS`` states them, and the comment above it says what
+each array holds and what decides its typecode. Only the small tables are
+marshalled: the node types, the edge labels and the report. The edges'
+source and target columns are not stored: the CSR holds each edge's ends
+once. Each array is read in place into its final buffer, and the restore
+rejects a typecode other than the one its range's count gives. So a restore
+builds neither the CSR nor the index again, and makes no per-node Python
+object: the graph answers from the arrays as read.
 A snapshot of another code digest (byte order, this module's and
 :mod:`kgprompt.graph`'s source), like any mismatch, truncation or decode
 error, makes the loader parse the dump again and write the snapshot over the
-same file. An unwritable cache directory, or a graph whose node strings
-overflow the 4-byte offsets (frozen with 8-byte ones, it has no
-:meth:`~kgprompt.graph.KnowledgeGraph.dump`), costs a log warning and no
-snapshot, not the load.
+same file. A graph of any size gets a snapshot; an unwritable cache directory
+costs a log warning and no snapshot, not the load.
 
 **Parsing.** The parse runs with the cyclic garbage collector paused and
 restores the caller's GC state afterwards, also when it raises: a load makes
@@ -80,12 +80,13 @@ log = logging.getLogger(__name__)
 # Warnings kept verbatim in the report are capped; counts stay exact.
 _MAX_WARNINGS = 50
 
-_SNAPSHOT_VERSION = 9
+_SNAPSHOT_VERSION = 10
 _SNAPSHOT_MAGIC = b"KGPGRAPH"
 # magic, format version, code digest, payload length, payload sha256
 _SNAPSHOT_HEADER = struct.Struct("<8sI32sQ32s")
-# the payload's sizes: the marshalled bytes' length, then each array's item count
-_SNAPSHOT_SIZES = struct.Struct(f"<{1 + len(graph_module.ARRAYS)}Q")
+# the payload's typecodes and sizes: each array's typecode, the marshalled
+# bytes' length, then each array's item count
+_SNAPSHOT_SIZES = struct.Struct(f"<{len(graph_module.ARRAYS)}s{1 + len(graph_module.ARRAYS)}Q")
 
 
 @dataclass
@@ -423,7 +424,7 @@ def _decode_snapshot(fh: BinaryIO) -> tuple[KnowledgeGraph, IngestReport]:
 
     Nothing is read past a header of another format version or code, and
     nothing is decoded or trusted before the payload's length and checksum
-    match the header; the sizes only say how much to read.
+    match the header; the typecodes and sizes only say how much to read.
     """
     magic, version, code, length, checksum = _SNAPSHOT_HEADER.unpack(fh.read(_SNAPSHOT_HEADER.size))
     if (magic, version, code) != (_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, _code_sha256()):
@@ -431,8 +432,8 @@ def _decode_snapshot(fh: BinaryIO) -> tuple[KnowledgeGraph, IngestReport]:
     if os.fstat(fh.fileno()).st_size != _SNAPSHOT_HEADER.size + length:
         raise EOFError("file size does not match the payload length")
     sizes = fh.read(_SNAPSHOT_SIZES.size)
-    tables_size, *counts = _SNAPSHOT_SIZES.unpack(sizes)
-    typecodes = graph_module.ARRAYS.values()
+    typecodes, tables_size, *counts = _SNAPSHOT_SIZES.unpack(sizes)
+    typecodes = typecodes.decode("ascii")
     if len(sizes) + tables_size + sum(n * array(t).itemsize for n, t in zip(counts, typecodes)) != length:
         raise EOFError("payload length does not match its parts")
     digest = hashlib.sha256(sizes)  # the tables are hashed apart, so they are never copied
@@ -453,24 +454,25 @@ def _decode_snapshot(fh: BinaryIO) -> tuple[KnowledgeGraph, IngestReport]:
 
 def _write_snapshot(path: Path, graph: KnowledgeGraph, report: IngestReport) -> None:
     """Save a snapshot, over any file at ``path``: the header, stamped with
-    this code's digest, then a payload of the sizes, the marshalled type and
-    label tables and report, and each array's bytes in ``ARRAYS`` order. A
-    graph too big for the snapshot's offsets is not saved."""
+    this code's digest, then a payload of the typecodes and sizes, the
+    marshalled type and label tables and report, and each array's bytes in
+    ``ARRAYS`` order."""
+    tables, arrays = graph.dump()
+    head = marshal.dumps({"graph": tables, "report": asdict(report)})
+    columns = [arrays[name] for name in graph_module.ARRAYS]
+    typecodes = "".join(values.typecode for values in columns).encode("ascii")
+    pieces = [_SNAPSHOT_SIZES.pack(typecodes, len(head), *map(len, columns)), head, *columns]
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece)
+    length = sum(memoryview(piece).nbytes for piece in pieces)
     try:
-        tables, arrays = graph.dump()
-        head = marshal.dumps({"graph": tables, "report": asdict(report)})
-        columns = [arrays[name] for name in graph_module.ARRAYS]
-        pieces = [_SNAPSHOT_SIZES.pack(len(head), *map(len, columns)), head, *columns]
-        digest = hashlib.sha256()
-        for piece in pieces:
-            digest.update(piece)
-        length = sum(memoryview(piece).nbytes for piece in pieces)
         with write_atomic(path, mode="wb") as fh:
             stamp = (_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION, _code_sha256())
             fh.write(_SNAPSHOT_HEADER.pack(*stamp, length, digest.digest()))
             for piece in pieces:
                 fh.write(piece)
-    except (OSError, OverflowError) as exc:  # an unwritable cache, or a graph too big for the offsets
+    except OSError as exc:  # an unwritable cache
         log.warning("graph snapshot not saved (%s); the next load parses the dump again", exc)
 
 

@@ -24,6 +24,12 @@ def make_graph(
     )
 
 
+def eight_byte_ints(_count: int, signed: bool = False) -> str:
+    """A stand-in for ``kgprompt.graph._typecode`` that gives every count an
+    8-byte typecode, as if it were past 4 GiB."""
+    return "q" if signed else "Q"
+
+
 def name_lookups(kg: KnowledgeGraph, names: list[str], keys: list[str] | None = None) -> dict:
     """What linking asks a graph for each name: the first node with exactly
     that name, and the first node whose normalized name is the name's

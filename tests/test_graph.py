@@ -8,10 +8,12 @@ import pytest
 import kgprompt.graph as graph_module
 from kgprompt.errors import DuplicateEdgeError, UnknownNodeError
 from kgprompt.graph import ARRAYS, Edge, GraphBuilder, KnowledgeGraph, Node, normalize_name
-from kgprompt.ingest import export_edge_list_jsonl
+from kgprompt import ingest
+from kgprompt.ingest import IngestReport, export_edge_list_jsonl
 
-from fixtures_kg import ODD_NAMES, gene_hop_graph, make_graph, name_lookups, prostate_star_graph
+from fixtures_kg import ODD_NAMES, eight_byte_ints, gene_hop_graph, make_graph, name_lookups, prostate_star_graph
 from oracles import (
+    FrozenKnowledgeGraph,
     bfs_hop_partition,
     random_graph,
     undirected_neighbor_ids,
@@ -316,12 +318,42 @@ def test_name_lookups_match_whole_graph_tables_on_random_names():
         assert name_lookups(KnowledgeGraph.restore(*kg.dump()), names) == expected
 
 
+def _narrowest(typecodes: str, count: int) -> str:
+    """The first of ``typecodes`` whose items take ``count``, tried one by one."""
+    for typecode in typecodes:
+        try:
+            array(typecode, [count])
+        except OverflowError:
+            continue
+        return typecode
+    raise AssertionError(f"no typecode of {typecodes!r} takes {count}")
+
+
+def _fitted_typecodes(tables: dict, arrays: dict) -> dict[str, str]:
+    """Each array's typecode as its range's count gives it: bytes are "B";
+    node ints take the node count, type and label codes their table's size,
+    offsets the length they run up to, and the signed edge codes and loop
+    positions the edge count."""
+    nodes, edges = len(arrays["node_types"]), len(arrays["edge_labels"])
+    unsigned = {
+        "node_id_offsets": len(arrays["node_ids"]), "id_order": nodes,
+        "node_name_offsets": len(arrays["node_names"]), "name_order": nodes, "node_types": len(tables["types"]),
+        "edge_labels": len(tables["labels"]),
+        "offsets": len(arrays["other"]), "other": nodes, "loop_nodes": nodes,
+        "name_offsets": len(arrays["normalized"]), "name_nodes": nodes,
+    }
+    fitted = {name: _narrowest("BHIQ", count) for name, count in unsigned.items()}
+    fitted.update(edge=_narrowest("bhiq", edges), loop_edges=_narrowest("bhiq", edges))
+    return {name: fitted.get(name, "B") for name in arrays}
+
+
 def test_dump_follows_the_one_array_layout():
     rng = Random(17)
     nodes, edges = random_graph(rng, max_nodes=30, max_edges=90)
     for kg in (make_graph(nodes, edges), KnowledgeGraph()):
-        _tables, arrays = kg.dump()
-        assert [(name, values.typecode) for name, values in arrays.items()] == list(ARRAYS.items())
+        tables, arrays = kg.dump()
+        assert list(arrays) == list(ARRAYS)
+        assert {name: values.typecode for name, values in arrays.items()} == _fitted_typecodes(tables, arrays)
 
 
 def test_dump_and_restore_share_the_tables_and_arrays_without_a_copy():
@@ -529,18 +561,23 @@ def test_dumped_and_restored_graphs_rebuild_their_edge_columns_exactly(tmp_path)
 
 
 def test_a_dump_that_overflows_leaves_the_graph_as_it_was(monkeypatch):
+    # A graph past 4-byte ints is frozen with 8-byte ones and dumps them as
+    # they are; a restore then checks them against the counts.
     nodes, edges = random_graph(Random(26), max_nodes=20, max_edges=60)
     edges = [*edges, (nodes[0][0], nodes[0][0], "loop")]
     ids = [node_id for node_id, _name, _type in nodes]
     built = make_graph(nodes, edges)
-    monkeypatch.setattr(graph_module, "_OFFSET_LIMIT", 8)  # as if the strings took more than 4 GiB
-    kg = make_graph(nodes, edges)
-    builder = _builder(nodes, edges)
-    with pytest.raises(OverflowError):
-        kg.dump()
-    monkeypatch.undo()
-    with pytest.raises(OverflowError):  # the offsets' width is the freeze's
-        kg.dump()
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_module, "_typecode", eight_byte_ints)
+        kg = make_graph(nodes, edges)
+        builder = _builder(nodes, edges)
+        tables, arrays = kg.dump()
+        assert {name: values.typecode for name, values in arrays.items()} == {
+            name: "B" if what == "bytes" else "q" if what == "edges" else "Q" for name, what in ARRAYS.items()
+        }
+        assert _state_bytes(KnowledgeGraph.restore(tables, arrays).dump()) == _state_bytes(kg.dump())
+    with pytest.raises(TypeError):  # the widths are the freeze's, and these counts give narrower ones
+        KnowledgeGraph.restore(tables, arrays)
     assert kg.edges == built.edges
     assert [list(kg.adjacency(x)) for x in ids] == [list(built.adjacency(x)) for x in ids]
     assert not builder.add_edge(*edges[0])
@@ -551,6 +588,8 @@ def test_a_dump_that_overflows_leaves_the_graph_as_it_was(monkeypatch):
 
 
 def test_a_graph_past_the_offset_limit_answers_every_query(monkeypatch, tmp_path):
+    # 8-byte offsets and ints, as a graph past 4 GiB of strings has: built,
+    # frozen and restored, it answers as one of the narrowest widths.
     rng = Random(27)
     export = tmp_path / "export.jsonl"
     for case in range(15):
@@ -559,12 +598,12 @@ def test_a_graph_past_the_offset_limit_answers_every_query(monkeypatch, tmp_path
         names = [name for _id, name, _type in nodes] + ["absent", "", "\ud83d", "STRASSE", "A\0B"]
         built = make_graph(nodes, edges)
         expected = (_answers(built, ids, names), _edge_answers(built, ids, export))
-        monkeypatch.setattr(graph_module, "_OFFSET_LIMIT", rng.choice([0, 5, 40]))
-        for kg in (make_graph(nodes, edges), _builder(nodes, edges).freeze()):
-            assert (_answers(kg, ids, names), _edge_answers(kg, ids, export)) == expected, case
-            with pytest.raises(OverflowError):
-                kg.dump()
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(graph_module, "_typecode", eight_byte_ints)
+            wide = make_graph(nodes, edges)
+            for kg in (wide, _builder(nodes, edges).freeze(), KnowledgeGraph.restore(*wide.dump())):
+                assert (_answers(kg, ids, names), _edge_answers(kg, ids, export)) == expected, case
+                assert kg.dump()[1]["node_id_offsets"].typecode == "Q"
 
 
 def test_restore_rejects_loops_and_links_that_do_not_fit_the_edges():
@@ -580,3 +619,103 @@ def test_restore_rejects_loops_and_links_that_do_not_fit_the_edges():
             KnowledgeGraph.restore(tables, {**arrays, name: arrays[name] + arrays[name][-1:]})
     with pytest.raises(ValueError):  # every loop moved into the CSR's count, or out of it
         KnowledgeGraph.restore(tables, {**arrays, "loop_edges": array("i"), "loop_nodes": array("i")})
+
+
+def _width_case(what: str, count: int) -> tuple[list[tuple[str, str, str]], list[tuple[str, str, str]]]:
+    """A graph with ``count`` nodes, each of its own type; ``count`` edge
+    labels; ``count`` bytes in each string column; or ``count`` edges, as
+    ``what`` says. The rest stays small."""
+    if what == "bytes":  # node ids, names and normalized names of count bytes each
+        long = "b" * (count - 1)
+        return [("a", "a", "t"), (long, long, "t")], [("a", long, "r"), (long, long, "r")]
+    if what == "nodes":  # a ring, and a chord from every 97th node
+        nodes = [(f"n{i}", f"Node {i}", f"T{i}") for i in range(count)]
+        edges = [(f"n{i}", f"n{(i + 1) % count}", "next") for i in range(count)]
+        return nodes, edges + [(f"n{i}", f"n{i * 31 % count}", "chord") for i in range(0, count, 97)]
+    if what == "labels":  # parallel edges, one per label, and a loop
+        return [("a", "A", "t"), ("b", "B", "t")], [("a", "a" if k == 7 else "b", f"r{k}") for k in range(count)]
+    m = 200  # what == "edges": count distinct edges over m nodes, loops among them
+    pairs = [(s, t) for s in range(m) for t in range(m)]
+    Random(count).shuffle(pairs)
+    return [(f"n{i}", f"Node {i}", "t") for i in range(m)], [(f"n{s}", f"n{t}", "r") for s, t in pairs[:count]]
+
+
+def _oracle_answers(kg, sample: list[str], positions: list[int]) -> tuple:
+    """Every query the frozen oracle answers too, on a sample of the nodes
+    and of the edge positions."""
+    edges = kg.edges
+    return (
+        list(kg.nodes.items()),
+        edges,
+        [edges[e] for e in positions],
+        [(kg.has_node(x), kg.node(x)) for x in sample],
+        [list(kg.adjacency(x)) for x in sample],
+        [kg.neighbor_ids(x) for x in sample],
+        [kg.neighbors(x) for x in sample],
+        [kg.k_hop_neighbors(x, 2) for x in sample],
+        [kg.relation_labels_between(x, y) for x in sample for y in sample],
+    )
+
+
+def _one_width_off(typecode: str) -> list[str]:
+    """The typecodes one width wider and one narrower, of the same sign, where there is one."""
+    for widths in ("BHIQ", "bhiq"):
+        if typecode in widths:
+            k = widths.index(typecode)
+            return [widths[j] for j in (k - 1, k + 1) if 0 <= j < len(widths)]
+    raise AssertionError(typecode)
+
+
+# The arrays whose width each case of _width_case decides.
+_FOCUS = {
+    "nodes": ("id_order", "name_order", "node_types", "other", "name_nodes"),
+    "labels": ("edge_labels",),
+    "bytes": ("node_id_offsets", "node_name_offsets", "name_offsets"),
+    "edges": ("edge", "loop_edges"),
+}
+
+
+@pytest.mark.parametrize(
+    "what, count, typecode",
+    [
+        (what, count, typecode)
+        for what in ("nodes", "labels", "bytes")
+        for count, typecode in [(255, "B"), (256, "H"), (65_535, "H"), (65_536, "I")]
+    ] + [("edges", count, typecode) for count, typecode in [(127, "b"), (128, "h"), (32_767, "h"), (32_768, "i")]],
+)
+def test_arrays_cross_widths_at_their_counts_and_answer_as_the_oracle(tmp_path, what, count, typecode):
+    nodes, edges = _width_case(what, count)
+    focus = _FOCUS[what]
+    oracle = FrozenKnowledgeGraph([Node(*node) for node in nodes], [Edge(*edge) for edge in edges])
+    rng = Random(count)
+    ids = [node_id for node_id, _name, _type in nodes]
+    sample = list(dict.fromkeys([*ids[:3], *ids[250:258], *ids[-3:], *rng.sample(ids, min(len(ids), 12))]))
+    positions = sorted(rng.sample(range(len(edges)), min(len(edges), 20)))
+    expected = _oracle_answers(oracle, sample, positions)
+    kg = make_graph(nodes, edges)
+    tables, arrays = kg.dump()
+    typecodes = {name: values.typecode for name, values in arrays.items()}
+    assert [typecodes[name] for name in focus] == [typecode] * len(focus)
+    assert typecodes == _fitted_typecodes(tables, arrays)
+    assert [kg.edge_at(e) for e in positions] == [Edge(*edges[e]) for e in positions]
+    snapshot = tmp_path / "graph.snapshot"
+    ingest._write_snapshot(snapshot, KnowledgeGraph.restore(tables, arrays), IngestReport(nodes_loaded=len(nodes)))
+    read, _report = ingest._read_snapshot(snapshot)
+    for graph in (kg, read):
+        assert _oracle_answers(graph, sample, positions) == expected
+    assert _state_bytes(read.dump()) == _state_bytes((tables, arrays))
+    assert {name: values.typecode for name, values in read.dump()[1].items()} == typecodes
+    narrowed = []
+    for name, values in arrays.items():
+        if ARRAYS[name] == "bytes":
+            continue
+        for other in _one_width_off(values.typecode):
+            try:
+                misfit = array(other, values)
+            except OverflowError:  # a narrower width that cannot hold these values
+                continue
+            narrowed += [name] if misfit.itemsize < values.itemsize else []
+            with pytest.raises(TypeError):
+                KnowledgeGraph.restore(tables, {**arrays, name: misfit})
+    if count in (256, 65_536, 128, 32_768) and what != "bytes":  # the values fit one width narrower
+        assert set(focus) <= set(narrowed)

@@ -17,7 +17,7 @@ from kgprompt.errors import ParseError, SchemaError
 from kgprompt.graph import GraphBuilder, KnowledgeGraph, normalize_name
 from kgprompt.ingest import export_edge_list_jsonl, load_edge_list_jsonl, load_hetionet_json
 
-from fixtures_kg import ODD_NAMES, name_lookups
+from fixtures_kg import ODD_NAMES, eight_byte_ints, name_lookups
 from oracles import frozen_load_edge_list_jsonl, frozen_load_hetionet_json
 from oracles import frozen_checked_load_edge_list_jsonl, frozen_checked_load_hetionet_json
 
@@ -970,41 +970,75 @@ def test_warm_load_stores_each_edge_once(tmp_path):
     assert held / kg.edge_count < _WARM_BYTES_PER_EDGE
 
 
+# Bytes a warm load of the same graph may hold per edge once each array is
+# as narrow as its range allows: a link holds a 2-byte other end and a
+# 4-byte edge code, and an edge a 1-byte label code, about 14.5 in all.
+_NARROW_WARM_BYTES_PER_EDGE = 16
+
+
+def test_warm_load_holds_each_array_at_its_narrowest_width(tmp_path):
+    rng = Random(25)
+    n, m = 2_000, 60_000
+    nodes = [{"node": {"id": f"n{i}", "name": f"Entity {i}", "type": f"T{i % 5}"}} for i in range(n)]
+    ends = dict.fromkeys((rng.randrange(n), rng.randrange(n), rng.randrange(8)) for _ in range(m))
+    edges = [{"edge": {"source": f"n{s}", "target": f"n{t}", "label": f"R{r}"}} for s, t, r in ends]
+    path = _write_edge_list(tmp_path / "graph.jsonl", nodes + edges)
+    del nodes, edges
+    load_edge_list_jsonl(path)  # parses and saves the snapshot
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kg, _report = load_edge_list_jsonl(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kg.edge_count == len(ends) > 0.99 * m
+    assert held / kg.edge_count <= _NARROW_WARM_BYTES_PER_EDGE
+
+
 @pytest.mark.parametrize("fmt", sorted(_LOADERS))
 def test_graph_too_big_for_the_snapshot_offsets_loads_without_a_snapshot(
     tmp_path, graph_cache, monkeypatch, caplog, fmt
 ):
+    # No graph is too big for a snapshot: one past 4-byte offsets and ints
+    # saves its 8-byte arrays, with their typecodes, and restores them.
     path = _random_dump(tmp_path, fmt, seed=25)
     expected = _outcome(_FROZEN[fmt], path)
-
-    def overflow(_graph: KnowledgeGraph):
-        raise OverflowError("unsigned int is greater than maximum")
-
-    monkeypatch.setattr(KnowledgeGraph, "dump", overflow)
+    monkeypatch.setattr(graph_module, "_typecode", eight_byte_ints)  # as if every count were past 4 GiB
     with caplog.at_level("WARNING", logger="kgprompt.ingest"):
         assert _outcome(_LOADERS[fmt], path) == expected
-    assert [r.getMessage() for r in caplog.records] == [
-        "graph snapshot not saved (unsigned int is greater than maximum); the next load parses the dump again"
-    ]
-    assert not list(graph_cache.rglob("*.graph"))
+    assert not caplog.records
+    (snapshot,) = graph_cache.rglob("*.graph")
+    typecodes = ingest._SNAPSHOT_SIZES.unpack_from(snapshot.read_bytes(), ingest._SNAPSHOT_HEADER.size)[0]
+    wide = ("B" if what == "bytes" else "q" if what == "edges" else "Q" for what in graph_module.ARRAYS.values())
+    assert typecodes == "".join(wide).encode()
+    parses = _count_parses(monkeypatch, fmt)
+    assert _outcome(_LOADERS[fmt], path) == expected
+    assert parses == []  # restored
 
 
 @pytest.mark.parametrize("fmt", sorted(_LOADERS))
 def test_graph_past_the_offset_limit_loads_and_answers_without_a_snapshot(
     tmp_path, graph_cache, monkeypatch, caplog, fmt
 ):
+    # A snapshot whose typecodes are not the ones its counts give (8-byte
+    # arrays of a small graph) is not used: the dump is parsed again.
     path = _random_dump(tmp_path, fmt, seed=26)
     expected = _outcome(_FROZEN[fmt], path)
-    monkeypatch.setattr(graph_module, "_OFFSET_LIMIT", 40)  # as if the node strings took more than 4 GiB
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_module, "_typecode", eight_byte_ints)  # as if every count were past 4 GiB
+        wide, _report = _LOADERS[fmt](path)
+    names = [node.name for node in wide.nodes.values()]
+    parses = _count_parses(monkeypatch, fmt)
     with caplog.at_level("WARNING", logger="kgprompt.ingest"):
         assert _outcome(_LOADERS[fmt], path) == expected
+    (snapshot,) = graph_cache.rglob("*.graph")
     (message,) = [r.getMessage() for r in caplog.records]
-    assert message.startswith("graph snapshot not saved (") and "4-byte offsets" in message
-    assert not list(graph_cache.rglob("*.graph"))
-    kg, _report = _LOADERS[fmt](path)
-    names = [node.name for node in kg.nodes.values()]
-    monkeypatch.undo()
-    assert name_lookups(kg, names) == name_lookups(_LOADERS[fmt](path)[0], names)
+    assert message.startswith(f"graph snapshot {snapshot} is not usable (graph state: ") and "typecode" in message
+    assert parses == [path]
+    assert _outcome(_LOADERS[fmt], path) == expected
+    assert parses == [path]  # the rewritten snapshot restored
+    assert name_lookups(wide, names) == name_lookups(_LOADERS[fmt](path)[0], names)
 
 
 def _shape_faults(kg: KnowledgeGraph) -> list[str]:
