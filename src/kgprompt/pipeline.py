@@ -65,7 +65,6 @@ from .remote import (
     RemoteEndpoint,
     fetch_entity_label,
     fetch_neighbors_remote,
-    graph_from_remote_neighbors,
     resolve_entity,
 )
 from .structures import (
@@ -75,6 +74,7 @@ from .structures import (
     extract_common_neighbors,
     extract_neighbors,
     enumerate_metapaths,
+    star_neighbors,
 )
 from .verbalize import (
     GraphContext,
@@ -358,18 +358,17 @@ def _plain(value: object) -> object:
 # --- graph-context construction ---
 
 
-class _Source:
-    """Structure extraction against the graph that ``graph_of`` gives for a node.
+class _LocalSource:
+    """Every node in one locally ingested graph."""
 
-    The two sources below derive from this class and never from each other,
-    so each class has an ``extract`` attribute of its own to trace.
-    """
+    def __init__(self, kg: KnowledgeGraph):
+        self.kg = kg
 
-    def graph_of(self, node_id: str) -> KnowledgeGraph:
-        raise NotImplementedError
+    def names(self) -> KnowledgeGraph:
+        return self.kg
 
     def node(self, node_id: str) -> Node:
-        return self.graph_of(node_id).node(node_id)
+        return self.kg.node(node_id)
 
     def extract(
         self, linkage: PairLinkage, config: ExperimentConfig
@@ -379,7 +378,7 @@ class _Source:
         x, y = linkage.e1_node, linkage.e2_node
         if kind is StructureKind.NN:
             return [
-                (side, extract_neighbors(self.graph_of(node_id), node_id, limits, seed))
+                (side, extract_neighbors(self.kg, node_id, limits, seed))
                 for side, node_id in (("e1", x), ("e2", y))
                 if node_id is not None
             ]
@@ -387,48 +386,42 @@ class _Source:
             return []
         pairwise = extract_common_neighbors if kind is StructureKind.CNN else enumerate_metapaths
         try:
-            return [("pair", pairwise(self.graph_of(x), x, y, limits, seed))]
+            return [("pair", pairwise(self.kg, x, y, limits, seed))]
         except SamePairError:
             # both names linked to one node; nothing pairwise to extract
             return []
 
 
-class _LocalSource(_Source):
-    """Every node in one locally ingested graph."""
-
-    def __init__(self, kg: KnowledgeGraph):
-        self.kg = kg
-
-    def names(self) -> KnowledgeGraph:
-        return self.kg
-
-    def graph_of(self, node_id: str) -> KnowledgeGraph:
-        return self.kg
-
-
-class _RemoteSource(_Source):
-    """Each node in its cached 1-hop star from the remote source (NN only)."""
+class _RemoteSource:
+    """Each node's name and NN bundle, from its remote 1-hop links (NN only),
+    made at its first extraction under the run's config and kept; the links are not."""
 
     def __init__(self, endpoint: RemoteEndpoint, cache: QueryCache):
         self.endpoint = endpoint
         self.cache = cache
-        self._stars: dict[str, KnowledgeGraph] = {}
+        self._entities: dict[str, tuple[Node, StructureBundle]] = {}
 
     def names(self) -> NameLookup:
         return search_lookup(functools.partial(resolve_entity, self.endpoint, self.cache))
 
-    def graph_of(self, node_id: str) -> KnowledgeGraph:
-        star = self._stars.get(node_id)
-        if star is None:
-            name = fetch_entity_label(self.endpoint, self.cache, node_id)
-            links = fetch_neighbors_remote(self.endpoint, self.cache, node_id)
-            star = graph_from_remote_neighbors(Node(id=node_id, name=name), links)
-            self._stars[node_id] = star
-        return star
+    def node(self, node_id: str) -> Node:
+        return self._entities[node_id][0]
+
+    def extract(
+        self, linkage: PairLinkage, config: ExperimentConfig
+    ) -> list[tuple[str, StructureBundle]]:
+        sides = [(side, n) for side, n in (("e1", linkage.e1_node), ("e2", linkage.e2_node)) if n is not None]
+        for _side, node_id in sides:
+            if node_id not in self._entities:
+                name = fetch_entity_label(self.endpoint, self.cache, node_id)
+                links = fetch_neighbors_remote(self.endpoint, self.cache, node_id)
+                bundle = star_neighbors(node_id, links, config.limits, config.selection_seed)
+                self._entities[node_id] = (Node(id=node_id, name=name), bundle)
+        return [(side, self._entities[node_id][1]) for side, node_id in sides]
 
 
 def _verbalize_bundles(
-    source: _Source, bundles: list[tuple[str, StructureBundle]], config: ExperimentConfig
+    source: _LocalSource | _RemoteSource, bundles: list[tuple[str, StructureBundle]], config: ExperimentConfig
 ) -> GraphContext:
     t = config.templates
     contexts = []
@@ -454,7 +447,7 @@ class _Run:
     offline: bool
     out: Path
     instances: list[Instance] = field(default_factory=list)
-    source: _Source | None = None
+    source: _LocalSource | _RemoteSource | None = None
     linkages: list[PairLinkage] = field(default_factory=list)
     bundles: dict[str, list[tuple[str, StructureBundle]]] = field(default_factory=dict)
     contexts: dict[str, GraphContext] = field(default_factory=dict)

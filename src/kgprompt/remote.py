@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from importlib.resources import files as resource_files
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, TypeVar
 
 from .atomic import TEXT_ERRORS, write_atomic
 from .errors import (
@@ -41,7 +41,7 @@ from .errors import (
     read_json,
     require_http_url,
 )
-from .graph import Direction, GraphBuilder, KnowledgeGraph, Node
+from .graph import Direction, Node
 
 _ENTITY_ID = re.compile(r"[QP][0-9]+")
 _TRANSIENT_STATUSES = frozenset({500, 502, 503, 504})
@@ -318,19 +318,3 @@ def fetch_neighbors_remote(
         (Node(id=neighbor_id, name=neighbor_label, node_type="unknown"), property_label, direction)
         for _pid, neighbor_id, property_label, neighbor_label, direction in rows
     ]
-
-
-def graph_from_remote_neighbors(
-    x: Node, links: Iterable[tuple[Node, str, Direction]]
-) -> KnowledgeGraph:
-    """Assemble a one-hop star graph around x from fetched neighbor links.
-
-    A neighbor or link seen twice is kept once, at its first appearance.
-    """
-    builder = GraphBuilder()
-    builder.add_node(x)
-    for neighbor, label, direction in links:
-        builder.add_node(neighbor)
-        source, target = (x.id, neighbor.id) if direction == "out" else (neighbor.id, x.id)
-        builder.add_edge(source, target, label)
-    return builder.freeze()

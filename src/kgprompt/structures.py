@@ -26,7 +26,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import SamePairError, check_field_types
 from .graph import Direction, KnowledgeGraph, Node
@@ -146,13 +146,36 @@ def extract_neighbors(
 ) -> StructureBundle:
     """Up to ``max_neighbors`` 1-hop neighbors of x with relation labels."""
     i = kg.index_of(x)
-    candidates = list(dict.fromkeys(kg.row(i)))
+    return _select_neighbors(
+        x, list(dict.fromkeys(kg.row(i))), lambda j: NeighborLink(kg.node_at(j), tuple(kg.links(i, j))),
+        limits, seed,
+    )
+
+
+def star_neighbors(
+    x: str, links: Iterable[tuple[Node, str, Direction]], limits: ExtractionLimits, seed: int
+) -> StructureBundle:
+    """:func:`extract_neighbors` of x in the star that its fetched (neighbor,
+    label, direction) rows make: a row back to x is dropped, and a neighbor
+    keeps its first row's node and its distinct (label, direction) pairs."""
+    neighbors: dict[str, tuple[Node, dict[tuple[str, Direction], None]]] = {}
+    for node, label, direction in links:
+        if node.id != x:
+            neighbors.setdefault(node.id, (node, {}))[1][label, direction] = None
+    return _select_neighbors(
+        x, list(neighbors.values()), lambda entry: NeighborLink(entry[0], tuple(entry[1])), limits, seed
+    )
+
+
+def _select_neighbors(
+    x: str, candidates: list[T], link: Callable[[T], NeighborLink], limits: ExtractionLimits, seed: int
+) -> StructureBundle:
+    """x's NN bundle: the links of a seeded ``max_neighbors``-subset of its candidates."""
     chosen = select_subset(candidates, limits.max_neighbors, derive_seed(seed, "NN", x))
-    payload = tuple(NeighborLink(node=kg.node_at(j), labels=tuple(kg.links(i, j))) for j in chosen)
     return StructureBundle(
         kind=StructureKind.NN,
         pair=(x, None),
-        payload=payload,
+        payload=tuple(map(link, chosen)),
         selection_seed=seed,
         candidate_count=len(candidates),
     )

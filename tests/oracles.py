@@ -4,7 +4,8 @@ Everything here works on raw (source, target, label) edge triples and plain
 prediction/gold label pairs, never on the package's graph or metric types,
 so the two sides of each check stay independent. The exceptions are the
 frozen copies of earlier implementations (the metapath enumerator, the graph
-and its loaders), which pin the orders and errors the current code must keep.
+and its loaders, the remote star graph), which pin the orders and errors the
+current code must keep.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from kgprompt.errors import (
     ConfigError, DuplicateEdgeError, ParseError, SchemaError, UnknownNodeError, require_fields,
 )
 from kgprompt.errors import ID_TYPES, jsonl_records, read_json, require_id, require_str
-from kgprompt.graph import IN, OUT, Direction, Edge, KnowledgeGraph, Node
+from kgprompt.graph import IN, OUT, Direction, Edge, GraphBuilder, KnowledgeGraph, Node
 from kgprompt.ingest import IngestReport, hetionet_node_id
 from kgprompt.pipeline import FoldConfig, KgSource, MockBackend, _backend, _label_mapping, _section
 from kgprompt.prompts import DEFAULT_MASK_TOKEN, Architecture, TruncationPolicy
-from kgprompt.structures import ExtractionLimits, StructureKind
+from kgprompt.structures import (
+    ExtractionLimits, NeighborLink, StructureBundle, StructureKind, derive_seed, select_subset,
+)
 from kgprompt.verbalize import TemplateSet
 
 
@@ -618,6 +621,34 @@ def frozen_checked_load_edge_list_jsonl(path: str | Path) -> tuple[FrozenKnowled
 # parser builds an ``ExperimentConfig`` it is given, and the renderer returns
 # the text, source nodes and empty flag it set on the context instead of the
 # context; the bodies are otherwise verbatim.
+
+
+def frozen_star_neighbors(
+    x: Node, links: Iterable[tuple[Node, str, Direction]], limits: ExtractionLimits, seed: int
+) -> tuple[Node, StructureBundle]:
+    """The remote NN path that built a graph per entity: the one-hop star
+    graph that ``remote.graph_from_remote_neighbors`` froze around x from its
+    fetched links, then the center's node and the NN bundle that
+    ``structures.extract_neighbors`` read off that graph."""
+    builder = GraphBuilder()
+    builder.add_node(x)
+    for neighbor, label, direction in links:
+        builder.add_node(neighbor)
+        source, target = (x.id, neighbor.id) if direction == "out" else (neighbor.id, x.id)
+        builder.add_edge(source, target, label)
+    star = builder.freeze()
+    i = star.index_of(x.id)
+    candidates = list(dict.fromkeys(star.row(i)))
+    chosen = select_subset(candidates, limits.max_neighbors, derive_seed(seed, "NN", x.id))
+    payload = tuple(NeighborLink(node=star.node_at(j), labels=tuple(star.links(i, j))) for j in chosen)
+    bundle = StructureBundle(
+        kind=StructureKind.NN,
+        pair=(x.id, None),
+        payload=payload,
+        selection_seed=seed,
+        candidate_count=len(candidates),
+    )
+    return star.node(x.id), bundle
 
 
 def frozen_bundle_record(instance_id: str, side: str, bundle) -> dict:

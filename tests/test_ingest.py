@@ -944,9 +944,11 @@ def test_warm_load_holds_no_per_node_objects(tmp_path, graph_cache):
     assert held / n < _WARM_BYTES_PER_NODE
 
 
-# Bytes a warm load of the graph below may hold per edge. Edge source and
-# target columns beside the CSR, with 8-byte offsets, hold about 30.5; the CSR
-# alone, with signed edge codes and 4-byte offsets, holds about 22.
+# Bytes a warm load of the graph below may hold per edge, as the layout with
+# every array 4 bytes wide met it. Edge source and target columns beside the
+# CSR, with 8-byte offsets, hold about 30.5; the CSR alone, with signed edge
+# codes and 4-byte offsets, held about 22. With each array at its narrowest
+# width the graph holds about 14.5, which _NARROW_WARM_BYTES_PER_EDGE bounds.
 _WARM_BYTES_PER_EDGE = 24
 
 

@@ -5,7 +5,10 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import kgprompt.pipeline as pipeline
 from kgprompt.errors import (
     CacheError,
     MalformedResponseError,
@@ -19,11 +22,15 @@ from kgprompt.remote import (
     RemoteEndpoint,
     fetch_entity_label,
     fetch_neighbors_remote,
-    graph_from_remote_neighbors,
     load_query_template,
     resolve_entity,
 )
 from kgprompt.graph import Node
+from kgprompt.linking import PairLinkage
+from kgprompt.pipeline import ExperimentConfig, _RemoteSource
+from kgprompt.structures import ExtractionLimits, star_neighbors
+
+from oracles import frozen_star_neighbors
 
 
 @pytest.fixture(autouse=True)
@@ -227,17 +234,73 @@ def test_query_templates_ship_with_entity_parameter():
         assert template.lstrip().startswith("#")  # documented header
 
 
-def test_graph_from_remote_neighbors_star():
-    x = Node(id="Q181257", name="prostate cancer")
+def test_star_neighbors_collapse_a_repeated_link():
     links = [
         (Node(id="Q412415", name="nilutamide"), "drug or therapy used for treatment", "out"),
         (Node(id="Q14865813", name="FSHR"), "genetic association", "in"),
         (Node(id="Q412415", name="nilutamide"), "drug or therapy used for treatment", "out"),
     ]
-    star = graph_from_remote_neighbors(x, links)
-    assert star.node_count == 3
-    assert star.edge_count == 2  # duplicate link collapsed
-    assert {n.name for n in star.neighbors("Q181257")} == {"nilutamide", "FSHR"}
+    bundle = star_neighbors("Q181257", links, ExtractionLimits(), seed=0)
+    assert bundle.candidate_count == 2
+    # the duplicate link collapsed
+    assert bundle.payload[0].labels == (("drug or therapy used for treatment", "out"),)
+    assert {link.node.name for link in bundle.payload} == {"nilutamide", "FSHR"}
+
+
+# Small alphabets, so that ids, names and labels repeat: a neighbor under two
+# names, a row back to the center (neighbors and centers share their ids), one
+# label in both directions and exact duplicate rows all come up.
+_IDS = ("Q1", "Q2", "Q3", "Q4")
+_nodes = st.builds(
+    Node, st.sampled_from(_IDS), st.sampled_from(("a", "b", "A  b")), st.sampled_from(("unknown", "gene"))
+)
+_rows = st.tuples(
+    _nodes,
+    st.sampled_from(("P1", "P2", "treats")),
+    st.sampled_from(("out", "in")),
+)
+_EXAMPLE_ROWS = [
+    (Node("Q2", "a"), "P1", "out"),
+    (Node("Q2", "b"), "P2", "out"),  # the same neighbor under another name
+    (Node("Q1", "other"), "P1", "in"),  # back to the center, under another name
+    (Node("Q3", "a"), "P1", "out"),
+    (Node("Q3", "a"), "P1", "in"),  # one label in both directions
+    (Node("Q3", "a"), "P1", "out"),  # an exact duplicate
+]
+
+
+@settings(deadline=None)
+@given(
+    x=st.sampled_from(_IDS),
+    name=st.sampled_from(("center", "a")),
+    links=st.lists(_rows, max_size=12),
+    max_neighbors=st.integers(0, 6),
+    seed=st.integers(0, 2**32),
+)
+@example(x="Q1", name="center", links=[], max_neighbors=0, seed=1)
+@example(x="Q1", name="center", links=_EXAMPLE_ROWS, max_neighbors=0, seed=1)
+@example(x="Q1", name="center", links=_EXAMPLE_ROWS, max_neighbors=1, seed=1)
+@example(x="Q1", name="center", links=_EXAMPLE_ROWS, max_neighbors=5, seed=1)
+def test_remote_nn_matches_the_star_graph_it_replaced(x, name, links, max_neighbors, seed):
+    # Reading the fetched rows gives the bundle, candidate count included, and
+    # the center node that the star graph frozen from them gave.
+    limits = ExtractionLimits(max_neighbors=max_neighbors)
+    center, expected = frozen_star_neighbors(Node(x, name), links, limits, seed)
+    assert star_neighbors(x, links, limits, seed) == expected
+    config = ExperimentConfig.from_dict({
+        "dataset": "data.jsonl",
+        "kg": {"kind": "remote", "cache_dir": "cache"},
+        "out_dir": "out",
+        "limits": {"max_neighbors": max_neighbors},
+        "selection_seed": seed,
+    })
+    source = _RemoteSource(RemoteEndpoint(), QueryCache(root_dir=Path("cache"), policy=CachePolicy.READ_ONLY))
+    fetched = {"fetch_entity_label": lambda *_: name, "fetch_neighbors_remote": lambda *_: links}
+    with pytest.MonkeyPatch.context() as patch:
+        for fn_name, fetch in fetched.items():
+            patch.setattr(pipeline, fn_name, fetch)
+        assert source.extract(PairLinkage("i", x, x), config) == [("e1", expected), ("e2", expected)]
+    assert source.node(x) == center
 
 
 def test_malformed_sparql_response(wiki_server, tmp_path):
@@ -321,8 +384,8 @@ def test_empty_neighbor_and_property_labels_read_as_the_ids(wiki_server, tmp_pat
     wiki_server.neighbors[("Q181257", "out")] = [("P2176", "", "Q412415", "")]
     links = fetch_neighbors_remote(endpoint_for(wiki_server), cache_in(tmp_path), "Q181257")
     assert [(n.id, n.name, label, d) for n, label, d in links] == [("Q412415", "Q412415", "P2176", "out")]
-    star = graph_from_remote_neighbors(Node(id="Q181257", name="prostate cancer"), links)
-    assert star.relation_labels_between("Q181257", "Q412415") == [("P2176", "out")]
+    (neighbor,) = star_neighbors("Q181257", links, ExtractionLimits(), seed=0).payload
+    assert neighbor.labels == (("P2176", "out"),)
 
 
 # Deeper than the JSON decoder can follow.

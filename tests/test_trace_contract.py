@@ -25,9 +25,11 @@ from kgprompt.pipeline import ExperimentConfig, run_experiment
 TRACE_PY = Path(__file__).resolve().parent.parent / "bench" / "trace.py"
 DATA_DIR = Path(__file__).parent / "data"
 
-# Removed when the remote source started linking through link_pairs; the
-# tracer still lists it and reports it as not traced.
-KNOWN_ABSENT = {"_link_remote"}
+# Names the tracer still lists and reports as not traced: _link_remote went
+# when the remote source started linking through link_pairs, and
+# graph_from_remote_neighbors when remote NN started picking neighbors
+# straight from each entity's fetched links.
+KNOWN_ABSENT = {"_link_remote", "graph_from_remote_neighbors"}
 
 
 def _trace_module():
@@ -104,3 +106,34 @@ def test_the_pipeline_calls_the_traced_names_while_it_runs(tmp_path, monkeypatch
     assert calls["load_edge_list_jsonl"] == 1 and calls["link_pairs"] == 1
     assert calls[extract] > 0
     assert {name for name in RENDERERS if calls[name]} == {render}
+
+
+def test_a_remote_run_calls_the_traced_fetches(tmp_path, monkeypatch, wiki_server):
+    # The remote layer's time is what these three calls take, as the tracer
+    # sees them through the pipeline's globals.
+    wiki_server.search["FGF6"] = [("Q14865053", "FGF6", "human gene")]
+    wiki_server.search["prostate cancer"] = [("Q181257", "prostate cancer", "disease")]
+    wiki_server.labels["Q181257"] = "prostate cancer"
+    wiki_server.neighbors[("Q181257", "out")] = [
+        ("P2176", "drug or therapy used for treatment", "Q412415", "nilutamide"),
+    ]
+    calls: Counter = Counter()
+    for name in ("resolve_entity", "fetch_entity_label", "fetch_neighbors_remote", "link_pairs"):
+        monkeypatch.setattr(pipeline, name, _counting(name, getattr(pipeline, name), calls))
+    config = {
+        "dataset": str(DATA_DIR / "fixture_dataset.jsonl"),
+        "kg": {
+            "kind": "remote",
+            "cache_dir": str(tmp_path / "cache"),
+            "sparql_url": wiki_server.sparql_url,
+            "entity_api_url": wiki_server.api_url,
+        },
+        "architecture": "MLM",
+        "label_mapping": {"mode": "identity"},
+        "backend": None,
+        "out_dir": str(tmp_path / "run"),
+    }
+    run_experiment(ExperimentConfig.from_dict(config), until="verbalize")
+    assert calls["link_pairs"] == 1
+    assert calls["resolve_entity"] > 0
+    assert calls["fetch_entity_label"] == calls["fetch_neighbors_remote"] == 2  # once per linked entity
