@@ -201,7 +201,7 @@ class UnknownEntityError(KgPromptError):
 
 
 class CacheError(KgPromptError):
-    """A remote cache entry cannot be read or written."""
+    """A remote cache segment, or its directory, cannot be read or written."""
 
 
 # --- verbalization ---

@@ -2,8 +2,10 @@
 
 Remote querying is deliberately limited to one hop; deeper structure comes
 only from locally ingested graphs. Every response is cached on disk under a
-content hash of the canonical request, so a warmed cache replays an entire
-experiment byte-for-byte with no network access (``read_only`` policy).
+content hash of the canonical request, as one line of an append-only
+segment file owned by the cache that wrote it (see ``QueryCache``), so a
+warmed cache replays an entire experiment byte-for-byte with no network
+access (``read_only`` policy).
 
 Requests are issued sequentially; public endpoints rate-limit, and
 determinism matters more than throughput here. They are form-encoded POSTs
@@ -21,8 +23,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import re
 import string
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -30,20 +35,20 @@ from importlib.resources import files as resource_files
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .atomic import TEXT_ERRORS, write_atomic
+from .atomic import TEXT_ERRORS
 from .errors import (
     CacheError,
     MalformedResponseError,
     NetworkError,
-    ParseError,
     RateLimitedError,
     UnknownEntityError,
-    read_json,
     require_http_url,
 )
 from .graph import Direction, Node
 
 _ENTITY_ID = re.compile(r"[QP][0-9]+")
+_KEY = re.compile(r"[0-9a-f]{64}")
+_LINE_KEY = re.compile(rb'\{"key": "([0-9a-f]{64})"')
 _TRANSIENT_STATUSES = frozenset({500, 502, 503, 504})
 _USER_AGENT = "kgprompt/0.1 (graph-context extraction)"
 TIMEOUT = 30.0
@@ -68,55 +73,147 @@ class CachePolicy(Enum):
     READ_ONLY = "read_only"
 
 
-@dataclass(frozen=True)
 class QueryCache:
-    """Content-addressed response cache: root/<2 hash chars>/<hash>.json.
+    """Response cache in append-only segment files: ``root/<random hex>.jsonl``.
 
-    Writers use write-then-rename so concurrent clients can share a cache
-    directory safely. An entry that does not parse is a miss that the
-    refetch replaces; under ``read_only`` it is a NetworkError instead. An
-    entry that cannot be opened or written at all (say, its shard directory
-    is a file) is a CacheError naming its path.
+    Each line is one whole entry, ``{"key", "query", "fetched_at",
+    "response"}`` with the key first, where the key is ``key_for`` of the
+    canonical request. Every cache that stores anything creates one segment
+    of its own (``O_EXCL``) and appends each entry to it in a single write,
+    so writers sharing a directory never write to the same file, and an
+    entry exists once its newline is written: a final line without one is
+    skipped. On its first ``load`` or ``store`` a cache reads every segment
+    once and keeps the 64-bit key prefix and the place of each complete
+    line, sorted in arrays, to which it adds each line it appends; entries
+    other caches write after that are not seen. A hit is a line with the
+    full key that decodes, its own latest one first; a valid line anywhere
+    wins over a corrupt one. A
+    key whose lines are all corrupt is a miss that the refetch appends
+    again; under ``read_only`` it is a NetworkError instead. A segment or
+    directory that cannot be read or written is a CacheError naming its
+    path, and after a failed write nothing more is written to that segment.
+    Caches in the older ``<2 hex>/<sha256>.json`` layout are not read.
     """
 
-    root_dir: Path
-    policy: CachePolicy = CachePolicy.READ_WRITE
+    def __init__(self, root_dir: Path, policy: CachePolicy = CachePolicy.READ_WRITE) -> None:
+        self.root_dir = root_dir
+        self.policy = policy
+        # Every segment read, then this cache's own; None until the first read.
+        self._segments: list[Path] | None = None
+        # The key prefix of each complete line read or stored, sorted, with
+        # the line's place: its segment's number and its byte offset there.
+        # No Python object per line, so a run's peak memory does not grow.
+        self._prefixes = array("Q")
+        self._segment_numbers = array("I")
+        self._offsets = array("Q")
+        self._segment: Path | None = None  # this cache's own segment, made by its first store
+        self._write_failed = False
 
     @staticmethod
     def key_for(canonical_query: str) -> str:
         return hashlib.sha256(canonical_query.encode("utf-8", TEXT_ERRORS)).hexdigest()
 
-    def _entry_path(self, key: str) -> Path:
-        return Path(self.root_dir) / key[:2] / f"{key}.json"
+    def _read_segments(self) -> None:
+        root = Path(self.root_dir)
+        try:
+            names = sorted(name for name in os.listdir(root) if name.endswith(".jsonl"))
+        except FileNotFoundError:
+            names = []
+        except OSError as exc:
+            raise CacheError(f"cannot read cache directory {root}: {exc.strerror}") from exc
+        segments = [root / name for name in names]
+        prefixes, numbers, offsets = array("Q"), array("I"), array("Q")
+        for number, path in enumerate(segments):
+            offset = 0
+            try:
+                with open(path, "rb") as fh:
+                    for line in fh:
+                        if line.endswith(b"\n") and (match := _LINE_KEY.match(line)):
+                            prefixes.append(int(match[1][:16], 16))
+                            numbers.append(number)
+                            offsets.append(offset)
+                        offset += len(line)
+            except OSError as exc:
+                raise CacheError(f"cannot read cache segment {path}: {exc.strerror}") from exc
+        order = sorted(range(len(prefixes)), key=prefixes.__getitem__)
+        self._prefixes = array("Q", [prefixes[i] for i in order])
+        self._segment_numbers = array("I", [numbers[i] for i in order])
+        self._offsets = array("Q", [offsets[i] for i in order])
+        self._segments = segments
+
+    def _prefix(self, key: str) -> int:
+        """The 64-bit prefix of a ``key_for`` key; the segments are read at
+        the first call, before this cache's own segment exists."""
+        if not _KEY.fullmatch(key):
+            raise ValueError(f"{key!r} is not a cache key")
+        if self._segments is None:
+            self._read_segments()
+        return int(key[:16], 16)
 
     def load(self, key: str) -> dict | None:
-        path = self._entry_path(key)
-        try:
-            entry = read_json(path)
-        except ParseError as exc:
-            if isinstance(exc.__cause__, FileNotFoundError):
-                return None
-            if isinstance(exc.__cause__, OSError):
-                raise CacheError(f"cannot read cache entry {path}: {exc.__cause__.strerror}") from exc
-            entry = None  # truncated, not UTF-8, not JSON or nested too deeply
-        if isinstance(entry, dict) and "response" in entry:
-            return entry
-        if self.policy is CachePolicy.READ_ONLY:
-            raise NetworkError(f"corrupt cache entry {path} under read_only policy")
+        prefix = self._prefix(key)
+        start = bisect_left(self._prefixes, prefix)
+        corrupt = None
+        for i in range(start, bisect_right(self._prefixes, prefix, start)):
+            path, offset = self._segments[self._segment_numbers[i]], self._offsets[i]
+            try:
+                with open(path, "rb") as fh:
+                    fh.seek(offset)
+                    line = fh.readline()
+            except OSError as exc:
+                raise CacheError(f"cannot read cache segment {path}: {exc.strerror}") from exc
+            match = _LINE_KEY.match(line)
+            if not match or match[1] != key.encode("ascii"):
+                continue  # another key with the same prefix
+            try:
+                entry = json.loads(line)
+            except (ValueError, RecursionError):  # truncated, not UTF-8, not JSON or nested too deeply
+                entry = None
+            if isinstance(entry, dict) and "response" in entry:
+                return entry
+            corrupt = corrupt or path
+        if corrupt and self.policy is CachePolicy.READ_ONLY:
+            raise NetworkError(f"corrupt cache entry {key} in {corrupt} under read_only policy")
         return None
 
     def store(self, key: str, canonical_query: str, response: object) -> None:
+        prefix = self._prefix(key)
         entry = {
+            "key": key,
             "query": canonical_query,
             "fetched_at": datetime.now(timezone.utc).isoformat(),
             "response": response,
         }
-        path = self._entry_path(key)
+        line = (json.dumps(entry, ensure_ascii=False) + "\n").encode("utf-8", TEXT_ERRORS)
+        creating = self._segment is None
+        if creating:
+            self._segment = Path(self.root_dir) / f"{os.urandom(8).hex()}.jsonl"
+            self._segments.append(self._segment)
+        path = self._segment
+        if self._write_failed:
+            raise CacheError(f"cannot write cache segment {path}: an earlier write to it failed")
         try:
-            with write_atomic(path) as fh:
-                fh.write(json.dumps(entry, ensure_ascii=False))
+            if creating:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND | (os.O_CREAT | os.O_EXCL if creating else 0), 0o666)
+            try:
+                written = os.write(fd, line)
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+            finally:
+                os.close(fd)
         except OSError as exc:
-            raise CacheError(f"cannot write cache entry {path}: {exc.strerror}") from exc
+            self._write_failed = True
+            raise CacheError(f"cannot write cache segment {path}: {exc.strerror}") from exc
+        if written != len(line):
+            self._write_failed = True
+            raise CacheError(f"cannot write cache segment {path}: {written} of {len(line)} bytes written")
+        # Before the lines read with its prefix and its own earlier ones, so
+        # the latest store answers first. Each insert moves the arrays' tails,
+        # which is small next to the request that every store follows.
+        i = bisect_left(self._prefixes, prefix)
+        self._prefixes.insert(i, prefix)
+        self._segment_numbers.insert(i, len(self._segments) - 1)
+        self._offsets.insert(i, end - len(line))
 
 
 def _canonical_request(kind: str, params: dict[str, str]) -> str:

@@ -499,14 +499,26 @@ def test_file_as_cache_shard_exit_code_3_naming_the_entry(
     tmp_path, capsys, wiki_server, predict_server, offline
 ):
     config = remote_http_config(tmp_path, wiki_server, predict_server)
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    for shard in range(256):  # every root/<2 hash chars> is a file
-        (cache_dir / f"{shard:02x}").write_text("", encoding="utf-8")
+    segment = tmp_path / "cache" / "x.jsonl"
+    segment.mkdir(parents=True)  # a directory where a segment file belongs
     assert main(["run", "--config", str(config), *(["--offline"] if offline else [])]) == 3
     err = capsys.readouterr().err
-    assert "stage 'link'" in err and f"cannot read cache entry {cache_dir}" in err
+    assert "stage 'link'" in err and f"cannot read cache segment {segment}: " in err
     assert "Traceback" not in err
+
+
+def test_remote_run_adds_one_cache_file_holding_every_miss(tmp_path, wiki_server, predict_server):
+    predict_server.default = {"status": 200, "body": score_response({"causal": 0.7, "non-causal": 0.3})}
+    config = remote_http_config(tmp_path, wiki_server, predict_server)
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    assert main(["run", "--config", str(config)]) == 0
+    misses = wiki_server.request_count
+    (segment,) = cache_dir.iterdir()
+    assert misses > 1 and segment.read_bytes().count(b"\n") == misses
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "rerun")]) == 0
+    assert wiki_server.request_count == misses  # every lookup hits
+    assert list(cache_dir.iterdir()) == [segment]  # a run that stores nothing makes no segment
 
 
 # Deeper than the JSON decoder can follow.

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -127,27 +130,34 @@ def test_read_only_cache_miss_is_network_error(tmp_path, remote_timing):
         fetch_neighbors_remote(dead, cache, "Q1")
 
 
+def cached_lines(cache_dir: Path) -> list[bytes]:
+    """Every line of every cache segment, in segment order."""
+    return [line for path in sorted(cache_dir.glob("*.jsonl")) for line in path.read_bytes().splitlines()]
+
+
 def test_cache_entries_are_immutable(wiki_server, tmp_path):
     seed_prostate(wiki_server)
     cache_dir = tmp_path / "cache"
     cache = QueryCache(root_dir=cache_dir, policy=CachePolicy.READ_WRITE)
     endpoint = endpoint_for(wiki_server)
     fetch_neighbors_remote(endpoint, cache, "Q181257")
-    entries = sorted(cache_dir.rglob("*.json"))
-    before = [p.read_bytes() for p in entries]
+    (segment,) = cache_dir.iterdir()
+    before = segment.read_bytes()
     fetch_neighbors_remote(endpoint, cache, "Q181257")  # served from cache
-    assert [p.read_bytes() for p in sorted(cache_dir.rglob("*.json"))] == before
-    entry = json.loads(entries[0].read_text(encoding="utf-8"))
-    assert set(entry) == {"query", "fetched_at", "response"}
-    # layout: root/<first two hash chars>/<hash>.json
-    assert entries[0].parent.name == entries[0].stem[:2]
+    assert list(cache_dir.iterdir()) == [segment] and segment.read_bytes() == before
+    entries = [json.loads(line) for line in cached_lines(cache_dir)]
+    assert [list(entry) for entry in entries] == [["key", "query", "fetched_at", "response"]] * 2
+    assert [entry["key"] for entry in entries] == [QueryCache.key_for(entry["query"]) for entry in entries]
+    # layout: root/<random hex>.jsonl, one line per entry
+    assert re.fullmatch(r"[0-9a-f]{16}\.jsonl", segment.name) and before.count(b"\n") == 2
 
 
 def _truncate_cache_entries(cache_dir: Path) -> list[Path]:
-    entries = sorted(cache_dir.rglob("*.json"))
-    for path in entries:
-        path.write_bytes(path.read_bytes()[:20])
-    return entries
+    """Cut each line of each segment just past its key, keeping the newline."""
+    segments = sorted(cache_dir.glob("*.jsonl"))
+    for path in segments:
+        path.write_bytes(b"".join(line[:80] + b"\n" for line in path.read_bytes().splitlines()))
+    return segments
 
 
 def test_corrupt_cache_entry_is_refetched_and_replaced(wiki_server, tmp_path):
@@ -156,12 +166,13 @@ def test_corrupt_cache_entry_is_refetched_and_replaced(wiki_server, tmp_path):
     cache = QueryCache(root_dir=cache_dir, policy=CachePolicy.READ_WRITE)
     endpoint = endpoint_for(wiki_server)
     first = resolve_entity(endpoint, cache, "prostate cancer")
-    (entry,) = _truncate_cache_entries(cache_dir)
+    (segment,) = _truncate_cache_entries(cache_dir)
     requests_used = wiki_server.request_count
 
     assert resolve_entity(endpoint, cache, "prostate cancer") == first
     assert wiki_server.request_count == requests_used + 1
-    assert json.loads(entry.read_text(encoding="utf-8"))["response"]["search"][0]["id"] == "Q181257"
+    _truncated, refetched = segment.read_bytes().splitlines()  # the refetch is appended
+    assert json.loads(refetched)["response"]["search"][0]["id"] == "Q181257"
     assert resolve_entity(endpoint, cache, "prostate cancer") == first  # replaced entry hits
     assert wiki_server.request_count == requests_used + 1
 
@@ -181,15 +192,143 @@ def test_corrupt_cache_entry_under_read_only_is_network_error(wiki_server, tmp_p
 def test_unusable_cache_entry_path_is_a_cache_error_naming_it(tmp_path, policy):
     cache = cache_in(tmp_path, policy=policy)
     key = QueryCache.key_for("search\nsearch=prostate cancer")
-    shard = tmp_path / "cache" / key[:2]
-    shard.parent.mkdir()
-    shard.write_text("", encoding="utf-8")  # a file where the shard directory belongs
-    entry = shard / f"{key}.json"
-    with pytest.raises(CacheError, match=f"^cannot read cache entry {re.escape(str(entry))}: "):
+    segment = tmp_path / "cache" / "x.jsonl"
+    segment.mkdir(parents=True)  # a directory where a segment file belongs
+    # a store reads the segments first, so it fails on the same path
+    with pytest.raises(CacheError, match=f"^cannot read cache segment {re.escape(str(segment))}: "):
         cache.load(key)
-    with pytest.raises(CacheError, match=f"^cannot write cache entry {re.escape(str(entry))}: "):
+    with pytest.raises(CacheError, match=f"^cannot read cache segment {re.escape(str(segment))}: "):
         cache.store(key, "search\nsearch=prostate cancer", {"search": []})
-    assert shard.read_text(encoding="utf-8") == ""
+    assert list((tmp_path / "cache").iterdir()) == [segment] and not any(segment.iterdir())
+
+
+# Two keys that share their first 16 hex digits, the 64-bit prefix a cache indexes.
+TWINS = ["0123456789abcdef" + "0" * 48, "0123456789abcdef" + "f" * 48]
+MODEL_KEYS = [QueryCache.key_for(query) for query in ("a", "b")] + TWINS
+
+
+@pytest.mark.parametrize("policy", list(CachePolicy))
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("store"), st.integers(0, 1), st.sampled_from(MODEL_KEYS), st.integers(0, 2)),
+            st.tuples(st.just("load"), st.integers(0, 1), st.sampled_from(MODEL_KEYS)),
+            st.tuples(st.just("fresh"), st.integers(0, 1)),
+        ),
+        max_size=30,
+    )
+)
+def test_cache_answers_like_a_dict_of_what_it_has_seen(policy, ops):
+    # A cache sees every entry stored before its first load or store, and its
+    # own stores after that; a key stored by several caches may answer with
+    # any of their responses, its own latest one first.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "cache"
+        caches = [QueryCache(root, policy), QueryCache(root, policy)]
+        stored: dict[str, set[int]] = {}
+        views: list[tuple[dict, dict] | None] = [None, None]  # (seen at first use, own stores)
+        for op, i, *args in ops:
+            if op == "fresh":
+                caches[i], views[i] = QueryCache(root, policy), None
+                continue
+            if views[i] is None:
+                views[i] = ({key: set(values) for key, values in stored.items()}, {})
+            seen, own = views[i]
+            key = args[0]
+            if op == "store":
+                caches[i].store(key, f"query {key}", {"n": args[1]})
+                own[key] = args[1]
+                stored.setdefault(key, set()).add(args[1])
+                continue
+            entry = caches[i].load(key)
+            if key in own:
+                assert entry["response"] == {"n": own[key]}
+            elif key in seen:
+                assert entry["response"]["n"] in seen[key]
+            else:
+                assert entry is None
+            if entry is not None:
+                assert (entry["key"], entry["query"]) == (key, f"query {key}")
+
+
+def test_keys_sharing_a_prefix_stay_apart(tmp_path):
+    writer = cache_in(tmp_path)
+    writer.store(TWINS[0], "first", {"n": 0})
+    assert writer.load(TWINS[1]) is None
+    writer.store(TWINS[1], "second", {"n": 1})
+    for cache in (writer, cache_in(tmp_path, CachePolicy.READ_ONLY)):  # own writes, then a fresh read
+        assert [cache.load(key)["response"] for key in TWINS] == [{"n": 0}, {"n": 1}]
+
+
+def _entry_line(key: str, n: int) -> bytes:
+    return json.dumps({"key": key, "query": "q", "fetched_at": "t", "response": {"n": n}}).encode() + b"\n"
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        {"a.jsonl": ["corrupt", "valid"], "b.jsonl": ["other"]},
+        {"a.jsonl": ["corrupt"], "b.jsonl": ["valid"]},
+        {"a.jsonl": ["valid"], "b.jsonl": ["corrupt"]},
+    ],
+    ids=["corrupt-then-valid", "corrupt-segment-first", "valid-segment-first"],
+)
+@pytest.mark.parametrize("policy", list(CachePolicy))
+def test_a_valid_line_anywhere_is_a_hit(tmp_path, layout, policy):
+    key = QueryCache.key_for("q")
+    lines = {"valid": _entry_line(key, 1), "corrupt": _entry_line(key, 2)[:90] + b"\n",
+             "other": _entry_line(TWINS[0], 3)}
+    (tmp_path / "cache").mkdir()
+    for name, kinds in layout.items():
+        (tmp_path / "cache" / name).write_bytes(b"".join(lines[kind] for kind in kinds))
+    assert cache_in(tmp_path, policy).load(key)["response"] == {"n": 1}
+
+
+def test_a_final_line_without_its_newline_is_skipped(tmp_path):
+    whole, partial = QueryCache.key_for("whole"), QueryCache.key_for("partial")
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "a.jsonl").write_bytes(_entry_line(whole, 1) + _entry_line(partial, 2)[:-1])
+    replay = cache_in(tmp_path, CachePolicy.READ_ONLY)
+    assert replay.load(whole)["response"] == {"n": 1}
+    assert replay.load(partial) is None  # not written yet, so a miss and not corrupt
+
+
+@pytest.mark.parametrize("fault", ["raises", "short"])
+def test_a_failed_write_ends_writing_to_that_segment(tmp_path, monkeypatch, fault):
+    cache = cache_in(tmp_path)
+    cache.store(QueryCache.key_for("before"), "before", {"n": 0})
+    (segment,) = (tmp_path / "cache").iterdir()
+    before = segment.read_bytes()
+    real_write = os.write
+
+    def failing_write(fd, data):
+        if fault == "short":
+            return real_write(fd, data[:10])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "write", failing_write)
+        with pytest.raises(CacheError, match=f"^cannot write cache segment {re.escape(str(segment))}: "):
+            cache.store(QueryCache.key_for("during"), "during", {"n": 1})
+    written = segment.read_bytes()
+    assert len(written) == len(before) + (10 if fault == "short" else 0)
+    with pytest.raises(CacheError, match=f"^cannot write cache segment {re.escape(str(segment))}: "):
+        cache.store(QueryCache.key_for("after"), "after", {"n": 2})
+    assert segment.read_bytes() == written
+    replay = cache_in(tmp_path, CachePolicy.READ_ONLY)
+    assert replay.load(QueryCache.key_for("before"))["response"] == {"n": 0}
+    assert replay.load(QueryCache.key_for("during")) is None
+
+
+def test_store_never_appends_to_a_segment_it_did_not_create(tmp_path, monkeypatch):
+    taken = tmp_path / "cache" / f"{'00' * 8}.jsonl"
+    taken.parent.mkdir()
+    taken.write_bytes(b"")
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))  # the next segment name is the taken one
+    with pytest.raises(CacheError, match=f"^cannot write cache segment {re.escape(str(taken))}: "):
+        cache_in(tmp_path).store(QueryCache.key_for("q"), "q", {"n": 0})
+    assert taken.read_bytes() == b""
 
 
 def test_rate_limited_surfaces_retry_after(wiki_server, tmp_path):
@@ -216,7 +355,7 @@ def test_other_client_error_status_is_network_error_and_not_cached(wiki_server, 
     with pytest.raises(NetworkError, match=f"^HTTP 404 from {re.escape(wiki_server.sparql_url)}$"):
         _label_lookup(endpoint_for(wiki_server), cache)
     assert wiki_server.request_count == 1  # a 404 is not retried
-    assert not list((tmp_path / "cache").rglob("*.json"))  # nothing cached
+    assert not cached_lines(tmp_path / "cache")  # nothing cached
     assert _label_lookup(endpoint_for(wiki_server), cache) == "prostate cancer"
 
 
@@ -398,22 +537,24 @@ def test_nested_cache_entry_is_corrupt(wiki_server, tmp_path, policy):
     cache_dir = tmp_path / "cache"
     endpoint = endpoint_for(wiki_server)
     first = resolve_entity(endpoint, QueryCache(root_dir=cache_dir), "prostate cancer")
-    (entry,) = sorted(cache_dir.rglob("*.json"))
-    entry.write_bytes(NESTED)
+    (segment,) = cache_dir.iterdir()
+    key = json.loads(segment.read_bytes())["key"]
+    segment.write_bytes(b'{"key": "%s", "response": ' % key.encode() + NESTED + b"\n")
     cache = QueryCache(root_dir=cache_dir, policy=policy)
     if policy is CachePolicy.READ_ONLY:
         with pytest.raises(NetworkError, match="corrupt cache entry"):
             resolve_entity(endpoint, cache, "prostate cancer")
-    else:  # refetched and replaced
+    else:  # refetched into the new cache's own segment
         assert resolve_entity(endpoint, cache, "prostate cancer") == first
-        assert json.loads(entry.read_text(encoding="utf-8"))["response"]["search"][0]["id"] == "Q181257"
+        (refetched,) = set(cache_dir.iterdir()) - {segment}
+        assert json.loads(refetched.read_bytes())["response"]["search"][0]["id"] == "Q181257"
 
 
 def test_nested_sparql_answer_is_malformed_and_not_cached(wiki_server, tmp_path):
     wiki_server.script = [{"status": 200, "raw": NESTED}]
     with pytest.raises(MalformedResponseError, match="is not JSON"):
         fetch_entity_label(endpoint_for(wiki_server), cache_in(tmp_path), "Q181257")
-    assert not list((tmp_path / "cache").rglob("*.json"))
+    assert not cached_lines(tmp_path / "cache")
 
 
 @pytest.mark.parametrize("entity_id", ["Q5\n", "Q٣", "q5", "Q", "wd:Q5"])
