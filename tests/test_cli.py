@@ -515,7 +515,8 @@ def test_remote_run_adds_one_cache_file_holding_every_miss(tmp_path, wiki_server
     assert main(["run", "--config", str(config)]) == 0
     misses = wiki_server.request_count
     (segment,) = cache_dir.iterdir()
-    assert misses > 1 and segment.read_bytes().count(b"\n") == misses
+    *entries, seal = segment.read_bytes().splitlines()  # sealed when the run ended
+    assert misses > 1 and len(entries) == misses and seal == b'{"sealed": true}'
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "rerun")]) == 0
     assert wiki_server.request_count == misses  # every lookup hits
     assert list(cache_dir.iterdir()) == [segment]  # a run that stores nothing makes no segment

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kgprompt.pipeline as pipeline
+import kgprompt.remote as remote
 from kgprompt.errors import (
     CacheError,
     MalformedResponseError,
@@ -217,13 +220,15 @@ MODEL_KEYS = [QueryCache.key_for(query) for query in ("a", "b")] + TWINS
             st.tuples(st.just("fresh"), st.integers(0, 1)),
         ),
         max_size=30,
-    )
+    ),
+    compact_after=st.sampled_from([remote.COMPACT_AFTER, 1]),
 )
-def test_cache_answers_like_a_dict_of_what_it_has_seen(policy, ops):
+def test_cache_answers_like_a_dict_of_what_it_has_seen(policy, ops, compact_after):
     # A cache sees every entry stored before its first load or store, and its
     # own stores after that; a key stored by several caches may answer with
-    # any of their responses, its own latest one first.
-    with tempfile.TemporaryDirectory() as tmp:
+    # any of their responses, its own latest one first. Merging the sealed
+    # segments of caches that ended changes none of that.
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(remote, "COMPACT_AFTER", compact_after):
         root = Path(tmp) / "cache"
         caches = [QueryCache(root, policy), QueryCache(root, policy)]
         stored: dict[str, set[int]] = {}
@@ -319,6 +324,110 @@ def test_a_failed_write_ends_writing_to_that_segment(tmp_path, monkeypatch, faul
     replay = cache_in(tmp_path, CachePolicy.READ_ONLY)
     assert replay.load(QueryCache.key_for("before"))["response"] == {"n": 0}
     assert replay.load(QueryCache.key_for("during")) is None
+
+
+def test_a_cache_seals_its_segment_when_it_ends_unless_a_write_failed(tmp_path, monkeypatch):
+    cache = cache_in(tmp_path)
+    cache.store(QueryCache.key_for("q"), "q", {"n": 0})
+    (segment,) = (tmp_path / "cache").iterdir()
+    del cache
+    gc.collect()
+    assert segment.read_bytes().splitlines()[-1] == b'{"sealed": true}'
+    failing = cache_in(tmp_path)
+    failing.store(QueryCache.key_for("r"), "r", {"n": 1})
+    (own,) = set((tmp_path / "cache").iterdir()) - {segment}
+    monkeypatch.setattr(os, "write", lambda fd, data: 0)  # a short write
+    with pytest.raises(CacheError):
+        failing.store(QueryCache.key_for("s"), "s", {"n": 2})
+    before = own.read_bytes()
+    del failing
+    gc.collect()
+    assert own.read_bytes() == before  # nothing more is written, not even the seal
+
+
+SEAL = b'{"sealed": true}\n'
+
+
+def _sealed_segments(root: Path, keys: list[str], count: int) -> dict[str, bytes]:
+    """Write ``count`` sealed segments ``sNN.jsonl``; key ``i`` goes to
+    segment ``i % 9`` with response ``{"n": i}``, so with fewer than nine
+    segments some keys are not written. Returns their contents."""
+    root.mkdir(exist_ok=True)
+    contents = {}
+    for n in range(count):
+        lines = [_entry_line(key, i) for i, key in enumerate(keys) if i % 9 == n]
+        contents[f"s{n:02}.jsonl"] = b"".join(lines) + SEAL
+        (root / f"s{n:02}.jsonl").write_bytes(contents[f"s{n:02}.jsonl"])
+    return contents
+
+
+def test_a_read_write_cache_merges_sealed_segments_into_one_indexed_segment(tmp_path):
+    assert remote.COMPACT_AFTER == 8  # eight sealed segments and a live one are one too many
+    root = tmp_path / "cache"
+    keys = [QueryCache.key_for(str(n)) for n in range(27)]
+    sealed = _sealed_segments(root, keys, 8)
+    live = QueryCache.key_for("live")
+    (root / "z-live.jsonl").write_bytes(_entry_line(live, -1))  # its writer has not sealed it
+    listing = sorted(root.iterdir())
+    offline = cache_in(tmp_path, CachePolicy.READ_ONLY)
+    assert offline.load(keys[0])["response"] == {"n": 0}
+    assert sorted(root.iterdir()) == listing  # a read_only cache merges nothing
+    online = cache_in(tmp_path)
+    hits = {key: online.load(key) for key in [*keys, live]}
+    names = sorted(path.name for path in root.iterdir())
+    assert "z-live.jsonl" in names and not any(name.startswith("s") for name in names)
+    (merged,) = [name for name in names if name.endswith(".idx")]
+    assert names == sorted([merged, merged.replace(".idx", ".jsonl"), "z-live.jsonl"])
+    merged_bytes = (root / merged.replace(".idx", ".jsonl")).read_bytes()
+    assert merged_bytes == b"".join(data[: -len(SEAL)] for data in sealed.values()) + SEAL
+    for i, key in enumerate(keys):
+        assert (hits[key] or {}).get("response") == ({"n": i} if i % 9 < 8 else None)
+    assert hits[live]["response"] == {"n": -1}
+    # the reader that opened the removed segments still reads them
+    assert offline.load(keys[0])["response"] == {"n": 0}
+
+
+def test_a_merged_index_finds_prefixes_that_span_its_blocks(tmp_path):
+    # 300 keys that share one 64-bit prefix cross a block boundary of the .idx file
+    root = tmp_path / "cache"
+    shared = [TWINS[0][:16] + f"{n:048x}" for n in range(300)]
+    others = [QueryCache.key_for(str(n)) for n in range(600)]
+    everything = shared + others
+    _sealed_segments(root, everything, 9)
+    cache = cache_in(tmp_path)
+    assert [cache.load(key)["response"] for key in everything] == [{"n": i} for i in range(len(everything))]
+    assert len(list(root.glob("*.jsonl"))) == 1
+    assert cache.load(TWINS[0][:16] + "f" * 48) is None
+    fresh = cache_in(tmp_path, CachePolicy.READ_ONLY)  # read through the .idx file
+    assert [fresh.load(key)["response"] for key in everything] == [{"n": i} for i in range(len(everything))]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "other-segment", "missing"])
+def test_an_index_that_does_not_fit_its_segment_is_not_used(tmp_path, damage):
+    root = tmp_path / "cache"
+    keys = [QueryCache.key_for(str(n)) for n in range(40)]
+    _sealed_segments(root, keys, 9)
+    cache_in(tmp_path).load(keys[0])
+    (index,) = root.glob("*.idx")
+    if damage == "truncated":
+        index.write_bytes(index.read_bytes()[:-8])
+    elif damage == "other-segment":  # the segment's size in the header does not match
+        index.write_bytes((1).to_bytes(8, "little") + index.read_bytes()[8:])
+    else:
+        index.unlink()
+    replay = cache_in(tmp_path, CachePolicy.READ_ONLY)
+    assert [replay.load(key)["response"] for key in keys] == [{"n": i} for i in range(40)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1) | st.sampled_from([0, 1, 2**63, 2**64 - 1]), max_size=300))
+def test_sorted_by_prefix_sorts_stably(prefixes):
+    from array import array
+
+    order = list(range(len(prefixes)))
+    got = remote._sorted_by_prefix(array("Q", prefixes), array("Q", order))
+    expected = sorted(zip(prefixes, order), key=lambda row: row[0])
+    assert list(zip(*got)) == expected
 
 
 def test_store_never_appends_to_a_segment_it_did_not_create(tmp_path, monkeypatch):
@@ -538,7 +647,7 @@ def test_nested_cache_entry_is_corrupt(wiki_server, tmp_path, policy):
     endpoint = endpoint_for(wiki_server)
     first = resolve_entity(endpoint, QueryCache(root_dir=cache_dir), "prostate cancer")
     (segment,) = cache_dir.iterdir()
-    key = json.loads(segment.read_bytes())["key"]
+    key = json.loads(segment.read_bytes().splitlines()[0])["key"]  # the entry, then the seal
     segment.write_bytes(b'{"key": "%s", "response": ' % key.encode() + NESTED + b"\n")
     cache = QueryCache(root_dir=cache_dir, policy=policy)
     if policy is CachePolicy.READ_ONLY:
