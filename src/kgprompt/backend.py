@@ -9,7 +9,6 @@ deterministically.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import threading
@@ -17,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._digest import sha256
 from .atomic import TEXT_ERRORS, write_jsonl
 from .dataset import LABELS
 from .errors import ProtocolError, UnmappableOutputError, check_field_types, require_http_url
@@ -252,7 +252,7 @@ def predict_http_batch(
 
 def predict_mock(req: InferenceRequest, mapping: LabelMapping, seed: int) -> PredictionRecord:
     """Deterministic offline prediction from a seeded hash of the prompt."""
-    digest = hashlib.sha256(f"{seed}:{req.prompt}".encode("utf-8", TEXT_ERRORS)).digest()
+    digest = sha256(f"{seed}:{req.prompt}".encode("utf-8", TEXT_ERRORS)).digest()
     index = int.from_bytes(digest[:8], "big") % len(req.candidates)
     predicted = unmap_label(mapping, req.candidates[index])
     return PredictionRecord(

@@ -9,15 +9,19 @@ single-threaded: a loader adds what it reads to a
 :meth:`~kgprompt.graph.GraphBuilder.freeze` makes, which only answers
 queries. A parsed graph and a restored one so hold the same structure.
 
-**Snapshots.** Both loaders first hash the dump (sha256). A graph parsed from
-a dump is saved as a snapshot under ``$XDG_CACHE_HOME/kgprompt/graphs/``
-(``~/.cache`` when the variable is unset or not an absolute path), one file
-per loader and dump digest. A later load of the same bytes restores the
-graph and its :class:`IngestReport` (warnings included) from the snapshot and
-skips the parse. A snapshot is a fixed header (magic, format version, code
-digest, payload length, payload sha256) and a payload of a fixed vector of
-typecodes and sizes, the ``marshal``-encoded tables and report, and the raw
-arrays in :data:`kgprompt.graph.ARRAYS` order. The typecodes are each
+**Snapshots.** Both loaders first take the dump's digest (blake2b-256): from
+its stamp under ``$XDG_CACHE_HOME/kgprompt/stamps/`` when the dump's size,
+mtime and ctime are the ones the stamp holds and both times are older than
+the stamp file (see :func:`_dump_digest`), else by hashing the dump, which
+writes the stamp. A graph parsed from a dump is saved as a snapshot under
+``$XDG_CACHE_HOME/kgprompt/graphs/`` (``~/.cache`` when the variable is unset
+or not an absolute path), one file per loader and dump digest. A later load
+of the same bytes restores the graph and its :class:`IngestReport` (warnings
+included) from the snapshot and skips the parse. A snapshot is a fixed header
+(magic, format version, code digest, payload length, payload blake2b-256) and
+a payload of a fixed vector of typecodes and sizes, the ``marshal``-encoded
+tables and report, and the raw arrays in :data:`kgprompt.graph.ARRAYS`
+order. The typecodes are each
 array's, the narrowest its range allows in this graph; the sizes are the
 marshalled bytes' length and each array's item count. The arrays' names are
 not on disk, since ``ARRAYS`` states them, and the comment above it says what
@@ -55,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import hashlib
 import itertools
 import logging
 import marshal
@@ -69,6 +72,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterator
 
 from . import graph as graph_module
+from ._digest import blake2b, sha256
 from .atomic import write_atomic, write_jsonl
 from .errors import (
     ID_TYPES, ParseError, SchemaError, jsonl_records, read_json, require_fields, require_id, require_str
@@ -80,9 +84,9 @@ log = logging.getLogger(__name__)
 # Warnings kept verbatim in the report are capped; counts stay exact.
 _MAX_WARNINGS = 50
 
-_SNAPSHOT_VERSION = 10
+_SNAPSHOT_VERSION = 11
 _SNAPSHOT_MAGIC = b"KGPGRAPH"
-# magic, format version, code digest, payload length, payload sha256
+# magic, format version, code digest, payload length, payload blake2b-256
 _SNAPSHOT_HEADER = struct.Struct("<8sI32sQ32s")
 # the payload's typecodes and sizes: each array's typecode, the marshalled
 # bytes' length, then each array's item count
@@ -364,7 +368,7 @@ def _load(
     """The snapshot of ``path``'s bytes if one is valid, else ``parse(path)``,
     saved as that snapshot."""
     try:
-        snapshot = _snapshot_path(kind, file_sha256(path))
+        snapshot = _snapshot_path(kind, _dump_digest(path))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     restored = _read_snapshot(snapshot)
@@ -377,30 +381,81 @@ def _load(
     return graph, report
 
 
-def _snapshot_path(kind: str, dump_sha256: str) -> Path:
-    """Where the snapshot of a dump with this digest, read by the loader
-    ``kind``, lives."""
+def _cache_dir(name: str) -> Path:
+    """The directory ``name`` in kgprompt's cache, ``$XDG_CACHE_HOME/kgprompt``."""
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):  # unset, empty or relative: the spec says ignore it
         root = os.path.join(os.path.expanduser("~"), ".cache")
-    return Path(root) / "kgprompt" / "graphs" / f"{kind}-{dump_sha256}.graph"
+    return Path(root) / "kgprompt" / name
+
+
+def _snapshot_path(kind: str, dump_digest: str) -> Path:
+    """Where the snapshot of a dump with this digest, read by the loader
+    ``kind``, lives."""
+    return _cache_dir("graphs") / f"{kind}-{dump_digest}.graph"
+
+
+def _dump_digest(path: Path) -> str:
+    """The hex blake2b-256 of a dump's bytes.
+
+    A hash leaves a stamp, ``stamps/<st_dev>-<st_ino>`` in the cache, that
+    holds the digest and the size, mtime and ctime the dump had when the hash
+    began. A later load takes the digest from the stamp instead of hashing
+    when the dump still has that size and those times, and both times are
+    older than the stamp file's mtime. The last test is git's "racy clean"
+    rule: a dump changed in the clock tick that wrote the stamp can still
+    show the times the stamp holds.
+    """
+    with path.open("rb") as fh:
+        st = os.fstat(fh.fileno())
+        stat_key = f"{st.st_size} {st.st_mtime_ns} {st.st_ctime_ns}".encode()
+        stamp = _cache_dir("stamps") / f"{st.st_dev}-{st.st_ino}"
+        if st.st_ino:  # 0 where a file system has no inode numbers
+            digest = _stamped_digest(stamp, stat_key, max(st.st_mtime_ns, st.st_ctime_ns))
+            if digest is not None:
+                return digest
+        digest = _hex_digest(fh, blake2b(digest_size=32))
+    if st.st_ino:
+        try:
+            with write_atomic(stamp, mode="wb") as out:
+                out.write(b"%s %s\n" % (stat_key, digest.encode()))
+        except OSError:  # an unwritable cache: the snapshot's write warns of it
+            pass
+    return digest
+
+
+def _stamped_digest(stamp: Path, stat_key: bytes, changed_ns: int) -> str | None:
+    """The digest a stamp holds for a dump of this stat, if it may be trusted."""
+    try:
+        with stamp.open("rb") as fh:
+            written_ns = os.fstat(fh.fileno()).st_mtime_ns
+            key, _, digest = fh.read(256).rstrip(b"\n").rpartition(b" ")
+    except OSError:  # none, unreadable or a directory
+        return None
+    if key == stat_key and changed_ns < written_ns and len(digest) == 64 and not digest.strip(b"0123456789abcdef"):
+        return digest.decode()
+    return None
 
 
 @functools.cache
 def _code_sha256() -> bytes:
     """sha256 of the byte order and the modules that decide what a snapshot holds."""
-    digest = hashlib.sha256(sys.byteorder.encode())
+    digest = sha256(sys.byteorder.encode())
     for module_file in (graph_module.__file__, __file__):
         digest.update(Path(module_file).read_bytes())
     return digest.digest()
 
 
 def file_sha256(path: Path) -> str:
-    """The hex sha256 of a file's bytes, read 64 KiB at a time."""
-    digest = hashlib.sha256()
+    """The hex sha256 of a file's bytes."""
     with path.open("rb") as fh:
-        while chunk := fh.read(1 << 16):
-            digest.update(chunk)
+        return _hex_digest(fh, sha256())
+
+
+def _hex_digest(fh: BinaryIO, digest) -> str:
+    """``digest`` of the rest of a file's bytes, read 64 KiB at a time, in hex."""
+    while chunk := fh.read(1 << 16):
+        digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -436,7 +491,7 @@ def _decode_snapshot(fh: BinaryIO) -> tuple[KnowledgeGraph, IngestReport]:
     typecodes = typecodes.decode("ascii")
     if len(sizes) + tables_size + sum(n * array(t).itemsize for n, t in zip(counts, typecodes)) != length:
         raise EOFError("payload length does not match its parts")
-    digest = hashlib.sha256(sizes)  # the tables are hashed apart, so they are never copied
+    digest = blake2b(sizes, digest_size=32)  # the tables are hashed apart, so they are never copied
     tables = fh.read(tables_size)
     digest.update(tables)
     arrays = [array(typecode, [0]) * count for typecode, count in zip(typecodes, counts)]
@@ -462,7 +517,7 @@ def _write_snapshot(path: Path, graph: KnowledgeGraph, report: IngestReport) -> 
     columns = [arrays[name] for name in graph_module.ARRAYS]
     typecodes = "".join(values.typecode for values in columns).encode("ascii")
     pieces = [_SNAPSHOT_SIZES.pack(typecodes, len(head), *map(len, columns)), head, *columns]
-    digest = hashlib.sha256()
+    digest = blake2b(digest_size=32)
     for piece in pieces:
         digest.update(piece)
     length = sum(memoryview(piece).nbytes for piece in pieces)

@@ -11,7 +11,6 @@ the prediction artifacts too when the backend is the deterministic mock.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -19,6 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, TypeVar
 
+from ._digest import sha256
 from .atomic import TEXT_ERRORS, write_atomic, write_jsonl
 from .backend import (
     HttpEndpoint,
@@ -214,7 +214,7 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_canonical_dict(), sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(canonical.encode("utf-8", TEXT_ERRORS)).hexdigest()
+        return sha256(canonical.encode("utf-8", TEXT_ERRORS)).hexdigest()
 
 
 def _section(data: dict, name: str, build: Callable[..., T]) -> T:

@@ -21,7 +21,6 @@ each next one; nothing configures these. A 429 is not retried: it raises
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import re
@@ -38,6 +37,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterator, TypeVar
 
+from ._digest import sha256
 from .atomic import TEXT_ERRORS
 from .errors import (
     CacheError,
@@ -253,7 +253,7 @@ class QueryCache:
 
     @staticmethod
     def key_for(canonical_query: str) -> str:
-        return hashlib.sha256(canonical_query.encode("utf-8", TEXT_ERRORS)).hexdigest()
+        return sha256(canonical_query.encode("utf-8", TEXT_ERRORS)).hexdigest()
 
     def _read_segments(self) -> None:
         compact, vanished = self.policy is CachePolicy.READ_WRITE, 0

@@ -21,13 +21,13 @@ is drawn from the first paths in that order, not from all paths.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from ._digest import sha256
 from .errors import SamePairError, check_field_types
 from .graph import Direction, KnowledgeGraph, Node
 
@@ -122,7 +122,7 @@ class StructureBundle:
 
 def derive_seed(base: int, *parts: object) -> int:
     """Stable sub-seed from a base seed and hashable context parts."""
-    digest = hashlib.sha256(repr((base,) + parts).encode("utf-8")).digest()
+    digest = sha256(repr((base,) + parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -468,6 +468,31 @@ def test_remote_http_run_loads_no_http_client_email_or_tls_module(tmp_path, wiki
     assert len(predict_server.requests) == 10 and wiki_server.request_count > 0
 
 
+def test_mock_and_plain_http_runs_load_no_openssl(tmp_path, wiki_server, predict_server):
+    # digests come from the interpreter's built-in hash modules; OpenSSL is for https only
+    predict_server.default = {"status": 200, "body": score_response({"causal": 0.7, "non-causal": 0.3})}
+    (tmp_path / "mock").mkdir()
+    (tmp_path / "remote").mkdir()
+    mock = write_config(tmp_path / "mock")
+    remote = remote_http_config(tmp_path / "remote", wiki_server, predict_server)
+    src = Path(kgprompt.__file__).parent.parent
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys; from kgprompt.cli import main; code = main(['run', '--config', CONFIG]); "
+        "print(code, sorted(m for m in ('_hashlib', 'ssl', '_ssl') if m in sys.modules))"
+    )
+    for config in (mock, mock, remote):  # the second mock run restores the graph snapshot
+        result = subprocess.run(
+            [sys.executable, "-c", probe.replace("CONFIG", repr(str(config)))],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 []", config
+    assert len(predict_server.requests) == 10 and wiki_server.request_count > 0
+
+
 @pytest.mark.parametrize("fault", ["truncate", "bad_status", "drop"])
 def test_broken_http_response_exit_code_3_without_traceback(
     tmp_path, capsys, wiki_server, predict_server, fault

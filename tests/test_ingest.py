@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import json
 import os
@@ -1097,3 +1098,121 @@ def test_snapshot_ignores_a_cache_home_that_is_not_absolute(tmp_path, monkeypatc
     load_edge_list_jsonl(_random_dump(tmp_path, "jsonl", seed=4))
     assert len(list((home / ".cache" / "kgprompt" / "graphs").iterdir())) == 1
     assert not any(cwd.iterdir())
+
+
+# --- dump stamps ---
+
+
+def _count_hashes(monkeypatch) -> list:
+    """The files the loaders hash from now on (a trusted stamp hashes none)."""
+    hashes = []
+    hex_digest = ingest._hex_digest
+    monkeypatch.setattr(ingest, "_hex_digest", lambda fh, digest: hashes.append(fh.name) or hex_digest(fh, digest))
+    return hashes
+
+
+def _stamp_of(graph_cache: Path, dump: Path) -> Path:
+    st = dump.stat()
+    return graph_cache / "kgprompt" / "stamps" / f"{st.st_dev}-{st.st_ino}"
+
+
+def _date_stamp(graph_cache: Path, dump: Path, after_ns: int) -> None:
+    """Set a dump's stamp's mtime to ``after_ns`` past the dump's last change:
+    positive for a stamp written after it, else a racy one."""
+    st = dump.stat()
+    when = max(st.st_mtime_ns, st.st_ctime_ns) + after_ns
+    os.utime(_stamp_of(graph_cache, dump), ns=(when, when))
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+def test_warm_load_takes_the_dump_digest_from_its_stamp(tmp_path, graph_cache, monkeypatch, fmt):
+    path = _random_dump(tmp_path, fmt, seed=21)
+    expected = _outcome(_FROZEN[fmt], path)
+    parses, hashes = _count_parses(monkeypatch, fmt), _count_hashes(monkeypatch)
+    assert _outcome(_LOADERS[fmt], path) == expected
+    (stamp,) = (graph_cache / "kgprompt" / "stamps").iterdir()
+    st = path.stat()
+    digest = hashlib.blake2b(path.read_bytes(), digest_size=32).hexdigest()
+    assert stamp.read_text() == f"{st.st_size} {st.st_mtime_ns} {st.st_ctime_ns} {digest}\n"
+    _date_stamp(graph_cache, path, after_ns=10**9)
+    assert _outcome(_LOADERS[fmt], path) == expected
+    assert (parses, hashes) == ([path], [str(path)])  # the second load neither parsed nor hashed
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+def test_dump_rewritten_with_its_size_and_mtime_is_parsed_again(tmp_path, graph_cache, monkeypatch, fmt):
+    path = _small_dump(tmp_path, fmt, broken=False)
+    _LOADERS[fmt](path)
+    _date_stamp(graph_cache, path, after_ns=10**9)  # a stamp that a clean dump would be trusted by
+    before = path.stat()
+    parses = _count_parses(monkeypatch, fmt)
+    path.write_bytes(path.read_bytes().replace(b'"name": "A"', b'"name": "Z"'))  # in place
+    while True:  # the old times back; only the ctime, which no call sets, has moved
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        if after.st_ctime_ns != before.st_ctime_ns:
+            break
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (before.st_ino, before.st_size, before.st_mtime_ns)
+    expected = _outcome(_FROZEN[fmt], path)
+    assert "Z" in repr(expected)
+    assert _outcome(_LOADERS[fmt], path) == expected
+    assert parses == [path]
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+@pytest.mark.parametrize("after_ns", [0, -10**9], ids=["same-time", "older"])
+def test_stamp_not_later_than_the_dump_is_not_trusted(tmp_path, graph_cache, monkeypatch, fmt, after_ns):
+    path = _random_dump(tmp_path, fmt, seed=22)
+    expected = _outcome(_FROZEN[fmt], path)
+    _LOADERS[fmt](path)
+    _date_stamp(graph_cache, path, after_ns)
+    parses, hashes = _count_parses(monkeypatch, fmt), _count_hashes(monkeypatch)
+    assert _outcome(_LOADERS[fmt], path) == expected
+    assert (parses, hashes) == ([], [str(path)])  # hashed, then restored
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+@pytest.mark.parametrize("fault", ["empty", "garbage", "not-hex", "short", "directory", "unwritable"])
+def test_unusable_stamp_gives_a_correct_load(tmp_path, graph_cache, monkeypatch, caplog, fmt, fault):
+    path = _random_dump(tmp_path, fmt, seed=23)
+    expected = _outcome(_FROZEN[fmt], path)
+    stamp = _stamp_of(graph_cache, path)
+    st = path.stat()
+    key = f"{st.st_size} {st.st_mtime_ns} {st.st_ctime_ns}"
+    stamp.parent.mkdir(parents=True)
+    if fault == "directory":
+        stamp.mkdir()
+    elif fault == "unwritable":  # a file where the stamps directory belongs
+        stamp.parent.rmdir()
+        stamp.parent.write_text("", encoding="utf-8")
+    else:
+        stamp.write_text({
+            "empty": "", "garbage": "\x00\xff not a stamp",
+            "not-hex": f"{key} ../{'0' * 61}\n", "short": f"{key} {'0' * 63}\n",
+        }[fault], encoding="latin-1")
+        _date_stamp(graph_cache, path, after_ns=10**9)
+    parses, hashes = _count_parses(monkeypatch, fmt), _count_hashes(monkeypatch)
+    with caplog.at_level("DEBUG", logger="kgprompt.ingest"):
+        assert _outcome(_LOADERS[fmt], path) == expected
+        assert _outcome(_LOADERS[fmt], path) == expected
+    assert caplog.records == []
+    assert parses == [path]  # the second load restored the snapshot
+    assert hashes[0] == str(path)
+    assert len(list((graph_cache / "kgprompt" / "graphs").iterdir())) == 1
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOADERS))
+def test_moved_copy_of_a_dump_hashes_once_and_restores_its_snapshot(tmp_path, graph_cache, monkeypatch, fmt):
+    path = _random_dump(tmp_path, fmt, seed=24)
+    expected = _outcome(_FROZEN[fmt], path)
+    _LOADERS[fmt](path)
+    moved = tmp_path / "moved" / path.name
+    moved.parent.mkdir()
+    moved.write_bytes(path.read_bytes())  # a new inode
+    path.unlink()
+    parses, hashes = _count_parses(monkeypatch, fmt), _count_hashes(monkeypatch)
+    assert _outcome(_LOADERS[fmt], moved) == expected
+    _date_stamp(graph_cache, moved, after_ns=10**9)
+    assert _outcome(_LOADERS[fmt], moved) == expected
+    assert (parses, hashes) == ([], [str(moved)])
+    assert len(list((graph_cache / "kgprompt" / "stamps").iterdir())) == 2
